@@ -2,6 +2,8 @@
 
 import argparse
 import sys
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -46,11 +48,6 @@ def _config_get(config, key, cast, default):
     return default
 
 
-def _csv_or_scalar(text):
-    values = [float(v) for v in text.split(",")]
-    return values[0] if len(values) == 1 else np.array(values)
-
-
 def _build_fit_config(config, args):
     def pick(flag, key, cast, default):
         if getattr(args, flag, None) is not None:
@@ -70,41 +67,36 @@ def _build_fit_config(config, args):
 
 
 def _build_train_prior(config, variant, d):
-    if not mdl.has_alpha_arm(variant):
-        raise ValueError(
-            f"{variant} takes its priors from a previously trained model; use the adapt command"
-        )
-    kwargs = dict(
-        variant=variant,
-        a_alpha=_config_get(config, "a_alpha", float, 1e-3),
-        b_alpha=_config_get(config, "b_alpha", float, 1e-3),
-        mu0=_config_get(config, "mu0", _csv_or_scalar, 0.0),
-        beta=_config_get(config, "beta", _csv_or_scalar, 1.0),
-    )
-    if variant == mdl.V1_WISHART_INFORMATIVE:
-        scale = _config_get(config, "psi0_scale", float, 1.0)
-        kwargs["psi0"] = scale * np.eye(d)
-        kwargs["nu_d"] = _config_get(config, "nu_d", float, float(d + 2))
-    elif not mdl.has_wishart_arm(variant):
-        kwargs["a_w"] = _config_get(config, "a_w", float, 1e-3)
-        kwargs["b_w"] = _config_get(config, "b_w", float, 1e-3)
-    return PriorConfig(**kwargs)
+    loading, arm = mdl.SCHEMES[variant]
+    get = partial(_config_get, config)
+    return PriorConfig(variant=variant, **loading.train_prior(get), **arm.train_prior(get, d))
 
 
-def _save_fit(path, variant, state, params, report, prior):
+def _save_fit(path, state, params, report, rotation):
     saved = mio.SavedModel(
-        variant=variant,
+        variant=state.variant,
         mu=params.mu,
         V=params.V,
         W=params.W,
         qv=state.qv,
         qw=state.qw,
-        prior=prior,
+        # hyperopt may have refreshed the hyperparameters; persist the ones in effect
+        prior=report.final_prior,
         elbo=report.elbo_trace[-1] if report.elbo_trace else report.initial_elbo,
         qalpha=state.qalpha,
-        rotation=report.rotation,
+        rotation=rotation,
     )
     mio.write_model_file(path, saved)
+
+
+def _model_stats(saved, args):
+    """Statistics of the command's dataset, rotated when the model was trained whitened."""
+    dataset, partition = mio.load_dataset(args.data, args.labels)
+    if dataset.dim != saved.dim:
+        raise ValueError(f"data dimension {dataset.dim} does not match model {saved.dim}")
+    if saved.rotation is not None:
+        dataset = replace(dataset, vectors=dataset.vectors @ saved.rotation)
+    return accumulate(dataset, partition)
 
 
 def cmd_train(args):
@@ -118,8 +110,7 @@ def cmd_train(args):
     prior = _build_train_prior(config, variant, stats.dim)
     fit_config = _build_fit_config(config, args)
     state, params, report = fit_stats(stats, prior, fit_config, n_y)
-    # hyperopt may have refreshed the hyperparameters; persist the ones in effect
-    _save_fit(args.out, variant, state, params, report, report.final_prior)
+    _save_fit(args.out, state, params, report, report.rotation)
     if args.trace:
         mio.write_trace_csv(args.trace, report)
     return EXIT_OK
@@ -127,54 +118,24 @@ def cmd_train(args):
 
 def cmd_adapt(args):
     saved = mio.read_model_file(args.prior)
-    dataset, partition = mio.load_dataset(args.data, args.labels)
-    if dataset.dim != saved.dim:
-        raise ValueError(f"data dimension {dataset.dim} does not match prior model {saved.dim}")
-    arm = type(saved.qw).__name__
-    inferred = {
-        "QWWishart": mdl.V3_GAUSSV_WISHART,
-        "QWGammaDiag": mdl.V4_GAUSSV_GAMMA_DIAGONAL,
-        "QWGammaIso": mdl.V4_GAUSSV_GAMMA_ISOTROPIC,
-    }[arm]
-    variant = args.variant or inferred
-    if variant != inferred:
+    stats = _model_stats(saved, args)
+    arm = mdl.SCHEMES[saved.variant][1]
+    variant = args.variant or arm.adapted_variant
+    if variant != arm.adapted_variant:
         raise ValueError(
-            f"prior model carries a {arm} precision posterior, incompatible with {variant}"
+            f"prior model carries a {type(saved.qw).__name__} precision posterior, "
+            f"incompatible with {variant}"
         )
-    kwargs = dict(
+    prior = PriorConfig(
         variant=variant,
         v_row_means=saved.qv.mean,
         v_row_precisions=saved.qv.prec,
+        **arm.adaptation_prior(saved.qw),
     )
-    if variant == mdl.V3_GAUSSV_WISHART:
-        kwargs["psi0"] = saved.qw.psi
-        kwargs["nu_d"] = saved.qw.nu
-    elif variant == mdl.V4_GAUSSV_GAMMA_DIAGONAL:
-        kwargs["a_w"] = saved.qw.a
-        kwargs["b_w"] = saved.qw.b
-    else:
-        kwargs["a_w"] = saved.qw.a
-        kwargs["b_w"] = saved.qw.b
-    prior = PriorConfig(**kwargs)
     config = mio.parse_config(args.config) if args.config else {}
     fit_config = _build_fit_config(config, args)
-    if saved.rotation is not None:
-        dataset = type(dataset)(vectors=dataset.vectors @ saved.rotation, ids=dataset.ids)
-    stats = accumulate(dataset, partition)
     state, params, report = fit_stats(stats, prior, fit_config, saved.rank)
-    saved_out = mio.SavedModel(
-        variant=variant,
-        mu=params.mu,
-        V=params.V,
-        W=params.W,
-        qv=state.qv,
-        qw=state.qw,
-        prior=prior,
-        elbo=report.elbo_trace[-1] if report.elbo_trace else report.initial_elbo,
-        qalpha=None,
-        rotation=saved.rotation,
-    )
-    mio.write_model_file(args.out, saved_out)
+    _save_fit(args.out, state, params, report, saved.rotation)
     if args.trace:
         mio.write_trace_csv(args.trace, report)
     return EXIT_OK
@@ -183,7 +144,7 @@ def cmd_adapt(args):
 def _params_from_spec_config(config, seed):
     d = int(config["d"])
     ny = int(config["ny"])
-    mu = _csv_or_scalar(config.get("mu", "0"))
+    mu = mdl.scalar_or_list(config.get("mu", "0"))
     mu = np.full(d, float(mu)) if np.isscalar(mu) else np.asarray(mu, dtype=float)
     if mu.shape != (d,):
         raise ValueError(f"mu must be scalar or length-{d}")
@@ -217,12 +178,7 @@ def cmd_simulate(args):
 
 def cmd_elbo(args):
     saved = mio.read_model_file(args.model)
-    dataset, partition = mio.load_dataset(args.data, args.labels)
-    if dataset.dim != saved.dim:
-        raise ValueError(f"data dimension {dataset.dim} does not match model {saved.dim}")
-    if saved.rotation is not None:
-        dataset = type(dataset)(vectors=dataset.vectors @ saved.rotation, ids=dataset.ids)
-    stats = accumulate(dataset, partition)
+    stats = _model_stats(saved, args)
     qy = update_qy(stats, saved.qv, saved.qw)
     breakdown = elbo_total(stats, qy, saved.qv, saved.qw, saved.qalpha, saved.prior)
     for name, value in breakdown.as_dict().items():

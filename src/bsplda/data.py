@@ -12,7 +12,6 @@ __all__ = [
     "accumulate",
     "merge",
     "center",
-    "center_speaker",
 ]
 
 
@@ -179,13 +178,3 @@ def center(stats, mu):
         + stats.n_total * np.outer(mu, mu)
     )
     return CenteredStats(mu=mu, spk_sums=spk_sums, scatter_total=scatter)
-
-
-def center_speaker(stats, i, mu):
-    """(N_i, centered F_i, centered S_i) for one speaker."""
-    mu = np.asarray(mu, dtype=float)
-    n_i = stats.counts[i]
-    f_i = stats.spk_sums[i]
-    fbar = f_i - n_i * mu
-    sbar = stats.spk_scatters[i] - np.outer(mu, f_i) - np.outer(f_i, mu) + n_i * np.outer(mu, mu)
-    return n_i, fbar, sbar

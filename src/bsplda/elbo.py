@@ -1,4 +1,4 @@
-"""Evidence lower bound terms and the variant-dispatched total.
+"""Evidence lower bound terms and their total.
 
 Constant factors the derivations fold into "const" are kept explicitly so
 that each (prior, negative-entropy) pair sums to exactly minus the KL
@@ -9,11 +9,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
 from . import model as mdl
-from .numerics import wishart_log_B
-from .posterior import expected_quadratics, y_aggregates
+from .posterior import expected_vtw_quadratic, y_aggregates
 
 __all__ = [
     "ElboBreakdown",
@@ -56,13 +54,13 @@ def elbo_data_term(stats, aggregates, qv, qw):
     if n == 0:
         return 0.0
     wbar, mean_logdet = qw.mean, qw.mean_logdet
-    moments = expected_quadratics(qv, wbar, aggregates.R)
+    evtwvt = expected_vtw_quadratic(qv, wbar)
     return float(
         0.5 * n * mean_logdet
         - 0.5 * n * d * LOG2PI
         - 0.5 * np.sum(wbar * stats.scatter_total)
         + np.sum((wbar @ qv.mean) * aggregates.C)
-        - 0.5 * np.sum(moments.evtwvt * aggregates.R)
+        - 0.5 * np.sum(evtwvt * aggregates.R)
     )
 
 
@@ -82,118 +80,33 @@ def _v_entropy_neg(qv):
     return -0.5 * d * k * (LOG2PI + 1.0) + 0.5 * float(np.sum(qv.prec_logdets))
 
 
-def elbo_v_alpha_mu_terms(qv, qalpha, prior, variant):
+def elbo_v_alpha_mu_terms(qv, qalpha, prior):
     """(v_prior, alpha_prior, alpha_entropy_neg, mu_prior, v_entropy_neg).
 
-    V1/V2 evaluate the hierarchical column prior, the Gamma relevance prior
-    and the Gaussian mean prior; V3/V4 evaluate the joint Gaussian row prior
-    and leave the alpha/mu slots at zero.
+    The variant's loading prior gives the first four: the hierarchical column
+    prior, the Gamma relevance prior and the Gaussian mean prior for V1/V2; the
+    joint Gaussian row prior, with the alpha/mu slots at zero, for V3/V4.
     """
-    d, k = qv.mean.shape
-    ny = k - 1
-    v_entropy_neg = _v_entropy_neg(qv)
-    if mdl.has_alpha_arm(variant):
-        e_alpha, e_ln_alpha = qalpha.mean, qalpha.mean_log
-        evq_sq = qv.col_sq_norms
-        v_prior = float(
-            -0.5 * ny * d * LOG2PI
-            + 0.5 * d * np.sum(e_ln_alpha)
-            - 0.5 * np.sum(e_alpha * evq_sq)
-        )
-        a, b = prior.a_alpha, prior.b_alpha
-        alpha_prior = float(
-            ny * (a * math.log(b) - special.gammaln(a))
-            + (a - 1.0) * np.sum(e_ln_alpha)
-            - b * np.sum(e_alpha)
-        )
-        ap = qalpha.a
-        alpha_entropy_neg = float(
-            ny * ((ap - 1.0) * special.digamma(ap) - ap - special.gammaln(ap))
-            + np.sum(np.log(qalpha.b))
-        )
-        beta = prior.beta
-        mu_mean, mu_var = qv.mu, qv.mu_var
-        residual = mu_var + mu_mean**2 - 2.0 * prior.mu0 * mu_mean + prior.mu0**2
-        mu_prior = float(
-            -0.5 * d * LOG2PI + 0.5 * np.sum(np.log(beta)) - 0.5 * np.sum(beta * residual)
-        )
-        return v_prior, alpha_prior, alpha_entropy_neg, mu_prior, v_entropy_neg
-
-    # Joint Gaussian row prior (adaptation variants).
-    l0 = prior.v_row_precisions
-    delta = qv.mean - prior.v_row_means
-    logdets = np.array([np.linalg.slogdet(l0[r])[1] for r in range(d)])
-    trace_term = float(np.einsum("rab,rab->", l0, qv.cov))
-    quad_term = float(np.einsum("ra,rab,rb->", delta, l0, delta))
-    v_prior = float(
-        -0.5 * d * k * LOG2PI + 0.5 * np.sum(logdets) - 0.5 * trace_term - 0.5 * quad_term
-    )
-    return v_prior, 0.0, 0.0, 0.0, v_entropy_neg
+    loading, _ = mdl.SCHEMES[prior.variant]
+    return (*loading.bound_terms(qv, qalpha, prior), _v_entropy_neg(qv))
 
 
-def elbo_w_terms(qw, prior, variant):
+def elbo_w_terms(qw, prior):
     """(E[ln P(W)], E[ln q(W)]) for the variant's precision arm."""
-    if variant == mdl.V1_WISHART_NONINFORMATIVE:
-        d = qw.dim
-        mean_logdet = qw.mean_logdet
-        w_prior = -0.5 * (d + 1) * mean_logdet
-        w_entropy_neg = (
-            wishart_log_B(qw.psi, qw.nu, d) + 0.5 * (qw.nu - d - 1) * mean_logdet - 0.5 * qw.nu * d
-        )
-        return float(w_prior), float(w_entropy_neg)
-    if mdl.has_wishart_arm(variant):
-        d = qw.dim
-        mean_logdet = qw.mean_logdet
-        psi0_inv = np.linalg.inv(prior.psi0)
-        w_prior = (
-            wishart_log_B(prior.psi0, prior.nu_d, d)
-            + 0.5 * (prior.nu_d - d - 1) * mean_logdet
-            - 0.5 * qw.nu * np.sum(psi0_inv * qw.psi)
-        )
-        w_entropy_neg = (
-            wishart_log_B(qw.psi, qw.nu, d) + 0.5 * (qw.nu - d - 1) * mean_logdet - 0.5 * qw.nu * d
-        )
-        return float(w_prior), float(w_entropy_neg)
-    a_w = prior.a_w
-    if mdl.is_isotropic(variant):
-        b_w = float(prior.b_w[0])
-        w_prior = (
-            a_w * math.log(b_w)
-            - float(special.gammaln(a_w))
-            + (a_w - 1.0) * qw.mean_log_scalar
-            - b_w * qw.mean_scalar
-        )
-        ap = qw.a
-        w_entropy_neg = (
-            (ap - 1.0) * float(special.digamma(ap)) - ap - float(special.gammaln(ap)) + math.log(qw.b)
-        )
-        return float(w_prior), float(w_entropy_neg)
-    d = qw.dim
-    b_w = prior.b_w if prior.b_w.shape == (d,) else np.full(d, float(prior.b_w[0]))
-    w_prior = float(
-        -d * special.gammaln(a_w)
-        + a_w * np.sum(np.log(b_w))
-        + (a_w - 1.0) * np.sum(qw.mean_log_diag)
-        - np.sum(b_w * qw.mean_diag)
-    )
-    ap = qw.a
-    w_entropy_neg = float(
-        d * ((ap - 1.0) * special.digamma(ap) - ap - special.gammaln(ap)) + np.sum(np.log(qw.b))
-    )
-    return w_prior, w_entropy_neg
+    _, arm = mdl.SCHEMES[prior.variant]
+    return arm.w_prior(qw, prior), qw.neg_entropy
 
 
 def elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates=None):
     """Assemble the full lower bound for the prior scheme of `prior.variant`."""
-    variant = prior.variant
     if aggregates is None:
         aggregates = y_aggregates(qy, stats)
     data_term = elbo_data_term(stats, aggregates, qv, qw)
     y_prior, y_entropy_neg = elbo_y_terms(qy)
     v_prior, alpha_prior, alpha_entropy_neg, mu_prior, v_entropy_neg = elbo_v_alpha_mu_terms(
-        qv, qalpha, prior, variant
+        qv, qalpha, prior
     )
-    w_prior, w_entropy_neg = elbo_w_terms(qw, prior, variant)
+    w_prior, w_entropy_neg = elbo_w_terms(qw, prior)
     terms = {
         "data_term": data_term,
         "y_prior": y_prior,

@@ -5,21 +5,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import hyperopt as hyp
 from . import model as mdl
 from .data import accumulate, center
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
 from .linalg import FactorizationError, spd_cholesky, spd_inverse, spd_solve, sym
-from .posterior import (
-    QY,
-    QAlpha,
-    QVtilde,
-    QWGammaDiag,
-    QWGammaIso,
-    QWWishart,
-    expected_vtw_quadratic,
-    y_aggregates,
-)
+from .posterior import QY, QAlpha, QVtilde, expected_vtw_quadratic, y_aggregates
 from .synth import CounterRng
 
 __all__ = [
@@ -28,8 +18,6 @@ __all__ = [
     "VariationalState",
     "update_qy",
     "update_qvtilde",
-    "update_qvtilde_coupled",
-    "update_qvtilde_factored",
     "update_qalpha",
     "update_qw",
     "apply_annealing",
@@ -54,7 +42,7 @@ class VariationalState:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if mdl.has_alpha_arm(self.variant) != (self.qalpha is not None):
+        if mdl.SCHEMES[self.variant][0].has_alpha != (self.qalpha is not None):
             raise ValueError(f"q(alpha) arm inconsistent with variant {self.variant}")
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError(f"kappa must lie in (0, 1], got {self.kappa}")
@@ -123,21 +111,6 @@ def update_qy(stats, qv, qw):
     return QY(mean=mean, prec=prec)
 
 
-def _row_prior_terms(prior, qalpha, d, k):
-    """Per-row prior precision matrices and precision-times-mean vectors."""
-    if mdl.has_alpha_arm(prior.variant):
-        prec = np.zeros((d, k, k))
-        rhs = np.zeros((d, k))
-        idx = np.arange(k - 1)
-        prec[:, idx, idx] = qalpha.mean[None, :]
-        prec[:, -1, -1] = prior.beta
-        rhs[:, -1] = prior.beta * prior.mu0
-        return prec, rhs
-    prec = prior.v_row_precisions
-    rhs = np.einsum("rab,rb->ra", prec, prior.v_row_means)
-    return prec, rhs
-
-
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     """Row posteriors of the augmented loading.
 
@@ -147,10 +120,11 @@ def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     decouples the rows and they update independently.
     """
     d, k = qv.mean.shape
-    prior_prec, prior_rhs = _row_prior_terms(prior, qalpha, d, k)
+    loading, arm = mdl.SCHEMES[prior.variant]
+    prior_prec, prior_rhs = loading.row_prior_terms(prior, qalpha, d, k)
     wbar = qw.mean
     c, r_yt = aggregates.C, aggregates.R
-    if not mdl.has_coupled_rows(prior.variant):
+    if not arm.coupled_rows:
         wdiag = qw.mean_diag
         prec = prior_prec + wdiag[:, None, None] * r_yt[None, :, :]
         prec = 0.5 * (prec + prec.transpose(0, 2, 1))
@@ -170,24 +144,9 @@ def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     return QVtilde(mean=means, prec=precs)
 
 
-def update_qvtilde_coupled(aggregates, qv, qw, prior, qalpha=None):
-    """Row update for the full-covariance precision variants (Gauss-Seidel sweep)."""
-    if not mdl.has_coupled_rows(prior.variant):
-        raise ValueError(f"{prior.variant} has a diagonal precision arm; use the factored update")
-    return update_qvtilde(aggregates, qv, qw, prior, qalpha)
-
-
-def update_qvtilde_factored(aggregates, qv, qw, prior, qalpha=None):
-    """Independent row update for the diagonal-precision variants."""
-    if mdl.has_coupled_rows(prior.variant):
-        raise ValueError(f"{prior.variant} couples the rows; use the coupled update")
-    return update_qvtilde(aggregates, qv, qw, prior, qalpha)
-
-
 def update_qalpha(qv, prior):
-    """Gamma relevance posteriors: a' = a + d/2, b'_q = b + E[v_q^T v_q]/2."""
-    d = qv.dim
-    return QAlpha(a=prior.a_alpha + 0.5 * d, b=prior.b_alpha + 0.5 * qv.col_sq_norms)
+    """Relevance posteriors q(alpha) of the variant's loading prior."""
+    return mdl.SCHEMES[prior.variant][0].update_qalpha(qv, prior)
 
 
 def _residual_scatter(stats, aggregates, qv):
@@ -209,55 +168,8 @@ def _residual_scatter(stats, aggregates, qv):
 
 def update_qw(stats, aggregates, qv, prior):
     """Precision posterior for the variant's arm from the expected residual scatter."""
-    variant = prior.variant
-    d = stats.dim
-    n = stats.n_total
     k_mat = _residual_scatter(stats, aggregates, qv)
-    if variant == mdl.V1_WISHART_NONINFORMATIVE:
-        if n <= d:
-            raise ValueError(
-                f"non-informative precision prior requires N > d (got N={n:g}, d={d})"
-            )
-        return QWWishart(psi=spd_inverse(k_mat, jitter=True), nu=n)
-    if mdl.has_wishart_arm(variant):
-        psi0_inv = spd_inverse(prior.psi0)
-        return QWWishart(psi=spd_inverse(psi0_inv + k_mat, jitter=True), nu=prior.nu_d + n)
-    if mdl.is_isotropic(variant):
-        return QWGammaIso(
-            a=prior.a_w + 0.5 * n * d, b=float(prior.b_w[0]) + 0.5 * float(np.trace(k_mat)), dim=d
-        )
-    b_w = prior.b_w if prior.b_w.shape == (d,) else np.full(d, float(prior.b_w[0]))
-    return QWGammaDiag(a=prior.a_w + 0.5 * n, b=b_w + 0.5 * np.diag(k_mat))
-
-
-def _anneal_qy(qy, kappa):
-    return QY(mean=qy.mean, prec=kappa * qy.prec)
-
-
-def _anneal_qv(qv, kappa):
-    return QVtilde(mean=qv.mean, prec=kappa * qv.prec)
-
-
-def _anneal_gamma(a, b, kappa):
-    a_new = kappa * (a - 1.0) + 1.0
-    if a_new <= 0:
-        raise ValueError(f"annealed Gamma shape must stay positive, got {a_new}")
-    return a_new, kappa * b
-
-
-def _anneal_qw(qw, kappa):
-    if isinstance(qw, QWWishart):
-        d = qw.dim
-        if kappa * (qw.nu - d - 1.0) + 1.0 <= 0.0:
-            raise ValueError(
-                f"annealed Wishart dof condition violated (kappa={kappa}, nu={qw.nu}, d={d})"
-            )
-        return QWWishart(psi=qw.psi / kappa, nu=kappa * (qw.nu - d - 1.0) + d + 1.0)
-    if isinstance(qw, QWGammaDiag):
-        a, b = _anneal_gamma(qw.a, qw.b, kappa)
-        return QWGammaDiag(a=a, b=b)
-    a, b = _anneal_gamma(qw.a, qw.b, kappa)
-    return QWGammaIso(a=a, b=b, dim=qw.dim)
+    return mdl.SCHEMES[prior.variant][1].update_qw(prior, k_mat, stats.n_total)
 
 
 def apply_annealing(state, kappa):
@@ -273,13 +185,12 @@ def apply_annealing(state, kappa):
         return replace(state, kappa=1.0)
     qalpha = state.qalpha
     if qalpha is not None:
-        a, b = _anneal_gamma(qalpha.a, qalpha.b, kappa)
-        qalpha = QAlpha(a=a, b=b)
+        qalpha = qalpha.anneal(kappa)
     return replace(
         state,
-        qy=_anneal_qy(state.qy, kappa),
-        qv=_anneal_qv(state.qv, kappa),
-        qw=_anneal_qw(state.qw, kappa),
+        qy=state.qy.anneal(kappa),
+        qv=state.qv.anneal(kappa),
+        qw=state.qw.anneal(kappa),
         qalpha=qalpha,
         kappa=kappa,
     )
@@ -369,59 +280,19 @@ def _init_state(stats, prior, n_y, seed):
     qv = QVtilde(mean=np.column_stack([v_init, mu_init]), prec=np.tile(np.eye(k), (d, 1, 1)))
     m = stats.n_speakers
     qy = QY(mean=np.zeros((m, n_y)), prec=np.tile(np.eye(n_y), (m, 1, 1)))
-    variant = prior.variant
-    if variant == mdl.V1_WISHART_NONINFORMATIVE:
-        nu = max(n, d + 2.0)
-        qw = QWWishart(psi=w_point / nu, nu=nu)
-    elif mdl.has_wishart_arm(variant):
-        if n > 0:
-            nu = prior.nu_d + n
-            qw = QWWishart(psi=w_point / nu, nu=nu)
-        else:
-            qw = QWWishart(psi=prior.psi0, nu=prior.nu_d)
-    elif mdl.is_isotropic(variant):
-        if n > 0:
-            a = prior.a_w + 0.5 * n * d
-            qw = QWGammaIso(a=a, b=a / float(np.mean(np.diag(w_point))), dim=d)
-        else:
-            qw = QWGammaIso(a=prior.a_w, b=float(prior.b_w[0]), dim=d)
-    else:
-        b_w = prior.b_w if prior.b_w.shape == (d,) else np.full(d, float(prior.b_w[0]))
-        if n > 0:
-            a = prior.a_w + 0.5 * n
-            qw = QWGammaDiag(a=a, b=a / np.diag(w_point))
-        else:
-            qw = QWGammaDiag(a=prior.a_w, b=b_w)
-    qalpha = None
-    if mdl.has_alpha_arm(variant):
-        qalpha = QAlpha(a=prior.a_alpha, b=np.full(n_y, prior.b_alpha))
-    return VariationalState(variant=variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha)
+    loading, arm = mdl.SCHEMES[prior.variant]
+    qw = arm.init_qw(prior, n, d, w_point)
+    qalpha = loading.init_qalpha(prior, n_y)
+    return VariationalState(variant=prior.variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha)
 
 
 def _run_hyperopt(prior, state):
     """Empirical-Bayes refresh of the V1/V2 hyperparameters (adaptation priors stay fixed)."""
-    variant = prior.variant
-    if not mdl.has_alpha_arm(variant):
+    loading, arm = mdl.SCHEMES[prior.variant]
+    updates = loading.refresh(prior, state.qv, state.qalpha)
+    if updates is None:
         return prior, False
-    updates = {}
-    a_alpha, b_alpha = hyp.optimize_alpha_hyper(
-        state.qalpha.mean_log, state.qalpha.mean, prior.a_alpha
-    )
-    updates["a_alpha"] = a_alpha
-    updates["b_alpha"] = b_alpha
-    mu0, beta = hyp.optimize_mu_prior(state.qv)
-    updates["mu0"] = mu0
-    updates["beta"] = beta
-    if not mdl.has_wishart_arm(variant):
-        qw = state.qw
-        if mdl.is_isotropic(variant):
-            a_w, b_w = hyp.optimize_w_hyper(
-                np.atleast_1d(qw.mean_log_scalar), np.atleast_1d(qw.mean_scalar), prior.a_w
-            )
-        else:
-            a_w, b_w = hyp.optimize_w_hyper(qw.mean_log_diag, qw.mean_diag, prior.a_w)
-        updates["a_w"] = a_w
-        updates["b_w"] = np.array([b_w])
+    updates.update(arm.refresh(prior, state.qw))
     changed = any(
         not np.allclose(getattr(prior, name), value, rtol=1e-9, atol=0.0)
         for name, value in updates.items()
@@ -447,16 +318,15 @@ def fit_stats(stats, prior, config, n_y):
     """
     if n_y < 1:
         raise ValueError("latent rank must be at least 1")
-    d = stats.dim
-    prior.validate(d, n_y)
+    prior.validate(stats.dim, n_y)
     variant = prior.variant
-    if variant == mdl.V1_WISHART_NONINFORMATIVE and stats.n_total <= d:
-        raise ValueError(
-            f"non-informative precision prior requires N > d (got N={stats.n_total:g}, d={d})"
-        )
     rotation = None
     if config.whiten:
-        if variant not in (mdl.V2_GAMMA_DIAGONAL, mdl.V2_GAMMA_ISOTROPIC):
+        loading, arm = mdl.SCHEMES[variant]
+        # Whitening diagonalizes the within-class covariance, which only a
+        # diagonal-W arm models; a prior from a previous run is tied to that
+        # run's coordinates.
+        if arm.coupled_rows or not loading.has_alpha:
             raise ValueError("whitening preprocessing applies to the V2 variants only")
         rotation = whitening_rotation(stats)
         stats = _rotate_stats(stats, rotation)
@@ -474,23 +344,22 @@ def fit_stats(stats, prior, config, n_y):
         kappa = config.kappa_for(iteration)
         qy = update_qy(stats, state.qv, state.qw)
         if kappa != 1.0:
-            qy = _anneal_qy(qy, kappa)
+            qy = qy.anneal(kappa)
         aggregates = y_aggregates(qy, stats)
         qv = update_qvtilde(aggregates, state.qv, state.qw, prior, state.qalpha)
         if kappa != 1.0:
-            qv = _anneal_qv(qv, kappa)
+            qv = qv.anneal(kappa)
         qw = update_qw(stats, aggregates, qv, prior)
         if kappa != 1.0:
-            qw = _anneal_qw(qw, kappa)
+            qw = qw.anneal(kappa)
         qalpha = state.qalpha
         if qalpha is not None:
             qalpha = update_qalpha(qv, prior)
             if kappa != 1.0:
-                a, b = _anneal_gamma(qalpha.a, qalpha.b, kappa)
-                qalpha = QAlpha(a=a, b=b)
+                qalpha = qalpha.anneal(kappa)
         qy = update_qy(stats, qv, qw)
         if kappa != 1.0:
-            qy = _anneal_qy(qy, kappa)
+            qy = qy.anneal(kappa)
         state = VariationalState(
             variant=variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha, iteration=iteration, kappa=kappa
         )

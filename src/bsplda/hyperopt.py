@@ -30,25 +30,13 @@ def optimize_w_hyper(mean_log_w, mean_w, a_w):
     return _fit_gamma_from_moments(mean_log_w, mean_w, a_w)
 
 
-def optimize_mu_prior(qv, isotropic=False, update_mu0=True, mu0_old=None):
+def optimize_mu_prior(qv):
     """(mu0, beta) from the mu block of the row posteriors.
 
-    With mu0 refreshed to E[mu] first (the default) the cross terms cancel and
-    beta_r^{-1} reduces to the posterior variance of mu_r; update_mu0=False
-    keeps the supplied mu0 and retains the cross terms.
+    With mu0 refreshed to E[mu] the cross terms cancel and beta_r^{-1} reduces
+    to the posterior variance of mu_r.
     """
-    mu_mean = qv.mu
-    mu_var = qv.mu_var
-    if update_mu0:
-        mu0 = mu_mean.copy()
-        inv_beta = mu_var.copy()
-    else:
-        if mu0_old is None:
-            raise ValueError("update_mu0=False requires mu0_old")
-        mu0 = np.asarray(mu0_old, dtype=float)
-        inv_beta = mu_var + mu_mean**2 - 2.0 * mu0 * mu_mean + mu0**2
-    if isotropic:
-        inv_beta = np.full_like(inv_beta, float(np.mean(inv_beta)))
-    beta = 1.0 / np.maximum(inv_beta, 1.0 / BETA_CAP)
+    mu0 = qv.mu.copy()
+    beta = 1.0 / np.maximum(qv.mu_var, 1.0 / BETA_CAP)
     beta = np.clip(beta, BETA_FLOOR, BETA_CAP)
     return mu0, beta

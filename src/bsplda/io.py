@@ -4,14 +4,18 @@ Every floating-point payload is 64-bit little-endian IEEE-754, so round trips
 are bit-exact and outputs are byte-identical across platforms.
 """
 
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import model as mdl
 from .data import Dataset, SpeakerPartition
-from .posterior import QAlpha, QVtilde, QWGammaDiag, QWGammaIso, QWWishart
+from .posterior import QAlpha, QVtilde
 
 __all__ = [
     "FormatError",
@@ -33,8 +37,6 @@ MAGIC_DATA = b"BSPLDA-DATA\x00"
 MAGIC_MODEL = b"BSPLDA-MODEL\x00"
 FORMAT_VERSION = 1
 
-_ARM_TAGS = {QWWishart: 1, QWGammaDiag: 2, QWGammaIso: 3}
-
 
 class FormatError(ValueError):
     """A file does not conform to its declared container format."""
@@ -45,11 +47,18 @@ def _write_f64(f, arr):
 
 
 def _read_f64(f, shape):
-    count = int(np.prod(shape)) if shape else 1
-    buf = f.read(8 * count)
-    if len(buf) != 8 * count:
+    # Python ints, so that a header's dimensions cannot wrap the size around;
+    # checked against the file before anything of that size is allocated.
+    size = 8 * math.prod(shape)
+    info = os.fstat(f.fileno())
+    if stat.S_ISREG(info.st_mode) and size > info.st_size - f.tell():
+        raise FormatError(
+            f"header declares {size} payload bytes, the file has {info.st_size - f.tell()} left"
+        )
+    buf = f.read(size)
+    if len(buf) != size:
         raise FormatError("truncated file")
-    arr = np.frombuffer(buf, dtype="<f8", count=count).copy()
+    arr = np.frombuffer(buf, dtype="<f8").copy()
     return arr.reshape(shape) if shape else float(arr[0])
 
 
@@ -157,23 +166,24 @@ class SavedModel:
         return self.V.shape[1]
 
 
-def _write_optional_array(f, arr, shape):
-    if arr is None:
-        _write_scalar(f, "<B", 0)
-    else:
-        _write_scalar(f, "<B", 1)
-        _write_f64(f, np.asarray(arr, dtype=float).reshape(shape))
+def _write_optional(f, *values):
+    """A presence byte, then the values as doubles; absent when the first value is None."""
+    present = values[0] is not None
+    _write_scalar(f, "<B", int(present))
+    if present:
+        for value in values:
+            _write_f64(f, value)
 
 
-def _read_optional_array(f, shape):
+def _read_optional(f, *shapes):
+    """The values of an optional block, one per shape, or Nones when it is absent."""
     if _read_scalar(f, "<B"):
-        return _read_f64(f, shape)
-    return None
+        return [_read_f64(f, shape) for shape in shapes]
+    return [None] * len(shapes)
 
 
 def write_model_file(path, saved):
     d, ny = saved.dim, saved.rank
-    k = ny + 1
     prior = saved.prior
     with open(path, "wb") as f:
         f.write(MAGIC_MODEL)
@@ -187,36 +197,16 @@ def write_model_file(path, saved):
         _write_f64(f, saved.W)
         _write_f64(f, saved.qv.mean)
         _write_f64(f, saved.qv.prec)
-        arm = _ARM_TAGS[type(saved.qw)]
-        _write_scalar(f, "<B", arm)
-        if arm == 1:
-            _write_scalar(f, "<d", float(saved.qw.nu))
-            _write_f64(f, saved.qw.psi)
-        elif arm == 2:
-            _write_scalar(f, "<d", float(saved.qw.a))
-            _write_f64(f, saved.qw.b)
-        else:
-            _write_scalar(f, "<d", float(saved.qw.a))
-            _write_scalar(f, "<d", float(saved.qw.b))
-        if saved.qalpha is None:
-            _write_scalar(f, "<B", 0)
-        else:
-            _write_scalar(f, "<B", 1)
-            _write_scalar(f, "<d", float(saved.qalpha.a))
-            _write_f64(f, saved.qalpha.b)
-        _write_optional_array(f, prior.mu0, (d,))
-        _write_optional_array(f, prior.beta, (d,))
-        if prior.a_alpha is None:
-            _write_scalar(f, "<B", 0)
-        else:
-            _write_scalar(f, "<B", 1)
-            _write_scalar(f, "<d", float(prior.a_alpha))
-            _write_scalar(f, "<d", float(prior.b_alpha))
-        if prior.a_w is None:
-            _write_scalar(f, "<B", 0)
-        else:
-            _write_scalar(f, "<B", 1)
-            _write_scalar(f, "<d", float(prior.a_w))
+        # the tag follows the stored q(W) block; read_model_file checks it against the variant
+        arm = next(arm for _, arm in mdl.SCHEMES.values() if type(saved.qw) is arm.posterior)
+        _write_scalar(f, "<B", arm.tag)
+        arm.write_qw(saved.qw, partial(_write_f64, f))
+        qalpha = saved.qalpha
+        _write_optional(f, *((None,) if qalpha is None else (qalpha.a, qalpha.b)))
+        _write_optional(f, prior.mu0)
+        _write_optional(f, prior.beta)
+        _write_optional(f, prior.a_alpha, prior.b_alpha)
+        _write_optional(f, prior.a_w)
         if prior.b_w is None:
             _write_scalar(f, "<B", 0)
         else:
@@ -224,19 +214,9 @@ def write_model_file(path, saved):
             _write_scalar(f, "<B", 1)
             _write_scalar(f, "<I", b_w.size)
             _write_f64(f, b_w)
-        if prior.psi0 is None:
-            _write_scalar(f, "<B", 0)
-        else:
-            _write_scalar(f, "<B", 1)
-            _write_f64(f, prior.psi0)
-            _write_scalar(f, "<d", float(prior.nu_d))
-        if prior.v_row_means is None:
-            _write_scalar(f, "<B", 0)
-        else:
-            _write_scalar(f, "<B", 1)
-            _write_f64(f, prior.v_row_means)
-            _write_f64(f, prior.v_row_precisions)
-        _write_optional_array(f, saved.rotation, (d, d))
+        _write_optional(f, prior.psi0, prior.nu_d)
+        _write_optional(f, prior.v_row_means, prior.v_row_precisions)
+        _write_optional(f, saved.rotation)
 
 
 def read_model_file(path):
@@ -251,6 +231,7 @@ def read_model_file(path):
         if not 1 <= variant_idx <= len(mdl.VARIANTS):
             raise FormatError(f"{path}: unknown variant tag {variant_idx}")
         variant = mdl.VARIANTS[variant_idx - 1]
+        loading, arm = mdl.SCHEMES[variant]
         d = _read_scalar(f, "<I")
         ny = _read_scalar(f, "<I")
         k = ny + 1
@@ -259,44 +240,30 @@ def read_model_file(path):
         v = _read_f64(f, (d, ny))
         w = _read_f64(f, (d, d))
         qv = QVtilde(mean=_read_f64(f, (d, k)), prec=_read_f64(f, (d, k, k)))
-        arm = _read_scalar(f, "<B")
-        if arm == 1:
-            nu = _read_scalar(f, "<d")
-            qw = QWWishart(psi=_read_f64(f, (d, d)), nu=nu)
-        elif arm == 2:
-            a = _read_scalar(f, "<d")
-            qw = QWGammaDiag(a=a, b=_read_f64(f, (d,)))
-        elif arm == 3:
-            a = _read_scalar(f, "<d")
-            qw = QWGammaIso(a=a, b=_read_scalar(f, "<d"), dim=d)
-        else:
-            raise FormatError(f"{path}: unknown precision arm tag {arm}")
+        tag = _read_scalar(f, "<B")
+        if tag != arm.tag:
+            raise FormatError(f"{path}: precision arm tag {tag} does not match variant {variant}")
+        qw = arm.read_qw(partial(_read_f64, f), d)
+        has_alpha = bool(_read_scalar(f, "<B"))
+        if has_alpha != loading.has_alpha:
+            raise FormatError(
+                f"{path}: q(alpha) block {'present' if has_alpha else 'absent'}, "
+                f"inconsistent with variant {variant}"
+            )
         qalpha = None
-        if _read_scalar(f, "<B"):
-            a = _read_scalar(f, "<d")
+        if has_alpha:
+            a = _read_f64(f, ())
             qalpha = QAlpha(a=a, b=_read_f64(f, (ny,)))
-        mu0 = _read_optional_array(f, (d,))
-        beta = _read_optional_array(f, (d,))
-        a_alpha = b_alpha = None
-        if _read_scalar(f, "<B"):
-            a_alpha = _read_scalar(f, "<d")
-            b_alpha = _read_scalar(f, "<d")
-        a_w = None
-        if _read_scalar(f, "<B"):
-            a_w = _read_scalar(f, "<d")
+        (mu0,) = _read_optional(f, (d,))
+        (beta,) = _read_optional(f, (d,))
+        a_alpha, b_alpha = _read_optional(f, (), ())
+        (a_w,) = _read_optional(f, ())
         b_w = None
         if _read_scalar(f, "<B"):
-            size = _read_scalar(f, "<I")
-            b_w = _read_f64(f, (size,))
-        psi0 = nu_d = None
-        if _read_scalar(f, "<B"):
-            psi0 = _read_f64(f, (d, d))
-            nu_d = _read_scalar(f, "<d")
-        v_row_means = v_row_precisions = None
-        if _read_scalar(f, "<B"):
-            v_row_means = _read_f64(f, (d, k))
-            v_row_precisions = _read_f64(f, (d, k, k))
-        rotation = _read_optional_array(f, (d, d))
+            b_w = _read_f64(f, (_read_scalar(f, "<I"),))
+        psi0, nu_d = _read_optional(f, (d, d), ())
+        v_row_means, v_row_precisions = _read_optional(f, (d, k), (d, k, k))
+        (rotation,) = _read_optional(f, (d, d))
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     prior = mdl.PriorConfig(

@@ -7,7 +7,6 @@ __all__ = [
     "FactorizationError",
     "sym",
     "spd_cholesky",
-    "spd_logdet",
     "spd_solve",
     "spd_inverse",
 ]
@@ -42,11 +41,6 @@ def spd_cholesky(a, jitter=False):
         except scipy.linalg.LinAlgError:
             pass
     raise FactorizationError("matrix is not positive definite")
-
-
-def spd_logdet(a, jitter=False):
-    chol = spd_cholesky(a, jitter=jitter)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def spd_solve(a, b, jitter=False):

@@ -1,18 +1,32 @@
-"""Model parameters, prior configuration per variant, and the data conditional likelihood."""
+"""Model parameters, the seven prior schemes, and the data conditional likelihood.
+
+A prior scheme is a (loading prior, precision arm) pair. The loading prior is
+either ARD columns with a Gaussian mean, trained from scratch with a relevance
+posterior q(alpha), or full-covariance Gaussian rows taken from a previous
+run's posterior. The precision arm is a Wishart, its flat limit, independent
+Gammas on diag(W), or one Gamma on an isotropic W. SCHEMES maps each variant
+name to its pair; every decision that depends on the variant is a method or an
+attribute of these six objects.
+"""
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 
-from .linalg import spd_cholesky, sym
+from . import hyperopt
+from .linalg import spd_cholesky, spd_inverse, sym
+from .numerics import wishart_log_B
+from .posterior import QAlpha, QWGammaDiag, QWGammaIso, QWWishart
 
 __all__ = [
     "ModelParams",
     "AugmentedLoading",
     "PriorConfig",
     "VARIANTS",
+    "SCHEMES",
     "V1_WISHART_INFORMATIVE",
     "V1_WISHART_NONINFORMATIVE",
     "V2_GAMMA_DIAGONAL",
@@ -20,10 +34,13 @@ __all__ = [
     "V3_GAUSSV_WISHART",
     "V4_GAUSSV_GAMMA_DIAGONAL",
     "V4_GAUSSV_GAMMA_ISOTROPIC",
-    "has_alpha_arm",
-    "has_wishart_arm",
-    "has_coupled_rows",
-    "is_isotropic",
+    "ARD_COLUMNS",
+    "GAUSS_ROWS",
+    "WISHART",
+    "FLAT_WISHART",
+    "GAMMA_DIAGONAL",
+    "GAMMA_ISOTROPIC",
+    "scalar_or_list",
     "conditional_loglik",
     "conditional_loglik_traced",
     "conditional_loglik_augmented",
@@ -39,39 +56,6 @@ V2_GAMMA_ISOTROPIC = "V2-Gamma-isotropic"
 V3_GAUSSV_WISHART = "V3-GaussV-Wishart"
 V4_GAUSSV_GAMMA_DIAGONAL = "V4-GaussV-Gamma-diagonal"
 V4_GAUSSV_GAMMA_ISOTROPIC = "V4-GaussV-Gamma-isotropic"
-
-VARIANTS = (
-    V1_WISHART_INFORMATIVE,
-    V1_WISHART_NONINFORMATIVE,
-    V2_GAMMA_DIAGONAL,
-    V2_GAMMA_ISOTROPIC,
-    V3_GAUSSV_WISHART,
-    V4_GAUSSV_GAMMA_DIAGONAL,
-    V4_GAUSSV_GAMMA_ISOTROPIC,
-)
-
-
-def has_alpha_arm(variant):
-    """True when the variant carries the per-column relevance posterior q(alpha)."""
-    return variant in (
-        V1_WISHART_INFORMATIVE,
-        V1_WISHART_NONINFORMATIVE,
-        V2_GAMMA_DIAGONAL,
-        V2_GAMMA_ISOTROPIC,
-    )
-
-
-def has_wishart_arm(variant):
-    return variant in (V1_WISHART_INFORMATIVE, V1_WISHART_NONINFORMATIVE, V3_GAUSSV_WISHART)
-
-
-def has_coupled_rows(variant):
-    """Full-covariance W couples the loading rows, forcing the Gauss-Seidel row sweep."""
-    return has_wishart_arm(variant)
-
-
-def is_isotropic(variant):
-    return variant in (V2_GAMMA_ISOTROPIC, V4_GAUSSV_GAMMA_ISOTROPIC)
 
 
 @dataclass(frozen=True)
@@ -144,7 +128,8 @@ class PriorConfig:
     mean prior (mu0, beta) and either a Wishart (psi0, nu_d; None for the
     non-informative limit) or Gamma (a_w, b_w) precision prior. V3/V4 replace
     the column/mean priors with per-row Gaussians (v_row_means,
-    v_row_precisions) computed from a large corpus.
+    v_row_precisions) computed from a large corpus. Which fields a variant
+    reads, and how they are checked, is up to its SCHEMES entry.
     """
 
     variant: str
@@ -169,53 +154,11 @@ class PriorConfig:
 
     def validate(self, d, n_y):
         """Check presence, shapes and positivity of every field the variant uses."""
-        k = n_y + 1
-        v = self.variant
-        if has_alpha_arm(v):
-            self._require_positive_scalar("a_alpha")
-            self._require_positive_scalar("b_alpha")
-            mu0 = self._require_vector("mu0", d)
-            beta = self._require_vector("beta", d)
-            if np.any(beta <= 0):
-                raise ValueError("beta entries must be positive")
-            object.__setattr__(self, "mu0", mu0)
-            object.__setattr__(self, "beta", beta)
-        else:
-            if self.v_row_means is None or self.v_row_precisions is None:
-                raise ValueError(f"{v} requires row priors (v_row_means, v_row_precisions)")
-            if self.v_row_means.shape != (d, k):
-                raise ValueError(f"v_row_means has shape {self.v_row_means.shape}, expected ({d}, {k})")
-            if self.v_row_precisions.shape != (d, k, k):
-                raise ValueError(
-                    f"v_row_precisions has shape {self.v_row_precisions.shape}, expected ({d}, {k}, {k})"
-                )
-            for r in range(d):
-                spd_cholesky(self.v_row_precisions[r])
-        if v == V1_WISHART_INFORMATIVE or v == V3_GAUSSV_WISHART:
-            if self.psi0 is None or self.nu_d is None:
-                raise ValueError(f"{v} requires psi0 and nu_d")
-            if self.psi0.shape != (d, d):
-                raise ValueError(f"psi0 has shape {self.psi0.shape}, expected ({d}, {d})")
-            spd_cholesky(self.psi0)
-            if self.nu_d <= d - 1:
-                raise ValueError(f"nu_d must exceed d-1={d - 1}, got {self.nu_d}")
-        if not has_wishart_arm(v):
-            self._require_positive_scalar("a_w")
-            if self.b_w is None:
-                raise ValueError(f"{v} requires b_w")
-            b_w = np.atleast_1d(np.asarray(self.b_w, dtype=float))
-            if v == V4_GAUSSV_GAMMA_DIAGONAL:
-                if b_w.size == 1:
-                    b_w = np.full(d, float(b_w[0]))
-                if b_w.shape != (d,):
-                    raise ValueError(f"b_w must be scalar or length-{d}, got shape {b_w.shape}")
-            else:
-                if b_w.size != 1:
-                    raise ValueError(f"{v} takes a scalar b_w")
-                b_w = b_w.reshape(1)
-            if np.any(b_w <= 0):
-                raise ValueError("b_w must be positive")
-            object.__setattr__(self, "b_w", b_w)
+        loading, arm = SCHEMES[self.variant]
+        loading.validate(self, d, n_y)
+        # A previous run's posterior gives each row its own Gamma rate; a prior
+        # trained from scratch shares one rate, the one hyperopt refreshes.
+        arm.validate(self, d, per_row=not loading.has_alpha)
         return self
 
     def _require_positive_scalar(self, name):
@@ -233,6 +176,361 @@ class PriorConfig:
         if value.shape != (d,):
             raise ValueError(f"{name} must be scalar or length-{d}, got shape {value.shape}")
         return value
+
+
+def scalar_or_list(text):
+    """A config value: one float, or a comma-separated list as an array."""
+    values = [float(v) for v in text.split(",")]
+    return values[0] if len(values) == 1 else np.array(values)
+
+
+class ArdColumns:
+    """Gaussian-Gamma (ARD) loading columns and a Gaussian prior on the mean.
+
+    Trained from scratch: the relevance posterior q(alpha) exists and the
+    hyperparameters (a_alpha, b_alpha, mu0, beta) are refreshed by hyperopt.
+    """
+
+    has_alpha = True
+
+    def validate(self, prior, d, n_y):
+        prior._require_positive_scalar("a_alpha")
+        prior._require_positive_scalar("b_alpha")
+        mu0 = prior._require_vector("mu0", d)
+        beta = prior._require_vector("beta", d)
+        if np.any(beta <= 0):
+            raise ValueError("beta entries must be positive")
+        object.__setattr__(prior, "mu0", mu0)
+        object.__setattr__(prior, "beta", beta)
+
+    def row_prior_terms(self, prior, qalpha, d, k):
+        """Per-row prior precision matrices and precision-times-mean vectors."""
+        prec = np.zeros((d, k, k))
+        rhs = np.zeros((d, k))
+        idx = np.arange(k - 1)
+        prec[:, idx, idx] = qalpha.mean[None, :]
+        prec[:, -1, -1] = prior.beta
+        rhs[:, -1] = prior.beta * prior.mu0
+        return prec, rhs
+
+    def init_qalpha(self, prior, n_y):
+        return QAlpha(a=prior.a_alpha, b=np.full(n_y, prior.b_alpha))
+
+    def update_qalpha(self, qv, prior):
+        """Gamma relevance posteriors: a' = a + d/2, b'_q = b + E[v_q^T v_q]/2."""
+        return QAlpha(a=prior.a_alpha + 0.5 * qv.dim, b=prior.b_alpha + 0.5 * qv.col_sq_norms)
+
+    def bound_terms(self, qv, qalpha, prior):
+        """(v_prior, alpha_prior, alpha_entropy_neg, mu_prior) of the hierarchical column prior."""
+        d, k = qv.mean.shape
+        ny = k - 1
+        e_alpha, e_ln_alpha = qalpha.mean, qalpha.mean_log
+        v_prior = float(
+            -0.5 * ny * d * LOG2PI
+            + 0.5 * d * np.sum(e_ln_alpha)
+            - 0.5 * np.sum(e_alpha * qv.col_sq_norms)
+        )
+        a, b = prior.a_alpha, prior.b_alpha
+        alpha_prior = float(
+            ny * (a * math.log(b) - special.gammaln(a))
+            + (a - 1.0) * np.sum(e_ln_alpha)
+            - b * np.sum(e_alpha)
+        )
+        beta = prior.beta
+        mu_mean, mu_var = qv.mu, qv.mu_var
+        residual = mu_var + mu_mean**2 - 2.0 * prior.mu0 * mu_mean + prior.mu0**2
+        mu_prior = float(
+            -0.5 * d * LOG2PI + 0.5 * np.sum(np.log(beta)) - 0.5 * np.sum(beta * residual)
+        )
+        return v_prior, alpha_prior, qalpha.neg_entropy, mu_prior
+
+    def refresh(self, prior, qv, qalpha):
+        """Empirical-Bayes (a_alpha, b_alpha, mu0, beta)."""
+        a_alpha, b_alpha = hyperopt.optimize_alpha_hyper(
+            qalpha.mean_log, qalpha.mean, prior.a_alpha
+        )
+        mu0, beta = hyperopt.optimize_mu_prior(qv)
+        return {"a_alpha": a_alpha, "b_alpha": b_alpha, "mu0": mu0, "beta": beta}
+
+    def train_prior(self, get):
+        """PriorConfig fields from `get(key, cast, default)` over the training config."""
+        return dict(
+            a_alpha=get("a_alpha", float, 1e-3),
+            b_alpha=get("b_alpha", float, 1e-3),
+            mu0=get("mu0", scalar_or_list, 0.0),
+            beta=get("beta", scalar_or_list, 1.0),
+        )
+
+
+class GaussRows:
+    """Full-covariance Gaussian loading rows: a previous run's q(Vtilde), held fixed."""
+
+    has_alpha = False
+
+    def validate(self, prior, d, n_y):
+        k = n_y + 1
+        if prior.v_row_means is None or prior.v_row_precisions is None:
+            raise ValueError(f"{prior.variant} requires row priors (v_row_means, v_row_precisions)")
+        if prior.v_row_means.shape != (d, k):
+            raise ValueError(f"v_row_means has shape {prior.v_row_means.shape}, expected ({d}, {k})")
+        if prior.v_row_precisions.shape != (d, k, k):
+            raise ValueError(
+                f"v_row_precisions has shape {prior.v_row_precisions.shape}, expected ({d}, {k}, {k})"
+            )
+        for r in range(d):
+            spd_cholesky(prior.v_row_precisions[r])
+
+    def row_prior_terms(self, prior, qalpha, d, k):
+        prec = prior.v_row_precisions
+        return prec, np.einsum("rab,rb->ra", prec, prior.v_row_means)
+
+    def init_qalpha(self, prior, n_y):
+        return None
+
+    def bound_terms(self, qv, qalpha, prior):
+        """(v_prior, 0, 0, 0): the joint row prior; no alpha or separate mean block."""
+        d, k = qv.mean.shape
+        l0 = prior.v_row_precisions
+        delta = qv.mean - prior.v_row_means
+        logdets = np.array([np.linalg.slogdet(l0[r])[1] for r in range(d)])
+        trace_term = float(np.einsum("rab,rab->", l0, qv.cov))
+        quad_term = float(np.einsum("ra,rab,rb->", delta, l0, delta))
+        v_prior = float(
+            -0.5 * d * k * LOG2PI + 0.5 * np.sum(logdets) - 0.5 * trace_term - 0.5 * quad_term
+        )
+        return v_prior, 0.0, 0.0, 0.0
+
+    def refresh(self, prior, qv, qalpha):
+        """None: a prior taken from a previous run stays fixed."""
+        return None
+
+    def train_prior(self, get):
+        raise ValueError(
+            "the adaptation variants take their priors from a previously trained model; "
+            "use the adapt command"
+        )
+
+
+def _require_n_above_d(n, d):
+    if n <= d:
+        raise ValueError(f"non-informative precision prior requires N > d (got N={n:g}, d={d})")
+
+
+class WishartArm:
+    """Wishart(psi0, nu_d) prior on the full within-class precision."""
+
+    tag = 1  # model-container tag of the q(W) block
+    posterior = QWWishart
+    coupled_rows = True  # full-covariance W couples the loading rows: Gauss-Seidel sweep
+    adapted_variant = V3_GAUSSV_WISHART
+
+    def validate(self, prior, d, per_row):
+        if prior.psi0 is None or prior.nu_d is None:
+            raise ValueError(f"{prior.variant} requires psi0 and nu_d")
+        if prior.psi0.shape != (d, d):
+            raise ValueError(f"psi0 has shape {prior.psi0.shape}, expected ({d}, {d})")
+        spd_cholesky(prior.psi0)
+        if prior.nu_d <= d - 1:
+            raise ValueError(f"nu_d must exceed d-1={d - 1}, got {prior.nu_d}")
+
+    def init_qw(self, prior, n, d, w_point):
+        """Start matched to the point precision `w_point`; at the prior without data."""
+        if n > 0:
+            nu = prior.nu_d + n
+            return QWWishart(psi=w_point / nu, nu=nu)
+        return QWWishart(psi=prior.psi0, nu=prior.nu_d)
+
+    def update_qw(self, prior, k_mat, n):
+        """q(W) from the expected residual scatter K of n vectors."""
+        psi0_inv = spd_inverse(prior.psi0)
+        return QWWishart(psi=spd_inverse(psi0_inv + k_mat, jitter=True), nu=prior.nu_d + n)
+
+    def w_prior(self, qw, prior):
+        """E[ln P(W)]."""
+        d = qw.dim
+        psi0_inv = np.linalg.inv(prior.psi0)
+        return float(
+            wishart_log_B(prior.psi0, prior.nu_d, d)
+            + 0.5 * (prior.nu_d - d - 1) * qw.mean_logdet
+            - 0.5 * qw.nu * np.sum(psi0_inv * qw.psi)
+        )
+
+    def refresh(self, prior, qw):
+        return {}
+
+    def train_prior(self, get, d):
+        scale = get("psi0_scale", float, 1.0)
+        return dict(psi0=scale * np.eye(d), nu_d=get("nu_d", float, float(d + 2)))
+
+    def adaptation_prior(self, qw):
+        """Precision-prior fields of the adapted variant, from this arm's posterior."""
+        return dict(psi0=qw.psi, nu_d=qw.nu)
+
+    def write_qw(self, qw, put):
+        put(qw.nu)
+        put(qw.psi)
+
+    def read_qw(self, get, d):
+        nu = get(())
+        return QWWishart(psi=get((d, d)), nu=nu)
+
+
+class FlatWishartArm(WishartArm):
+    """The flat (non-informative) limit of the Wishart prior; needs N > d."""
+
+    def validate(self, prior, d, per_row):
+        pass  # no hyperparameters
+
+    def init_qw(self, prior, n, d, w_point):
+        _require_n_above_d(n, d)
+        nu = max(n, d + 2.0)
+        return QWWishart(psi=w_point / nu, nu=nu)
+
+    def update_qw(self, prior, k_mat, n):
+        _require_n_above_d(n, k_mat.shape[0])
+        return QWWishart(psi=spd_inverse(k_mat, jitter=True), nu=n)
+
+    def w_prior(self, qw, prior):
+        return float(-0.5 * (qw.dim + 1) * qw.mean_logdet)
+
+    def train_prior(self, get, d):
+        return {}
+
+
+class _GammaArm:
+    """Shared parts of the Gamma(a_w, b_w) precision arms, which keep W diagonal."""
+
+    coupled_rows = False
+
+    def validate(self, prior, d, per_row):
+        prior._require_positive_scalar("a_w")
+        if prior.b_w is None:
+            raise ValueError(f"{prior.variant} requires b_w")
+        b_w = np.atleast_1d(np.asarray(prior.b_w, dtype=float))
+        if per_row and self.per_row_rates:
+            if b_w.size == 1:
+                b_w = np.full(d, float(b_w[0]))
+            if b_w.shape != (d,):
+                raise ValueError(f"b_w must be scalar or length-{d}, got shape {b_w.shape}")
+        else:
+            if b_w.size != 1:
+                raise ValueError(f"{prior.variant} takes a scalar b_w")
+            b_w = b_w.reshape(1)
+        if np.any(b_w <= 0):
+            raise ValueError("b_w must be positive")
+        object.__setattr__(prior, "b_w", b_w)
+
+    def train_prior(self, get, d):
+        return dict(a_w=get("a_w", float, 1e-3), b_w=get("b_w", float, 1e-3))
+
+    def adaptation_prior(self, qw):
+        return dict(a_w=qw.a, b_w=qw.b)
+
+    def write_qw(self, qw, put):
+        put(qw.a)
+        put(qw.b)
+
+
+class GammaDiagonalArm(_GammaArm):
+    """Independent Gamma priors on the d diagonal precisions."""
+
+    tag = 2
+    posterior = QWGammaDiag
+    adapted_variant = V4_GAUSSV_GAMMA_DIAGONAL
+    per_row_rates = True
+
+    @staticmethod
+    def _rates(prior, d):
+        return prior.b_w if prior.b_w.shape == (d,) else np.full(d, float(prior.b_w[0]))
+
+    def init_qw(self, prior, n, d, w_point):
+        if n > 0:
+            a = prior.a_w + 0.5 * n
+            return QWGammaDiag(a=a, b=a / np.diag(w_point))
+        return QWGammaDiag(a=prior.a_w, b=self._rates(prior, d))
+
+    def update_qw(self, prior, k_mat, n):
+        b_w = self._rates(prior, k_mat.shape[0])
+        return QWGammaDiag(a=prior.a_w + 0.5 * n, b=b_w + 0.5 * np.diag(k_mat))
+
+    def w_prior(self, qw, prior):
+        d = qw.dim
+        a_w, b_w = prior.a_w, self._rates(prior, d)
+        return float(
+            -d * special.gammaln(a_w)
+            + a_w * np.sum(np.log(b_w))
+            + (a_w - 1.0) * np.sum(qw.mean_log_diag)
+            - np.sum(b_w * qw.mean_diag)
+        )
+
+    def refresh(self, prior, qw):
+        """Empirical-Bayes (a_w, b_w) shared by the d diagonal precisions."""
+        a_w, b_w = hyperopt.optimize_w_hyper(qw.mean_log_diag, qw.mean_diag, prior.a_w)
+        return {"a_w": a_w, "b_w": np.array([b_w])}
+
+    def read_qw(self, get, d):
+        a = get(())
+        return QWGammaDiag(a=a, b=get((d,)))
+
+
+class GammaIsotropicArm(_GammaArm):
+    """One Gamma prior on the scalar precision of W = w I."""
+
+    tag = 3
+    posterior = QWGammaIso
+    adapted_variant = V4_GAUSSV_GAMMA_ISOTROPIC
+    per_row_rates = False
+
+    def init_qw(self, prior, n, d, w_point):
+        if n > 0:
+            a = prior.a_w + 0.5 * n * d
+            return QWGammaIso(a=a, b=a / float(np.mean(np.diag(w_point))), dim=d)
+        return QWGammaIso(a=prior.a_w, b=float(prior.b_w[0]), dim=d)
+
+    def update_qw(self, prior, k_mat, n):
+        d = k_mat.shape[0]
+        return QWGammaIso(
+            a=prior.a_w + 0.5 * n * d, b=float(prior.b_w[0]) + 0.5 * float(np.trace(k_mat)), dim=d
+        )
+
+    def w_prior(self, qw, prior):
+        a_w, b_w = prior.a_w, float(prior.b_w[0])
+        return float(
+            a_w * math.log(b_w)
+            - float(special.gammaln(a_w))
+            + (a_w - 1.0) * qw.mean_log_scalar
+            - b_w * qw.mean_scalar
+        )
+
+    def refresh(self, prior, qw):
+        a_w, b_w = hyperopt.optimize_w_hyper(
+            np.atleast_1d(qw.mean_log_scalar), np.atleast_1d(qw.mean_scalar), prior.a_w
+        )
+        return {"a_w": a_w, "b_w": np.array([b_w])}
+
+    def read_qw(self, get, d):
+        a = get(())
+        return QWGammaIso(a=a, b=get(()), dim=d)
+
+
+ARD_COLUMNS = ArdColumns()
+GAUSS_ROWS = GaussRows()
+WISHART = WishartArm()
+FLAT_WISHART = FlatWishartArm()
+GAMMA_DIAGONAL = GammaDiagonalArm()
+GAMMA_ISOTROPIC = GammaIsotropicArm()
+
+# variant -> (loading prior, precision arm); the order fixes the model-container variant tag.
+SCHEMES = {
+    V1_WISHART_INFORMATIVE: (ARD_COLUMNS, WISHART),
+    V1_WISHART_NONINFORMATIVE: (ARD_COLUMNS, FLAT_WISHART),
+    V2_GAMMA_DIAGONAL: (ARD_COLUMNS, GAMMA_DIAGONAL),
+    V2_GAMMA_ISOTROPIC: (ARD_COLUMNS, GAMMA_ISOTROPIC),
+    V3_GAUSSV_WISHART: (GAUSS_ROWS, WISHART),
+    V4_GAUSSV_GAMMA_DIAGONAL: (GAUSS_ROWS, GAMMA_DIAGONAL),
+    V4_GAUSSV_GAMMA_ISOTROPIC: (GAUSS_ROWS, GAMMA_ISOTROPIC),
+}
+VARIANTS = tuple(SCHEMES)
 
 
 def _logdet_term(n_i, params_logdet, d):

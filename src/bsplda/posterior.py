@@ -5,13 +5,14 @@ rebuilt whenever a new value is constructed, so caches can never go stale.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import special
 
 from .linalg import sym
+from .numerics import wishart_log_B
 
 __all__ = [
     "QY",
@@ -22,10 +23,6 @@ __all__ = [
     "QWGammaIso",
     "YAggregates",
     "y_aggregates",
-    "expected_W",
-    "expected_alpha",
-    "VtildeMoments",
-    "expected_quadratics",
     "expected_vtw_quadratic",
 ]
 
@@ -44,12 +41,8 @@ def _batched_spd_inverse_logdet(mats):
     return 0.5 * (covs + covs.transpose(0, 2, 1)), logdets
 
 
-@dataclass(frozen=True)
-class QY:
-    """Per-speaker Gaussian factors over the latent speaker vectors."""
-
-    mean: np.ndarray  # (M, n_y)
-    prec: np.ndarray  # (M, n_y, n_y)
+class _Gaussian:
+    """A stack of Gaussian factors: means (n, k) and precisions (n, k, k)."""
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -58,14 +51,6 @@ class QY:
             raise ValueError(f"inconsistent shapes mean {mean.shape}, prec {prec.shape}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "prec", prec)
-
-    @property
-    def n_speakers(self):
-        return self.mean.shape[0]
-
-    @property
-    def rank(self):
-        return self.mean.shape[1]
 
     @cached_property
     def _cov_logdet(self):
@@ -79,6 +64,44 @@ class QY:
     def prec_logdets(self):
         return self._cov_logdet[1]
 
+    def anneal(self, kappa):
+        """The factor to the power kappa, renormalized: same mean, precision times kappa."""
+        return replace(self, prec=kappa * self.prec)
+
+
+class _Gamma:
+    """Gamma factors with one shape a and rates b."""
+
+    def anneal(self, kappa):
+        """The factor to the power kappa, renormalized: (kappa(a-1)+1, kappa b)."""
+        a = kappa * (self.a - 1.0) + 1.0
+        if a <= 0:
+            raise ValueError(f"annealed Gamma shape must stay positive, got {a}")
+        return replace(self, a=a, b=kappa * self.b)
+
+
+def _gamma_neg_entropy(a, b):
+    """E[ln q] of independent Gammas sharing the shape a, with rates b."""
+    return float(
+        b.size * ((a - 1.0) * special.digamma(a) - a - special.gammaln(a)) + np.sum(np.log(b))
+    )
+
+
+@dataclass(frozen=True)
+class QY(_Gaussian):
+    """Per-speaker Gaussian factors over the latent speaker vectors."""
+
+    mean: np.ndarray  # (M, n_y)
+    prec: np.ndarray  # (M, n_y, n_y)
+
+    @property
+    def n_speakers(self):
+        return self.mean.shape[0]
+
+    @property
+    def rank(self):
+        return self.mean.shape[1]
+
     @cached_property
     def second_moment(self):
         """E[y y^T] per speaker: covariance plus mean outer product."""
@@ -86,19 +109,11 @@ class QY:
 
 
 @dataclass(frozen=True)
-class QVtilde:
+class QVtilde(_Gaussian):
     """Independent Gaussian factors over the rows of the augmented loading [V mu]."""
 
     mean: np.ndarray  # (d, n_y+1); row r is the posterior mean of row r of [V mu]
     prec: np.ndarray  # (d, n_y+1, n_y+1)
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        prec = np.asarray(self.prec, dtype=float)
-        if mean.ndim != 2 or prec.shape != mean.shape + (mean.shape[1],):
-            raise ValueError(f"inconsistent shapes mean {mean.shape}, prec {prec.shape}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "prec", prec)
 
     @property
     def dim(self):
@@ -116,18 +131,6 @@ class QVtilde:
     def mu(self):
         return self.mean[:, -1]
 
-    @cached_property
-    def _cov_logdet(self):
-        return _batched_spd_inverse_logdet(self.prec)
-
-    @property
-    def cov(self):
-        return self._cov_logdet[0]
-
-    @property
-    def prec_logdets(self):
-        return self._cov_logdet[1]
-
     @property
     def mu_var(self):
         """Posterior variance of each component of mu (mu block of the row covariances)."""
@@ -141,7 +144,7 @@ class QVtilde:
 
 
 @dataclass(frozen=True)
-class QAlpha:
+class QAlpha(_Gamma):
     """Gamma factors over the per-column relevance precisions (shared shape)."""
 
     a: float
@@ -160,6 +163,10 @@ class QAlpha:
     @cached_property
     def mean_log(self):
         return float(special.digamma(self.a)) - np.log(self.b)
+
+    @cached_property
+    def neg_entropy(self):
+        return _gamma_neg_entropy(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -193,9 +200,28 @@ class QWWishart:
         i = np.arange(1, d + 1)
         return float(np.sum(special.digamma(0.5 * (self.nu + 1 - i))) + d * LOG2 + logdet_psi)
 
+    @cached_property
+    def neg_entropy(self):
+        """E[ln q(W)]."""
+        d = self.dim
+        return float(
+            wishart_log_B(self.psi, self.nu, d)
+            + 0.5 * (self.nu - d - 1) * self.mean_logdet
+            - 0.5 * self.nu * d
+        )
+
+    def anneal(self, kappa):
+        """The factor to the power kappa, renormalized: (Psi/kappa, kappa(nu-d-1)+d+1)."""
+        d = self.dim
+        if kappa * (self.nu - d - 1.0) + 1.0 <= 0.0:
+            raise ValueError(
+                f"annealed Wishart dof condition violated (kappa={kappa}, nu={self.nu}, d={d})"
+            )
+        return QWWishart(psi=self.psi / kappa, nu=kappa * (self.nu - d - 1.0) + d + 1.0)
+
 
 @dataclass(frozen=True)
-class QWGammaDiag:
+class QWGammaDiag(_Gamma):
     a: float
     b: np.ndarray  # (d,) rates, one per diagonal element
 
@@ -225,9 +251,13 @@ class QWGammaDiag:
     def mean_logdet(self):
         return float(np.sum(self.mean_log_diag))
 
+    @cached_property
+    def neg_entropy(self):
+        return _gamma_neg_entropy(self.a, self.b)
+
 
 @dataclass(frozen=True)
-class QWGammaIso:
+class QWGammaIso(_Gamma):
     a: float
     b: float
     dim: int
@@ -256,15 +286,12 @@ class QWGammaIso:
     def mean_logdet(self):
         return self.dim * self.mean_log_scalar
 
-
-def expected_W(qw):
-    """(E[W], E[ln|W|]) for any precision-posterior arm."""
-    return qw.mean, qw.mean_logdet
-
-
-def expected_alpha(qalpha):
-    """(E[alpha_q], E[ln alpha_q]) per column."""
-    return qalpha.mean, qalpha.mean_log
+    @cached_property
+    def neg_entropy(self):
+        a = self.a
+        return float(
+            (a - 1.0) * float(special.digamma(a)) - a - float(special.gammaln(a)) + math.log(self.b)
+        )
 
 
 @dataclass(frozen=True)
@@ -294,19 +321,6 @@ def y_aggregates(qy, stats):
     return YAggregates(C=c, R=sym(r), Rho=rho)
 
 
-@dataclass(frozen=True)
-class VtildeMoments:
-    """Second-order expectations of the augmented loading under q(Vtilde) and q(W)."""
-
-    evtwvt: np.ndarray   # (k, k): E[Vt^T W Vt], k = n_y+1
-    evtwv: np.ndarray    # (n_y, n_y): loading block of evtwvt
-    evtwmu: np.ndarray   # (n_y,): loading-mean cross block
-    evrvt: np.ndarray    # (d, d): E[Vt R Vt^T]
-    rho: np.ndarray      # (d,): Hadamard corrections sum_ab (R o cov_r)_ab
-    evq_sq: np.ndarray   # (n_y,): E[v_q^T v_q]
-    evtv: np.ndarray     # (k, k): E[Vt^T Vt]
-
-
 def expected_vtw_quadratic(qv, wbar):
     """E[Vt^T W Vt] = sum_r wbar_rr cov_r + Vtbar^T Wbar Vtbar.
 
@@ -316,20 +330,3 @@ def expected_vtw_quadratic(qv, wbar):
     wdiag = np.diagonal(wbar)
     full = np.einsum("r,rab->ab", wdiag, qv.cov) + qv.mean.T @ wbar @ qv.mean
     return sym(full)
-
-
-def expected_quadratics(qv, wbar, r_ytilde):
-    """All second-order loading expectations consumed by the updates and the bound."""
-    evtwvt = expected_vtw_quadratic(qv, wbar)
-    rho = np.einsum("rab,ab->r", qv.cov, r_ytilde)
-    evrvt = sym(qv.mean @ r_ytilde @ qv.mean.T) + np.diag(rho)
-    evtv = sym(qv.cov.sum(axis=0) + qv.mean.T @ qv.mean)
-    return VtildeMoments(
-        evtwvt=evtwvt,
-        evtwv=evtwvt[:-1, :-1],
-        evtwmu=evtwvt[:-1, -1],
-        evrvt=evrvt,
-        rho=rho,
-        evq_sq=qv.col_sq_norms,
-        evtv=evtv,
-    )

@@ -35,7 +35,7 @@ class TestEntropyTermsAgainstScipy:
                 variant=mdl.V1_WISHART_INFORMATIVE, mu0=0.0, beta=1.0,
                 a_alpha=1.0, b_alpha=1.0, psi0=np.eye(d), nu_d=d + 2.0,
             ).validate(d, 1)
-            _, w_entropy_neg = elbo_w_terms(qw, prior, prior.variant)
+            _, w_entropy_neg = elbo_w_terms(qw, prior)
             entropy = scipy.stats.wishart(df=nu, scale=psi).entropy()
             assert w_entropy_neg == pytest.approx(-float(entropy), rel=1e-9, abs=1e-9)
 
@@ -48,7 +48,7 @@ class TestEntropyTermsAgainstScipy:
             variant=mdl.V2_GAMMA_DIAGONAL, mu0=0.0, beta=1.0,
             a_alpha=1.0, b_alpha=1.0, a_w=1.0, b_w=1.0,
         ).validate(d, 1)
-        _, w_entropy_neg = elbo_w_terms(qw, prior, prior.variant)
+        _, w_entropy_neg = elbo_w_terms(qw, prior)
         entropy = sum(scipy.stats.gamma(2.7, scale=1.0 / bi).entropy() for bi in b)
         assert w_entropy_neg == pytest.approx(-float(entropy), rel=1e-9)
         qa = QAlpha(a=1.3, b=rng.uniform(0.5, 3.0, size=3))
@@ -57,7 +57,7 @@ class TestEntropyTermsAgainstScipy:
             variant=mdl.V2_GAMMA_DIAGONAL, mu0=0.0, beta=1.0,
             a_alpha=1.0, b_alpha=1.0, a_w=1.0, b_w=1.0,
         ).validate(d, 3)
-        _, _, alpha_entropy_neg, _, _ = elbo_v_alpha_mu_terms(qv, qa, prior3, prior3.variant)
+        _, _, alpha_entropy_neg, _, _ = elbo_v_alpha_mu_terms(qv, qa, prior3)
         entropy = sum(scipy.stats.gamma(1.3, scale=1.0 / bi).entropy() for bi in qa.b)
         assert alpha_entropy_neg == pytest.approx(-float(entropy), rel=1e-9)
 
@@ -79,7 +79,7 @@ class TestEntropyTermsAgainstScipy:
             v_row_precisions=np.tile(np.eye(ny + 1), (d, 1, 1)),
             a_w=1.0, b_w=1.0,
         ).validate(d, ny)
-        _, _, _, _, v_entropy_neg = elbo_v_alpha_mu_terms(qv, None, prior, prior.variant)
+        _, _, _, _, v_entropy_neg = elbo_v_alpha_mu_terms(qv, None, prior)
         entropy = sum(
             scipy.stats.multivariate_normal(mean=qv.mean[r], cov=qv.cov[r]).entropy()
             for r in range(d)
@@ -92,11 +92,12 @@ def converged_fit(variant, seed=0):
     d, ny, m = 3, 2, 10
     params = ModelParams(mu=rng.normal(size=d), V=rng.normal(size=(d, ny)), W=np.eye(d))
     ds, part, _ = sample(GenSpec(params=params, counts=(4,) * m, seed=seed + 50))
-    if mdl.has_alpha_arm(variant):
+    loading, arm = mdl.SCHEMES[variant]
+    if loading.has_alpha:
         kwargs = dict(mu0=0.0, beta=1.0, a_alpha=1e-2, b_alpha=1e-2)
         if variant == mdl.V1_WISHART_INFORMATIVE:
             kwargs.update(psi0=np.eye(d), nu_d=d + 2.0)
-        if not mdl.has_wishart_arm(variant):
+        if arm.posterior is not QWWishart:
             kwargs.update(a_w=1e-2, b_w=1e-2)
     else:
         kwargs = dict(

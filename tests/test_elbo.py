@@ -99,7 +99,7 @@ def test_alpha_pair_is_zero_at_prior():
         variant=mdl.V2_GAMMA_DIAGONAL, mu0=0.0, beta=1.0, a_alpha=2.0, b_alpha=3.0, a_w=1.0, b_w=1.0
     ).validate(3, 2)
     qv, qalpha = v1_prior_state(3, 2, prior)
-    _, alpha_prior, alpha_entropy_neg, _, _ = elbo_v_alpha_mu_terms(qv, qalpha, prior, prior.variant)
+    _, alpha_prior, alpha_entropy_neg, _, _ = elbo_v_alpha_mu_terms(qv, qalpha, prior)
     assert alpha_prior - alpha_entropy_neg == pytest.approx(0.0, abs=1e-9)
 
 
@@ -110,7 +110,7 @@ def test_alpha_prior_scalar_cross_entropy_oracle():
     ).validate(2, 3)
     qalpha = QAlpha(a=2.5, b=np.array([1.0, 2.0, 4.0]))
     qv = random_qv(np.random.default_rng(0), 2, 3)
-    _, alpha_prior, _, _, _ = elbo_v_alpha_mu_terms(qv, qalpha, prior, prior.variant)
+    _, alpha_prior, _, _, _ = elbo_v_alpha_mu_terms(qv, qalpha, prior)
     assert alpha_prior == pytest.approx(-float(np.sum(qalpha.mean)), rel=1e-12)
 
 
@@ -122,7 +122,7 @@ def test_v1_hierarchical_pair_matches_closed_form():
         variant=mdl.V1_WISHART_NONINFORMATIVE, mu0=0.3, beta=2.0, a_alpha=1.5, b_alpha=0.5
     ).validate(d, ny)
     qv, qalpha = v1_prior_state(d, ny, prior)
-    v_prior, _, _, mu_prior, v_entropy_neg = elbo_v_alpha_mu_terms(qv, qalpha, prior, prior.variant)
+    v_prior, _, _, mu_prior, v_entropy_neg = elbo_v_alpha_mu_terms(qv, qalpha, prior)
     expected = -0.5 * d * float(np.sum(np.log(qalpha.mean) - qalpha.mean_log))
     assert (v_prior + mu_prior) - v_entropy_neg == pytest.approx(expected, rel=1e-9)
 
@@ -135,7 +135,7 @@ def test_mu_pair_is_zero_at_prior():
         a_alpha=1.0, b_alpha=1.0,
     ).validate(d, ny)
     qv, qalpha = v1_prior_state(d, ny, prior)
-    _, _, _, mu_prior, _ = elbo_v_alpha_mu_terms(qv, qalpha, prior, prior.variant)
+    _, _, _, mu_prior, _ = elbo_v_alpha_mu_terms(qv, qalpha, prior)
     mu_entropy_neg = sum(
         -0.5 * (LOG2PI + 1.0) + 0.5 * math.log(prior.beta[r]) for r in range(d)
     )
@@ -153,7 +153,7 @@ def test_v3_row_pair_is_zero_at_prior():
         psi0=np.eye(d), nu_d=d + 2.0,
     ).validate(d, ny)
     qv = QVtilde(mean=means, prec=precs)
-    v_prior, a_p, a_e, mu_p, v_entropy_neg = elbo_v_alpha_mu_terms(qv, None, prior, prior.variant)
+    v_prior, a_p, a_e, mu_p, v_entropy_neg = elbo_v_alpha_mu_terms(qv, None, prior)
     assert (a_p, a_e, mu_p) == (0.0, 0.0, 0.0)
     assert v_prior - v_entropy_neg == pytest.approx(0.0, abs=1e-9)
 
@@ -169,7 +169,7 @@ def test_v3_row_pair_matches_gaussian_kl():
         a_w=1.0, b_w=1.0,
     ).validate(d, ny)
     qv = random_qv(rng, d, ny)
-    v_prior, _, _, _, v_entropy_neg = elbo_v_alpha_mu_terms(qv, None, prior, prior.variant)
+    v_prior, _, _, _, v_entropy_neg = elbo_v_alpha_mu_terms(qv, None, prior)
     kl = sum(
         gaussian_kl(
             qv.mean[r], qv.cov[r], prior.v_row_means[r], np.linalg.inv(prior.v_row_precisions[r])
@@ -187,21 +187,21 @@ def test_w_pairs_zero_at_prior():
         psi0=psi0, nu_d=d + 3.5,
     ).validate(d, 2)
     qw = QWWishart(psi=psi0, nu=d + 3.5)
-    w_prior, w_entropy_neg = elbo_w_terms(qw, prior_w, prior_w.variant)
+    w_prior, w_entropy_neg = elbo_w_terms(qw, prior_w)
     assert w_prior - w_entropy_neg == pytest.approx(0.0, abs=1e-9)
 
     prior_d = PriorConfig(
         variant=mdl.V2_GAMMA_DIAGONAL, mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0, a_w=2.5, b_w=0.7
     ).validate(d, 2)
     qw = QWGammaDiag(a=2.5, b=np.full(d, 0.7))
-    w_prior, w_entropy_neg = elbo_w_terms(qw, prior_d, prior_d.variant)
+    w_prior, w_entropy_neg = elbo_w_terms(qw, prior_d)
     assert w_prior - w_entropy_neg == pytest.approx(0.0, abs=1e-9)
 
     prior_i = PriorConfig(
         variant=mdl.V2_GAMMA_ISOTROPIC, mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0, a_w=1.2, b_w=3.0
     ).validate(d, 2)
     qw = QWGammaIso(a=1.2, b=3.0, dim=d)
-    w_prior, w_entropy_neg = elbo_w_terms(qw, prior_i, prior_i.variant)
+    w_prior, w_entropy_neg = elbo_w_terms(qw, prior_i)
     assert w_prior - w_entropy_neg == pytest.approx(0.0, abs=1e-9)
 
 
@@ -217,14 +217,14 @@ def test_w_terms_wishart_gamma_reparametrization():
             psi0=np.array([[psi0]]), nu_d=nu0,
         ).validate(1, 1)
         qw_w = QWWishart(psi=np.array([[psi]]), nu=nu)
-        wp_w, we_w = elbo_w_terms(qw_w, prior_w, prior_w.variant)
+        wp_w, we_w = elbo_w_terms(qw_w, prior_w)
         prior_g = PriorConfig(
             variant=mdl.V4_GAUSSV_GAMMA_ISOTROPIC,
             v_row_means=np.zeros((1, 2)), v_row_precisions=np.eye(2)[None],
             a_w=nu0 / 2.0, b_w=1.0 / (2.0 * psi0),
         ).validate(1, 1)
         qw_g = QWGammaIso(a=nu / 2.0, b=1.0 / (2.0 * psi), dim=1)
-        wp_g, we_g = elbo_w_terms(qw_g, prior_g, prior_g.variant)
+        wp_g, we_g = elbo_w_terms(qw_g, prior_g)
         assert wp_w == pytest.approx(wp_g, rel=1e-9, abs=1e-9)
         assert we_w == pytest.approx(we_g, rel=1e-9, abs=1e-9)
 
@@ -232,8 +232,7 @@ def test_w_terms_wishart_gamma_reparametrization():
 def test_noninformative_w_prior_term():
     qw = QWWishart(psi=np.eye(2) * 0.4, nu=7.0)
     w_prior, _ = elbo_w_terms(qw, PriorConfig(variant=mdl.V1_WISHART_NONINFORMATIVE,
-                                              mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0).validate(2, 1),
-                              mdl.V1_WISHART_NONINFORMATIVE)
+                                              mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0).validate(2, 1))
     assert w_prior == pytest.approx(-1.5 * qw.mean_logdet, rel=1e-12)
 
 
@@ -323,18 +322,19 @@ def make_full_state(rng, variant, d=3, ny=2, m=4):
     stats = stats_for(rng, m, d)
     qy = QY(mean=rng.normal(size=(m, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(m)]))
     qv = random_qv(rng, d, ny)
-    if mdl.has_wishart_arm(variant):
+    loading, arm = mdl.SCHEMES[variant]
+    if arm.posterior is QWWishart:
         qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 4.0)
-    elif mdl.is_isotropic(variant):
+    elif arm is mdl.GAMMA_ISOTROPIC:
         qw = QWGammaIso(a=2.0, b=1.5, dim=d)
     else:
         qw = QWGammaDiag(a=2.0, b=rng.uniform(0.5, 2.0, size=d))
-    qalpha = QAlpha(a=1.5, b=rng.uniform(0.5, 2.0, size=ny)) if mdl.has_alpha_arm(variant) else None
-    if mdl.has_alpha_arm(variant):
+    qalpha = QAlpha(a=1.5, b=rng.uniform(0.5, 2.0, size=ny)) if loading.has_alpha else None
+    if loading.has_alpha:
         kwargs = dict(mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0)
         if variant == mdl.V1_WISHART_INFORMATIVE:
             kwargs.update(psi0=np.eye(d), nu_d=d + 2.0)
-        if not mdl.has_wishart_arm(variant):
+        if arm.posterior is not QWWishart:
             kwargs.update(a_w=1.0, b_w=1.0)
     else:
         kwargs = dict(
@@ -351,7 +351,7 @@ def make_full_state(rng, variant, d=3, ny=2, m=4):
 
 @pytest.mark.parametrize("variant", mdl.VARIANTS)
 def test_breakdown_sums_to_total(variant):
-    rng = np.random.default_rng(hash(variant) % 2**32)
+    rng = np.random.default_rng(mdl.VARIANTS.index(variant))
     stats, qy, qv, qw, qalpha, prior = make_full_state(rng, variant)
     bd = elbo_total(stats, qy, qv, qw, qalpha, prior)
     manual = (

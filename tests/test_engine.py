@@ -259,14 +259,9 @@ class TestUpdateQAlphaQW:
         prior = v1_prior(d, mdl.V1_WISHART_INFORMATIVE, psi0=psi0, nu_d=d + 3.0).validate(d, 1)
         qw = update_qw(stats, aggs, qv, prior)
         assert qw.nu == pytest.approx(prior.nu_d + stats.n_total)
-        from bsplda.posterior import expected_quadratics
-
-        k_mat = (
-            stats.scatter_total
-            - aggs.C @ qv.mean.T
-            - qv.mean @ aggs.C.T
-            + expected_quadratics(qv, np.eye(d), aggs.R).evrvt
-        )
+        # E[Vt R Vt^T]: the row covariances meet R only on the diagonal
+        evrvt = qv.mean @ aggs.R @ qv.mean.T + np.diag(np.einsum("rab,ab->r", qv.cov, aggs.R))
+        k_mat = stats.scatter_total - aggs.C @ qv.mean.T - qv.mean @ aggs.C.T + evrvt
         expected_mean = qw.nu * np.linalg.inv(np.linalg.inv(psi0) + k_mat)
         np.testing.assert_allclose(qw.mean, expected_mean, rtol=1e-8)
 

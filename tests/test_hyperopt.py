@@ -95,21 +95,6 @@ def test_mu_prior_point_mass_capped():
     np.testing.assert_allclose(beta, np.full(2, BETA_CAP))
 
 
-def test_mu_prior_isotropic_averages():
-    qv = qv_with_mu_block(np.zeros(4), np.array([1.0, 2.0, 3.0, 4.0]))
-    _, beta = optimize_mu_prior(qv, isotropic=True)
-    np.testing.assert_allclose(beta, np.full(4, 1.0 / 2.5), rtol=1e-10)
-
-
-def test_mu_prior_keep_old_mu0_retains_cross_terms():
-    mu_mean = np.array([1.0, -0.5])
-    qv = qv_with_mu_block(mu_mean, np.full(2, 0.5))
-    mu0_old = np.zeros(2)
-    mu0, beta = optimize_mu_prior(qv, update_mu0=False, mu0_old=mu0_old)
-    np.testing.assert_allclose(mu0, mu0_old)
-    np.testing.assert_allclose(1.0 / beta, 0.5 + mu_mean**2, rtol=1e-10)
-
-
 def test_mu_update_does_not_decrease_elbo_mu_term():
     # term: sum_r [0.5 ln beta_r - 0.5 beta_r (var_r + (mean_r - mu0_r)^2)]
     rng = np.random.default_rng(9)

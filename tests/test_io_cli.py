@@ -1,4 +1,7 @@
 import hashlib
+import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +47,21 @@ def test_data_file_rejects_corruption(tmp_path):
         mio.read_data_file(truncated)
 
 
+@pytest.mark.parametrize("n", [2**40, 2**61])
+def test_data_file_rejects_header_larger_than_file(tmp_path, n):
+    # 2^61 rows of 4 doubles is 2^66 bytes: a 64-bit product would wrap around
+    path = tmp_path / "huge.data"
+    path.write_bytes(mio.MAGIC_DATA + struct.pack("<HIQ", 1, 4, n) + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(mio.FormatError, match="header declares"):
+            mio.read_data_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"read allocated {peak} bytes"
+
+
 def test_labels_round_trip_and_partition(tmp_path):
     path = tmp_path / "x.labels"
     ids = ["u1", "u2", "u3", "u4"]
@@ -63,8 +81,7 @@ def saved_model_for(variant, rng):
     k = ny + 1
     qv = random_qv(rng, d, ny)
     qalpha = None
-    if variant in (mdl.V1_WISHART_INFORMATIVE, mdl.V1_WISHART_NONINFORMATIVE,
-                   mdl.V2_GAMMA_DIAGONAL, mdl.V2_GAMMA_ISOTROPIC):
+    if mdl.SCHEMES[variant][0].has_alpha:
         qalpha = QAlpha(a=rng.uniform(1, 3), b=rng.uniform(0.5, 2, size=ny))
         kwargs = dict(mu0=rng.normal(size=d), beta=rng.uniform(0.5, 2, size=d),
                       a_alpha=1e-3, b_alpha=1e-3)
@@ -100,7 +117,7 @@ def saved_model_for(variant, rng):
 
 @pytest.mark.parametrize("variant", mdl.VARIANTS)
 def test_model_file_round_trip_bit_exact(tmp_path, variant):
-    rng = np.random.default_rng(abs(hash(variant)) % 2**32)
+    rng = np.random.default_rng(mdl.VARIANTS.index(variant))
     saved = saved_model_for(variant, rng)
     path = tmp_path / "m.model"
     mio.write_model_file(path, saved)
@@ -137,6 +154,23 @@ def test_model_file_round_trip_bit_exact(tmp_path, variant):
     path2 = tmp_path / "m2.model"
     mio.write_model_file(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(variant=mdl.V2_GAMMA_DIAGONAL), dict(qalpha=None)],
+    ids=["wishart-block-under-gamma-variant", "v1-without-qalpha"],
+)
+def test_model_file_rejects_inconsistent_tags(tmp_path, capsys, change):
+    saved = saved_model_for(mdl.V1_WISHART_INFORMATIVE, np.random.default_rng(0))
+    path = tmp_path / "bad.model"
+    mio.write_model_file(path, replace(saved, **change))
+    with pytest.raises(mio.FormatError, match="variant"):
+        mio.read_model_file(path)
+    data, labels = write_sim_files(tmp_path, d=saved.dim)
+    rc = main(["elbo", "--model", str(path), "--data", str(data), "--labels", str(labels)])
+    assert rc == 2
+    assert "variant" in capsys.readouterr().err
 
 
 def test_parse_config(tmp_path):

@@ -12,9 +12,8 @@ from bsplda.posterior import (
     QWGammaDiag,
     QWGammaIso,
     QWWishart,
-    expected_alpha,
-    expected_quadratics,
-    expected_W,
+    YAggregates,
+    expected_vtw_quadratic,
     y_aggregates,
 )
 
@@ -32,6 +31,14 @@ def random_qv(rng, d, ny):
         mean=rng.normal(size=(d, k)),
         prec=np.stack([random_spd(rng, k) for _ in range(d)]),
     )
+
+
+def expected_vrv(qv, r):
+    """E[Vt R Vt^T]: the residual scatter K = S - C Vt^T - Vt C^T + E[Vt R Vt^T] at S = C = 0."""
+    from bsplda.engine import _residual_scatter
+
+    d, k = qv.mean.shape
+    return _residual_scatter(SuffStats.empty(d), YAggregates(C=np.zeros((d, k)), R=r, Rho=None), qv)
 
 
 def stats_for(rng, m, d):
@@ -95,14 +102,14 @@ def test_aggregates_monte_carlo_oracle():
 
 def test_expected_w_wishart_scalar_reduction():
     qw = QWWishart(psi=np.array([[0.5]]), nu=2.0)
-    wbar, logdet = expected_W(qw)
+    wbar, logdet = qw.mean, qw.mean_logdet
     np.testing.assert_allclose(wbar, [[1.0]])
     assert logdet == pytest.approx(-EULER_GAMMA, rel=1e-10)
 
 
 def test_expected_w_gamma_iso():
     qw = QWGammaIso(a=2.0, b=2.0, dim=3)
-    wbar, logdet = expected_W(qw)
+    wbar, logdet = qw.mean, qw.mean_logdet
     np.testing.assert_allclose(wbar, np.eye(3))
     from scipy.special import digamma
 
@@ -117,7 +124,7 @@ def test_expected_w_jensen_inequality():
         QWGammaIso(a=1.5, b=0.7, dim=2),
     ]
     for qw in arms:
-        wbar, logdet = expected_W(qw)
+        wbar, logdet = qw.mean, qw.mean_logdet
         sign, logdet_mean = np.linalg.slogdet(wbar)
         assert sign > 0
         assert logdet <= logdet_mean + 1e-12
@@ -129,7 +136,7 @@ def test_expected_w_wishart_monte_carlo():
     nu = 6.0
     qw = QWWishart(psi=psi, nu=nu)
     draws = scipy_wishart_draws(rng, psi, nu, 100_000)
-    wbar, logdet = expected_W(qw)
+    wbar, logdet = qw.mean, qw.mean_logdet
     assert np.abs(draws.mean(axis=0) - wbar).max() / np.abs(wbar).max() < 0.02
     _, logdets = np.linalg.slogdet(draws)
     assert logdets.mean() == pytest.approx(logdet, abs=0.02)
@@ -143,15 +150,15 @@ def scipy_wishart_draws(rng, psi, nu, n):
 
 def test_expected_alpha():
     qa = QAlpha(a=1.0, b=np.ones(2))
-    mean, mean_log = expected_alpha(qa)
+    mean, mean_log = qa.mean, qa.mean_log
     np.testing.assert_allclose(mean, np.ones(2))
     np.testing.assert_allclose(mean_log, -EULER_GAMMA * np.ones(2), rtol=1e-10)
     qa = QAlpha(a=5.001, b=np.array([1.001]))
-    assert expected_alpha(qa)[0][0] == pytest.approx(5.001 / 1.001, rel=1e-12)
+    assert qa.mean[0] == pytest.approx(5.001 / 1.001, rel=1e-12)
     rng = np.random.default_rng(7)
     for _ in range(10):
         qa = QAlpha(a=rng.uniform(0.1, 10), b=rng.uniform(0.1, 10, size=3))
-        mean, mean_log = expected_alpha(qa)
+        mean, mean_log = qa.mean, qa.mean_log
         assert np.all(mean_log < np.log(mean))
 
 
@@ -164,23 +171,17 @@ def test_quadratics_point_estimate_degenerate():
     qv = QVtilde(mean=vt, prec=np.tile(1e14 * np.eye(k), (d, 1, 1)))
     wbar = random_spd(rng, d)
     r = random_spd(rng, k)
-    mom = expected_quadratics(qv, wbar, r)
     full = vt.T @ wbar @ vt
-    np.testing.assert_allclose(mom.evtwvt, full, rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(mom.evtwv, full[:ny, :ny], rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(mom.evtwmu, full[:ny, -1], rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(mom.evrvt, vt @ r @ vt.T, rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(mom.evtv, vt.T @ vt, rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(mom.evq_sq, (vt[:, :ny] ** 2).sum(axis=0), rtol=1e-6)
+    np.testing.assert_allclose(expected_vtw_quadratic(qv, wbar), full, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(expected_vrv(qv, r), vt @ r @ vt.T, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(qv.col_sq_norms, (vt[:, :ny] ** 2).sum(axis=0), rtol=1e-6)
 
 
 def test_quadratics_hadamard_hand_example():
     # d=1, ny=1, cov = I2, R = diag(2,3), Vt = 0: E[Vt R Vt^T] = [5]
     qv = QVtilde(mean=np.zeros((1, 2)), prec=np.eye(2)[None])
     r = np.diag([2.0, 3.0])
-    mom = expected_quadratics(qv, np.eye(1), r)
-    np.testing.assert_allclose(mom.rho, [5.0])
-    np.testing.assert_allclose(mom.evrvt, [[5.0]])
+    np.testing.assert_allclose(expected_vrv(qv, r), [[5.0]])
 
 
 def _mc_check(expected, per_sample, n_samp, max_se):
@@ -209,14 +210,14 @@ def test_quadratics_monte_carlo_oracle():
             [rng.multivariate_normal(qv.mean[i], covs[i], size=n_samp) for i in range(d)],
             axis=1,
         )  # (n_samp, d, k)
-        mom = expected_quadratics(qv, wbar, r)
         wrows = np.einsum("rs,nsb->nrb", wbar, rows)
-        _mc_check(mom.evtwvt, np.einsum("nra,nrb->nab", rows, wrows), n_samp, 4.0)
-        rrows = rows @ r
-        _mc_check(mom.evrvt, np.einsum("nra,nsa->nrs", rrows, rows), n_samp, 4.0)
-        _mc_check(mom.evtv, np.einsum("nra,nrb->nab", rows, rows), n_samp, 4.0)
         _mc_check(
-            mom.evq_sq, np.einsum("nrq,nrq->nq", rows[:, :, :ny], rows[:, :, :ny]), n_samp, 4.0
+            expected_vtw_quadratic(qv, wbar), np.einsum("nra,nrb->nab", rows, wrows), n_samp, 4.0
+        )
+        rrows = rows @ r
+        _mc_check(expected_vrv(qv, r), np.einsum("nra,nsa->nrs", rrows, rows), n_samp, 4.0)
+        _mc_check(
+            qv.col_sq_norms, np.einsum("nrq,nrq->nq", rows[:, :, :ny], rows[:, :, :ny]), n_samp, 4.0
         )
 
 
@@ -226,8 +227,10 @@ def test_rho_nonnegative_for_psd_inputs():
         d, ny = 3, 2
         qv = random_qv(rng, d, ny)
         r = random_spd(rng, ny + 1)
-        mom = expected_quadratics(qv, np.eye(d), r)
-        assert np.all(mom.rho >= -1e-12)
+        # at zero means E[Vt R Vt^T] is diag(rho), rho_r = sum_ab (R o cov_r)_ab
+        zero_mean = QVtilde(mean=np.zeros_like(qv.mean), prec=qv.prec)
+        rho = np.diag(expected_vrv(zero_mean, r))
+        assert np.all(rho >= -1e-12)
 
 
 def test_moment_caches_track_replacement():

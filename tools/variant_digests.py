@@ -1,0 +1,107 @@
+"""Print a SHA-256 digest of every output the seven prior variants write through the CLI.
+
+The script simulates two corpora, trains V1-Wishart-informative,
+V1-Wishart-noninformative, V2-Gamma-diagonal and V2-Gamma-isotropic (the V2
+pair once more with `whiten = true`) with annealing, hyperparameter refresh,
+minimum divergence and a trace, adapts every trained model to the second
+corpus (V3-GaussV-Wishart, V4-GaussV-Gamma-diagonal, V4-GaussV-Gamma-isotropic)
+and runs `elbo` on each model. It prints each command's exit code and one line
+per model file, trace CSV and `elbo` output. A change that must keep behaviour
+prints the same lines before and after:
+
+    python3 tools/variant_digests.py > before.txt   # on the old commit
+    python3 tools/variant_digests.py > after.txt
+    diff before.txt after.txt
+
+Everything is written to a temporary directory that is removed on exit.
+"""
+
+import os
+
+# One BLAS thread, so that reductions run in one order on every host; set
+# before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bsplda.cli import main  # noqa: E402
+
+SPEC = "d = 5\nny = 2\nmu = 0.5\nv_scale = 1.5\nw_scale = 2.0\n"
+# Every key an arm or the loading prior reads, away from its default.
+TRAIN_CONFIG = (
+    "a_alpha = 0.01\nb_alpha = 0.02\nmu0 = 0.1\nbeta = 2\n"
+    "a_w = 0.01\nb_w = 0.03\npsi0_scale = 0.5\nnu_d = 9\n"
+)
+TRAIN_FLAGS = ["--ny", "3", "--iters", "30", "--tol", "1e-12", "--seed", "1",
+               "--anneal", "0.5:4,0.8:4,1:22", "--hyperopt-every", "5", "--mindiv-every", "7"]
+ADAPT_FLAGS = ["--iters", "20", "--tol", "1e-12", "--seed", "2",
+               "--anneal", "0.7:3,1:17", "--hyperopt-every", "5", "--mindiv-every", "6"]
+# (run name, variant, whiten)
+TRAIN_RUNS = (
+    ("v1-informative", "V1-Wishart-informative", False),
+    ("v1-noninformative", "V1-Wishart-noninformative", False),
+    ("v2-diagonal", "V2-Gamma-diagonal", False),
+    ("v2-isotropic", "V2-Gamma-isotropic", False),
+    ("v2-diagonal-whitened", "V2-Gamma-diagonal", True),
+    ("v2-isotropic-whitened", "V2-Gamma-isotropic", True),
+)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(label, argv):
+    """Run one CLI command; print its exit code and return its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(f"exit {code}  {label}")
+    return out.getvalue()
+
+
+def digest_files(*paths):
+    for path in paths:
+        text = sha256(path.read_bytes()) if path.exists() else "missing"
+        print(f"{text}  {path.name}")
+
+
+def main_digests(work):
+    spec = work / "sim.cfg"
+    spec.write_text(SPEC)
+    for corpus, speakers, per, seed in (("train", 40, 4, 7), ("adapt", 10, 3, 8)):
+        run(f"simulate {corpus}", ["simulate", "--spec", str(spec), "--speakers", str(speakers),
+                                   "--per-speaker", str(per), "--seed", str(seed),
+                                   "--out", str(work / corpus)])
+    corpus = {name: ["--data", str(work / f"{name}.data"), "--labels", str(work / f"{name}.labels")]
+              for name in ("train", "adapt")}
+    for name, variant, whiten in TRAIN_RUNS:
+        config = work / f"{name}.cfg"
+        config.write_text(TRAIN_CONFIG + ("whiten = true\n" if whiten else ""))
+        model, trace = work / f"{name}.model", work / f"{name}.csv"
+        run(f"train {name}", ["train", *corpus["train"], "--config", str(config),
+                              "--variant", variant, "--out", str(model), "--trace", str(trace),
+                              *TRAIN_FLAGS])
+        digest_files(model, trace)
+        printed = run(f"elbo {name}", ["elbo", "--model", str(model), *corpus["train"]])
+        print(f"{sha256(printed.encode())}  {name}.elbo")
+
+        adapted, adapted_trace = work / f"{name}-adapted.model", work / f"{name}-adapted.csv"
+        run(f"adapt {name}", ["adapt", "--prior", str(model), *corpus["adapt"],
+                              "--out", str(adapted), "--trace", str(adapted_trace), *ADAPT_FLAGS])
+        digest_files(adapted, adapted_trace)
+        printed = run(f"elbo {name}-adapted", ["elbo", "--model", str(adapted), *corpus["adapt"]])
+        print(f"{sha256(printed.encode())}  {name}-adapted.elbo")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        main_digests(Path(tmp))
