@@ -14,6 +14,8 @@ __all__ = [
     "center",
 ]
 
+_BLOCK_VALUES = 1 << 22  # numbers of the data gathered at a time by accumulate (32 MiB)
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -73,31 +75,34 @@ class SpeakerPartition:
 
 @dataclass(frozen=True)
 class SuffStats:
-    """Per-speaker and global statistics: counts N_i, sums F_i, scatters S_i."""
+    """Per-speaker counts N_i and sums F_i, and the scatter S of all vectors.
 
-    counts: np.ndarray      # (M,) observation counts
-    spk_sums: np.ndarray    # (M, d) first-order sums
-    spk_scatters: np.ndarray  # (M, d, d) second-order sums
-    n_total: int = field(init=False)
+    Nothing of size M*d*d is held: the fit reads the second-order statistics
+    only through the dataset-wide scatter.
+    """
+
+    counts: np.ndarray         # (M,) observation counts
+    spk_sums: np.ndarray       # (M, d) first-order sums
+    scatter_total: np.ndarray  # (d, d) sum of x x^T over every vector
+    n_total: float = field(init=False)
     sum_total: np.ndarray = field(init=False)
-    scatter_total: np.ndarray = field(init=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float)
         spk_sums = np.asarray(self.spk_sums, dtype=float)
-        spk_scatters = np.asarray(self.spk_scatters, dtype=float)
+        scatter = np.asarray(self.scatter_total, dtype=float)
+        d = spk_sums.shape[1]
+        if counts.shape != spk_sums.shape[:1] or scatter.shape != (d, d):
+            raise ValueError(
+                f"inconsistent shapes counts {counts.shape}, spk_sums {spk_sums.shape}, "
+                f"scatter_total {scatter.shape}"
+            )
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "spk_sums", spk_sums)
-        object.__setattr__(self, "spk_scatters", spk_scatters)
+        object.__setattr__(self, "scatter_total", scatter)
         # Globals reduce over speakers in ascending index order (bit-reproducible).
         object.__setattr__(self, "n_total", float(counts.sum()))
-        if spk_sums.size:
-            object.__setattr__(self, "sum_total", spk_sums.sum(axis=0))
-            object.__setattr__(self, "scatter_total", spk_scatters.sum(axis=0))
-        else:
-            d = spk_sums.shape[1]
-            object.__setattr__(self, "sum_total", np.zeros(d))
-            object.__setattr__(self, "scatter_total", np.zeros((d, d)))
+        object.__setattr__(self, "sum_total", spk_sums.sum(axis=0))
 
     @property
     def n_speakers(self):
@@ -111,9 +116,7 @@ class SuffStats:
     def empty(dim):
         """Statistics of an empty dataset (no speakers, no vectors)."""
         return SuffStats(
-            counts=np.zeros(0),
-            spk_sums=np.zeros((0, dim)),
-            spk_scatters=np.zeros((0, dim, dim)),
+            counts=np.zeros(0), spk_sums=np.zeros((0, dim)), scatter_total=np.zeros((dim, dim))
         )
 
 
@@ -129,30 +132,40 @@ class CenteredStats:
 def accumulate(dataset, partition):
     """Sufficient statistics of a dataset under a speaker partition.
 
-    One pass over the data; within each speaker rows are reduced in ascending
-    row order, and globals in ascending speaker order.
+    A stable sort lists each speaker's rows together in ascending row order.
+    The sorted rows are gathered in blocks of whole speakers holding about
+    _BLOCK_VALUES numbers, so no second copy of the data is made, and one
+    reduction per block sums each speaker's rows; a speaker's sum does not
+    depend on the blocks. The scatter is X^T X over all rows.
     """
     partition.check_compatible(dataset)
     x = dataset.vectors
-    m, d = partition.n_speakers, dataset.dim
-    counts = np.zeros(m)
-    sums = np.zeros((m, d))
-    scatters = np.zeros((m, d, d))
-    for i in range(m):
-        rows = np.flatnonzero(partition.assignment == i)
-        xi = x[rows]
-        counts[i] = rows.size
-        sums[i] = xi.sum(axis=0)
-        scatters[i] = xi.T @ xi
-    return SuffStats(counts=counts, spk_sums=sums, spk_scatters=scatters)
+    m = partition.n_speakers
+    counts = np.bincount(partition.assignment, minlength=m)
+    order = np.argsort(partition.assignment, kind="stable")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    sums = np.empty((m, dataset.dim))
+    block_rows = max(1, _BLOCK_VALUES // dataset.dim)
+    lo = 0
+    while lo < m:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + block_rows, side="right")))
+        rows = order[starts[lo]:ends[hi - 1]]
+        # every speaker has at least one row, so the segment starts increase strictly
+        sums[lo:hi] = np.add.reduceat(x[rows], starts[lo:hi] - starts[lo], axis=0)
+        lo = hi
+    return SuffStats(counts=counts, spk_sums=sums, scatter_total=x.T @ x)
 
 
 def merge(chunks):
-    """Concatenate per-speaker statistics of disjoint speaker chunks.
+    """Concatenate the statistics of disjoint speaker chunks.
 
-    Chunks must partition the speakers (speaker granularity); globals are
-    re-reduced in ascending speaker order, so the result is bit-identical to a
-    single-pass accumulation.
+    Chunks must partition the speakers (speaker granularity). Counts, sums and
+    the summed total are bit-identical to a single-pass accumulation. The
+    scatter is the sum of the chunk scatters: it adds the same N products
+    x x^T in another order, so it matches a single pass to rounding only,
+    elementwise within 2 gamma_N (|X|^T |X|), gamma_N = N u / (1 - N u),
+    u = 2^-53.
     """
     chunks = list(chunks)
     if not chunks:
@@ -160,7 +173,7 @@ def merge(chunks):
     return SuffStats(
         counts=np.concatenate([c.counts for c in chunks]),
         spk_sums=np.concatenate([c.spk_sums for c in chunks]),
-        spk_scatters=np.concatenate([c.spk_scatters for c in chunks]),
+        scatter_total=sum(c.scatter_total for c in chunks),
     )
 
 

@@ -69,9 +69,9 @@ def elbo_y_terms(qy):
     m, ny = qy.mean.shape
     if m == 0:
         return 0.0, 0.0
-    rho_trace = float(np.einsum("iqq->", qy.second_moment))
+    rho_trace = float(np.trace(qy.second_moment_sum))
     y_prior = -0.5 * m * ny * LOG2PI - 0.5 * rho_trace
-    y_entropy_neg = -0.5 * m * ny * (LOG2PI + 1.0) + 0.5 * float(np.sum(qy.prec_logdets))
+    y_entropy_neg = -0.5 * m * ny * (LOG2PI + 1.0) + 0.5 * float(qy.group_sizes @ qy.prec_logdets)
     return y_prior, y_entropy_neg
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model as mdl
-from .data import accumulate, center
+from .data import SuffStats, accumulate, center
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
 from .linalg import FactorizationError, spd_cholesky, spd_inverse, spd_solve, sym
 from .posterior import QY, QAlpha, QVtilde, expected_vtw_quadratic, y_aggregates
@@ -98,17 +98,19 @@ class FitReport:
 
 
 def update_qy(stats, qv, qw):
-    """Closed-form q(Y): per speaker L_i = I + N_i E[V^T W V], mean from W-weighted sums."""
+    """Closed-form q(Y): L = I + N E[V^T W V] once per distinct count N.
+
+    Means come from the W-weighted sums, F_i^T (E[W] V) - N_i E[V^T W mu].
+    """
     ny = qv.rank
     wbar = qw.mean
     quad = expected_vtw_quadratic(qv, wbar)
     evtwv = quad[:-1, :-1]
     evtwmu = quad[:-1, -1]
-    counts = stats.counts
-    prec = np.eye(ny)[None, :, :] + counts[:, None, None] * evtwv[None, :, :]
-    rhs = (stats.spk_sums @ wbar) @ qv.V - counts[:, None] * evtwmu[None, :]
-    mean = np.linalg.solve(prec, rhs[:, :, None])[:, :, 0] if counts.size else rhs.reshape(0, ny)
-    return QY(mean=mean, prec=prec)
+    values, group = np.unique(stats.counts, return_inverse=True)
+    prec = np.eye(ny)[None, :, :] + values[:, None, None] * evtwv[None, :, :]
+    rhs = stats.spk_sums @ (wbar @ qv.V) - stats.counts[:, None] * evtwmu[None, :]
+    return QY.solve(prec, group, rhs)
 
 
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
@@ -207,7 +209,7 @@ def minimum_divergence(qy, qv):
     if m < 2:
         raise ValueError("minimum divergence needs at least two speakers")
     mu_y = qy.mean.mean(axis=0)
-    sigma_y = sym(qy.second_moment.mean(axis=0) - np.outer(mu_y, mu_y))
+    sigma_y = sym(qy.second_moment_sum / m - np.outer(mu_y, mu_y))
     chol = spd_cholesky(sigma_y)  # signals singular Sigma_y, never regularizes
     k = ny + 1
     j_mat = np.zeros((k, k))
@@ -223,7 +225,8 @@ def minimum_divergence(qy, qv):
     a_mat = np.linalg.inv(chol)
     qy_new = QY(
         mean=(qy.mean - mu_y[None, :]) @ a_mat.T,
-        prec=np.einsum("ab,rbc,cd->rad", chol.T, qy.prec, chol),
+        prec=np.einsum("ab,gbc,cd->gad", chol.T, qy.prec, chol),
+        group=qy.group,
     )
     return qy_new, qv_new, j_mat
 
@@ -231,9 +234,7 @@ def minimum_divergence(qy, qv):
 def _within_class_covariance(stats):
     """(S - sum_i F_i F_i^T / N_i) / N, skipping zero-count speakers."""
     inv_counts = np.where(stats.counts > 0, 1.0 / np.maximum(stats.counts, 1.0), 0.0)
-    spk_means_scatter = np.einsum(
-        "i,ia,ib->ab", inv_counts, stats.spk_sums, stats.spk_sums
-    )
+    spk_means_scatter = (inv_counts[:, None] * stats.spk_sums).T @ stats.spk_sums
     return sym((stats.scatter_total - spk_means_scatter) / stats.n_total)
 
 
@@ -246,13 +247,11 @@ def whitening_rotation(stats):
 
 
 def _rotate_stats(stats, rotation):
-    from .data import SuffStats
-
     r = rotation
     return SuffStats(
         counts=stats.counts,
         spk_sums=stats.spk_sums @ r,
-        spk_scatters=np.einsum("ab,iac,cd->ibd", r, stats.spk_scatters, r),
+        scatter_total=sym(r.T @ stats.scatter_total @ r),
     )
 
 
@@ -279,7 +278,7 @@ def _init_state(stats, prior, n_y, seed):
         w_point = np.eye(d)
     qv = QVtilde(mean=np.column_stack([v_init, mu_init]), prec=np.tile(np.eye(k), (d, 1, 1)))
     m = stats.n_speakers
-    qy = QY(mean=np.zeros((m, n_y)), prec=np.tile(np.eye(n_y), (m, 1, 1)))
+    qy = QY(mean=np.zeros((m, n_y)), prec=np.eye(n_y)[None], group=np.zeros(m, dtype=int))
     loading, arm = mdl.SCHEMES[prior.variant]
     qw = arm.init_qw(prior, n, d, w_point)
     qalpha = loading.init_qalpha(prior, n_y)

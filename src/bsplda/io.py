@@ -36,6 +36,7 @@ __all__ = [
 MAGIC_DATA = b"BSPLDA-DATA\x00"
 MAGIC_MODEL = b"BSPLDA-MODEL\x00"
 FORMAT_VERSION = 1
+_READ_CHUNK = 1 << 18  # bytes per read of a payload
 
 
 class FormatError(ValueError):
@@ -48,17 +49,21 @@ def _write_f64(f, arr):
 
 def _read_f64(f, shape):
     # Python ints, so that a header's dimensions cannot wrap the size around;
-    # checked against the file before anything of that size is allocated.
+    # checked against a regular file before reading. A pipe is read in bounded
+    # chunks, so a header larger than the stream never allocates its size.
     size = 8 * math.prod(shape)
     info = os.fstat(f.fileno())
     if stat.S_ISREG(info.st_mode) and size > info.st_size - f.tell():
         raise FormatError(
             f"header declares {size} payload bytes, the file has {info.st_size - f.tell()} left"
         )
-    buf = f.read(size)
-    if len(buf) != size:
-        raise FormatError("truncated file")
-    arr = np.frombuffer(buf, dtype="<f8").copy()
+    buf = bytearray()
+    while len(buf) < size:
+        chunk = f.read(min(size - len(buf), _READ_CHUNK))
+        if not chunk:
+            raise FormatError("truncated file")
+        buf += chunk
+    arr = np.frombuffer(buf, dtype="<f8")
     return arr.reshape(shape) if shape else float(arr[0])
 
 

@@ -161,6 +161,16 @@ class PriorConfig:
         arm.validate(self, d, per_row=not loading.has_alpha)
         return self
 
+    @cached_property
+    def psi0_inv(self):
+        """The inverse of the Wishart scale psi0, computed once per prior."""
+        return spd_inverse(self.psi0)
+
+    @cached_property
+    def v_row_logdets(self):
+        """ln|L0_r| of the d row-prior precisions, computed once per prior."""
+        return np.linalg.slogdet(self.v_row_precisions)[1]
+
     def _require_positive_scalar(self, name):
         value = getattr(self, name)
         if value is None or not np.isfinite(value) or value <= 0:
@@ -292,11 +302,13 @@ class GaussRows:
         d, k = qv.mean.shape
         l0 = prior.v_row_precisions
         delta = qv.mean - prior.v_row_means
-        logdets = np.array([np.linalg.slogdet(l0[r])[1] for r in range(d)])
         trace_term = float(np.einsum("rab,rab->", l0, qv.cov))
         quad_term = float(np.einsum("ra,rab,rb->", delta, l0, delta))
         v_prior = float(
-            -0.5 * d * k * LOG2PI + 0.5 * np.sum(logdets) - 0.5 * trace_term - 0.5 * quad_term
+            -0.5 * d * k * LOG2PI
+            + 0.5 * np.sum(prior.v_row_logdets)
+            - 0.5 * trace_term
+            - 0.5 * quad_term
         )
         return v_prior, 0.0, 0.0, 0.0
 
@@ -342,17 +354,15 @@ class WishartArm:
 
     def update_qw(self, prior, k_mat, n):
         """q(W) from the expected residual scatter K of n vectors."""
-        psi0_inv = spd_inverse(prior.psi0)
-        return QWWishart(psi=spd_inverse(psi0_inv + k_mat, jitter=True), nu=prior.nu_d + n)
+        return QWWishart(psi=spd_inverse(prior.psi0_inv + k_mat, jitter=True), nu=prior.nu_d + n)
 
     def w_prior(self, qw, prior):
         """E[ln P(W)]."""
         d = qw.dim
-        psi0_inv = np.linalg.inv(prior.psi0)
         return float(
             wishart_log_B(prior.psi0, prior.nu_d, d)
             + 0.5 * (prior.nu_d - d - 1) * qw.mean_logdet
-            - 0.5 * qw.nu * np.sum(psi0_inv * qw.psi)
+            - 0.5 * qw.nu * np.sum(prior.psi0_inv * qw.psi)
         )
 
     def refresh(self, prior, qw):

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
+_MEAN_BLOCK = 256  # speakers per block when q(Y) means gather their group's covariance
 
 
 def _batched_spd_inverse_logdet(mats):
@@ -42,12 +43,12 @@ def _batched_spd_inverse_logdet(mats):
 
 
 class _Gaussian:
-    """A stack of Gaussian factors: means (n, k) and precisions (n, k, k)."""
+    """A stack of Gaussian factors: means (n, k) and precisions (p, k, k)."""
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         prec = np.asarray(self.prec, dtype=float)
-        if mean.ndim != 2 or prec.shape != mean.shape + (mean.shape[1],):
+        if mean.ndim != 2 or prec.ndim != 3 or prec.shape[1:] != (mean.shape[1],) * 2:
             raise ValueError(f"inconsistent shapes mean {mean.shape}, prec {prec.shape}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "prec", prec)
@@ -89,10 +90,41 @@ def _gamma_neg_entropy(a, b):
 
 @dataclass(frozen=True)
 class QY(_Gaussian):
-    """Per-speaker Gaussian factors over the latent speaker vectors."""
+    """Gaussian factors over the latent speaker vectors, one precision per group.
 
-    mean: np.ndarray  # (M, n_y)
-    prec: np.ndarray  # (M, n_y, n_y)
+    Speaker i has mean `mean[i]` and precision `prec[group[i]]`. The q(Y)
+    update puts the speakers that share a count in one group, so precisions,
+    covariances and log-determinants are held once per distinct count.
+    """
+
+    mean: np.ndarray   # (M, n_y)
+    prec: np.ndarray   # (G, n_y, n_y)
+    group: np.ndarray  # (M,) index into prec
+
+    def __post_init__(self):
+        super().__post_init__()
+        group = np.asarray(self.group, dtype=np.intp)
+        if group.shape != self.mean.shape[:1]:
+            raise ValueError(f"group has shape {group.shape}, expected ({self.mean.shape[0]},)")
+        if group.size and (group.min() < 0 or group.max() >= self.prec.shape[0]):
+            raise ValueError(f"group indices must lie in [0, {self.prec.shape[0]})")
+        object.__setattr__(self, "group", group)
+
+    @classmethod
+    def solve(cls, prec, group, rhs):
+        """Factors with precision prec[group[i]] and mean prec[group[i]]^-1 rhs[i].
+
+        The covariances are inverted once per group and kept as the factor's
+        cache; the means gather them in blocks of a bounded number of speakers.
+        """
+        cov, logdets = _batched_spd_inverse_logdet(prec)
+        mean = np.empty_like(rhs)
+        for lo in range(0, rhs.shape[0], _MEAN_BLOCK):
+            block = slice(lo, lo + _MEAN_BLOCK)
+            mean[block] = (rhs[block, None, :] @ cov[group[block]])[:, 0, :]
+        qy = cls(mean=mean, prec=prec, group=group)
+        object.__setattr__(qy, "_cov_logdet", (cov, logdets))
+        return qy
 
     @property
     def n_speakers(self):
@@ -103,9 +135,14 @@ class QY(_Gaussian):
         return self.mean.shape[1]
 
     @cached_property
-    def second_moment(self):
-        """E[y y^T] per speaker: covariance plus mean outer product."""
-        return self.cov + np.einsum("ia,ib->iab", self.mean, self.mean)
+    def group_sizes(self):
+        """n_g: the number of speakers in each group."""
+        return np.bincount(self.group, minlength=self.prec.shape[0]).astype(float)
+
+    @cached_property
+    def second_moment_sum(self):
+        """sum_i E[y_i y_i^T] = sum_g n_g Sigma_g + Ybar^T Ybar."""
+        return np.einsum("g,gab->ab", self.group_sizes, self.cov) + self.mean.T @ self.mean
 
 
 @dataclass(frozen=True)
@@ -114,6 +151,11 @@ class QVtilde(_Gaussian):
 
     mean: np.ndarray  # (d, n_y+1); row r is the posterior mean of row r of [V mu]
     prec: np.ndarray  # (d, n_y+1, n_y+1)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.prec.shape[0] != self.mean.shape[0]:
+            raise ValueError(f"{self.mean.shape[0]} rows, {self.prec.shape[0]} precisions")
 
     @property
     def dim(self):
@@ -304,21 +346,21 @@ class YAggregates:
 
 
 def y_aggregates(qy, stats):
-    """C, R_ytilde and Rho from the current q(Y) and the sufficient statistics."""
+    """C, R_ytilde and Rho from the current q(Y) and the sufficient statistics.
+
+    R = sum_g w_g Sigma_g + Yt^T diag(N) Yt with w_g the count summed over
+    group g and Yt the augmented means [E[y_i]; 1]; Rho = sum_g n_g Sigma_g +
+    Ybar^T Ybar.
+    """
     m, ny = qy.mean.shape
     if stats.n_speakers != m:
         raise ValueError(f"q(Y) covers {m} speakers, statistics have {stats.n_speakers}")
-    k = ny + 1
     eyt = np.concatenate([qy.mean, np.ones((m, 1))], axis=1)
-    eyyt = np.empty((m, k, k))
-    eyyt[:, :ny, :ny] = qy.second_moment
-    eyyt[:, :ny, ny] = qy.mean
-    eyyt[:, ny, :ny] = qy.mean
-    eyyt[:, ny, ny] = 1.0
+    weights = np.bincount(qy.group, weights=stats.counts, minlength=qy.prec.shape[0])
+    r = (stats.counts[:, None] * eyt).T @ eyt
+    r[:ny, :ny] += np.einsum("g,gab->ab", weights, qy.cov)
     c = stats.spk_sums.T @ eyt
-    r = np.einsum("i,iab->ab", stats.counts, eyyt)
-    rho = qy.second_moment.sum(axis=0) if m else np.zeros((ny, ny))
-    return YAggregates(C=c, R=sym(r), Rho=rho)
+    return YAggregates(C=c, R=sym(r), Rho=qy.second_moment_sum)
 
 
 def expected_vtw_quadratic(qv, wbar):

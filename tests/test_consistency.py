@@ -18,9 +18,9 @@ from bsplda.data import accumulate
 from bsplda.elbo import elbo_total, elbo_v_alpha_mu_terms, elbo_w_terms, elbo_y_terms
 from bsplda.engine import FitConfig, fit
 from bsplda.model import ModelParams, PriorConfig
-from bsplda.posterior import QAlpha, QVtilde, QWGammaDiag, QWGammaIso, QWWishart, QY
+from bsplda.posterior import QAlpha, QVtilde, QWGammaDiag, QWGammaIso, QWWishart
 from bsplda.synth import GenSpec, sample
-from tests.test_posterior import random_qv, random_spd
+from tests.test_posterior import random_qv, random_qy, random_spd
 
 
 class TestEntropyTermsAgainstScipy:
@@ -64,10 +64,10 @@ class TestEntropyTermsAgainstScipy:
     def test_gaussian_negative_entropies(self):
         rng = np.random.default_rng(3)
         m, ny = 4, 2
-        qy = QY(mean=rng.normal(size=(m, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(m)]))
+        qy = random_qy(rng, m, ny)
         _, y_entropy_neg = elbo_y_terms(qy)
         entropy = sum(
-            scipy.stats.multivariate_normal(mean=qy.mean[i], cov=qy.cov[i]).entropy()
+            scipy.stats.multivariate_normal(mean=qy.mean[i], cov=qy.cov[qy.group[i]]).entropy()
             for i in range(m)
         )
         assert y_entropy_neg == pytest.approx(-float(entropy), rel=1e-9)
@@ -113,7 +113,7 @@ def converged_fit(variant, seed=0):
         ds, part, prior, FitConfig(max_iterations=4000, elbo_rel_tol=1e-14, seed=seed), n_y=ny
     )
     stats = accumulate(ds, part)
-    return state, stats, prior, report
+    return state, stats, prior, report, ds, part
 
 
 @pytest.mark.parametrize(
@@ -123,7 +123,7 @@ def converged_fit(variant, seed=0):
 )
 def test_fixed_point_is_per_factor_optimal(variant):
     """No small perturbation of a single factor may raise the bound at convergence."""
-    state, stats, prior, report = converged_fit(variant)
+    state, stats, prior, report, _, _ = converged_fit(variant)
     base = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior).total
     rng = np.random.default_rng(99)
     slack = 1e-7 * abs(base)
@@ -136,9 +136,9 @@ def test_fixed_point_is_per_factor_optimal(variant):
         assert perturbed <= base + slack
 
     for _ in range(10):
-        qy = QY(mean=state.qy.mean + eps * rng.normal(size=state.qy.mean.shape), prec=state.qy.prec)
+        qy = replace(state.qy, mean=state.qy.mean + eps * rng.normal(size=state.qy.mean.shape))
         check(replace(state, qy=qy))
-        qy = QY(mean=state.qy.mean, prec=state.qy.prec * (1.0 + eps * rng.uniform(-1, 1)))
+        qy = replace(state.qy, prec=state.qy.prec * (1.0 + eps * rng.uniform(-1, 1)))
         check(replace(state, qy=qy))
         qv = QVtilde(mean=state.qv.mean + eps * rng.normal(size=state.qv.mean.shape), prec=state.qv.prec)
         check(replace(state, qv=qv))
@@ -169,7 +169,7 @@ def test_fixed_point_is_per_factor_optimal(variant):
 def test_elbo_matches_monte_carlo_definition():
     """E_q[ln p(data, latents)] - E_q[ln q] estimated by sampling from q."""
     variant = mdl.V2_GAMMA_ISOTROPIC
-    state, stats, prior, _ = converged_fit(variant, seed=7)
+    state, stats, prior, _, ds, part = converged_fit(variant, seed=7)
     base = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior).total
 
     rng = np.random.default_rng(123)
@@ -180,7 +180,8 @@ def test_elbo_matches_monte_carlo_definition():
 
     # draws from every factor
     y = np.stack(
-        [rng.multivariate_normal(state.qy.mean[i], state.qy.cov[i], size=n) for i in range(m)],
+        [rng.multivariate_normal(state.qy.mean[i], state.qy.cov[state.qy.group[i]], size=n)
+         for i in range(m)],
         axis=1,
     )  # (n, m, ny)
     rows = np.stack(
@@ -195,7 +196,7 @@ def test_elbo_matches_monte_carlo_definition():
     for i in range(m):
         n_i = stats.counts[i]
         f_i = stats.spk_sums[i]
-        s_i = np.trace(stats.spk_scatters[i])
+        s_i = float(np.sum(ds.vectors[part.assignment == i] ** 2))  # tr(S_i)
         yt = np.concatenate([y[:, i, :], np.ones((n, 1))], axis=1)
         g = np.einsum("nrk,nk->nr", rows, yt)  # Vt ytilde per sample
         quad = s_i - 2.0 * np.einsum("nr,r->n", g, f_i) + n_i * np.einsum("nr,nr->n", g, g)
@@ -227,7 +228,8 @@ def test_elbo_matches_monte_carlo_definition():
     total += aw * math.log(bw) - scipy.special.gammaln(aw) + (aw - 1.0) * np.log(w) - bw * w
     # minus log q for every factor
     for i in range(m):
-        total -= scipy.stats.multivariate_normal(state.qy.mean[i], state.qy.cov[i]).logpdf(y[:, i, :])
+        cov_i = state.qy.cov[state.qy.group[i]]
+        total -= scipy.stats.multivariate_normal(state.qy.mean[i], cov_i).logpdf(y[:, i, :])
     for r in range(d):
         total -= scipy.stats.multivariate_normal(state.qv.mean[r], state.qv.cov[r]).logpdf(rows[:, r, :])
     total -= scipy.stats.gamma(state.qw.a, scale=1.0 / state.qw.b).logpdf(w)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bsplda.data as data_module
 from bsplda.data import Dataset, SpeakerPartition, SuffStats, accumulate, center, merge
 
 
@@ -14,12 +15,12 @@ def brute_force_stats(vectors, assignment, m):
     d = vectors.shape[1]
     counts = np.zeros(m)
     sums = np.zeros((m, d))
-    scatters = np.zeros((m, d, d))
+    scatter = np.zeros((d, d))
     for x, spk in zip(vectors, assignment):
         counts[spk] += 1
         sums[spk] += x
-        scatters[spk] += np.outer(x, x)
-    return counts, sums, scatters
+        scatter += np.outer(x, x)
+    return counts, sums, scatter
 
 
 def test_accumulate_identity_outer_products():
@@ -28,7 +29,7 @@ def test_accumulate_identity_outer_products():
     stats = accumulate(ds, part)
     assert stats.counts[0] == 2
     np.testing.assert_allclose(stats.spk_sums[0], [1.0, 1.0])
-    np.testing.assert_allclose(stats.spk_scatters[0], np.eye(2))
+    np.testing.assert_allclose(stats.scatter_total, np.eye(2))
 
 
 def test_accumulate_two_singleton_speakers():
@@ -47,10 +48,10 @@ def test_accumulate_matches_naive_summation():
     assignment = np.array([0, 1, 0, 1, 1])
     ds = make_dataset(vectors)
     stats = accumulate(ds, SpeakerPartition(assignment=assignment, n_speakers=2))
-    counts, sums, scatters = brute_force_stats(vectors, assignment, 2)
+    counts, sums, scatter = brute_force_stats(vectors, assignment, 2)
     np.testing.assert_allclose(stats.counts, counts)
     np.testing.assert_allclose(stats.spk_sums, sums, rtol=1e-12)
-    np.testing.assert_allclose(stats.spk_scatters, scatters, rtol=1e-12)
+    np.testing.assert_allclose(stats.scatter_total, scatter, rtol=1e-12)
 
 
 def test_within_speaker_permutation_invariance():
@@ -63,17 +64,38 @@ def test_within_speaker_permutation_invariance():
     shuffled = make_dataset(vectors[order])
     other = accumulate(shuffled, SpeakerPartition(assignment=assignment[order], n_speakers=2))
     np.testing.assert_allclose(base.spk_sums, other.spk_sums, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(base.spk_scatters, other.spk_scatters, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(base.scatter_total, other.scatter_total, rtol=1e-12, atol=1e-12)
 
 
-def test_chunked_merge_is_bit_exact():
-    rng = np.random.default_rng(23)
-    vectors = rng.normal(size=(30, 3))
-    assignment = np.repeat(np.arange(6), 5)
+@pytest.mark.parametrize("block_values", [1, 7, 40])
+def test_accumulate_blocks_do_not_change_sums(monkeypatch, block_values):
+    # blocks as small as one row or a few speakers give the one-block result bit for bit
+    rng = np.random.default_rng(29)
+    vectors = rng.normal(size=(200, 4))
+    assignment = rng.permutation(np.arange(200) % 23)
     ds = make_dataset(vectors)
-    full = accumulate(ds, SpeakerPartition(assignment=assignment, n_speakers=6))
+    part = SpeakerPartition(assignment=assignment, n_speakers=23)
+    whole = accumulate(ds, part)
+    monkeypatch.setattr(data_module, "_BLOCK_VALUES", block_values)
+    blocked = accumulate(ds, part)
+    assert np.array_equal(blocked.counts, whole.counts)
+    assert np.array_equal(blocked.spk_sums, whole.spk_sums)
+    assert np.array_equal(blocked.scatter_total, whole.scatter_total)
+
+
+@pytest.mark.parametrize(
+    "n, d, m, scale", [(30, 3, 6, 1.0), (6000, 40, 60, 1e3)], ids=["n30", "n6000-scaled"]
+)
+def test_chunked_merge_contract(n, d, m, scale):
+    # counts and sums are bit-exact; the scatter is within the rounding bound
+    # of two summation orders of the same N products: 2 gamma_N |X|^T |X|
+    rng = np.random.default_rng(23)
+    vectors = scale * rng.normal(size=(n, d)) + rng.normal(size=d)
+    assignment = rng.permutation(np.arange(n) % m)
+    ds = make_dataset(vectors)
+    full = accumulate(ds, SpeakerPartition(assignment=assignment, n_speakers=m))
     chunks = []
-    for lo, hi in ((0, 2), (2, 5), (5, 6)):
+    for lo, hi in ((0, m // 3), (m // 3, m - 1), (m - 1, m)):
         rows = np.flatnonzero((assignment >= lo) & (assignment < hi))
         sub = make_dataset(vectors[rows])
         part = SpeakerPartition(assignment=assignment[rows] - lo, n_speakers=hi - lo)
@@ -81,9 +103,13 @@ def test_chunked_merge_is_bit_exact():
     merged = merge(chunks)
     assert np.array_equal(merged.counts, full.counts)
     assert np.array_equal(merged.spk_sums, full.spk_sums)
-    assert np.array_equal(merged.spk_scatters, full.spk_scatters)
     assert np.array_equal(merged.sum_total, full.sum_total)
-    assert np.array_equal(merged.scatter_total, full.scatter_total)
+    u = np.finfo(float).eps / 2
+    gamma = n * u / (1 - n * u)
+    bound = 2 * gamma * (np.abs(vectors).T @ np.abs(vectors))
+    brute = brute_force_stats(vectors, assignment, m)[2]
+    assert np.all(np.abs(merged.scatter_total - full.scatter_total) <= bound)
+    assert np.all(np.abs(full.scatter_total - brute) <= bound)
 
 
 def test_center_one_speaker_example():

@@ -23,7 +23,7 @@ from bsplda.posterior import (
     QWWishart,
     y_aggregates,
 )
-from tests.test_posterior import random_qv, random_spd, stats_for
+from tests.test_posterior import random_qv, random_qy, random_spd, stats_for
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -57,7 +57,7 @@ def gaussian_kl(mean, cov, prior_mean, prior_cov):
 
 
 def test_y_terms_at_prior():
-    qy = QY(mean=np.zeros((1, 1)), prec=np.ones((1, 1, 1)))
+    qy = QY(mean=np.zeros((1, 1)), prec=np.ones((1, 1, 1)), group=np.arange(1))
     y_prior, y_entropy_neg = elbo_y_terms(qy)
     assert y_prior == pytest.approx(-0.5 * LOG2PI - 0.5, rel=1e-12)
     assert y_entropy_neg == pytest.approx(-0.5 * (LOG2PI + 1.0), rel=1e-12)
@@ -65,7 +65,7 @@ def test_y_terms_at_prior():
 
 
 def test_y_terms_nonzero_mean_negative_kl():
-    qy = QY(mean=np.array([[0.7]]), prec=np.ones((1, 1, 1)))
+    qy = QY(mean=np.array([[0.7]]), prec=np.ones((1, 1, 1)), group=np.arange(1))
     y_prior, y_entropy_neg = elbo_y_terms(qy)
     assert y_prior - y_entropy_neg < 0
 
@@ -74,10 +74,10 @@ def test_y_terms_match_closed_form_kl():
     rng = np.random.default_rng(5)
     for _ in range(10):
         m, ny = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        qy = QY(mean=rng.normal(size=(m, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(m)]))
+        qy = random_qy(rng, m, ny)
         y_prior, y_entropy_neg = elbo_y_terms(qy)
         kl = sum(
-            gaussian_kl(qy.mean[i], qy.cov[i], np.zeros(ny), np.eye(ny)) for i in range(m)
+            gaussian_kl(qy.mean[i], qy.cov[qy.group[i]], np.zeros(ny), np.eye(ny)) for i in range(m)
         )
         assert y_prior - y_entropy_neg == pytest.approx(-kl, rel=1e-10, abs=1e-10)
 
@@ -238,7 +238,7 @@ def test_noninformative_w_prior_term():
 
 def test_data_term_empty_is_zero():
     stats = SuffStats.empty(3)
-    qy = QY(mean=np.zeros((0, 2)), prec=np.zeros((0, 2, 2)))
+    qy = QY(mean=np.zeros((0, 2)), prec=np.zeros((0, 2, 2)), group=np.arange(0))
     qv = random_qv(np.random.default_rng(0), 3, 2)
     qw = QWGammaIso(a=1.0, b=1.0, dim=3)
     aggs = y_aggregates(qy, stats)
@@ -249,9 +249,14 @@ def test_data_term_degenerate_equals_augmented_loglik():
     rng = np.random.default_rng(21)
     m, d, ny = 3, 3, 2
     k = ny + 1
-    stats = stats_for(rng, m, d)
+    vectors = [rng.normal(size=(n_i, d)) for n_i in rng.integers(1, 5, size=m)]
+    stats = SuffStats(
+        counts=[x.shape[0] for x in vectors],
+        spk_sums=[x.sum(axis=0) for x in vectors],
+        scatter_total=sum(x.T @ x for x in vectors),
+    )
     ybars = rng.normal(size=(m, ny))
-    qy = QY(mean=ybars, prec=np.tile(1e14 * np.eye(ny), (m, 1, 1)))
+    qy = QY(mean=ybars, prec=np.tile(1e14 * np.eye(ny), (m, 1, 1)), group=np.arange(m))
     vt = rng.normal(size=(d, k))
     qv = QVtilde(mean=vt, prec=np.tile(1e14 * np.eye(k), (d, 1, 1)))
     w = random_spd(rng, d, 0.5)
@@ -261,7 +266,7 @@ def test_data_term_degenerate_equals_augmented_loglik():
     loading = mdl.AugmentedLoading(vt)
     expected = sum(
         conditional_loglik_augmented(
-            stats.counts[i], stats.spk_sums[i], stats.spk_scatters[i],
+            stats.counts[i], stats.spk_sums[i], vectors[i].T @ vectors[i],
             np.append(ybars[i], 1.0), loading, w,
         )
         for i in range(m)
@@ -290,9 +295,9 @@ def test_data_term_matches_quadrature_oracle():
     stats = SuffStats(
         counts=np.array([2.0]),
         spk_sums=phi.sum(axis=0, keepdims=True),
-        spk_scatters=(phi.T @ phi)[None],
+        scatter_total=phi.T @ phi,
     )
-    qy = QY(mean=np.array([[0.3]]), prec=np.array([[[2.0]]]))
+    qy = QY(mean=np.array([[0.3]]), prec=np.array([[[2.0]]]), group=np.arange(1))
     qv = QVtilde(mean=np.array([[0.8, -0.2]]), prec=random_spd(rng, 2, 2.0)[None])
     qw = QWGammaIso(a=3.0, b=2.0, dim=1)
     aggs = y_aggregates(qy, stats)
@@ -320,7 +325,7 @@ def test_data_term_matches_quadrature_oracle():
 def make_full_state(rng, variant, d=3, ny=2, m=4):
     k = ny + 1
     stats = stats_for(rng, m, d)
-    qy = QY(mean=rng.normal(size=(m, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(m)]))
+    qy = random_qy(rng, m, ny)
     qv = random_qv(rng, d, ny)
     loading, arm = mdl.SCHEMES[variant]
     if arm.posterior is QWWishart:
@@ -385,7 +390,7 @@ def test_total_increases_after_one_qy_update():
     qv, qalpha = _prior_state(d, ny, prior)
     qv = QVtilde(mean=qv.mean + 0.5 * rng.standard_normal(qv.mean.shape), prec=qv.prec)
     qw = QWWishart(psi=prior.psi0, nu=prior.nu_d)
-    qy0 = QYFactor(mean=np.zeros((m, ny)), prec=np.tile(np.eye(ny), (m, 1, 1)))
+    qy0 = QYFactor(mean=np.zeros((m, ny)), prec=np.tile(np.eye(ny), (m, 1, 1)), group=np.arange(m))
     stats = stats_for(rng, m, d)
     before = elbo_total(stats, qy0, qv, qw, qalpha, prior).total
     qy1 = update_qy(stats, qv, qw)
@@ -399,8 +404,8 @@ def test_total_invariant_under_speaker_relabeling():
     bd = elbo_total(stats, qy, qv, qw, qalpha, prior)
     perm = rng.permutation(5)
     stats_p = SuffStats(
-        counts=stats.counts[perm], spk_sums=stats.spk_sums[perm], spk_scatters=stats.spk_scatters[perm]
+        counts=stats.counts[perm], spk_sums=stats.spk_sums[perm], scatter_total=stats.scatter_total
     )
-    qy_p = QY(mean=qy.mean[perm], prec=qy.prec[perm])
+    qy_p = QY(mean=qy.mean[perm], prec=qy.prec, group=qy.group[perm])
     bd_p = elbo_total(stats_p, qy_p, qv, qw, qalpha, prior)
     assert bd_p.total == pytest.approx(bd.total, rel=1e-9)

@@ -5,8 +5,8 @@ import pytest
 from dataclasses import replace
 
 import bsplda.model as mdl
-from bsplda.data import SuffStats, accumulate
-from bsplda.elbo import elbo_data_term, elbo_total
+from bsplda.data import Dataset, SpeakerPartition, SuffStats, accumulate
+from bsplda.elbo import elbo_data_term, elbo_total, elbo_y_terms
 from bsplda.engine import (
     FitConfig,
     apply_annealing,
@@ -24,7 +24,7 @@ from bsplda.linalg import FactorizationError
 from bsplda.model import ModelParams, PriorConfig
 from bsplda.posterior import QY, QAlpha, QVtilde, QWGammaDiag, QWGammaIso, QWWishart, y_aggregates
 from bsplda.synth import GenSpec, sample
-from tests.test_posterior import random_qv, random_spd, stats_for
+from tests.test_posterior import random_qv, random_qy, random_spd, stats_for
 
 
 def point_qv(vt):
@@ -44,7 +44,7 @@ def v1_prior(d, variant=mdl.V1_WISHART_NONINFORMATIVE, **overrides):
 
 class TestUpdateQY:
     def test_no_data_recovers_prior(self):
-        stats = SuffStats(counts=np.array([0.0]), spk_sums=np.zeros((1, 2)), spk_scatters=np.zeros((1, 2, 2)))
+        stats = SuffStats(counts=np.array([0.0]), spk_sums=np.zeros((1, 2)), scatter_total=np.zeros((2, 2)))
         qv = random_qv(np.random.default_rng(0), 2, 2)
         qw = QWGammaIso(a=2.0, b=2.0, dim=2)
         qy = update_qy(stats, qv, qw)
@@ -53,7 +53,7 @@ class TestUpdateQY:
 
     def test_scalar_closed_form(self):
         # point-mass V=1, W=1, mu=0, F=8, N=4: L = 5, mean = 1.6
-        stats = SuffStats(counts=np.array([4.0]), spk_sums=np.array([[8.0]]), spk_scatters=np.array([[[20.0]]]))
+        stats = SuffStats(counts=np.array([4.0]), spk_sums=np.array([[8.0]]), scatter_total=np.array([[20.0]]))
         qv = point_qv(np.array([[1.0, 0.0]]))
         qw = QWGammaIso(a=1e14, b=1e14, dim=1)
         qy = update_qy(stats, qv, qw)
@@ -68,7 +68,7 @@ class TestUpdateQY:
             params = ModelParams(mu=rng.normal(size=d), V=rng.normal(size=(d, ny)), W=random_spd(rng, d, 0.4))
             n_i = int(rng.integers(1, 6))
             x = rng.normal(size=(n_i, d))
-            stats = SuffStats(counts=np.array([float(n_i)]), spk_sums=x.sum(axis=0)[None], spk_scatters=(x.T @ x)[None])
+            stats = SuffStats(counts=np.array([float(n_i)]), spk_sums=x.sum(axis=0)[None], scatter_total=x.T @ x)
             qv = point_qv(np.column_stack([params.V, params.mu]))
             qy = update_qy(stats, qv, PointWArm(params.W))
             prec_exact = np.eye(ny) + n_i * params.V.T @ params.W @ params.V
@@ -84,10 +84,75 @@ class TestUpdateQY:
         n_i = 10_000
         noise = rng.normal(size=(n_i, d)) * 0.5
         x = params.V @ y_true + noise
-        stats = SuffStats(counts=np.array([float(n_i)]), spk_sums=x.sum(axis=0)[None], spk_scatters=(x.T @ x)[None])
+        stats = SuffStats(counts=np.array([float(n_i)]), spk_sums=x.sum(axis=0)[None], scatter_total=x.T @ x)
         qy = update_qy(stats, point_qv(np.column_stack([params.V, params.mu])), PointWArm(params.W))
         lsq = np.linalg.lstsq(params.V, x.mean(axis=0), rcond=None)[0]
         np.testing.assert_allclose(qy.mean[0], lsq, atol=2e-3)
+
+
+def per_speaker_qy_reference(stats, qv, wbar):
+    """q(Y) and its aggregates speaker by speaker, straight from the definitions."""
+    ny = qv.rank
+    k = ny + 1
+    evtwvt = np.einsum("r,rab->ab", np.diag(wbar), qv.cov) + qv.mean.T @ wbar @ qv.mean
+    means, covs, logdets = [], [], []
+    c, r, rho = np.zeros((stats.dim, k)), np.zeros((k, k)), np.zeros((ny, ny))
+    for n_i, f_i in zip(stats.counts, stats.spk_sums):
+        prec = np.eye(ny) + n_i * evtwvt[:ny, :ny]
+        mean = np.linalg.solve(prec, qv.V.T @ wbar @ f_i - n_i * evtwvt[:ny, ny])
+        cov = np.linalg.inv(prec)
+        second = np.zeros((k, k))
+        second[:ny, :ny] = cov + np.outer(mean, mean)
+        second[:ny, ny] = second[ny, :ny] = mean
+        second[ny, ny] = 1.0
+        c += np.outer(f_i, np.append(mean, 1.0))
+        r += n_i * second
+        rho += second[:ny, :ny]
+        means.append(mean)
+        covs.append(cov)
+        logdets.append(np.linalg.slogdet(prec)[1])
+    m = stats.n_speakers
+    y_prior = -0.5 * m * ny * math.log(2 * math.pi) - 0.5 * np.trace(rho)
+    y_entropy_neg = -0.5 * m * ny * (math.log(2 * math.pi) + 1.0) + 0.5 * sum(logdets)
+    return np.array(means), np.array(covs), c, r, rho, (y_prior, y_entropy_neg)
+
+
+@pytest.mark.parametrize("mix", ["all-equal", "all-distinct", "one-to-1e4"])
+def test_grouped_qy_matches_per_speaker_reference(mix):
+    rng = np.random.default_rng(["all-equal", "all-distinct", "one-to-1e4"].index(mix))
+    d, ny = 5, 3
+    if mix == "all-equal":
+        counts = np.full(40, 7)
+    elif mix == "all-distinct":
+        counts = rng.permutation(np.arange(1, 301))  # more speakers than one block of means
+    else:
+        counts = np.round(10.0 ** rng.uniform(0, 4, size=600)).astype(int)
+        counts[:2] = (1, 10_000)
+    vectors = rng.normal(size=(int(counts.sum()), d)) + rng.normal(size=d)
+    assignment = rng.permutation(np.repeat(np.arange(counts.size), counts))
+    dataset = Dataset(vectors=vectors, ids=tuple(range(vectors.shape[0])))
+    stats = accumulate(dataset, SpeakerPartition(assignment=assignment, n_speakers=counts.size))
+    qv = random_qv(rng, d, ny)
+    qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 4.0)
+
+    qy = update_qy(stats, qv, qw)
+    aggs = y_aggregates(qy, stats)
+    y_terms = elbo_y_terms(qy)
+    means, covs, c, r, rho, ref_terms = per_speaker_qy_reference(stats, qv, qw.mean)
+
+    def close(got, want):
+        scale = max(float(np.abs(want).max()), 1.0)
+        assert np.abs(np.asarray(got) - want).max() <= 1e-12 * scale
+
+    close(qy.mean, means)
+    close(qy.cov[qy.group], covs)
+    close(aggs.C, c)
+    close(aggs.R, r)
+    close(aggs.Rho, rho)
+    close(y_terms, ref_terms)
+    # layout: one precision per distinct count, no M x d x d statistics
+    assert qy.prec.shape[0] == np.unique(counts).size
+    assert all(np.ndim(value) <= 2 for value in vars(stats).values())
 
 
 class PointWArm:
@@ -143,7 +208,7 @@ class TestUpdateQVtilde:
         d, ny = 4, 2
         k = ny + 1
         stats = stats_for(rng, 3, d)
-        qy = QY(mean=rng.normal(size=(3, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(3)]))
+        qy = random_qy(rng, 3, ny)
         aggs = y_aggregates(qy, stats)
         qv0 = random_qv(rng, d, ny)
         qalpha = QAlpha(a=1.5, b=rng.uniform(0.5, 2.0, size=ny))
@@ -163,7 +228,7 @@ class TestUpdateQVtilde:
         # d=1, ny=1: one 2x2 linear system checked by hand
         rng = np.random.default_rng(6)
         stats = stats_for(rng, 2, 1)
-        qy = QY(mean=rng.normal(size=(2, 1)), prec=np.stack([random_spd(rng, 1) for _ in range(2)]))
+        qy = random_qy(rng, 2, 1)
         aggs = y_aggregates(qy, stats)
         prior = v1_prior(1, mdl.V2_GAMMA_DIAGONAL, mu0=0.7, beta=2.0).validate(1, 1)
         qalpha = QAlpha(a=2.0, b=np.array([4.0]))
@@ -180,7 +245,7 @@ class TestUpdateQVtilde:
         d, ny = 3, 2
         k = ny + 1
         stats = stats_for(rng, 4, d)
-        qy = QY(mean=rng.normal(size=(4, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(4)]))
+        qy = random_qy(rng, 4, ny)
         aggs = y_aggregates(qy, stats)
         qv0 = random_qv(rng, d, ny)
         qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 5.0)
@@ -203,7 +268,7 @@ class TestUpdateQVtilde:
         prior = v1_prior(d, mdl.V1_WISHART_INFORMATIVE).validate(d, ny)
         qalpha = QAlpha(a=1.0, b=np.ones(ny))
         qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 4.0)
-        qy = QY(mean=rng.normal(size=(3, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(3)]))
+        qy = random_qy(rng, 3, ny)
         qv0 = random_qv(rng, d, ny)
         before = elbo_total(stats, qy, qv0, qw, qalpha, prior).total
         qv1 = update_qvtilde(y_aggregates(qy, stats), qv0, qw, prior, qalpha)
@@ -237,8 +302,8 @@ class TestUpdateQAlphaQW:
         assert means[2] > means[1] > means[0]  # E[alpha] inverse to column norms
 
     def test_qw_noninformative_scalar_example(self):
-        stats = SuffStats(counts=np.array([10.0]), spk_sums=np.zeros((1, 1)), spk_scatters=np.array([[[5.0]]]))
-        qy = QY(mean=np.zeros((1, 1)), prec=np.full((1, 1, 1), 1e14))
+        stats = SuffStats(counts=np.array([10.0]), spk_sums=np.zeros((1, 1)), scatter_total=np.array([[5.0]]))
+        qy = QY(mean=np.zeros((1, 1)), prec=np.full((1, 1, 1), 1e14), group=np.arange(1))
         qv = point_qv(np.zeros((1, 2)))
         aggs = y_aggregates(qy, stats)
         prior = v1_prior(1).validate(1, 1)
@@ -252,7 +317,7 @@ class TestUpdateQAlphaQW:
         rng = np.random.default_rng(10)
         d = 2
         stats = stats_for(rng, 3, d)
-        qy = QY(mean=rng.normal(size=(3, 1)), prec=np.stack([random_spd(rng, 1) for _ in range(3)]))
+        qy = random_qy(rng, 3, 1)
         qv = random_qv(rng, d, 1)
         aggs = y_aggregates(qy, stats)
         psi0 = random_spd(rng, d, 0.3)
@@ -269,7 +334,7 @@ class TestUpdateQAlphaQW:
         rng = np.random.default_rng(11)
         d = 3
         stats = stats_for(rng, 2, d)
-        qy = QY(mean=rng.normal(size=(2, 1)), prec=np.stack([random_spd(rng, 1) for _ in range(2)]))
+        qy = random_qy(rng, 2, 1)
         qv = random_qv(rng, d, 1)
         prior = v1_prior(d, mdl.V2_GAMMA_ISOTROPIC, a_w=0.5, b_w=0.25).validate(d, 1)
         qw = update_qw(stats, y_aggregates(qy, stats), qv, prior)
@@ -277,8 +342,8 @@ class TestUpdateQAlphaQW:
         assert qw.a == pytest.approx(0.5 + 0.5 * stats.n_total * d)
 
     def test_qw_noninformative_needs_enough_data(self):
-        stats = SuffStats(counts=np.array([2.0]), spk_sums=np.zeros((1, 3)), spk_scatters=np.tile(np.eye(3), (1, 1, 1)))
-        qy = QY(mean=np.zeros((1, 1)), prec=np.ones((1, 1, 1)))
+        stats = SuffStats(counts=np.array([2.0]), spk_sums=np.zeros((1, 3)), scatter_total=np.eye(3))
+        qy = QY(mean=np.zeros((1, 1)), prec=np.ones((1, 1, 1)), group=np.arange(1))
         qv = point_qv(np.zeros((3, 2)))
         prior = v1_prior(3).validate(3, 1)
         with pytest.raises(ValueError, match="requires N > d"):
@@ -288,7 +353,7 @@ class TestUpdateQAlphaQW:
 class TestAnnealing:
     def make_state(self, rng, variant=mdl.V1_WISHART_INFORMATIVE):
         d, ny, m = 3, 2, 4
-        qy = QY(mean=rng.normal(size=(m, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(m)]))
+        qy = random_qy(rng, m, ny)
         qv = random_qv(rng, d, ny)
         qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 3.0)
         qalpha = QAlpha(a=2.0, b=rng.uniform(0.5, 2.0, size=ny))
@@ -334,9 +399,9 @@ class TestAnnealing:
 class TestMinimumDivergence:
     def make_pair(self, rng, m=6, ny=2, d=4, standard=False):
         if standard:
-            qy = QY(mean=np.zeros((m, ny)), prec=np.tile(np.eye(ny), (m, 1, 1)))
+            qy = QY(mean=np.zeros((m, ny)), prec=np.tile(np.eye(ny), (m, 1, 1)), group=np.arange(m))
         else:
-            qy = QY(mean=rng.normal(size=(m, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(m)]))
+            qy = random_qy(rng, m, ny)
         return qy, random_qv(rng, d, ny)
 
     def test_identity_when_already_standard(self):
@@ -348,7 +413,7 @@ class TestMinimumDivergence:
         pooled = means.T @ means / m
         cov = np.eye(ny) - pooled
         prec = np.linalg.inv(cov)
-        qy = QY(mean=means, prec=np.tile(prec, (m, 1, 1)))
+        qy = QY(mean=means, prec=np.tile(prec, (m, 1, 1)), group=np.arange(m))
         qv = random_qv(rng, 3, ny)
         qy2, qv2, j_mat = minimum_divergence(qy, qv)
         np.testing.assert_allclose(j_mat, np.eye(ny + 1), atol=1e-8)
@@ -359,7 +424,7 @@ class TestMinimumDivergence:
         m, ny, d = 64, 2, 3
         shift = np.array([0.8, -0.3])
         means = rng.normal(size=(m, ny)) * 0.0 + shift  # all means equal: Sigma_y from covariances
-        qy = QY(mean=means, prec=np.tile(np.eye(ny), (m, 1, 1)))
+        qy = QY(mean=means, prec=np.tile(np.eye(ny), (m, 1, 1)), group=np.arange(m))
         qv = random_qv(rng, d, ny)
         _, qv2, j_mat = minimum_divergence(qy, qv)
         np.testing.assert_allclose(j_mat[:ny, -1], shift, atol=1e-10)
@@ -370,7 +435,7 @@ class TestMinimumDivergence:
         qy, qv = self.make_pair(rng)
         qy2, qv2, _ = minimum_divergence(qy, qv)
         np.testing.assert_allclose(qy2.mean.mean(axis=0), 0.0, atol=1e-10)
-        pooled = qy2.second_moment.mean(axis=0)
+        pooled = qy2.second_moment_sum / qy2.n_speakers
         assert np.abs(pooled - np.eye(qy.rank)).max() < 1e-8
 
     def test_data_term_invariant(self):
@@ -390,7 +455,7 @@ class TestMinimumDivergence:
         with pytest.raises(ValueError):
             minimum_divergence(qy, qv)
         # identical degenerate means, tiny covariance: singular Sigma_y
-        qy = QY(mean=np.ones((3, 2)), prec=np.tile(1e18 * np.eye(2), (3, 1, 1)))
+        qy = QY(mean=np.ones((3, 2)), prec=np.tile(1e18 * np.eye(2), (3, 1, 1)), group=np.arange(3))
         with pytest.raises(FactorizationError):
             minimum_divergence(qy, random_qv(rng, 3, 2))
 

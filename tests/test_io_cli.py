@@ -1,5 +1,7 @@
 import hashlib
+import os
 import struct
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -59,6 +61,28 @@ def test_data_file_rejects_header_larger_than_file(tmp_path, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 1 << 20, f"read allocated {peak} bytes"
+
+
+def test_data_stream_shorter_than_header_is_format_error():
+    # a pipe has no size to check the header against: it must be read in bounded chunks
+    read_end, write_end = os.pipe()
+
+    def writer():
+        with os.fdopen(write_end, "wb") as f:
+            f.write(mio.MAGIC_DATA + struct.pack("<HIQ", 1, 4, 1 << 40))
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    tracemalloc.start()
+    try:
+        with pytest.raises(mio.FormatError, match="truncated"):
+            mio.read_data_file(f"/dev/fd/{read_end}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        thread.join()
+        os.close(read_end)
     assert peak < 1 << 20, f"read allocated {peak} bytes"
 
 

@@ -41,20 +41,26 @@ def expected_vrv(qv, r):
     return _residual_scatter(SuffStats.empty(d), YAggregates(C=np.zeros((d, k)), R=r, Rho=None), qv)
 
 
+def random_qy(rng, m, ny):
+    """q(Y) with random means and one random precision per speaker (a group each)."""
+    mean = rng.normal(size=(m, ny))
+    return QY(mean=mean, prec=np.stack([random_spd(rng, ny) for _ in range(m)]), group=np.arange(m))
+
+
 def stats_for(rng, m, d):
     counts = rng.integers(1, 5, size=m).astype(float)
     return SuffStats(
         counts=counts,
         spk_sums=rng.normal(size=(m, d)),
-        spk_scatters=np.stack([random_spd(rng, d) for _ in range(m)]),
+        scatter_total=sum(random_spd(rng, d) for _ in range(m)),
     )
 
 
 def test_aggregates_identity_example():
     # M=1, ybar=0, L=I, N1=2: R = 2 I (bottom-right = N), C from outer product
-    qy = QY(mean=np.zeros((1, 2)), prec=np.eye(2)[None])
+    qy = QY(mean=np.zeros((1, 2)), prec=np.eye(2)[None], group=np.arange(1))
     stats = SuffStats(counts=np.array([2.0]), spk_sums=np.array([[1.0, 0.0, 0.0]]),
-                      spk_scatters=np.zeros((1, 3, 3)))
+                      scatter_total=np.zeros((3, 3)))
     aggs = y_aggregates(qy, stats)
     np.testing.assert_allclose(aggs.R, 2.0 * np.eye(3))
     assert aggs.R[-1, -1] == stats.n_total
@@ -63,9 +69,9 @@ def test_aggregates_identity_example():
 
 def test_aggregates_outer_product_example():
     # M=1, F1=(1,0), E[ytilde]=(1,1): C = [[1,1],[0,0]]
-    qy = QY(mean=np.ones((1, 1)), prec=np.full((1, 1, 1), 1e12))
+    qy = QY(mean=np.ones((1, 1)), prec=np.full((1, 1, 1), 1e12), group=np.arange(1))
     stats = SuffStats(counts=np.array([1.0]), spk_sums=np.array([[1.0, 0.0]]),
-                      spk_scatters=np.zeros((1, 2, 2)))
+                      scatter_total=np.zeros((2, 2)))
     aggs = y_aggregates(qy, stats)
     np.testing.assert_allclose(aggs.C, np.array([[1.0, 1.0], [0.0, 0.0]]), atol=1e-9)
 
@@ -74,7 +80,7 @@ def test_aggregates_block_structure_invariant():
     rng = np.random.default_rng(2)
     for _ in range(10):
         m, d, ny = int(rng.integers(1, 6)), 3, int(rng.integers(1, 4))
-        qy = QY(mean=rng.normal(size=(m, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(m)]))
+        qy = random_qy(rng, m, ny)
         stats = stats_for(rng, m, d)
         aggs = y_aggregates(qy, stats)
         assert aggs.R[-1, -1] == pytest.approx(stats.n_total, rel=1e-12)
@@ -87,12 +93,12 @@ def test_aggregates_block_structure_invariant():
 def test_aggregates_monte_carlo_oracle():
     rng = np.random.default_rng(3)
     m, d, ny = 2, 3, 2
-    qy = QY(mean=rng.normal(size=(m, ny)), prec=np.stack([random_spd(rng, ny) for _ in range(m)]))
+    qy = random_qy(rng, m, ny)
     stats = stats_for(rng, m, d)
     n_samp = 200_000
     r_est = np.zeros((ny + 1, ny + 1))
     for i in range(m):
-        cov = np.linalg.inv(qy.prec[i])
+        cov = np.linalg.inv(qy.prec[qy.group[i]])
         draws = rng.multivariate_normal(qy.mean[i], cov, size=n_samp)
         yt = np.concatenate([draws, np.ones((n_samp, 1))], axis=1)
         r_est += stats.counts[i] * (yt.T @ yt) / n_samp
@@ -254,4 +260,4 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         QWGammaDiag(a=1.0, b=np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
-        QY(mean=np.zeros((2, 2)), prec=np.zeros((2, 3, 3)))
+        QY(mean=np.zeros((2, 2)), prec=np.zeros((2, 3, 3)), group=np.arange(2))

@@ -13,7 +13,9 @@ prints the same lines before and after:
     python3 tools/variant_digests.py > after.txt
     diff before.txt after.txt
 
-Everything is written to a temporary directory that is removed on exit.
+Everything is written to a temporary directory that is removed on exit, or,
+with `--keep DIR`, to DIR, which is kept; `tools/variant_drift.py` compares
+two kept directories number by number.
 """
 
 import os
@@ -23,6 +25,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -74,6 +77,13 @@ def digest_files(*paths):
         print(f"{text}  {path.name}")
 
 
+def elbo(work, name, corpus):
+    """Run `elbo` on a model; keep its output as NAME.elbo and print the digest."""
+    path = work / f"{name}.elbo"
+    path.write_text(run(f"elbo {name}", ["elbo", "--model", str(work / f"{name}.model"), *corpus]))
+    digest_files(path)
+
+
 def main_digests(work):
     spec = work / "sim.cfg"
     spec.write_text(SPEC)
@@ -91,17 +101,23 @@ def main_digests(work):
                               "--variant", variant, "--out", str(model), "--trace", str(trace),
                               *TRAIN_FLAGS])
         digest_files(model, trace)
-        printed = run(f"elbo {name}", ["elbo", "--model", str(model), *corpus["train"]])
-        print(f"{sha256(printed.encode())}  {name}.elbo")
+        elbo(work, name, corpus["train"])
 
         adapted, adapted_trace = work / f"{name}-adapted.model", work / f"{name}-adapted.csv"
         run(f"adapt {name}", ["adapt", "--prior", str(model), *corpus["adapt"],
                               "--out", str(adapted), "--trace", str(adapted_trace), *ADAPT_FLAGS])
         digest_files(adapted, adapted_trace)
-        printed = run(f"elbo {name}-adapted", ["elbo", "--model", str(adapted), *corpus["adapt"]])
-        print(f"{sha256(printed.encode())}  {name}-adapted.elbo")
+        elbo(work, f"{name}-adapted", corpus["adapt"])
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        main_digests(Path(tmp))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="DIR", type=Path,
+                        help="write the outputs to DIR and keep them")
+    args = parser.parse_args()
+    if args.keep:
+        args.keep.mkdir(parents=True, exist_ok=True)
+        main_digests(args.keep)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            main_digests(Path(tmp))
