@@ -6,7 +6,6 @@ from .engine import (
     FitConfig,
     FitReport,
     VariationalState,
-    apply_annealing,
     fit,
     fit_stats,
     heldout_bound,
@@ -47,7 +46,6 @@ __all__ = [
     "VARIANTS",
     "VariationalState",
     "accumulate",
-    "apply_annealing",
     "center",
     "conditional_loglik",
     "conditional_loglik_augmented",

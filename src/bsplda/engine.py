@@ -20,7 +20,6 @@ __all__ = [
     "update_qvtilde",
     "update_qalpha",
     "update_qw",
-    "apply_annealing",
     "minimum_divergence",
     "fit",
     "fit_stats",
@@ -61,8 +60,11 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.elbo_rel_tol <= 0:
-            raise ValueError("elbo_rel_tol must be positive")
+        if not self.elbo_rel_tol > 0:  # also rejects NaN
+            raise ValueError(f"elbo_rel_tol must be positive, got {self.elbo_rel_tol}")
+        for name in ("hyperopt_every", "mindiv_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0 (0 = off), got {getattr(self, name)}")
         schedule = tuple((float(k), int(span)) for k, span in self.anneal_schedule)
         for kappa, span in schedule:
             if not 0.0 < kappa <= 1.0:
@@ -172,30 +174,6 @@ def update_qw(stats, aggregates, qv, prior):
     """Precision posterior for the variant's arm from the expected residual scatter."""
     k_mat = _residual_scatter(stats, aggregates, qv)
     return mdl.SCHEMES[prior.variant][1].update_qw(prior, k_mat, stats.n_total)
-
-
-def apply_annealing(state, kappa):
-    """Temper every factor: densities are raised to the power kappa and renormalized.
-
-    Gaussians keep their means with covariance scaled by 1/kappa; the Wishart
-    becomes (Psi/kappa, kappa(nu-d-1)+d+1); Gammas become (kappa(a-1)+1, kappa b).
-    kappa = 1 is the identity.
-    """
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    if kappa == 1.0:
-        return replace(state, kappa=1.0)
-    qalpha = state.qalpha
-    if qalpha is not None:
-        qalpha = qalpha.anneal(kappa)
-    return replace(
-        state,
-        qy=state.qy.anneal(kappa),
-        qv=state.qv.anneal(kappa),
-        qw=state.qw.anneal(kappa),
-        qalpha=qalpha,
-        kappa=kappa,
-    )
 
 
 def minimum_divergence(qy, qv):
@@ -308,11 +286,14 @@ def fit(dataset, partition, prior, config, n_y):
 def fit_stats(stats, prior, config, n_y):
     """Variational fit from sufficient statistics.
 
-    Per iteration: q(Y), q(Vtilde), q(W), then q(alpha) where present, each an
-    exact coordinate maximizer; q(Y) is refreshed once more so the recorded
-    bound is a function of the persisted global factors alone (the refresh is
-    idempotent with the next sweep's first step). Stops when the relative
-    bound change drops below tolerance at kappa = 1 with no hyperparameter or
+    Per iteration: q(Vtilde), q(W), q(alpha) where present, then q(Y), each an
+    exact coordinate maximizer tempered by the iteration's kappa. The bound is
+    recorded after the q(Y) step, so it is a function of the persisted global
+    factors alone, and that q(Y)'s aggregates feed the next iteration's
+    q(Vtilde) step. q(Y) is recomputed from the global factors before q(Vtilde)
+    only where the carried one would differ: in the first iteration, when kappa
+    changes, and after a re-standardization. Stops when the relative bound
+    change drops below tolerance at kappa = 1 with no hyperparameter or
     re-standardization event in the iteration.
     """
     if n_y < 1:
@@ -331,38 +312,30 @@ def fit_stats(stats, prior, config, n_y):
         stats = _rotate_stats(stats, rotation)
 
     state = _init_state(stats, prior, n_y, config.seed)
-    initial_elbo = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior).total
+    breakdown = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior)
+    initial_elbo = breakdown.total
 
     trace = []
     breakdowns = []
     kappa_log = []
     converged = False
     baseline = None  # last bound value comparable under an unchanged objective
-    breakdown = None
+    aggregates = None  # of the q(Y) update of state.qv, state.qw at state.kappa; None if stale
     for iteration in range(1, config.max_iterations + 1):
         kappa = config.kappa_for(iteration)
-        qy = update_qy(stats, state.qv, state.qw)
-        if kappa != 1.0:
-            qy = qy.anneal(kappa)
-        aggregates = y_aggregates(qy, stats)
-        qv = update_qvtilde(aggregates, state.qv, state.qw, prior, state.qalpha)
-        if kappa != 1.0:
-            qv = qv.anneal(kappa)
-        qw = update_qw(stats, aggregates, qv, prior)
-        if kappa != 1.0:
-            qw = qw.anneal(kappa)
+        if aggregates is None or kappa != state.kappa:
+            aggregates = y_aggregates(update_qy(stats, state.qv, state.qw).anneal(kappa), stats)
+        qv = update_qvtilde(aggregates, state.qv, state.qw, prior, state.qalpha).anneal(kappa)
+        qw = update_qw(stats, aggregates, qv, prior).anneal(kappa)
         qalpha = state.qalpha
         if qalpha is not None:
-            qalpha = update_qalpha(qv, prior)
-            if kappa != 1.0:
-                qalpha = qalpha.anneal(kappa)
-        qy = update_qy(stats, qv, qw)
-        if kappa != 1.0:
-            qy = qy.anneal(kappa)
+            qalpha = update_qalpha(qv, prior).anneal(kappa)
+        qy = update_qy(stats, qv, qw).anneal(kappa)
+        aggregates = y_aggregates(qy, stats)
         state = VariationalState(
             variant=variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha, iteration=iteration, kappa=kappa
         )
-        breakdown = elbo_total(stats, qy, qv, qw, qalpha, prior)
+        breakdown = elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates)
         if not math.isfinite(breakdown.total):
             raise NonFiniteElboError(f"lower bound diverged at iteration {iteration}")
         trace.append(breakdown.total)
@@ -392,11 +365,10 @@ def fit_stats(stats, prior, config, n_y):
             ):
                 qy_new, qv_new, _ = minimum_divergence(state.qy, state.qv)
                 state = replace(state, qy=qy_new, qv=qv_new)
+                aggregates = None
                 event = True
         baseline = None if (event or kappa != 1.0) else breakdown.total
 
-    if breakdown is None:
-        breakdown = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior)
     params = mdl.ModelParams(mu=state.qv.mu, V=state.qv.V, W=state.qw.mean)
     report = FitReport(
         elbo_trace=tuple(trace),

@@ -42,6 +42,13 @@ def _batched_spd_inverse_logdet(mats):
     return 0.5 * (covs + covs.transpose(0, 2, 1)), logdets
 
 
+def _is_identity_temperature(kappa):
+    """True at kappa = 1, where tempering returns the factor itself; kappa must lie in (0, 1]."""
+    if not 0.0 < kappa <= 1.0:
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+    return kappa == 1.0
+
+
 class _Gaussian:
     """A stack of Gaussian factors: means (n, k) and precisions (p, k, k)."""
 
@@ -67,6 +74,8 @@ class _Gaussian:
 
     def anneal(self, kappa):
         """The factor to the power kappa, renormalized: same mean, precision times kappa."""
+        if _is_identity_temperature(kappa):
+            return self
         return replace(self, prec=kappa * self.prec)
 
 
@@ -75,6 +84,8 @@ class _Gamma:
 
     def anneal(self, kappa):
         """The factor to the power kappa, renormalized: (kappa(a-1)+1, kappa b)."""
+        if _is_identity_temperature(kappa):  # the formula can move a in its last bit
+            return self
         a = kappa * (self.a - 1.0) + 1.0
         if a <= 0:
             raise ValueError(f"annealed Gamma shape must stay positive, got {a}")
@@ -254,6 +265,8 @@ class QWWishart:
 
     def anneal(self, kappa):
         """The factor to the power kappa, renormalized: (Psi/kappa, kappa(nu-d-1)+d+1)."""
+        if _is_identity_temperature(kappa):
+            return self
         d = self.dim
         if kappa * (self.nu - d - 1.0) + 1.0 <= 0.0:
             raise ValueError(
@@ -340,17 +353,16 @@ class QWGammaIso(_Gamma):
 class YAggregates:
     """Dataset-level aggregates of the augmented latent moments."""
 
-    C: np.ndarray        # (d, n_y+1): sum_i F_i E[ytilde_i]^T
-    R: np.ndarray        # (n_y+1, n_y+1): sum_i N_i E[ytilde ytilde^T]
-    Rho: np.ndarray      # (n_y, n_y): sum_i E[y y^T]
+    C: np.ndarray  # (d, n_y+1): sum_i F_i E[ytilde_i]^T
+    R: np.ndarray  # (n_y+1, n_y+1): sum_i N_i E[ytilde ytilde^T]
 
 
 def y_aggregates(qy, stats):
-    """C, R_ytilde and Rho from the current q(Y) and the sufficient statistics.
+    """C and R_ytilde from the current q(Y) and the sufficient statistics.
 
     R = sum_g w_g Sigma_g + Yt^T diag(N) Yt with w_g the count summed over
-    group g and Yt the augmented means [E[y_i]; 1]; Rho = sum_g n_g Sigma_g +
-    Ybar^T Ybar.
+    group g and Yt the augmented means [E[y_i]; 1]. The unweighted
+    sum_i E[y_i y_i^T] is `QY.second_moment_sum`.
     """
     m, ny = qy.mean.shape
     if stats.n_speakers != m:
@@ -360,7 +372,7 @@ def y_aggregates(qy, stats):
     r = (stats.counts[:, None] * eyt).T @ eyt
     r[:ny, :ny] += np.einsum("g,gab->ab", weights, qy.cov)
     c = stats.spk_sums.T @ eyt
-    return YAggregates(C=c, R=sym(r), Rho=qy.second_moment_sum)
+    return YAggregates(C=c, R=sym(r))
 
 
 def expected_vtw_quadratic(qv, wbar):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import bsplda.engine as engine
 import bsplda.model as mdl
 from bsplda.data import Dataset, SpeakerPartition, SuffStats, accumulate
 from bsplda.elbo import elbo_data_term, elbo_total, elbo_y_terms
 from bsplda.engine import (
     FitConfig,
-    apply_annealing,
+    VariationalState,
+    _init_state,
+    _run_hyperopt,
     fit,
     fit_stats,
     heldout_bound,
@@ -148,7 +151,7 @@ def test_grouped_qy_matches_per_speaker_reference(mix):
     close(qy.cov[qy.group], covs)
     close(aggs.C, c)
     close(aggs.R, r)
-    close(aggs.Rho, rho)
+    close(qy.second_moment_sum, rho)
     close(y_terms, ref_terms)
     # layout: one precision per distinct count, no M x d x d statistics
     assert qy.prec.shape[0] == np.unique(counts).size
@@ -180,7 +183,7 @@ class TestUpdateQVtilde:
         qalpha = QAlpha(a=prior.a_alpha, b=np.full(ny, prior.b_alpha))
         from bsplda.posterior import YAggregates
 
-        aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)), Rho=np.zeros((ny, ny)))
+        aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)))
         qv0 = random_qv(np.random.default_rng(3), d, ny)
         qw = QWWishart(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
         qv = update_qvtilde(aggs, qv0, qw, prior, qalpha)
@@ -198,7 +201,7 @@ class TestUpdateQVtilde:
                             psi0=np.eye(d), nu_d=d + 2.0).validate(d, ny)
         from bsplda.posterior import YAggregates
 
-        aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)), Rho=np.zeros((ny, ny)))
+        aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)))
         qv = update_qvtilde(aggs, random_qv(rng, d, ny), QWWishart(psi=np.eye(d), nu=d + 2.0), prior, None)
         np.testing.assert_allclose(qv.mean, means, atol=1e-10)
         np.testing.assert_allclose(qv.prec, precs, atol=1e-10)
@@ -351,49 +354,69 @@ class TestUpdateQAlphaQW:
 
 
 class TestAnnealing:
-    def make_state(self, rng, variant=mdl.V1_WISHART_INFORMATIVE):
-        d, ny, m = 3, 2, 4
-        qy = random_qy(rng, m, ny)
-        qv = random_qv(rng, d, ny)
-        qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 3.0)
-        qalpha = QAlpha(a=2.0, b=rng.uniform(0.5, 2.0, size=ny))
-        from bsplda.engine import VariationalState
+    """Tempering is a method of each factor; fit_stats applies it to every factor."""
 
-        return VariationalState(variant=variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha)
+    def factors(self, rng):
+        d, ny, m = 3, 2, 4
+        return dict(
+            qy=random_qy(rng, m, ny),
+            qv=random_qv(rng, d, ny),
+            qw=QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 3.0),
+            qalpha=QAlpha(a=2.0, b=rng.uniform(0.5, 2.0, size=ny)),
+        )
+
+    def every_factor_type(self, rng):
+        factors = list(self.factors(rng).values()) + [
+            QAlpha(a=0.1, b=np.array([0.3, 2.0])),  # where 1.0 * (a - 1) + 1 != a
+            QWGammaDiag(a=1.7, b=rng.uniform(0.5, 2.0, size=3)),
+            QWGammaIso(a=0.1, b=0.4, dim=3),
+        ]
+        assert {type(f) for f in factors} == {QY, QVtilde, QAlpha, QWWishart, QWGammaDiag, QWGammaIso}
+        return factors
 
     def test_identity_at_kappa_one(self):
-        state = self.make_state(np.random.default_rng(12))
-        out = apply_annealing(state, 1.0)
-        np.testing.assert_array_equal(out.qy.prec, state.qy.prec)
-        np.testing.assert_array_equal(out.qv.prec, state.qv.prec)
-        assert out.qw.nu == state.qw.nu
+        assert 1.0 * (0.1 - 1.0) + 1.0 != 0.1
+        for f in self.every_factor_type(np.random.default_rng(12)):
+            assert f.anneal(1.0) is f
+
+    def test_kappa_outside_unit_interval(self):
+        for f in self.every_factor_type(np.random.default_rng(22)):
+            for kappa in (0.0, -0.5, 1.5, math.nan):
+                with pytest.raises(ValueError, match="kappa"):
+                    f.anneal(kappa)
 
     def test_covariance_doubles_at_half(self):
-        state = self.make_state(np.random.default_rng(13))
-        out = apply_annealing(state, 0.5)
-        np.testing.assert_allclose(out.qy.cov, 2.0 * state.qy.cov, rtol=1e-10)
-        np.testing.assert_allclose(out.qv.cov, 2.0 * state.qv.cov, rtol=1e-10)
+        f = self.factors(np.random.default_rng(13))
+        for name in ("qy", "qv"):
+            out = f[name].anneal(0.5)
+            np.testing.assert_array_equal(out.mean, f[name].mean)
+            np.testing.assert_allclose(out.cov, 2.0 * f[name].cov, rtol=1e-10)
+        np.testing.assert_array_equal(f["qy"].anneal(0.5).group, f["qy"].group)
 
     def test_wishart_dof_formula(self):
-        state = self.make_state(np.random.default_rng(14))
         d = 3
-        state = replace(state, qw=QWWishart(psi=np.eye(d), nu=d + 3.0))
-        out = apply_annealing(state, 0.5)
-        assert out.qw.nu == pytest.approx(d + 2.0)
-        np.testing.assert_allclose(out.qw.psi, 2.0 * np.eye(d))
+        out = QWWishart(psi=np.eye(d), nu=d + 3.0).anneal(0.5)
+        assert out.nu == pytest.approx(d + 2.0)
+        np.testing.assert_allclose(out.psi, 2.0 * np.eye(d))
 
     def test_alpha_reshape(self):
-        state = self.make_state(np.random.default_rng(15))
-        out = apply_annealing(state, 0.25)
-        assert out.qalpha.a == pytest.approx(0.25 * (state.qalpha.a - 1.0) + 1.0)
-        np.testing.assert_allclose(out.qalpha.b, 0.25 * state.qalpha.b)
+        rng = np.random.default_rng(15)
+        gammas = [
+            self.factors(rng)["qalpha"],
+            QWGammaDiag(a=1.7, b=rng.uniform(0.5, 2.0, size=3)),
+            QWGammaIso(a=2.5, b=0.4, dim=3),
+        ]
+        for f in gammas:
+            out = f.anneal(0.25)
+            assert type(out) is type(f)
+            assert out.a == pytest.approx(0.25 * (f.a - 1.0) + 1.0)
+            np.testing.assert_allclose(out.b, 0.25 * np.asarray(f.b))
 
     def test_dof_condition_violation(self):
-        state = self.make_state(np.random.default_rng(16))
-        state = replace(state, qw=QWWishart(psi=np.eye(3), nu=2.5))
+        qw = QWWishart(psi=np.eye(3), nu=2.5)
         # kappa (nu - d - 1) + 1 = kappa (-1.5) + 1 <= 0 for kappa >= 2/3
         with pytest.raises(ValueError):
-            apply_annealing(state, 0.9)
+            qw.anneal(0.9)
 
 
 class TestMinimumDivergence:
@@ -458,6 +481,23 @@ class TestMinimumDivergence:
         qy = QY(mean=np.ones((3, 2)), prec=np.tile(1e18 * np.eye(2), (3, 1, 1)), group=np.arange(3))
         with pytest.raises(FactorizationError):
             minimum_divergence(qy, random_qv(rng, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(elbo_rel_tol=math.nan),
+        dict(elbo_rel_tol=0.0),
+        dict(elbo_rel_tol=-1e-7),
+        dict(hyperopt_every=-1),
+        dict(mindiv_every=-1),
+    ],
+    ids=["tol-nan", "tol-zero", "tol-negative", "hyperopt-negative", "mindiv-negative"],
+)
+def test_fit_config_rejects_invalid_values(bad):
+    # a NaN tolerance never converges; a negative period fires every sweep
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        FitConfig(**bad)
 
 
 def synthetic_problem(rng_seed, d=4, ny=2, m=12, per=3, noise=1.0):
@@ -557,6 +597,84 @@ class TestFit:
         bad_qv = QVtilde(mean=state.qv.mean + np.append(np.zeros(1), 25.0)[None, :], prec=state.qv.prec)
         bad = heldout_bound(bad_qv, state.qw, stats_held)
         assert good > bad
+
+
+def two_refresh_reference(stats, prior, config, n_y):
+    """The sweep with q(Y) computed at both of its ends, on a fixed budget.
+
+    It refreshes q(Y) from the previous global factors before q(Vtilde) in
+    every sweep, tempers each factor behind its own kappa test and lets the
+    bound form its own aggregates.
+    """
+    prior = prior.validate(stats.dim, n_y)
+    state = _init_state(stats, prior, n_y, config.seed)
+    trace, kappa_log = [], []
+    for iteration in range(1, config.max_iterations + 1):
+        kappa = config.kappa_for(iteration)
+        qy = update_qy(stats, state.qv, state.qw)
+        if kappa != 1.0:
+            qy = qy.anneal(kappa)
+        aggregates = y_aggregates(qy, stats)
+        qv = update_qvtilde(aggregates, state.qv, state.qw, prior, state.qalpha)
+        if kappa != 1.0:
+            qv = qv.anneal(kappa)
+        qw = update_qw(stats, aggregates, qv, prior)
+        if kappa != 1.0:
+            qw = qw.anneal(kappa)
+        qalpha = state.qalpha
+        if qalpha is not None:
+            qalpha = update_qalpha(qv, prior)
+            if kappa != 1.0:
+                qalpha = qalpha.anneal(kappa)
+        qy = update_qy(stats, qv, qw)
+        if kappa != 1.0:
+            qy = qy.anneal(kappa)
+        state = VariationalState(
+            variant=prior.variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha, iteration=iteration, kappa=kappa
+        )
+        trace.append(elbo_total(stats, qy, qv, qw, qalpha, prior).total)
+        kappa_log.append(kappa)
+        if iteration < config.max_iterations:
+            if config.hyperopt_every and iteration % config.hyperopt_every == 0:
+                prior, _ = _run_hyperopt(prior, state)
+            if config.mindiv_every and iteration % config.mindiv_every == 0:
+                qy_new, qv_new, _ = minimum_divergence(state.qy, state.qv)
+                state = replace(state, qy=qy_new, qv=qv_new)
+    return state, trace, kappa_log
+
+
+@pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL])
+def test_sweep_matches_two_refresh_reference(variant, monkeypatch):
+    # coupled (Wishart) and decoupled (diagonal Gamma) rows; kappa changes
+    # before sweeps 4 and 7, re-standardization after sweeps 4, 8 and 12
+    ds, part, _ = synthetic_problem(42, d=4, ny=2, m=30, per=4)
+    stats = accumulate(ds, part)
+    config = FitConfig(
+        max_iterations=14, elbo_rel_tol=1e-300, seed=7,
+        anneal_schedule=((0.5, 3), (0.8, 3), (1.0, 1)), hyperopt_every=5, mindiv_every=4,
+    )
+    ref_state, ref_trace, ref_kappas = two_refresh_reference(stats, v1_prior(4, variant), config, 3)
+
+    calls = []
+
+    def counted_update_qy(*args):
+        calls.append(1)
+        return update_qy(*args)
+
+    monkeypatch.setattr(engine, "update_qy", counted_update_qy)
+    state, _, report = fit_stats(stats, v1_prior(4, variant), config, 3)
+
+    assert not report.converged and report.iterations == config.max_iterations
+    np.testing.assert_array_equal(np.array(report.elbo_trace), np.array(ref_trace))
+    assert report.kappa_log == tuple(ref_kappas)
+    np.testing.assert_array_equal(state.qv.mean, ref_state.qv.mean)
+    np.testing.assert_array_equal(state.qw.mean, ref_state.qw.mean)
+    np.testing.assert_array_equal(state.qy.mean, ref_state.qy.mean)
+    sweeps = config.max_iterations
+    kappa_changes = sum(a != b for a, b in zip(report.kappa_log, report.kappa_log[1:]))
+    mindiv_events = (sweeps - 1) // config.mindiv_every
+    assert (kappa_changes, mindiv_events) == (2, 3)
+    assert len(calls) == sweeps + 1 + kappa_changes + mindiv_events
 
 
 class TestArdRankRecoverySmall:

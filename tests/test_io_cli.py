@@ -300,6 +300,22 @@ class TestCli:
         ])
         assert rc == 2
 
+    def test_train_rejects_invalid_fit_settings(self, tmp_path, capsys):
+        data, labels = write_sim_files(tmp_path)
+        model = tmp_path / "m.model"
+        for flag, value, field in [
+            ("--hyperopt-every", "-1", "hyperopt_every"),
+            ("--mindiv-every", "-1", "mindiv_every"),
+            ("--tol", "nan", "elbo_rel_tol"),
+        ]:
+            rc = main([
+                "train", "--data", str(data), "--labels", str(labels), "--out", str(model),
+                "--iters", "3", flag, value,
+            ])
+            assert rc == 2
+            assert field in capsys.readouterr().err
+            assert not model.exists()
+
     def test_train_rejects_adaptation_variants(self, tmp_path):
         data, labels = write_sim_files(tmp_path)
         rc = main([

@@ -38,7 +38,7 @@ def expected_vrv(qv, r):
     from bsplda.engine import _residual_scatter
 
     d, k = qv.mean.shape
-    return _residual_scatter(SuffStats.empty(d), YAggregates(C=np.zeros((d, k)), R=r, Rho=None), qv)
+    return _residual_scatter(SuffStats.empty(d), YAggregates(C=np.zeros((d, k)), R=r), qv)
 
 
 def random_qy(rng, m, ny):
@@ -64,7 +64,7 @@ def test_aggregates_identity_example():
     aggs = y_aggregates(qy, stats)
     np.testing.assert_allclose(aggs.R, 2.0 * np.eye(3))
     assert aggs.R[-1, -1] == stats.n_total
-    np.testing.assert_allclose(aggs.Rho, np.eye(2))
+    np.testing.assert_allclose(qy.second_moment_sum, np.eye(2))
 
 
 def test_aggregates_outer_product_example():
