@@ -8,7 +8,7 @@ import numpy as np
 from . import model as mdl
 from .data import SuffStats, accumulate, center
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
-from .linalg import FactorizationError, spd_cholesky, spd_inverse, spd_solve, sym
+from .linalg import FactorizationError, batched_spd_inverse_logdet, spd_cholesky, spd_inverse, sym
 from .posterior import QY, QAlpha, QVtilde, expected_vtw_quadratic, y_aggregates
 from .synth import CounterRng
 
@@ -118,34 +118,31 @@ def update_qy(stats, qv, qw):
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     """Row posteriors of the augmented loading.
 
-    Full-covariance W couples the rows: they are refreshed in ascending index
-    order, each solve seeing the newest means of every other row (one
-    Gauss-Seidel sweep, an exact coordinate maximizer per row). Diagonal W
-    decouples the rows and they update independently.
+    The d row precisions L0_r + E[W]_rr R are inverted in one batched
+    Cholesky, without jitter, and kept as the factor's cache. Full-covariance
+    W couples the row means: they are refreshed in ascending index order,
+    each seeing the newest means of every other row (one Gauss-Seidel sweep,
+    an exact coordinate maximizer per row). Diagonal W decouples them.
     """
     d, k = qv.mean.shape
     loading, arm = mdl.SCHEMES[prior.variant]
     prior_prec, prior_rhs = loading.row_prior_terms(prior, qalpha, d, k)
     wbar = qw.mean
+    wdiag = np.diagonal(wbar)
     c, r_yt = aggregates.C, aggregates.R
-    if not arm.coupled_rows:
-        wdiag = qw.mean_diag
-        prec = prior_prec + wdiag[:, None, None] * r_yt[None, :, :]
-        prec = 0.5 * (prec + prec.transpose(0, 2, 1))
-        rhs = prior_rhs + wdiag[:, None] * c
-        mean = np.linalg.solve(prec, rhs[:, :, None])[:, :, 0]
-        return QVtilde(mean=mean, prec=prec)
-    means = qv.mean.copy()
-    precs = np.empty((d, k, k))
-    cross = c - means @ r_yt  # row s: C_s - R v_s; refreshed as rows update
-    for row in range(d):
-        coupling = wbar[row] @ cross - wbar[row, row] * cross[row]
-        rhs = prior_rhs[row] + wbar[row, row] * c[row] + coupling
-        prec = sym(prior_prec[row] + wbar[row, row] * r_yt)
-        means[row] = spd_solve(prec, rhs, jitter=True)
-        precs[row] = prec
-        cross[row] = c[row] - means[row] @ r_yt
-    return QVtilde(mean=means, prec=precs)
+    prec = sym(prior_prec + wdiag[:, None, None] * r_yt)
+    cov, logdets = batched_spd_inverse_logdet(prec)
+    rhs = prior_rhs + wdiag[:, None] * c
+    if arm.coupled_rows:
+        mean = qv.mean.copy()
+        cross = c - mean @ r_yt  # row s: C_s - R v_s; refreshed as rows update
+        for row in range(d):
+            coupling = wbar[row] @ cross - wdiag[row] * cross[row]
+            mean[row] = (rhs[row] + coupling) @ cov[row]
+            cross[row] = c[row] - mean[row] @ r_yt
+    else:
+        mean = (rhs[:, None, :] @ cov)[:, 0, :]
+    return QVtilde.with_inverse(cov, logdets, mean=mean, prec=prec)
 
 
 def update_qalpha(qv, prior):

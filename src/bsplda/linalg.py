@@ -7,8 +7,9 @@ __all__ = [
     "FactorizationError",
     "sym",
     "spd_cholesky",
-    "spd_solve",
     "spd_inverse",
+    "spd_logdet",
+    "batched_spd_inverse_logdet",
 ]
 
 
@@ -17,8 +18,8 @@ class FactorizationError(RuntimeError):
 
 
 def sym(a):
-    """(A + A^T)/2; precision/scatter matrices are symmetrized after assembly."""
-    return 0.5 * (a + a.T)
+    """(A + A^T)/2 of a matrix or a stack of them; assembled precisions are symmetrized."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def spd_cholesky(a, jitter=False):
@@ -43,13 +44,24 @@ def spd_cholesky(a, jitter=False):
     raise FactorizationError("matrix is not positive definite")
 
 
-def spd_solve(a, b, jitter=False):
-    """Solve A x = b for symmetric positive-definite A."""
-    chol = spd_cholesky(a, jitter=jitter)
-    return scipy.linalg.cho_solve((chol, True), b)
-
-
 def spd_inverse(a, jitter=False):
     chol = spd_cholesky(a, jitter=jitter)
     inv = scipy.linalg.cho_solve((chol, True), np.eye(a.shape[0]))
     return sym(inv)
+
+
+def spd_logdet(a):
+    """ln|A| from the Cholesky factor; FactorizationError if A is not positive definite."""
+    return 2.0 * float(np.sum(np.log(np.diag(spd_cholesky(a)))))
+
+
+def batched_spd_inverse_logdet(mats):
+    """Inverses and log-determinants of an SPD stack (n, k, k) from one batched Cholesky.
+
+    A matrix that is not positive definite raises np.linalg.LinAlgError; no jitter.
+    """
+    chol = np.linalg.cholesky(mats)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    inv_chol = np.linalg.inv(chol)
+    covs = np.einsum("rba,rbc->rac", inv_chol, inv_chol)
+    return sym(covs), logdets

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from . import hyperopt
-from .linalg import spd_cholesky, spd_inverse, sym
+from .linalg import spd_cholesky, spd_inverse, spd_logdet, sym
 from .numerics import wishart_log_B
 from .posterior import QAlpha, QWGammaDiag, QWGammaIso, QWWishart
 
@@ -92,8 +92,7 @@ class ModelParams:
 
     @cached_property
     def logdet_W(self):
-        chol = spd_cholesky(self.W)
-        return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return spd_logdet(self.W)
 
     def augmented(self):
         return AugmentedLoading(np.column_stack([self.V, self.mu]))
@@ -165,6 +164,11 @@ class PriorConfig:
     def psi0_inv(self):
         """The inverse of the Wishart scale psi0, computed once per prior."""
         return spd_inverse(self.psi0)
+
+    @cached_property
+    def psi0_logdet(self):
+        """ln|psi0|, computed once per prior."""
+        return spd_logdet(self.psi0)
 
     @cached_property
     def v_row_logdets(self):
@@ -360,7 +364,7 @@ class WishartArm:
         """E[ln P(W)]."""
         d = qw.dim
         return float(
-            wishart_log_B(prior.psi0, prior.nu_d, d)
+            wishart_log_B(prior.psi0_logdet, prior.nu_d, d)
             + 0.5 * (prior.nu_d - d - 1) * qw.mean_logdet
             - 0.5 * qw.nu * np.sum(prior.psi0_inv * qw.psi)
         )
@@ -589,8 +593,7 @@ def conditional_loglik_augmented(n_i, f_i, s_i, ytilde, loading, W, logdet_W=Non
     vt = loading.Vtilde
     d = vt.shape[0]
     if logdet_W is None:
-        chol = spd_cholesky(np.asarray(W, dtype=float))
-        logdet_W = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        logdet_W = spd_logdet(W)
     wf = W @ f_i
     wvt = W @ vt
     return float(
@@ -609,8 +612,7 @@ def conditional_loglik_augmented_traced(n_i, f_i, s_i, ytilde, loading, W, logde
     vt = loading.Vtilde
     d = vt.shape[0]
     if logdet_W is None:
-        chol = spd_cholesky(np.asarray(W, dtype=float))
-        logdet_W = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        logdet_W = spd_logdet(W)
     vy = vt @ ytilde
     inner = s_i - 2.0 * np.outer(f_i, vy) + n_i * np.outer(vy, vy)
     return float(_logdet_term(n_i, logdet_W, d) - 0.5 * np.sum(W * inner.T))

@@ -56,26 +56,17 @@ def log_multivariate_gamma(d, a):
     d = int(d)
     if not np.isfinite(a) or a <= (d - 1) / 2.0:
         raise ValueError(f"argument must exceed (d-1)/2 = {(d - 1) / 2}, got {a!r}")
-    if d == 1:
-        return float(special.gammaln(a))
     return float(special.multigammaln(a, d))
 
 
-def wishart_log_B(scale, dof, dim):
+def wishart_log_B(logdet_scale, dof, dim):
     """ln B(Psi, nu) = -(nu d/2) ln 2 - ln Gamma_d(nu/2) - (nu/2) ln|Psi|.
 
-    The normalizer of a Wishart with scale matrix `scale` and `dof` degrees of
-    freedom; requires dof > dim - 1 and a positive-definite scale.
+    The normalizer of a Wishart with dof > dim - 1 degrees of freedom and a
+    scale matrix of log-determinant `logdet_scale`.
     """
-    if dof <= dim - 1:
-        raise ValueError(f"degrees of freedom must exceed dim-1={dim - 1}, got {dof}")
-    scale = np.asarray(scale, dtype=float).reshape(dim, dim)
-    try:
-        chol = np.linalg.cholesky(scale)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("scale matrix is not positive definite") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * dof * dim * LOG2 - log_multivariate_gamma(dim, 0.5 * dof) - 0.5 * dof * logdet
+    log_gamma = log_multivariate_gamma(dim, 0.5 * dof)
+    return -0.5 * dof * dim * LOG2 - log_gamma - 0.5 * dof * logdet_scale
 
 
 def solve_gamma_shape(c, d_mean, a_init=1.0, tol=1e-10, max_iter=100):

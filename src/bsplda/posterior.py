@@ -11,8 +11,8 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .linalg import sym
-from .numerics import wishart_log_B
+from .linalg import FactorizationError, batched_spd_inverse_logdet, spd_logdet, sym
+from .numerics import LOG2, wishart_log_B
 
 __all__ = [
     "QY",
@@ -26,20 +26,7 @@ __all__ = [
     "expected_vtw_quadratic",
 ]
 
-LOG2 = math.log(2.0)
 _MEAN_BLOCK = 256  # speakers per block when q(Y) means gather their group's covariance
-
-
-def _batched_spd_inverse_logdet(mats):
-    """Per-matrix inverse and log-determinant of an SPD stack via Cholesky."""
-    if mats.shape[0] == 0:
-        return mats.copy(), np.zeros(0)
-    chol = np.linalg.cholesky(mats)
-    k = mats.shape[-1]
-    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    inv_chol = np.linalg.inv(chol)
-    covs = np.einsum("rba,rbc->rac", inv_chol, inv_chol)
-    return 0.5 * (covs + covs.transpose(0, 2, 1)), logdets
 
 
 def _is_identity_temperature(kappa):
@@ -60,9 +47,16 @@ class _Gaussian:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "prec", prec)
 
+    @classmethod
+    def with_inverse(cls, cov, logdets, **fields):
+        """The factor of `fields` with its covariances and precision log-determinants cached."""
+        factor = cls(**fields)
+        object.__setattr__(factor, "_cov_logdet", (cov, logdets))
+        return factor
+
     @cached_property
     def _cov_logdet(self):
-        return _batched_spd_inverse_logdet(self.prec)
+        return batched_spd_inverse_logdet(self.prec)
 
     @property
     def cov(self):
@@ -128,14 +122,12 @@ class QY(_Gaussian):
         The covariances are inverted once per group and kept as the factor's
         cache; the means gather them in blocks of a bounded number of speakers.
         """
-        cov, logdets = _batched_spd_inverse_logdet(prec)
+        cov, logdets = batched_spd_inverse_logdet(prec)
         mean = np.empty_like(rhs)
         for lo in range(0, rhs.shape[0], _MEAN_BLOCK):
             block = slice(lo, lo + _MEAN_BLOCK)
             mean[block] = (rhs[block, None, :] @ cov[group[block]])[:, 0, :]
-        qy = cls(mean=mean, prec=prec, group=group)
-        object.__setattr__(qy, "_cov_logdet", (cov, logdets))
-        return qy
+        return cls.with_inverse(cov, logdets, mean=mean, prec=prec, group=group)
 
     @property
     def n_speakers(self):
@@ -245,20 +237,25 @@ class QWWishart:
         return self.nu * self.psi
 
     @cached_property
+    def logdet_psi(self):
+        """ln|psi| from its Cholesky factor; the one factorization both bound terms read."""
+        try:
+            return spd_logdet(self.psi)
+        except FactorizationError as exc:
+            raise ValueError("psi is not positive definite") from exc
+
+    @cached_property
     def mean_logdet(self):
         d = self.dim
-        sign, logdet_psi = np.linalg.slogdet(self.psi)
-        if sign <= 0:
-            raise ValueError("psi is not positive definite")
         i = np.arange(1, d + 1)
-        return float(np.sum(special.digamma(0.5 * (self.nu + 1 - i))) + d * LOG2 + logdet_psi)
+        return float(np.sum(special.digamma(0.5 * (self.nu + 1 - i))) + d * LOG2 + self.logdet_psi)
 
     @cached_property
     def neg_entropy(self):
         """E[ln q(W)]."""
         d = self.dim
         return float(
-            wishart_log_B(self.psi, self.nu, d)
+            wishart_log_B(self.logdet_psi, self.nu, d)
             + 0.5 * (self.nu - d - 1) * self.mean_logdet
             - 0.5 * self.nu * d
         )

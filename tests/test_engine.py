@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from dataclasses import replace
 
 import bsplda.engine as engine
+import bsplda.linalg as linalg
 import bsplda.model as mdl
+import bsplda.posterior as posterior
 from bsplda.data import Dataset, SpeakerPartition, SuffStats, accumulate
 from bsplda.elbo import elbo_data_term, elbo_total, elbo_y_terms
 from bsplda.engine import (
@@ -25,7 +28,9 @@ from bsplda.engine import (
 )
 from bsplda.linalg import FactorizationError
 from bsplda.model import ModelParams, PriorConfig
-from bsplda.posterior import QY, QAlpha, QVtilde, QWGammaDiag, QWGammaIso, QWWishart, y_aggregates
+from bsplda.posterior import (
+    QY, QAlpha, QVtilde, QWGammaDiag, QWGammaIso, QWWishart, YAggregates, y_aggregates,
+)
 from bsplda.synth import GenSpec, sample
 from tests.test_posterior import random_qv, random_qy, random_spd, stats_for
 
@@ -277,6 +282,99 @@ class TestUpdateQVtilde:
         qv1 = update_qvtilde(y_aggregates(qy, stats), qv0, qw, prior, qalpha)
         after = elbo_total(stats, qy, qv1, qw, qalpha, prior).total
         assert after >= before - 1e-8 * abs(before)
+
+
+def per_row_solve_reference(aggregates, qv, qw, prior, qalpha):
+    """The row update as one Cholesky solve per row, rows swept in ascending order.
+
+    With diagonal W the coupling term is exactly zero and the sweep reduces to
+    independent row solves.
+    """
+    d, k = qv.mean.shape
+    prior_prec, prior_rhs = mdl.SCHEMES[prior.variant][0].row_prior_terms(prior, qalpha, d, k)
+    wbar = qw.mean
+    c, r_yt = aggregates.C, aggregates.R
+    means = qv.mean.copy()
+    precs = np.empty((d, k, k))
+    cross = c - means @ r_yt
+    for row in range(d):
+        coupling = wbar[row] @ cross - wbar[row, row] * cross[row]
+        rhs = prior_rhs[row] + wbar[row, row] * c[row] + coupling
+        prec = prior_prec[row] + wbar[row, row] * r_yt
+        precs[row] = 0.5 * (prec + prec.T)
+        chol = scipy.linalg.cholesky(precs[row], lower=True)
+        means[row] = scipy.linalg.cho_solve((chol, True), rhs)
+        cross[row] = c[row] - means[row] @ r_yt
+    return means, precs
+
+
+def row_update_problem(variant, rng, d=12, ny=3):
+    """(aggregates, qv0, qw, prior, qalpha) with one ARD or row-prior precision near 1e10."""
+    k = ny + 1
+    aggs = y_aggregates(random_qy(rng, 20, ny), stats_for(rng, 20, d))
+    qv0 = random_qv(rng, d, ny)
+    qalpha = QAlpha(a=2.0, b=np.array([2e-10, 0.5, 1.0]))  # E[alpha] = 1e10, 4, 2
+    if variant == mdl.V1_WISHART_INFORMATIVE:
+        qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
+        prior = v1_prior(d, variant)
+    elif variant == mdl.V2_GAMMA_DIAGONAL:
+        qw = QWGammaDiag(a=50.0, b=rng.uniform(10.0, 100.0, size=d))
+        prior = v1_prior(d, variant)
+    else:
+        qw = QWGammaDiag(a=50.0, b=rng.uniform(10.0, 100.0, size=d))
+        precs = np.stack([random_spd(rng, k) for _ in range(d)])
+        precs[3, 1, 1] += 1e10
+        prior = PriorConfig(variant=variant, v_row_means=rng.normal(size=(d, k)),
+                            v_row_precisions=precs, a_w=50.0, b_w=qw.b)
+        qalpha = None
+    return aggs, qv0, qw, prior.validate(d, ny), qalpha
+
+
+@pytest.mark.parametrize(
+    "variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL, mdl.V4_GAUSSV_GAMMA_DIAGONAL]
+)
+def test_row_update_matches_per_row_solve(variant, monkeypatch):
+    rng = np.random.default_rng(mdl.VARIANTS.index(variant))
+    aggs, qv0, qw, prior, qalpha = row_update_problem(variant, rng)
+    ref_mean, ref_prec = per_row_solve_reference(aggs, qv0, qw, prior, qalpha)
+
+    calls = {"batched": 0, "cholesky": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    batched = counted("batched", linalg.batched_spd_inverse_logdet)
+    for module in (linalg, posterior, engine):
+        monkeypatch.setattr(module, "batched_spd_inverse_logdet", batched)
+    monkeypatch.setattr(linalg, "spd_cholesky", counted("cholesky", linalg.spd_cholesky))
+    qv = update_qvtilde(aggs, qv0, qw, prior, qalpha)
+    qv.cov, qv.prec_logdets  # what update_qw and the bound read
+    assert calls == {"batched": 1, "cholesky": 0}
+
+    np.testing.assert_array_equal(qv.prec, ref_prec)
+    assert np.max(np.abs(qv.mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
+    assert np.max(qv.prec) > 1e9
+
+
+@pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL],
+                         ids=["coupled", "decoupled"])
+def test_row_update_rejects_indefinite_precision(variant):
+    # R = diag(1, -50, 1) makes every row precision indefinite; neither arm
+    # regularizes it, both signal a numerical failure (exit 3 from the CLI)
+    d, ny = 3, 2
+    rng = np.random.default_rng(mdl.VARIANTS.index(variant))
+    aggs = YAggregates(C=rng.normal(size=(d, ny + 1)), R=np.diag([1.0, -50.0, 1.0]))
+    qalpha = QAlpha(a=2.0, b=np.ones(ny))
+    if variant == mdl.V1_WISHART_INFORMATIVE:
+        qw = QWWishart(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
+    else:
+        qw = QWGammaDiag(a=2.0, b=np.full(d, 2.0))
+    prior = v1_prior(d, variant).validate(d, ny)
+    with pytest.raises((FactorizationError, np.linalg.LinAlgError)):
+        update_qvtilde(aggs, random_qv(rng, d, ny), qw, prior, qalpha)
 
 
 class TestUpdateQAlphaQW:

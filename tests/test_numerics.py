@@ -80,12 +80,13 @@ def test_log_multivariate_gamma_domain():
 
 
 def test_wishart_log_B_scalar_cases():
-    assert wishart_log_B(np.array([[1.0]]), 2.0, 1) == pytest.approx(-math.log(2.0), rel=1e-12)
-    assert wishart_log_B(np.array([[2.0]]), 2.0, 1) == pytest.approx(
+    # the log-determinants of [[1]], [[2]] and I_2
+    assert wishart_log_B(0.0, 2.0, 1) == pytest.approx(-math.log(2.0), rel=1e-12)
+    assert wishart_log_B(math.log(2.0), 2.0, 1) == pytest.approx(
         -math.log(2.0) - math.log(2.0), rel=1e-12
     )
     expected = -3.0 * math.log(2.0) - log_multivariate_gamma(2, 1.5)
-    assert wishart_log_B(np.eye(2), 3.0, 2) == pytest.approx(expected, rel=1e-12)
+    assert wishart_log_B(0.0, 3.0, 2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_wishart_log_B_matches_scalar_gamma_normalizer():
@@ -96,14 +97,12 @@ def test_wishart_log_B_matches_scalar_gamma_normalizer():
         nu = rng.uniform(0.5, 20.0)
         a, b = nu / 2.0, 1.0 / (2.0 * psi)
         gamma_lognorm = a * math.log(b) - float(special.gammaln(a))
-        assert wishart_log_B(np.array([[psi]]), nu, 1) == pytest.approx(gamma_lognorm, rel=1e-12)
+        assert wishart_log_B(math.log(psi), nu, 1) == pytest.approx(gamma_lognorm, rel=1e-12)
 
 
 def test_wishart_log_B_errors():
     with pytest.raises(ValueError):
-        wishart_log_B(np.eye(2), 1.0, 2)  # dof <= d-1
-    with pytest.raises(ValueError):
-        wishart_log_B(np.array([[1.0, 2.0], [2.0, 1.0]]), 5.0, 2)  # not PD
+        wishart_log_B(0.0, 1.0, 2)  # dof <= d-1
 
 
 def test_solve_gamma_shape_examples():

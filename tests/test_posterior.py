@@ -261,3 +261,21 @@ def test_invalid_parameters_rejected():
         QWGammaDiag(a=1.0, b=np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
         QY(mean=np.zeros((2, 2)), prec=np.zeros((2, 3, 3)), group=np.arange(2))
+
+
+@pytest.mark.parametrize("psi", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]])
+def test_wishart_scale_not_positive_definite(psi):
+    # ln|psi| comes from one Cholesky factorization that both bound terms read;
+    # -I has a positive determinant but no Cholesky factor
+    qw = QWWishart(psi=np.array(psi), nu=5.0)
+    with pytest.raises(ValueError, match="not positive definite"):
+        qw.mean_logdet
+    with pytest.raises(ValueError, match="not positive definite"):
+        qw.neg_entropy
+
+
+def test_wishart_logdet_matches_slogdet():
+    rng = np.random.default_rng(29)
+    psi = random_spd(rng, 5, 0.3)
+    qw = QWWishart(psi=psi, nu=9.0)
+    assert qw.logdet_psi == pytest.approx(np.linalg.slogdet(qw.psi)[1], rel=1e-13)
