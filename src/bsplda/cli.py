@@ -72,7 +72,8 @@ def _build_train_prior(config, variant, d):
     return PriorConfig(variant=variant, **loading.train_prior(get), **arm.train_prior(get, d))
 
 
-def _save_fit(path, state, params, report, rotation):
+def _save_fit(args, state, params, report, rotation):
+    """The model container at --out and, with --trace, the trace CSV."""
     saved = mio.SavedModel(
         variant=state.variant,
         mu=params.mu,
@@ -86,7 +87,9 @@ def _save_fit(path, state, params, report, rotation):
         qalpha=state.qalpha,
         rotation=rotation,
     )
-    mio.write_model_file(path, saved)
+    mio.write_model_file(args.out, saved)
+    if args.trace:
+        mio.write_trace_csv(args.trace, report)
 
 
 def _model_stats(saved, args):
@@ -110,9 +113,7 @@ def cmd_train(args):
     prior = _build_train_prior(config, variant, stats.dim)
     fit_config = _build_fit_config(config, args)
     state, params, report = fit_stats(stats, prior, fit_config, n_y)
-    _save_fit(args.out, state, params, report, report.rotation)
-    if args.trace:
-        mio.write_trace_csv(args.trace, report)
+    _save_fit(args, state, params, report, report.rotation)
     return EXIT_OK
 
 
@@ -135,9 +136,7 @@ def cmd_adapt(args):
     config = mio.parse_config(args.config) if args.config else {}
     fit_config = _build_fit_config(config, args)
     state, params, report = fit_stats(stats, prior, fit_config, saved.rank)
-    _save_fit(args.out, state, params, report, saved.rotation)
-    if args.trace:
-        mio.write_trace_csv(args.trace, report)
+    _save_fit(args, state, params, report, saved.rotation)
     return EXIT_OK
 
 
@@ -186,6 +185,13 @@ def cmd_elbo(args):
     return EXIT_OK
 
 
+def _add_fit_flags(parser):
+    """The fit-setting flags train and adapt share; each overrides its config-file key."""
+    for flag, cast in (("--iters", int), ("--tol", float), ("--seed", int), ("--anneal", str),
+                       ("--hyperopt-every", int), ("--mindiv-every", int), ("--trace", str)):
+        parser.add_argument(flag, type=cast)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="bsplda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,13 +203,7 @@ def build_parser():
     train.add_argument("--out", required=True)
     train.add_argument("--variant", default=None, choices=list(mdl.VARIANTS))
     train.add_argument("--ny", type=int, default=None)
-    train.add_argument("--iters", type=int, default=None)
-    train.add_argument("--tol", type=float, default=None)
-    train.add_argument("--seed", type=int, default=None)
-    train.add_argument("--anneal", default=None)
-    train.add_argument("--hyperopt-every", dest="hyperopt_every", type=int, default=None)
-    train.add_argument("--mindiv-every", dest="mindiv_every", type=int, default=None)
-    train.add_argument("--trace", default=None)
+    _add_fit_flags(train)
     train.set_defaults(func=cmd_train)
 
     adapt = sub.add_parser("adapt", help="adapt a trained model to new data")
@@ -213,13 +213,7 @@ def build_parser():
     adapt.add_argument("--config", default=None)
     adapt.add_argument("--out", required=True)
     adapt.add_argument("--variant", default=None, choices=list(mdl.VARIANTS))
-    adapt.add_argument("--iters", type=int, default=None)
-    adapt.add_argument("--tol", type=float, default=None)
-    adapt.add_argument("--seed", type=int, default=None)
-    adapt.add_argument("--anneal", default=None)
-    adapt.add_argument("--hyperopt-every", dest="hyperopt_every", type=int, default=None)
-    adapt.add_argument("--mindiv-every", dest="mindiv_every", type=int, default=None)
-    adapt.add_argument("--trace", default=None)
+    _add_fit_flags(adapt)
     adapt.set_defaults(func=cmd_adapt)
 
     sim = sub.add_parser("simulate", help="sample a synthetic dataset")

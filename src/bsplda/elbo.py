@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import model as mdl
+from .numerics import LOG2PI
 from .posterior import expected_vtw_quadratic, y_aggregates
 
 __all__ = [
@@ -22,9 +23,6 @@ __all__ = [
     "elbo_total",
     "NonFiniteElboError",
 ]
-
-LOG2PI = math.log(2.0 * math.pi)
-
 
 class NonFiniteElboError(RuntimeError):
     """A lower-bound term evaluated to a non-finite value."""

@@ -283,7 +283,7 @@ def read_model_file(path):
         nu_d=nu_d,
         v_row_means=v_row_means,
         v_row_precisions=v_row_precisions,
-    )
+    ).validate(d, ny)  # an echo that breaks its variant is an input error, like a bad header
     return SavedModel(
         variant=variant,
         mu=mu,

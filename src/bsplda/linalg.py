@@ -1,7 +1,6 @@
 """Dense symmetric linear algebra helpers shared by the model and the engine."""
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "FactorizationError",
@@ -25,29 +24,31 @@ def sym(a):
 def spd_cholesky(a, jitter=False):
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    With jitter=True a single retry adds 1e-10 * tr(A)/d to the diagonal
-    before failing; with jitter=False failure is signalled immediately so the
-    caller decides (exact likelihoods never regularize silently).
+    Non-finite entries are a ValueError. With jitter=True a single retry adds
+    1e-10 * tr(A)/d to the diagonal before failing; with jitter=False failure
+    is signalled immediately so the caller decides (exact likelihoods never
+    regularize silently).
     """
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")  # np.linalg.cholesky would return NaNs
     try:
-        return scipy.linalg.cholesky(a, lower=True)
-    except scipy.linalg.LinAlgError:
-        pass
-    if jitter:
-        d = a.shape[0]
-        eps = 1e-10 * max(np.trace(a) / d, 1.0)
-        try:
-            return scipy.linalg.cholesky(a + eps * np.eye(d), lower=True)
-        except scipy.linalg.LinAlgError:
-            pass
-    raise FactorizationError("matrix is not positive definite")
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        if not jitter:
+            raise FactorizationError("matrix is not positive definite") from None
+    d = a.shape[0]
+    return spd_cholesky(a + 1e-10 * max(np.trace(a) / d, 1.0) * np.eye(d))
+
+
+def _inverse_from_cholesky(chol):
+    """A^-1 = L^-T L^-1 from the lower Cholesky factor L of A, or of each matrix of a stack."""
+    inv_chol = np.linalg.inv(chol)
+    return sym(np.swapaxes(inv_chol, -1, -2) @ inv_chol)
 
 
 def spd_inverse(a, jitter=False):
-    chol = spd_cholesky(a, jitter=jitter)
-    inv = scipy.linalg.cho_solve((chol, True), np.eye(a.shape[0]))
-    return sym(inv)
+    return _inverse_from_cholesky(spd_cholesky(a, jitter=jitter))
 
 
 def spd_logdet(a):
@@ -62,6 +63,4 @@ def batched_spd_inverse_logdet(mats):
     """
     chol = np.linalg.cholesky(mats)
     logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    inv_chol = np.linalg.inv(chol)
-    covs = np.einsum("rba,rbc->rac", inv_chol, inv_chol)
-    return sym(covs), logdets
+    return _inverse_from_cholesky(chol), logdets

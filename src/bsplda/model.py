@@ -9,16 +9,14 @@ name to its pair; every decision that depends on the variant is a method or an
 attribute of these six objects.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from . import hyperopt
-from .linalg import spd_cholesky, spd_inverse, spd_logdet, sym
-from .numerics import wishart_log_B
+from .linalg import FactorizationError, spd_cholesky, spd_inverse, spd_logdet, sym
+from .numerics import LOG2PI, expected_log_gamma_pdf, wishart_log_B
 from .posterior import QAlpha, QWGammaDiag, QWGammaIso, QWWishart
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "conditional_loglik_augmented",
     "conditional_loglik_augmented_traced",
 ]
-
-LOG2PI = math.log(2.0 * math.pi)
 
 V1_WISHART_INFORMATIVE = "V1-Wishart-informative"
 V1_WISHART_NONINFORMATIVE = "V1-Wishart-noninformative"
@@ -192,6 +188,14 @@ class PriorConfig:
         return value
 
 
+def _require_spd(name, matrices):
+    """A prior matrix, or each of a stack, must be positive definite: an input error if not."""
+    try:
+        spd_cholesky(matrices)
+    except FactorizationError as exc:
+        raise ValueError(f"{name} must be positive definite") from exc
+
+
 def scalar_or_list(text):
     """A config value: one float, or a comma-separated list as an array."""
     values = [float(v) for v in text.split(",")]
@@ -244,12 +248,7 @@ class ArdColumns:
             + 0.5 * d * np.sum(e_ln_alpha)
             - 0.5 * np.sum(e_alpha * qv.col_sq_norms)
         )
-        a, b = prior.a_alpha, prior.b_alpha
-        alpha_prior = float(
-            ny * (a * math.log(b) - special.gammaln(a))
-            + (a - 1.0) * np.sum(e_ln_alpha)
-            - b * np.sum(e_alpha)
-        )
+        alpha_prior = expected_log_gamma_pdf(prior.a_alpha, prior.b_alpha, e_ln_alpha, e_alpha)
         beta = prior.beta
         mu_mean, mu_var = qv.mu, qv.mu_var
         residual = mu_var + mu_mean**2 - 2.0 * prior.mu0 * mu_mean + prior.mu0**2
@@ -291,8 +290,7 @@ class GaussRows:
             raise ValueError(
                 f"v_row_precisions has shape {prior.v_row_precisions.shape}, expected ({d}, {k}, {k})"
             )
-        for r in range(d):
-            spd_cholesky(prior.v_row_precisions[r])
+        _require_spd("v_row_precisions", prior.v_row_precisions)
 
     def row_prior_terms(self, prior, qalpha, d, k):
         prec = prior.v_row_precisions
@@ -345,7 +343,7 @@ class WishartArm:
             raise ValueError(f"{prior.variant} requires psi0 and nu_d")
         if prior.psi0.shape != (d, d):
             raise ValueError(f"psi0 has shape {prior.psi0.shape}, expected ({d}, {d})")
-        spd_cholesky(prior.psi0)
+        _require_spd("psi0", prior.psi0)
         if prior.nu_d <= d - 1:
             raise ValueError(f"nu_d must exceed d-1={d - 1}, got {prior.nu_d}")
 
@@ -468,14 +466,8 @@ class GammaDiagonalArm(_GammaArm):
         return QWGammaDiag(a=prior.a_w + 0.5 * n, b=b_w + 0.5 * np.diag(k_mat))
 
     def w_prior(self, qw, prior):
-        d = qw.dim
-        a_w, b_w = prior.a_w, self._rates(prior, d)
-        return float(
-            -d * special.gammaln(a_w)
-            + a_w * np.sum(np.log(b_w))
-            + (a_w - 1.0) * np.sum(qw.mean_log_diag)
-            - np.sum(b_w * qw.mean_diag)
-        )
+        b_w = self._rates(prior, qw.dim)
+        return expected_log_gamma_pdf(prior.a_w, b_w, qw.mean_log_diag, qw.mean_diag)
 
     def refresh(self, prior, qw):
         """Empirical-Bayes (a_w, b_w) shared by the d diagonal precisions."""
@@ -508,13 +500,7 @@ class GammaIsotropicArm(_GammaArm):
         )
 
     def w_prior(self, qw, prior):
-        a_w, b_w = prior.a_w, float(prior.b_w[0])
-        return float(
-            a_w * math.log(b_w)
-            - float(special.gammaln(a_w))
-            + (a_w - 1.0) * qw.mean_log_scalar
-            - b_w * qw.mean_scalar
-        )
+        return expected_log_gamma_pdf(prior.a_w, prior.b_w[0], qw.mean_log_scalar, qw.mean_scalar)
 
     def refresh(self, prior, qw):
         a_w, b_w = hyperopt.optimize_w_hyper(

@@ -1,15 +1,20 @@
-"""Scalar special functions and the Gamma-shape solver used by every other module."""
+"""Special functions and the Gamma-shape solver; the one module that names ln Gamma or psi.
+
+psi and psi' shift x by ten steps of their recurrences and sum the asymptotic
+series at x + 10 up to x^-14 (x^-15 for psi'); ln Gamma is `math.lgamma`.
+"""
 
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "digamma",
     "trigamma",
     "log_multivariate_gamma",
     "wishart_log_B",
+    "expected_log_gamma_pdf",
+    "gamma_neg_entropy",
     "solve_gamma_shape",
     "NoRootError",
     "ConvergenceError",
@@ -23,6 +28,12 @@ LOG2PI = math.log(2.0 * math.pi)
 _A_MIN = 1e-6
 _A_MAX = 1e8
 
+_SHIFT = 10
+# Asymptotic series coefficients, B_2k / 2k for psi and B_2k for psi', k = 1..7
+# (B_2k the Bernoulli numbers).
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
 
 class NoRootError(ValueError):
     """The shape equation psi(a) - ln a + ln d - c = 0 has no positive root."""
@@ -33,20 +44,33 @@ class ConvergenceError(RuntimeError):
 
 
 def _check_positive(x, name):
-    if not np.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name} must be a positive finite real, got {x!r}")
+    """x, a scalar or an array, must be positive and finite throughout."""
+    if not np.all(np.isfinite(x) & (np.asarray(x) > 0.0)):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
+def _shifted(x, coefficients):
+    """(x, z = x + 10, sum_k c_k z^-2k over k = 1..7); x a float or an array of positive reals."""
+    arr = np.asarray(x, dtype=float)
+    _check_positive(arr, "x")
+    x = float(arr) if arr.ndim == 0 else arr
+    z = x + _SHIFT
+    inv_z2, series = 1.0 / (z * z), 0.0
+    for c in reversed(coefficients):
+        series = (series + c) * inv_z2
+    return x, z, series
 
 
 def digamma(x):
-    """psi(x) for x > 0."""
-    _check_positive(x, "x")
-    return float(special.digamma(x))
+    """psi(x) = psi(x + 10) - sum_k 1/(x + k), k = 0..9, elementwise for x > 0."""
+    x, z, series = _shifted(x, _PSI_SERIES)
+    return np.log(z) - 0.5 / z - series - sum(1.0 / (x + k) for k in range(_SHIFT))
 
 
 def trigamma(x):
-    """psi'(x) for x > 0."""
-    _check_positive(x, "x")
-    return float(special.polygamma(1, x))
+    """psi'(x) = psi'(x + 10) + sum_k 1/(x + k)^2, k = 0..9, elementwise for x > 0."""
+    x, z, series = _shifted(x, _TRIGAMMA_SERIES)
+    return (1.0 + 0.5 / z + series) / z + sum(1.0 / (x + k) ** 2 for k in range(_SHIFT))
 
 
 def log_multivariate_gamma(d, a):
@@ -56,7 +80,9 @@ def log_multivariate_gamma(d, a):
     d = int(d)
     if not np.isfinite(a) or a <= (d - 1) / 2.0:
         raise ValueError(f"argument must exceed (d-1)/2 = {(d - 1) / 2}, got {a!r}")
-    return float(special.multigammaln(a, d))
+    return 0.25 * d * (d - 1) * math.log(math.pi) + math.fsum(
+        math.lgamma(a - 0.5 * i) for i in range(d)
+    )
 
 
 def wishart_log_B(logdet_scale, dof, dim):
@@ -67,6 +93,16 @@ def wishart_log_B(logdet_scale, dof, dim):
     """
     log_gamma = log_multivariate_gamma(dim, 0.5 * dof)
     return -0.5 * dof * dim * LOG2 - log_gamma - 0.5 * dof * logdet_scale
+
+
+def expected_log_gamma_pdf(a, b, mean_log, mean):
+    """E_q[ln Gamma(x | a, b)] summed over x from E_q[ln x] and E_q[x]; b, x scalars or arrays."""
+    return float(np.sum(a * np.log(b) - math.lgamma(a) + (a - 1.0) * mean_log - b * mean))
+
+
+def gamma_neg_entropy(a, b):
+    """E[ln q] of independent Gammas sharing the shape a, with rates b (a scalar or an array)."""
+    return float(np.size(b) * ((a - 1.0) * digamma(a) - a - math.lgamma(a)) + np.sum(np.log(b)))
 
 
 def solve_gamma_shape(c, d_mean, a_init=1.0, tol=1e-10, max_iter=100):
@@ -93,13 +129,13 @@ def solve_gamma_shape(c, d_mean, a_init=1.0, tol=1e-10, max_iter=100):
 
     a = min(max(float(a_init), _A_MIN), _A_MAX)
     for _ in range(max_iter):
-        f = float(special.digamma(a)) - math.log(a) + offset
+        f = digamma(a) - math.log(a) + offset
         if abs(f) < tol:
             return a
-        fprime_scaled = a * float(special.polygamma(1, a)) - 1.0  # = a f'(a) > 0
+        fprime_scaled = a * trigamma(a) - 1.0  # = a f'(a) > 0
         a = a * math.exp(-f / fprime_scaled)
         a = min(max(a, _A_MIN), _A_MAX)
-    f = float(special.digamma(a)) - math.log(a) + offset
+    f = digamma(a) - math.log(a) + offset
     if abs(f) < tol:
         return a
     raise ConvergenceError(f"shape solver did not converge in {max_iter} iterations (residual {f:.3e})")

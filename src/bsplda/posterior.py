@@ -9,10 +9,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .linalg import FactorizationError, batched_spd_inverse_logdet, spd_logdet, sym
-from .numerics import LOG2, wishart_log_B
+from .numerics import LOG2, digamma, gamma_neg_entropy, wishart_log_B
 
 __all__ = [
     "QY",
@@ -85,12 +84,10 @@ class _Gamma:
             raise ValueError(f"annealed Gamma shape must stay positive, got {a}")
         return replace(self, a=a, b=kappa * self.b)
 
-
-def _gamma_neg_entropy(a, b):
-    """E[ln q] of independent Gammas sharing the shape a, with rates b."""
-    return float(
-        b.size * ((a - 1.0) * special.digamma(a) - a - special.gammaln(a)) + np.sum(np.log(b))
-    )
+    @cached_property
+    def neg_entropy(self):
+        """E[ln q] of the Gamma factors."""
+        return gamma_neg_entropy(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -207,11 +204,7 @@ class QAlpha(_Gamma):
 
     @cached_property
     def mean_log(self):
-        return float(special.digamma(self.a)) - np.log(self.b)
-
-    @cached_property
-    def neg_entropy(self):
-        return _gamma_neg_entropy(self.a, self.b)
+        return digamma(self.a) - np.log(self.b)
 
 
 @dataclass(frozen=True)
@@ -248,7 +241,7 @@ class QWWishart:
     def mean_logdet(self):
         d = self.dim
         i = np.arange(1, d + 1)
-        return float(np.sum(special.digamma(0.5 * (self.nu + 1 - i))) + d * LOG2 + self.logdet_psi)
+        return float(np.sum(digamma(0.5 * (self.nu + 1 - i))) + d * LOG2 + self.logdet_psi)
 
     @cached_property
     def neg_entropy(self):
@@ -297,15 +290,11 @@ class QWGammaDiag(_Gamma):
 
     @cached_property
     def mean_log_diag(self):
-        return float(special.digamma(self.a)) - np.log(self.b)
+        return digamma(self.a) - np.log(self.b)
 
     @cached_property
     def mean_logdet(self):
         return float(np.sum(self.mean_log_diag))
-
-    @cached_property
-    def neg_entropy(self):
-        return _gamma_neg_entropy(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -332,18 +321,11 @@ class QWGammaIso(_Gamma):
 
     @cached_property
     def mean_log_scalar(self):
-        return float(special.digamma(self.a)) - math.log(self.b)
+        return digamma(self.a) - math.log(self.b)
 
     @cached_property
     def mean_logdet(self):
         return self.dim * self.mean_log_scalar
-
-    @cached_property
-    def neg_entropy(self):
-        a = self.a
-        return float(
-            (a - 1.0) * float(special.digamma(a)) - a - float(special.gammaln(a)) + math.log(self.b)
-        )
 
 
 @dataclass(frozen=True)

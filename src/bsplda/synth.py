@@ -1,16 +1,18 @@
 """Deterministic sampling from the generative model for tests and demos.
 
 Randomness comes from a splitmix64 counter generator (constants below) with
-Box-Muller conversion to Gaussians, so fixtures are bit-reproducible from the
-seed alone, independent of platform or library version.
+Box-Muller conversion to Gaussians (numpy's log, cos and sin), so fixtures are
+reproducible from the seed alone. The noise is g L^-1 with W = L L^T: for a
+diagonal W each entry is g * (1/sqrt(w)), whatever the LAPACK and BLAS build;
+for a full W its last bits can move between builds.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset, SpeakerPartition
+from .linalg import spd_cholesky
 
 __all__ = ["CounterRng", "GenSpec", "sample"]
 
@@ -82,8 +84,7 @@ def sample(spec):
     y = rng.gaussians(m * ny).reshape(m, ny)
     g = rng.gaussians(n * d).reshape(n, d)
     # eps rows ~ N(0, W^{-1}): eps = g A^T with A A^T = W^{-1}, A = L^{-T}, W = L L^T.
-    chol = scipy.linalg.cholesky(params.W, lower=True)
-    eps = scipy.linalg.solve_triangular(chol, g.T, lower=True, trans="T").T
+    eps = g @ np.linalg.inv(spd_cholesky(params.W))
     assignment = np.repeat(np.arange(m), spec.counts)
     vectors = params.mu[None, :] + y[assignment] @ params.V.T + eps
     ids = tuple(

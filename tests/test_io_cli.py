@@ -1,9 +1,12 @@
 import hashlib
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +198,56 @@ def test_model_file_rejects_inconsistent_tags(tmp_path, capsys, change):
     rc = main(["elbo", "--model", str(path), "--data", str(data), "--labels", str(labels)])
     assert rc == 2
     assert "variant" in capsys.readouterr().err
+
+
+def elbo_exit_code(tmp_path, saved):
+    path = tmp_path / "m.model"
+    mio.write_model_file(path, saved)
+    data, labels = write_sim_files(tmp_path, d=saved.dim)
+    return main(["elbo", "--model", str(path), "--data", str(data), "--labels", str(labels)])
+
+
+@pytest.mark.parametrize(
+    "variant, field, value",
+    [
+        (mdl.V2_GAMMA_DIAGONAL, "b_w", np.array([-1.0])),
+        (mdl.V2_GAMMA_DIAGONAL, "a_w", -2.5),  # not a pole of ln Gamma, which would raise itself
+        (mdl.V1_WISHART_INFORMATIVE, "psi0", -np.eye(3)),
+        (mdl.V1_WISHART_INFORMATIVE, "nu_d", 1.0),
+    ],
+    ids=["v2-negative-b_w", "v2-negative-a_w", "v1-negative-psi0", "v1-nu_d-below-d"],
+)
+def test_model_file_prior_echo_is_validated(tmp_path, capsys, variant, field, value):
+    saved = saved_model_for(variant, np.random.default_rng(0))
+    assert elbo_exit_code(tmp_path, saved) == 0
+    capsys.readouterr()
+    broken = replace(saved, prior=replace(saved.prior, **{field: value}))
+    assert elbo_exit_code(tmp_path, broken) == 2
+    assert "numerical failure" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", ["qw", "prior"])
+def test_model_file_with_nan_wishart_scale_is_input_error(tmp_path, capsys, block):
+    saved = saved_model_for(mdl.V1_WISHART_INFORMATIVE, np.random.default_rng(0))
+    if block == "qw":
+        psi = saved.qw.psi.copy()
+        psi[0, 0] = np.nan
+        saved = replace(saved, qw=QWWishart(psi=psi, nu=saved.qw.nu))
+    else:
+        psi0 = saved.prior.psi0.copy()
+        psi0[1, 1] = np.nan
+        saved = replace(saved, prior=replace(saved.prior, psi0=psi0))
+    assert elbo_exit_code(tmp_path, saved) == 2
+    assert "numerical failure" not in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    import bsplda
+
+    env = dict(os.environ, PYTHONPATH=str(Path(bsplda.__file__).resolve().parents[1]))
+    code = "import sys, bsplda.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_parse_config(tmp_path):

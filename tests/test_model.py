@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from bsplda.linalg import FactorizationError
+from bsplda.linalg import FactorizationError, spd_cholesky
 from bsplda.model import (
     ModelParams,
     PriorConfig,
@@ -142,6 +142,14 @@ def test_rotation_invariance():
 def test_non_pd_w_rejected():
     with pytest.raises(FactorizationError):
         ModelParams(mu=np.zeros(2), V=np.ones((2, 1)), W=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spd_cholesky_rejects_non_finite_input(bad):
+    a = np.eye(3)
+    a[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        spd_cholesky(a)
 
 
 def test_augmented_loading_structure():

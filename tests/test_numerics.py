@@ -31,7 +31,7 @@ def test_digamma_recurrence_property():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, np.array([1.0, 0.0])])
 def test_digamma_domain(bad):
     with pytest.raises(ValueError):
         digamma(bad)
@@ -51,6 +51,26 @@ def test_trigamma_matches_central_difference():
         h = 1e-5 * max(1.0, x)
         fd = (digamma(x + h) - digamma(x - h)) / (2.0 * h)
         assert trigamma(x) == pytest.approx(fd, rel=1e-6)
+
+
+# log-spaced over the solver's clamp range, and densely around psi's root x0 ~ 1.4616
+GRID = np.concatenate([np.logspace(-6, 8, 4001), np.linspace(1.3, 1.6, 3001)])
+
+
+def test_digamma_matches_scipy_on_grid():
+    ref = special.digamma(GRID)
+    # relative error, or absolute where |psi| < 1 (psi crosses zero at x0)
+    scale = np.maximum(np.abs(ref), 1.0)
+    assert np.max(np.abs(digamma(GRID) - ref) / scale) <= 4e-15
+    for x, r, sc in zip(GRID[::97], ref[::97], scale[::97]):
+        assert abs(digamma(float(x)) - r) <= 4e-15 * sc
+
+
+def test_trigamma_matches_scipy_on_grid():
+    ref = special.polygamma(1, GRID)
+    assert np.max(np.abs(trigamma(GRID) / ref - 1.0)) <= 4e-15
+    for x, r in zip(GRID[::97], ref[::97]):
+        assert abs(trigamma(float(x)) / r - 1.0) <= 4e-15
 
 
 def test_log_multivariate_gamma_values():
