@@ -8,7 +8,9 @@ import numpy as np
 from . import model as mdl
 from .data import SuffStats, accumulate, center
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
-from .linalg import FactorizationError, batched_spd_inverse_logdet, spd_cholesky, spd_inverse, sym
+from .linalg import (
+    FactorizationError, batched_spd_inverse_logdet, spd_cholesky, spd_inverse_logdet, sym,
+)
 from .posterior import QY, QAlpha, QVtilde, expected_vtw_quadratic, y_aggregates
 from .synth import CounterRng
 
@@ -151,19 +153,30 @@ def update_qalpha(qv, prior):
 
 
 def _residual_scatter(stats, aggregates, qv):
-    """K = S - C Vt^T - Vt C^T + E[Vt R Vt^T], the expected residual scatter."""
+    """K = S - C Vt^T - Vt C^T + E[Vt R Vt^T], the expected residual scatter.
+
+    K must be finite with no eigenvalue below -1e-8 max(max|eig|, 1). A Cholesky
+    factor of K + tau I certifies that: tau puts tr K / d <= max eig in place of
+    max|eig|, so it is never above the floor. Only if that fails does eigvalsh decide.
+    """
     c, r_yt = aggregates.C, aggregates.R
     vt = qv.mean
     rho = np.einsum("rab,ab->r", qv.cov, r_yt)
     k_mat = stats.scatter_total - c @ vt.T - vt @ c.T + vt @ r_yt @ vt.T + np.diag(rho)
     k_mat = sym(k_mat)
-    if k_mat.size:
+    if not np.isfinite(k_mat).all():
+        raise FactorizationError("residual scatter has non-finite entries")
+    d = k_mat.shape[0]
+    tau = 1e-8 * max(float(np.trace(k_mat)) / max(d, 1), 1.0)
+    try:
+        np.linalg.cholesky(k_mat + tau * np.eye(d))
+    except np.linalg.LinAlgError:
         eigs = np.linalg.eigvalsh(k_mat)
         floor = -1e-8 * max(float(np.abs(eigs).max()), 1.0)
         if eigs.min() < floor:
             raise FactorizationError(
                 f"residual scatter lost positive semidefiniteness (min eig {eigs.min():.3e})"
-            )
+            ) from None
     return k_mat
 
 
@@ -246,7 +259,7 @@ def _init_state(stats, prior, n_y, seed):
         v_init = scale * rng.gaussians(d * n_y).reshape(d, n_y)
         within = _within_class_covariance(stats)
         within = within + 1e-6 * max(float(np.trace(within)) / d, 1.0) * np.eye(d)
-        w_point = spd_inverse(within, jitter=True)
+        w_point = spd_inverse_logdet(within, jitter=True)[0]
     else:
         mu_init = np.zeros(d)
         v_init = np.zeros((d, n_y))

@@ -67,6 +67,14 @@ def _read_f64(f, shape):
     return arr.reshape(shape) if shape else float(arr[0])
 
 
+def _read_finite(f, shape):
+    """A model-file payload: every number a model holds is finite."""
+    value = _read_f64(f, shape)
+    if not np.isfinite(value).all():
+        raise FormatError(f"{f.name}: payload of shape {shape} has non-finite entries")
+    return value
+
+
 def _write_scalar(f, fmt, value):
     f.write(struct.pack(fmt, value))
 
@@ -183,7 +191,7 @@ def _write_optional(f, *values):
 def _read_optional(f, *shapes):
     """The values of an optional block, one per shape, or Nones when it is absent."""
     if _read_scalar(f, "<B"):
-        return [_read_f64(f, shape) for shape in shapes]
+        return [_read_finite(f, shape) for shape in shapes]
     return [None] * len(shapes)
 
 
@@ -241,14 +249,14 @@ def read_model_file(path):
         ny = _read_scalar(f, "<I")
         k = ny + 1
         elbo = _read_scalar(f, "<d")
-        mu = _read_f64(f, (d,))
-        v = _read_f64(f, (d, ny))
-        w = _read_f64(f, (d, d))
-        qv = QVtilde(mean=_read_f64(f, (d, k)), prec=_read_f64(f, (d, k, k)))
+        mu = _read_finite(f, (d,))
+        v = _read_finite(f, (d, ny))
+        w = _read_finite(f, (d, d))
+        qv = QVtilde(mean=_read_finite(f, (d, k)), prec=_read_finite(f, (d, k, k)))
         tag = _read_scalar(f, "<B")
         if tag != arm.tag:
             raise FormatError(f"{path}: precision arm tag {tag} does not match variant {variant}")
-        qw = arm.read_qw(partial(_read_f64, f), d)
+        qw = arm.read_qw(partial(_read_finite, f), d)
         has_alpha = bool(_read_scalar(f, "<B"))
         if has_alpha != loading.has_alpha:
             raise FormatError(
@@ -257,15 +265,15 @@ def read_model_file(path):
             )
         qalpha = None
         if has_alpha:
-            a = _read_f64(f, ())
-            qalpha = QAlpha(a=a, b=_read_f64(f, (ny,)))
+            a = _read_finite(f, ())
+            qalpha = QAlpha(a=a, b=_read_finite(f, (ny,)))
         (mu0,) = _read_optional(f, (d,))
         (beta,) = _read_optional(f, (d,))
         a_alpha, b_alpha = _read_optional(f, (), ())
         (a_w,) = _read_optional(f, ())
         b_w = None
         if _read_scalar(f, "<B"):
-            b_w = _read_f64(f, (_read_scalar(f, "<I"),))
+            b_w = _read_finite(f, (_read_scalar(f, "<I"),))
         psi0, nu_d = _read_optional(f, (d, d), ())
         v_row_means, v_row_precisions = _read_optional(f, (d, k), (d, k, k))
         (rotation,) = _read_optional(f, (d, d))

@@ -6,7 +6,7 @@ __all__ = [
     "FactorizationError",
     "sym",
     "spd_cholesky",
-    "spd_inverse",
+    "spd_inverse_logdet",
     "spd_logdet",
     "batched_spd_inverse_logdet",
 ]
@@ -41,14 +41,28 @@ def spd_cholesky(a, jitter=False):
     return spd_cholesky(a + 1e-10 * max(np.trace(a) / d, 1.0) * np.eye(d))
 
 
+def _triangular_inverse(chol):
+    """L^-1 of a lower-triangular L, or of each of a stack, by 2x2 blocks in matrix products:
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
+    n = chol.shape[-1]
+    if n <= 32:  # inverted whole, so small stacks keep the bits of a plain inverse
+        return np.linalg.inv(chol)
+    h = n // 2
+    a_inv, c_inv = _triangular_inverse(chol[..., :h, :h]), _triangular_inverse(chol[..., h:, h:])
+    lower = -(c_inv @ chol[..., h:, :h]) @ a_inv
+    return np.block([[a_inv, np.zeros_like(chol[..., :h, h:])], [lower, c_inv]])
+
+
 def _inverse_from_cholesky(chol):
     """A^-1 = L^-T L^-1 from the lower Cholesky factor L of A, or of each matrix of a stack."""
-    inv_chol = np.linalg.inv(chol)
+    inv_chol = _triangular_inverse(chol)
     return sym(np.swapaxes(inv_chol, -1, -2) @ inv_chol)
 
 
-def spd_inverse(a, jitter=False):
-    return _inverse_from_cholesky(spd_cholesky(a, jitter=jitter))
+def spd_inverse_logdet(a, jitter=False):
+    """A^-1 and ln|A| from one Cholesky factor; after a jitter retry, of the matrix factorized."""
+    chol = spd_cholesky(a, jitter=jitter)
+    return _inverse_from_cholesky(chol), 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def spd_logdet(a):

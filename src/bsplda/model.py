@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hyperopt
-from .linalg import FactorizationError, spd_cholesky, spd_inverse, spd_logdet, sym
+from .linalg import FactorizationError, spd_cholesky, spd_inverse_logdet, spd_logdet, sym
 from .numerics import LOG2PI, expected_log_gamma_pdf, wishart_log_B
 from .posterior import QAlpha, QWGammaDiag, QWGammaIso, QWWishart
 
@@ -157,14 +157,9 @@ class PriorConfig:
         return self
 
     @cached_property
-    def psi0_inv(self):
-        """The inverse of the Wishart scale psi0, computed once per prior."""
-        return spd_inverse(self.psi0)
-
-    @cached_property
-    def psi0_logdet(self):
-        """ln|psi0|, computed once per prior."""
-        return spd_logdet(self.psi0)
+    def psi0_inv_logdet(self):
+        """(psi0^-1, ln|psi0|) from one Cholesky factor of the Wishart scale, once per prior."""
+        return spd_inverse_logdet(self.psi0)
 
     @cached_property
     def v_row_logdets(self):
@@ -356,15 +351,17 @@ class WishartArm:
 
     def update_qw(self, prior, k_mat, n):
         """q(W) from the expected residual scatter K of n vectors."""
-        return QWWishart(psi=spd_inverse(prior.psi0_inv + k_mat, jitter=True), nu=prior.nu_d + n)
+        psi, logdet = spd_inverse_logdet(prior.psi0_inv_logdet[0] + k_mat, jitter=True)
+        return QWWishart.with_logdet(-logdet, psi=psi, nu=prior.nu_d + n)
 
     def w_prior(self, qw, prior):
         """E[ln P(W)]."""
         d = qw.dim
+        psi0_inv, psi0_logdet = prior.psi0_inv_logdet
         return float(
-            wishart_log_B(prior.psi0_logdet, prior.nu_d, d)
+            wishart_log_B(psi0_logdet, prior.nu_d, d)
             + 0.5 * (prior.nu_d - d - 1) * qw.mean_logdet
-            - 0.5 * qw.nu * np.sum(prior.psi0_inv * qw.psi)
+            - 0.5 * qw.nu * np.sum(psi0_inv * qw.psi)
         )
 
     def refresh(self, prior, qw):
@@ -400,7 +397,8 @@ class FlatWishartArm(WishartArm):
 
     def update_qw(self, prior, k_mat, n):
         _require_n_above_d(n, k_mat.shape[0])
-        return QWWishart(psi=spd_inverse(k_mat, jitter=True), nu=n)
+        psi, logdet = spd_inverse_logdet(k_mat, jitter=True)
+        return QWWishart.with_logdet(-logdet, psi=psi, nu=n)
 
     def w_prior(self, qw, prior):
         return float(-0.5 * (qw.dim + 1) * qw.mean_logdet)

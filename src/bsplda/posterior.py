@@ -221,6 +221,13 @@ class QWWishart:
             raise ValueError(f"Wishart dof must exceed d-1={d - 1}, got {self.nu}")
         object.__setattr__(self, "psi", sym(psi))
 
+    @classmethod
+    def with_logdet(cls, logdet_psi, **fields):
+        """The factor of `fields` with ln|psi| cached, as the update's factorization gave it."""
+        factor = cls(**fields)
+        object.__setattr__(factor, "logdet_psi", logdet_psi)
+        return factor
+
     @property
     def dim(self):
         return self.psi.shape[0]
@@ -231,7 +238,7 @@ class QWWishart:
 
     @cached_property
     def logdet_psi(self):
-        """ln|psi| from its Cholesky factor; the one factorization both bound terms read."""
+        """ln|psi| from its Cholesky factor unless the update cached it; both bound terms use it."""
         try:
             return spd_logdet(self.psi)
         except FactorizationError as exc:

@@ -451,6 +451,53 @@ class TestUpdateQAlphaQW:
             update_qw(stats, y_aggregates(qy, stats), qv, prior)
 
 
+class TestResidualScatterCheck:
+    """K is certified PSD by a Cholesky of K + tau I; eigvalsh decides only when that fails."""
+
+    d = 50
+
+    def scatter(self, k_mat, monkeypatch):
+        """_residual_scatter with C = 0, R = 0, so K = S; returns (K, eigvalsh calls)."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        d, k = self.d, 3
+        stats = SuffStats(counts=np.zeros(0), spk_sums=np.zeros((0, d)), scatter_total=k_mat)
+        aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)))
+        out = engine._residual_scatter(stats, aggs, point_qv(np.ones((d, k))))
+        return out, len(calls)
+
+    def with_eigenvalues(self, low):
+        # lambda_max = 1e4 and the rest 1: tau = 1e-8 tr K / d ~ 2.0e-6, floor = -1e-4
+        eigs = np.ones(self.d)
+        eigs[0], eigs[-1] = 1e4, low
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(self.d, self.d)))
+        return (q * eigs) @ q.T
+
+    def test_psd_scatter_is_certified_without_eigenvalues(self, monkeypatch):
+        x = np.random.default_rng(1).normal(size=(self.d, 30))
+        k_mat = x @ x.T  # PSD and singular
+        out, eig_calls = self.scatter(k_mat, monkeypatch)
+        assert eig_calls == 0
+        np.testing.assert_array_equal(out, 0.5 * (k_mat + k_mat.T))
+
+    def test_eigenvalues_decide_between_tau_and_the_floor(self, monkeypatch):
+        _, eig_calls = self.scatter(self.with_eigenvalues(-1e-5), monkeypatch)
+        assert eig_calls == 1
+
+    def test_eigenvalue_below_the_floor_is_a_factorization_error(self, monkeypatch):
+        with pytest.raises(FactorizationError, match="positive semidefiniteness"):
+            self.scatter(self.with_eigenvalues(-1e-3), monkeypatch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scatter_is_a_numerical_failure(self, monkeypatch, bad):
+        k_mat = np.eye(self.d)
+        k_mat[3, 7] = bad
+        with pytest.raises((FactorizationError, np.linalg.LinAlgError)) as info:
+            self.scatter(k_mat, monkeypatch)
+        assert type(info.value) is not ValueError
+
+
 class TestAnnealing:
     """Tempering is a method of each factor; fit_stats applies it to every factor."""
 

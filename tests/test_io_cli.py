@@ -241,6 +241,24 @@ def test_model_file_with_nan_wishart_scale_is_input_error(tmp_path, capsys, bloc
     assert "numerical failure" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", ["mu", "V", "W", "qv.mean", "qv.prec"])
+def test_model_file_with_non_finite_payload_is_input_error(tmp_path, capsys, block):
+    saved = saved_model_for(mdl.V1_WISHART_INFORMATIVE, np.random.default_rng(0))
+    owner, _, name = block.rpartition(".")
+    value = getattr(saved.qv if owner else saved, name).copy()
+    value.flat[-1] = np.nan
+    if owner:
+        saved = replace(saved, qv=replace(saved.qv, **{name: value}))
+    else:
+        saved = replace(saved, **{name: value})
+    path = tmp_path / "nan.model"
+    mio.write_model_file(path, saved)
+    with pytest.raises(mio.FormatError, match="non-finite"):
+        mio.read_model_file(path)
+    assert elbo_exit_code(tmp_path, saved) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     import bsplda
 

@@ -1,0 +1,95 @@
+import numpy as np
+import pytest
+import scipy.linalg
+
+import bsplda.linalg as linalg
+import bsplda.model as mdl
+from bsplda.linalg import batched_spd_inverse_logdet, spd_inverse_logdet
+from bsplda.model import PriorConfig
+
+
+def spd_stack(rng, n, batch=()):
+    a = rng.normal(size=(*batch, n, n))
+    return a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+
+
+def cho_solve_inverse(a):
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), np.eye(a.shape[0]))
+
+
+def rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65, 300])
+def test_spd_inverse_logdet_matches_cho_solve(n):
+    a = spd_stack(np.random.default_rng(n), n)
+    inv, logdet = spd_inverse_logdet(a)
+    assert rel_diff(inv, cho_solve_inverse(a)) <= 1e-13
+    assert np.array_equal(inv, inv.T)
+    assert logdet == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-13)
+
+
+def test_batched_inverse_matches_cho_solve_above_the_base_order():
+    stack = spd_stack(np.random.default_rng(51), 51, (20,))
+    cov, logdets = batched_spd_inverse_logdet(stack)
+    for a, inv in zip(stack, cov):
+        assert rel_diff(inv, cho_solve_inverse(a)) <= 1e-13
+    np.testing.assert_allclose(logdets, np.linalg.slogdet(stack)[1], rtol=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 11, 16, 31, 32])
+def test_batched_inverse_keeps_plain_inverse_bits_up_to_order_32(k):
+    # q(Y) and q(Vtilde) stacks are this small: the blocked inverse leaves their bits alone
+    stack = spd_stack(np.random.default_rng(k), k, (7,))
+    inv_chol = np.linalg.inv(np.linalg.cholesky(stack))
+    full = np.swapaxes(inv_chol, -1, -2) @ inv_chol
+    cov, _ = batched_spd_inverse_logdet(stack)
+    assert np.array_equal(cov, 0.5 * (full + np.swapaxes(full, -1, -2)))
+    assert rel_diff(cov[0], cho_solve_inverse(stack[0])) <= 1e-13
+
+
+def test_update_qw_carries_logdet_psi():
+    d = 300
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(d, 2 * d))
+    psi0 = spd_stack(rng, d) / d
+    prior = PriorConfig(variant=mdl.V1_WISHART_INFORMATIVE, psi0=psi0, nu_d=d + 2.0)
+    qw = mdl.WISHART.update_qw(prior, x @ x.T, 1000.0)
+    assert "logdet_psi" in vars(qw)  # cached by the update, not refactorized
+    assert qw.logdet_psi == pytest.approx(np.linalg.slogdet(qw.psi)[1], rel=1e-12)
+
+
+def test_flat_update_qw_carries_logdet_of_the_jittered_matrix():
+    d = 300
+    x = np.random.default_rng(d).normal(size=(d, 200))
+    k_mat = x @ x.T
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(k_mat)  # rank 200, so the update takes the jitter retry
+    qw = mdl.FLAT_WISHART.update_qw(None, k_mat, 1000.0)
+    assert "logdet_psi" in vars(qw)
+    jittered = k_mat + 1e-10 * np.trace(k_mat) / d * np.eye(d)
+    assert qw.logdet_psi == -linalg.spd_logdet(jittered)  # the matrix actually inverted
+    # The jittered matrix has condition number ~5e10, so ln|psi| is itself
+    # ill-conditioned: LU, Cholesky and eigenvalue estimates of it, from psi or
+    # from the jittered matrix, differ by ~1e-8 relative. 1e-12 holds for a
+    # well-conditioned K only.
+    assert qw.logdet_psi == pytest.approx(np.linalg.slogdet(qw.psi)[1], rel=1e-7)
+
+
+def test_prior_factorizes_psi0_once(monkeypatch):
+    calls = []
+    cholesky = linalg.spd_cholesky
+
+    def counted(a, **kw):
+        calls.append(1)
+        return cholesky(a, **kw)
+
+    monkeypatch.setattr(linalg, "spd_cholesky", counted)
+    psi0 = spd_stack(np.random.default_rng(5), 40)
+    prior = PriorConfig(variant=mdl.V1_WISHART_INFORMATIVE, psi0=psi0, nu_d=42.0)
+    psi0_inv, psi0_logdet = prior.psi0_inv_logdet
+    assert prior.psi0_inv_logdet[0] is psi0_inv
+    assert len(calls) == 1
+    assert rel_diff(psi0_inv, cho_solve_inverse(psi0)) <= 1e-13
+    assert psi0_logdet == pytest.approx(np.linalg.slogdet(psi0)[1], rel=1e-13)

@@ -1,12 +1,14 @@
 """Print a SHA-256 digest of every output the seven prior variants write through the CLI.
 
-The script simulates two corpora, trains V1-Wishart-informative,
+The script simulates two corpora at d = 5, trains V1-Wishart-informative,
 V1-Wishart-noninformative, V2-Gamma-diagonal and V2-Gamma-isotropic (the V2
 pair once more with `whiten = true`) with annealing, hyperparameter refresh,
 minimum divergence and a trace, adapts every trained model to the second
 corpus (V3-GaussV-Wishart, V4-GaussV-Gamma-diagonal, V4-GaussV-Gamma-isotropic)
-and runs `elbo` on each model. It prints each command's exit code and one line
-per model file, trace CSV and `elbo` output. A change that must keep behaviour
+and runs `elbo` on each model. It then does the same for V1-Wishart-informative
+on two corpora at d = 40, where q(W) inverts matrices above the order that
+`linalg` inverts whole. It prints each command's exit code and one line per
+model file, trace CSV and `elbo` output. A change that must keep behaviour
 prints the same lines before and after:
 
     python3 tools/variant_digests.py > before.txt   # on the old commit
@@ -37,11 +39,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bsplda.cli import main  # noqa: E402
 
-SPEC = "d = 5\nny = 2\nmu = 0.5\nv_scale = 1.5\nw_scale = 2.0\n"
-# Every key an arm or the loading prior reads, away from its default.
+SPEC = "ny = 2\nmu = 0.5\nv_scale = 1.5\nw_scale = 2.0\n"
+# Every key an arm or the loading prior reads, away from its default; nu_d follows.
 TRAIN_CONFIG = (
     "a_alpha = 0.01\nb_alpha = 0.02\nmu0 = 0.1\nbeta = 2\n"
-    "a_w = 0.01\nb_w = 0.03\npsi0_scale = 0.5\nnu_d = 9\n"
+    "a_w = 0.01\nb_w = 0.03\npsi0_scale = 0.5\n"
 )
 TRAIN_FLAGS = ["--ny", "3", "--iters", "30", "--tol", "1e-12", "--seed", "1",
                "--anneal", "0.5:4,0.8:4,1:22", "--hyperopt-every", "5", "--mindiv-every", "7"]
@@ -56,6 +58,9 @@ TRAIN_RUNS = (
     ("v2-diagonal-whitened", "V2-Gamma-diagonal", True),
     ("v2-isotropic-whitened", "V2-Gamma-isotropic", True),
 )
+HIGH_DIM_RUNS = (("v1-informative-d40", "V1-Wishart-informative", False),)
+# (suffix, d, nu_d, train speakers, adapt speakers, runs)
+CORPORA = (("", 5, 9, 40, 10, TRAIN_RUNS), ("-d40", 40, 45, 60, 20, HIGH_DIM_RUNS))
 
 
 def sha256(data):
@@ -85,29 +90,36 @@ def elbo(work, name, corpus):
 
 
 def main_digests(work):
-    spec = work / "sim.cfg"
-    spec.write_text(SPEC)
-    for corpus, speakers, per, seed in (("train", 40, 4, 7), ("adapt", 10, 3, 8)):
-        run(f"simulate {corpus}", ["simulate", "--spec", str(spec), "--speakers", str(speakers),
-                                   "--per-speaker", str(per), "--seed", str(seed),
-                                   "--out", str(work / corpus)])
-    corpus = {name: ["--data", str(work / f"{name}.data"), "--labels", str(work / f"{name}.labels")]
-              for name in ("train", "adapt")}
-    for name, variant, whiten in TRAIN_RUNS:
-        config = work / f"{name}.cfg"
-        config.write_text(TRAIN_CONFIG + ("whiten = true\n" if whiten else ""))
-        model, trace = work / f"{name}.model", work / f"{name}.csv"
-        run(f"train {name}", ["train", *corpus["train"], "--config", str(config),
-                              "--variant", variant, "--out", str(model), "--trace", str(trace),
-                              *TRAIN_FLAGS])
-        digest_files(model, trace)
-        elbo(work, name, corpus["train"])
+    for suffix, d, nu_d, train_speakers, adapt_speakers, runs in CORPORA:
+        spec = work / f"sim{suffix}.cfg"
+        spec.write_text(f"d = {d}\n" + SPEC)
+        corpus = {}
+        for name, speakers, per, seed in (("train", train_speakers, 4, 7),
+                                          ("adapt", adapt_speakers, 3, 8)):
+            out = work / f"{name}{suffix}"
+            run(f"simulate {name}{suffix}", ["simulate", "--spec", str(spec),
+                                             "--speakers", str(speakers), "--per-speaker", str(per),
+                                             "--seed", str(seed), "--out", str(out)])
+            corpus[name] = ["--data", f"{out}.data", "--labels", f"{out}.labels"]
+        for name, variant, whiten in runs:
+            train_and_adapt(work, name, variant, whiten, nu_d, corpus)
 
-        adapted, adapted_trace = work / f"{name}-adapted.model", work / f"{name}-adapted.csv"
-        run(f"adapt {name}", ["adapt", "--prior", str(model), *corpus["adapt"],
-                              "--out", str(adapted), "--trace", str(adapted_trace), *ADAPT_FLAGS])
-        digest_files(adapted, adapted_trace)
-        elbo(work, f"{name}-adapted", corpus["adapt"])
+
+def train_and_adapt(work, name, variant, whiten, nu_d, corpus):
+    config = work / f"{name}.cfg"
+    config.write_text(TRAIN_CONFIG + f"nu_d = {nu_d}\n" + ("whiten = true\n" if whiten else ""))
+    model, trace = work / f"{name}.model", work / f"{name}.csv"
+    run(f"train {name}", ["train", *corpus["train"], "--config", str(config),
+                          "--variant", variant, "--out", str(model), "--trace", str(trace),
+                          *TRAIN_FLAGS])
+    digest_files(model, trace)
+    elbo(work, name, corpus["train"])
+
+    adapted, adapted_trace = work / f"{name}-adapted.model", work / f"{name}-adapted.csv"
+    run(f"adapt {name}", ["adapt", "--prior", str(model), *corpus["adapt"],
+                          "--out", str(adapted), "--trace", str(adapted_trace), *ADAPT_FLAGS])
+    digest_files(adapted, adapted_trace)
+    elbo(work, f"{name}-adapted", corpus["adapt"])
 
 
 if __name__ == "__main__":
