@@ -19,7 +19,7 @@ from .model import (
     conditional_loglik,
     conditional_loglik_augmented,
 )
-from .posterior import QY, QAlpha, QVtilde, QWGammaDiag, QWGammaIso, QWWishart
+from .posterior import QY, QAlpha, QVtilde, QWGamma, QWWishart
 from .synth import CounterRng, GenSpec, sample
 
 __version__ = "0.1.0"
@@ -37,8 +37,7 @@ __all__ = [
     "PriorConfig",
     "QAlpha",
     "QVtilde",
-    "QWGammaDiag",
-    "QWGammaIso",
+    "QWGamma",
     "QWWishart",
     "QY",
     "SpeakerPartition",

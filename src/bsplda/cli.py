@@ -124,8 +124,7 @@ def cmd_adapt(args):
     variant = args.variant or arm.adapted_variant
     if variant != arm.adapted_variant:
         raise ValueError(
-            f"prior model carries a {type(saved.qw).__name__} precision posterior, "
-            f"incompatible with {variant}"
+            f"prior model has variant {saved.variant}, incompatible with {variant}"
         )
     prior = PriorConfig(
         variant=variant,

@@ -25,8 +25,8 @@ def optimize_alpha_hyper(mean_log_alpha, mean_alpha, a_alpha):
 
 
 def optimize_w_hyper(mean_log_w, mean_w, a_w):
-    """(a_w, b_w) for the Gamma precision arms; diagonal inputs average over the
-    d rows, the isotropic arm passes its scalar moments."""
+    """(a_w, b_w) from the moments of the Gamma q(W) factors, one per rate: the
+    d diagonal entries' moments are averaged, one shared factor's are its own."""
     return _fit_gamma_from_moments(mean_log_w, mean_w, a_w)
 
 

@@ -210,8 +210,7 @@ def write_model_file(path, saved):
         _write_f64(f, saved.W)
         _write_f64(f, saved.qv.mean)
         _write_f64(f, saved.qv.prec)
-        # the tag follows the stored q(W) block; read_model_file checks it against the variant
-        arm = next(arm for _, arm in mdl.SCHEMES.values() if type(saved.qw) is arm.posterior)
+        arm = mdl.SCHEMES[saved.variant][1]
         _write_scalar(f, "<B", arm.tag)
         arm.write_qw(saved.qw, partial(_write_f64, f))
         qalpha = saved.qalpha

@@ -17,7 +17,7 @@ import numpy as np
 from . import hyperopt
 from .linalg import FactorizationError, spd_cholesky, spd_inverse_logdet, spd_logdet, sym
 from .numerics import LOG2PI, expected_log_gamma_pdf, wishart_log_B
-from .posterior import QAlpha, QWGammaDiag, QWGammaIso, QWWishart
+from .posterior import QAlpha, QWGamma, QWWishart
 
 __all__ = [
     "ModelParams",
@@ -329,7 +329,6 @@ class WishartArm:
     """Wishart(psi0, nu_d) prior on the full within-class precision."""
 
     tag = 1  # model-container tag of the q(W) block
-    posterior = QWWishart
     coupled_rows = True  # full-covariance W couples the loading rows: Gauss-Seidel sweep
     adapted_variant = V3_GAUSSV_WISHART
 
@@ -407,17 +406,36 @@ class FlatWishartArm(WishartArm):
         return {}
 
 
-class _GammaArm:
-    """Shared parts of the Gamma(a_w, b_w) precision arms, which keep W diagonal."""
+class GammaArm:
+    """Gamma(a_w, b_w) priors on the diagonal precisions of W, which stays diagonal.
+
+    With `shared` one Gamma covers the scalar precision of W = w I; without it
+    each diagonal entry has its own. That choice decides the pooled statistics,
+    the shape increment, the rates used without data and how many b_w entries
+    the prior may hold; everything else is one code path.
+    """
 
     coupled_rows = False
+
+    def __init__(self, tag, adapted_variant, shared):
+        self.tag = tag  # model-container tag of the q(W) block
+        self.adapted_variant = adapted_variant
+        self.shared = shared
+
+    def _size(self, d):
+        """The number of Gamma factors: one shared by the d entries, or one per entry."""
+        return 1 if self.shared else d
+
+    def _pooled(self, diag, reduce):
+        """Per-entry statistics, or their reduction to the one shared factor."""
+        return reduce(diag, keepdims=True) if self.shared else diag
 
     def validate(self, prior, d, per_row):
         prior._require_positive_scalar("a_w")
         if prior.b_w is None:
             raise ValueError(f"{prior.variant} requires b_w")
         b_w = np.atleast_1d(np.asarray(prior.b_w, dtype=float))
-        if per_row and self.per_row_rates:
+        if per_row and not self.shared:
             if b_w.size == 1:
                 b_w = np.full(d, float(b_w[0]))
             if b_w.shape != (d,):
@@ -430,6 +448,30 @@ class _GammaArm:
             raise ValueError("b_w must be positive")
         object.__setattr__(prior, "b_w", b_w)
 
+    def init_qw(self, prior, n, d, w_point):
+        """Start matched to the diagonal of the point precision `w_point`; at the prior without data."""
+        if n > 0:
+            a = prior.a_w + 0.5 * n * (d if self.shared else 1)
+            return QWGamma(a=a, b=a / self._pooled(np.diag(w_point), np.mean), dim=d)
+        return QWGamma(a=prior.a_w, b=np.full(self._size(d), prior.b_w), dim=d)
+
+    def update_qw(self, prior, k_mat, n):
+        """q(W) from the diagonal of the expected residual scatter K of n vectors."""
+        d = k_mat.shape[0]
+        return QWGamma(
+            a=prior.a_w + 0.5 * n * (d if self.shared else 1),
+            b=prior.b_w + 0.5 * self._pooled(np.diag(k_mat), np.sum),
+            dim=d,
+        )
+
+    def w_prior(self, qw, prior):
+        return expected_log_gamma_pdf(prior.a_w, prior.b_w, qw.mean_log, qw.factor_mean)
+
+    def refresh(self, prior, qw):
+        """Empirical-Bayes (a_w, b_w), one rate shared by every factor."""
+        a_w, b_w = hyperopt.optimize_w_hyper(qw.mean_log, qw.factor_mean, prior.a_w)
+        return {"a_w": a_w, "b_w": np.array([b_w])}
+
     def train_prior(self, get, d):
         return dict(a_w=get("a_w", float, 1e-3), b_w=get("b_w", float, 1e-3))
 
@@ -440,83 +482,17 @@ class _GammaArm:
         put(qw.a)
         put(qw.b)
 
-
-class GammaDiagonalArm(_GammaArm):
-    """Independent Gamma priors on the d diagonal precisions."""
-
-    tag = 2
-    posterior = QWGammaDiag
-    adapted_variant = V4_GAUSSV_GAMMA_DIAGONAL
-    per_row_rates = True
-
-    @staticmethod
-    def _rates(prior, d):
-        return prior.b_w if prior.b_w.shape == (d,) else np.full(d, float(prior.b_w[0]))
-
-    def init_qw(self, prior, n, d, w_point):
-        if n > 0:
-            a = prior.a_w + 0.5 * n
-            return QWGammaDiag(a=a, b=a / np.diag(w_point))
-        return QWGammaDiag(a=prior.a_w, b=self._rates(prior, d))
-
-    def update_qw(self, prior, k_mat, n):
-        b_w = self._rates(prior, k_mat.shape[0])
-        return QWGammaDiag(a=prior.a_w + 0.5 * n, b=b_w + 0.5 * np.diag(k_mat))
-
-    def w_prior(self, qw, prior):
-        b_w = self._rates(prior, qw.dim)
-        return expected_log_gamma_pdf(prior.a_w, b_w, qw.mean_log_diag, qw.mean_diag)
-
-    def refresh(self, prior, qw):
-        """Empirical-Bayes (a_w, b_w) shared by the d diagonal precisions."""
-        a_w, b_w = hyperopt.optimize_w_hyper(qw.mean_log_diag, qw.mean_diag, prior.a_w)
-        return {"a_w": a_w, "b_w": np.array([b_w])}
-
     def read_qw(self, get, d):
         a = get(())
-        return QWGammaDiag(a=a, b=get((d,)))
-
-
-class GammaIsotropicArm(_GammaArm):
-    """One Gamma prior on the scalar precision of W = w I."""
-
-    tag = 3
-    posterior = QWGammaIso
-    adapted_variant = V4_GAUSSV_GAMMA_ISOTROPIC
-    per_row_rates = False
-
-    def init_qw(self, prior, n, d, w_point):
-        if n > 0:
-            a = prior.a_w + 0.5 * n * d
-            return QWGammaIso(a=a, b=a / float(np.mean(np.diag(w_point))), dim=d)
-        return QWGammaIso(a=prior.a_w, b=float(prior.b_w[0]), dim=d)
-
-    def update_qw(self, prior, k_mat, n):
-        d = k_mat.shape[0]
-        return QWGammaIso(
-            a=prior.a_w + 0.5 * n * d, b=float(prior.b_w[0]) + 0.5 * float(np.trace(k_mat)), dim=d
-        )
-
-    def w_prior(self, qw, prior):
-        return expected_log_gamma_pdf(prior.a_w, prior.b_w[0], qw.mean_log_scalar, qw.mean_scalar)
-
-    def refresh(self, prior, qw):
-        a_w, b_w = hyperopt.optimize_w_hyper(
-            np.atleast_1d(qw.mean_log_scalar), np.atleast_1d(qw.mean_scalar), prior.a_w
-        )
-        return {"a_w": a_w, "b_w": np.array([b_w])}
-
-    def read_qw(self, get, d):
-        a = get(())
-        return QWGammaIso(a=a, b=get(()), dim=d)
+        return QWGamma(a=a, b=get((self._size(d),)), dim=d)
 
 
 ARD_COLUMNS = ArdColumns()
 GAUSS_ROWS = GaussRows()
 WISHART = WishartArm()
 FLAT_WISHART = FlatWishartArm()
-GAMMA_DIAGONAL = GammaDiagonalArm()
-GAMMA_ISOTROPIC = GammaIsotropicArm()
+GAMMA_DIAGONAL = GammaArm(tag=2, adapted_variant=V4_GAUSSV_GAMMA_DIAGONAL, shared=False)
+GAMMA_ISOTROPIC = GammaArm(tag=3, adapted_variant=V4_GAUSSV_GAMMA_ISOTROPIC, shared=True)
 
 # variant -> (loading prior, precision arm); the order fixes the model-container variant tag.
 SCHEMES = {

@@ -18,8 +18,7 @@ __all__ = [
     "QVtilde",
     "QAlpha",
     "QWWishart",
-    "QWGammaDiag",
-    "QWGammaIso",
+    "QWGamma",
     "YAggregates",
     "y_aggregates",
     "expected_vtw_quadratic",
@@ -88,6 +87,11 @@ class _Gamma:
     def neg_entropy(self):
         """E[ln q] of the Gamma factors."""
         return gamma_neg_entropy(self.a, self.b)
+
+    @cached_property
+    def mean_log(self):
+        """E[ln x] of each factor: psi(a) - ln b."""
+        return digamma(self.a) - np.log(self.b)
 
 
 @dataclass(frozen=True)
@@ -202,10 +206,6 @@ class QAlpha(_Gamma):
     def mean(self):
         return self.a / self.b
 
-    @cached_property
-    def mean_log(self):
-        return digamma(self.a) - np.log(self.b)
-
 
 @dataclass(frozen=True)
 class QWWishart:
@@ -273,66 +273,42 @@ class QWWishart:
 
 
 @dataclass(frozen=True)
-class QWGammaDiag(_Gamma):
+class QWGamma(_Gamma):
+    """Gamma factors over the d diagonal precisions of W, which stays diagonal.
+
+    `b` holds d rates, one per diagonal entry, or one rate that all d entries
+    share (W = w I, a single Gamma factor over w).
+    """
+
     a: float
-    b: np.ndarray  # (d,) rates, one per diagonal element
+    b: np.ndarray  # (d,) or (1,)
+    dim: int
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
+        b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if self.a <= 0 or np.any(b <= 0):
             raise ValueError("Gamma parameters must be positive")
+        if b.shape not in ((self.dim,), (1,)):
+            raise ValueError(f"b must hold {self.dim} rates or one, got shape {b.shape}")
         object.__setattr__(self, "b", b)
 
-    @property
-    def dim(self):
-        return self.b.shape[0]
+    @cached_property
+    def factor_mean(self):
+        """E[w] of each Gamma factor, one per rate."""
+        return self.a / self.b
 
     @cached_property
     def mean_diag(self):
-        return self.a / self.b
+        return np.full(self.dim, self.factor_mean)
 
     @cached_property
     def mean(self):
         return np.diag(self.mean_diag)
 
     @cached_property
-    def mean_log_diag(self):
-        return digamma(self.a) - np.log(self.b)
-
-    @cached_property
     def mean_logdet(self):
-        return float(np.sum(self.mean_log_diag))
-
-
-@dataclass(frozen=True)
-class QWGammaIso(_Gamma):
-    a: float
-    b: float
-    dim: int
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("Gamma parameters must be positive")
-
-    @cached_property
-    def mean_scalar(self):
-        return self.a / self.b
-
-    @cached_property
-    def mean_diag(self):
-        return np.full(self.dim, self.mean_scalar)
-
-    @cached_property
-    def mean(self):
-        return self.mean_scalar * np.eye(self.dim)
-
-    @cached_property
-    def mean_log_scalar(self):
-        return digamma(self.a) - math.log(self.b)
-
-    @cached_property
-    def mean_logdet(self):
-        return self.dim * self.mean_log_scalar
+        """E[ln|W|]: each factor's E[ln w] counted once per diagonal entry it covers."""
+        return float(self.dim / self.b.size * np.sum(self.mean_log))
 
 
 @dataclass(frozen=True)

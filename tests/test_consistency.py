@@ -18,7 +18,7 @@ from bsplda.data import accumulate
 from bsplda.elbo import elbo_total, elbo_v_alpha_mu_terms, elbo_w_terms, elbo_y_terms
 from bsplda.engine import FitConfig, fit
 from bsplda.model import ModelParams, PriorConfig
-from bsplda.posterior import QAlpha, QVtilde, QWGammaDiag, QWGammaIso, QWWishart
+from bsplda.posterior import QAlpha, QVtilde, QWGamma, QWWishart
 from bsplda.synth import GenSpec, sample
 from tests.test_posterior import random_qv, random_qy, random_spd
 
@@ -43,7 +43,7 @@ class TestEntropyTermsAgainstScipy:
         rng = np.random.default_rng(2)
         d = 4
         b = rng.uniform(0.5, 3.0, size=d)
-        qw = QWGammaDiag(a=2.7, b=b)
+        qw = QWGamma(a=2.7, b=b, dim=d)
         prior = PriorConfig(
             variant=mdl.V2_GAMMA_DIAGONAL, mu0=0.0, beta=1.0,
             a_alpha=1.0, b_alpha=1.0, a_w=1.0, b_w=1.0,
@@ -97,7 +97,7 @@ def converged_fit(variant, seed=0):
         kwargs = dict(mu0=0.0, beta=1.0, a_alpha=1e-2, b_alpha=1e-2)
         if variant == mdl.V1_WISHART_INFORMATIVE:
             kwargs.update(psi0=np.eye(d), nu_d=d + 2.0)
-        if arm.posterior is not QWWishart:
+        if not isinstance(arm, mdl.WishartArm):
             kwargs.update(a_w=1e-2, b_w=1e-2)
     else:
         kwargs = dict(
@@ -149,15 +149,10 @@ def test_fixed_point_is_per_factor_optimal(variant):
             check(replace(state, qw=qw))
             qw = QWWishart(psi=state.qw.psi, nu=state.qw.nu * (1.0 + eps * rng.uniform(-1, 1)))
             check(replace(state, qw=qw))
-        elif isinstance(state.qw, QWGammaDiag):
-            qw = QWGammaDiag(a=state.qw.a * (1.0 + eps * rng.uniform(-1, 1)), b=state.qw.b)
-            check(replace(state, qw=qw))
-            qw = QWGammaDiag(a=state.qw.a, b=state.qw.b * (1.0 + eps * rng.uniform(-1, 1, size=state.qw.b.shape)))
-            check(replace(state, qw=qw))
         else:
-            qw = QWGammaIso(a=state.qw.a * (1.0 + eps * rng.uniform(-1, 1)), b=state.qw.b, dim=state.qw.dim)
+            qw = replace(state.qw, a=state.qw.a * (1.0 + eps * rng.uniform(-1, 1)))
             check(replace(state, qw=qw))
-            qw = QWGammaIso(a=state.qw.a, b=state.qw.b * (1.0 + eps * rng.uniform(-1, 1)), dim=state.qw.dim)
+            qw = replace(state.qw, b=state.qw.b * (1.0 + eps * rng.uniform(-1, 1, size=state.qw.b.shape)))
             check(replace(state, qw=qw))
         if state.qalpha is not None:
             qa = QAlpha(a=state.qalpha.a * (1.0 + eps * rng.uniform(-1, 1)), b=state.qalpha.b)

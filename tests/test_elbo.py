@@ -18,8 +18,7 @@ from bsplda.posterior import (
     QY,
     QAlpha,
     QVtilde,
-    QWGammaDiag,
-    QWGammaIso,
+    QWGamma,
     QWWishart,
     y_aggregates,
 )
@@ -193,14 +192,14 @@ def test_w_pairs_zero_at_prior():
     prior_d = PriorConfig(
         variant=mdl.V2_GAMMA_DIAGONAL, mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0, a_w=2.5, b_w=0.7
     ).validate(d, 2)
-    qw = QWGammaDiag(a=2.5, b=np.full(d, 0.7))
+    qw = QWGamma(a=2.5, b=np.full(d, 0.7), dim=d)
     w_prior, w_entropy_neg = elbo_w_terms(qw, prior_d)
     assert w_prior - w_entropy_neg == pytest.approx(0.0, abs=1e-9)
 
     prior_i = PriorConfig(
         variant=mdl.V2_GAMMA_ISOTROPIC, mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0, a_w=1.2, b_w=3.0
     ).validate(d, 2)
-    qw = QWGammaIso(a=1.2, b=3.0, dim=d)
+    qw = QWGamma(a=1.2, b=3.0, dim=d)
     w_prior, w_entropy_neg = elbo_w_terms(qw, prior_i)
     assert w_prior - w_entropy_neg == pytest.approx(0.0, abs=1e-9)
 
@@ -223,7 +222,7 @@ def test_w_terms_wishart_gamma_reparametrization():
             v_row_means=np.zeros((1, 2)), v_row_precisions=np.eye(2)[None],
             a_w=nu0 / 2.0, b_w=1.0 / (2.0 * psi0),
         ).validate(1, 1)
-        qw_g = QWGammaIso(a=nu / 2.0, b=1.0 / (2.0 * psi), dim=1)
+        qw_g = QWGamma(a=nu / 2.0, b=1.0 / (2.0 * psi), dim=1)
         wp_g, we_g = elbo_w_terms(qw_g, prior_g)
         assert wp_w == pytest.approx(wp_g, rel=1e-9, abs=1e-9)
         assert we_w == pytest.approx(we_g, rel=1e-9, abs=1e-9)
@@ -240,7 +239,7 @@ def test_data_term_empty_is_zero():
     stats = SuffStats.empty(3)
     qy = QY(mean=np.zeros((0, 2)), prec=np.zeros((0, 2, 2)), group=np.arange(0))
     qv = random_qv(np.random.default_rng(0), 3, 2)
-    qw = QWGammaIso(a=1.0, b=1.0, dim=3)
+    qw = QWGamma(a=1.0, b=1.0, dim=3)
     aggs = y_aggregates(qy, stats)
     assert elbo_data_term(stats, aggs, qv, qw) == 0.0
 
@@ -299,7 +298,7 @@ def test_data_term_matches_quadrature_oracle():
     )
     qy = QY(mean=np.array([[0.3]]), prec=np.array([[[2.0]]]), group=np.arange(1))
     qv = QVtilde(mean=np.array([[0.8, -0.2]]), prec=random_spd(rng, 2, 2.0)[None])
-    qw = QWGammaIso(a=3.0, b=2.0, dim=1)
+    qw = QWGamma(a=3.0, b=2.0, dim=1)
     aggs = y_aggregates(qy, stats)
     got = elbo_data_term(stats, aggs, qv, qw)
 
@@ -317,7 +316,7 @@ def test_data_term_matches_quadrature_oracle():
     e_resid = gauss_hermite_expect(residual_sq, joint_mean, joint_cov, n_nodes=48)
     n = stats.n_total
     expected = (
-        0.5 * n * qw.mean_log_scalar - 0.5 * n * LOG2PI - 0.5 * qw.mean_scalar * e_resid
+        0.5 * n * qw.mean_log[0] - 0.5 * n * LOG2PI - 0.5 * qw.factor_mean[0] * e_resid
     )
     assert got == pytest.approx(expected, rel=1e-7)
 
@@ -328,18 +327,18 @@ def make_full_state(rng, variant, d=3, ny=2, m=4):
     qy = random_qy(rng, m, ny)
     qv = random_qv(rng, d, ny)
     loading, arm = mdl.SCHEMES[variant]
-    if arm.posterior is QWWishart:
+    if isinstance(arm, mdl.WishartArm):
         qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 4.0)
     elif arm is mdl.GAMMA_ISOTROPIC:
-        qw = QWGammaIso(a=2.0, b=1.5, dim=d)
+        qw = QWGamma(a=2.0, b=1.5, dim=d)
     else:
-        qw = QWGammaDiag(a=2.0, b=rng.uniform(0.5, 2.0, size=d))
+        qw = QWGamma(a=2.0, b=rng.uniform(0.5, 2.0, size=d), dim=d)
     qalpha = QAlpha(a=1.5, b=rng.uniform(0.5, 2.0, size=ny)) if loading.has_alpha else None
     if loading.has_alpha:
         kwargs = dict(mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0)
         if variant == mdl.V1_WISHART_INFORMATIVE:
             kwargs.update(psi0=np.eye(d), nu_d=d + 2.0)
-        if arm.posterior is not QWWishart:
+        if not isinstance(arm, mdl.WishartArm):
             kwargs.update(a_w=1.0, b_w=1.0)
     else:
         kwargs = dict(

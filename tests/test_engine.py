@@ -29,7 +29,7 @@ from bsplda.engine import (
 from bsplda.linalg import FactorizationError
 from bsplda.model import ModelParams, PriorConfig
 from bsplda.posterior import (
-    QY, QAlpha, QVtilde, QWGammaDiag, QWGammaIso, QWWishart, YAggregates, y_aggregates,
+    QY, QAlpha, QVtilde, QWGamma, QWWishart, YAggregates, y_aggregates,
 )
 from bsplda.synth import GenSpec, sample
 from tests.test_posterior import random_qv, random_qy, random_spd, stats_for
@@ -54,7 +54,7 @@ class TestUpdateQY:
     def test_no_data_recovers_prior(self):
         stats = SuffStats(counts=np.array([0.0]), spk_sums=np.zeros((1, 2)), scatter_total=np.zeros((2, 2)))
         qv = random_qv(np.random.default_rng(0), 2, 2)
-        qw = QWGammaIso(a=2.0, b=2.0, dim=2)
+        qw = QWGamma(a=2.0, b=2.0, dim=2)
         qy = update_qy(stats, qv, qw)
         np.testing.assert_allclose(qy.mean, np.zeros((1, 2)), atol=1e-12)
         np.testing.assert_allclose(qy.prec[0], np.eye(2), atol=1e-12)
@@ -63,7 +63,7 @@ class TestUpdateQY:
         # point-mass V=1, W=1, mu=0, F=8, N=4: L = 5, mean = 1.6
         stats = SuffStats(counts=np.array([4.0]), spk_sums=np.array([[8.0]]), scatter_total=np.array([[20.0]]))
         qv = point_qv(np.array([[1.0, 0.0]]))
-        qw = QWGammaIso(a=1e14, b=1e14, dim=1)
+        qw = QWGamma(a=1e14, b=1e14, dim=1)
         qy = update_qy(stats, qv, qw)
         assert qy.prec[0, 0, 0] == pytest.approx(5.0, rel=1e-9)
         assert qy.mean[0, 0] == pytest.approx(1.6, rel=1e-9)
@@ -226,7 +226,7 @@ class TestUpdateQVtilde:
         # same diagonal W presented as a Wishart mean and as a Gamma mean
         qw_full = PointWArm(np.diag(wdiag))
         a = 100.0
-        qw_diag = QWGammaDiag(a=a, b=a / wdiag)
+        qw_diag = QWGamma(a=a, b=a / wdiag, dim=d)
         coupled = update_qvtilde(aggs, qv0, qw_full, prior_coupled, qalpha)
         factored = update_qvtilde(aggs, qv0, qw_diag, prior_fact, qalpha)
         np.testing.assert_allclose(coupled.mean, factored.mean, rtol=1e-9, atol=1e-9)
@@ -240,7 +240,7 @@ class TestUpdateQVtilde:
         aggs = y_aggregates(qy, stats)
         prior = v1_prior(1, mdl.V2_GAMMA_DIAGONAL, mu0=0.7, beta=2.0).validate(1, 1)
         qalpha = QAlpha(a=2.0, b=np.array([4.0]))
-        qw = QWGammaDiag(a=3.0, b=np.array([1.5]))
+        qw = QWGamma(a=3.0, b=np.array([1.5]), dim=1)
         qv = update_qvtilde(aggs, random_qv(rng, 1, 1), qw, prior, qalpha)
         wrr = qw.mean_diag[0]
         prec = np.diag([qalpha.mean[0], prior.beta[0]]) + wrr * aggs.R
@@ -318,10 +318,10 @@ def row_update_problem(variant, rng, d=12, ny=3):
         qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
         prior = v1_prior(d, variant)
     elif variant == mdl.V2_GAMMA_DIAGONAL:
-        qw = QWGammaDiag(a=50.0, b=rng.uniform(10.0, 100.0, size=d))
+        qw = QWGamma(a=50.0, b=rng.uniform(10.0, 100.0, size=d), dim=d)
         prior = v1_prior(d, variant)
     else:
-        qw = QWGammaDiag(a=50.0, b=rng.uniform(10.0, 100.0, size=d))
+        qw = QWGamma(a=50.0, b=rng.uniform(10.0, 100.0, size=d), dim=d)
         precs = np.stack([random_spd(rng, k) for _ in range(d)])
         precs[3, 1, 1] += 1e10
         prior = PriorConfig(variant=variant, v_row_means=rng.normal(size=(d, k)),
@@ -371,7 +371,7 @@ def test_row_update_rejects_indefinite_precision(variant):
     if variant == mdl.V1_WISHART_INFORMATIVE:
         qw = QWWishart(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
     else:
-        qw = QWGammaDiag(a=2.0, b=np.full(d, 2.0))
+        qw = QWGamma(a=2.0, b=np.full(d, 2.0), dim=d)
     prior = v1_prior(d, variant).validate(d, ny)
     with pytest.raises((FactorizationError, np.linalg.LinAlgError)):
         update_qvtilde(aggs, random_qv(rng, d, ny), qw, prior, qalpha)
@@ -439,7 +439,7 @@ class TestUpdateQAlphaQW:
         qv = random_qv(rng, d, 1)
         prior = v1_prior(d, mdl.V2_GAMMA_ISOTROPIC, a_w=0.5, b_w=0.25).validate(d, 1)
         qw = update_qw(stats, y_aggregates(qy, stats), qv, prior)
-        assert isinstance(qw, QWGammaIso)
+        assert isinstance(qw, QWGamma) and qw.b.shape == (1,)
         assert qw.a == pytest.approx(0.5 + 0.5 * stats.n_total * d)
 
     def test_qw_noninformative_needs_enough_data(self):
@@ -513,10 +513,10 @@ class TestAnnealing:
     def every_factor_type(self, rng):
         factors = list(self.factors(rng).values()) + [
             QAlpha(a=0.1, b=np.array([0.3, 2.0])),  # where 1.0 * (a - 1) + 1 != a
-            QWGammaDiag(a=1.7, b=rng.uniform(0.5, 2.0, size=3)),
-            QWGammaIso(a=0.1, b=0.4, dim=3),
+            QWGamma(a=1.7, b=rng.uniform(0.5, 2.0, size=3), dim=3),
+            QWGamma(a=0.1, b=0.4, dim=3),
         ]
-        assert {type(f) for f in factors} == {QY, QVtilde, QAlpha, QWWishart, QWGammaDiag, QWGammaIso}
+        assert {type(f) for f in factors} == {QY, QVtilde, QAlpha, QWWishart, QWGamma}
         return factors
 
     def test_identity_at_kappa_one(self):
@@ -548,8 +548,8 @@ class TestAnnealing:
         rng = np.random.default_rng(15)
         gammas = [
             self.factors(rng)["qalpha"],
-            QWGammaDiag(a=1.7, b=rng.uniform(0.5, 2.0, size=3)),
-            QWGammaIso(a=2.5, b=0.4, dim=3),
+            QWGamma(a=1.7, b=rng.uniform(0.5, 2.0, size=3), dim=3),
+            QWGamma(a=2.5, b=0.4, dim=3),
         ]
         for f in gammas:
             out = f.anneal(0.25)

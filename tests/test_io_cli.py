@@ -15,7 +15,7 @@ import bsplda.model as mdl
 from bsplda import io as mio
 from bsplda.cli import main
 from bsplda.model import ModelParams, PriorConfig
-from bsplda.posterior import QAlpha, QWGammaDiag, QWGammaIso, QWWishart
+from bsplda.posterior import QAlpha, QWGamma, QWWishart
 from bsplda.synth import GenSpec, sample
 from tests.test_posterior import random_qv, random_spd
 
@@ -129,9 +129,9 @@ def saved_model_for(variant, rng):
     if variant in (mdl.V1_WISHART_INFORMATIVE, mdl.V1_WISHART_NONINFORMATIVE, mdl.V3_GAUSSV_WISHART):
         qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 5.0)
     elif variant in (mdl.V2_GAMMA_ISOTROPIC, mdl.V4_GAUSSV_GAMMA_ISOTROPIC):
-        qw = QWGammaIso(a=2.0, b=1.1, dim=d)
+        qw = QWGamma(a=2.0, b=1.1, dim=d)
     else:
-        qw = QWGammaDiag(a=2.0, b=rng.uniform(0.5, 2, size=d))
+        qw = QWGamma(a=2.0, b=rng.uniform(0.5, 2, size=d), dim=d)
     rotation = None
     if variant == mdl.V2_GAMMA_DIAGONAL:
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -159,10 +159,8 @@ def test_model_file_round_trip_bit_exact(tmp_path, variant):
     assert type(back.qw) is type(saved.qw)
     if isinstance(saved.qw, QWWishart):
         assert np.array_equal(back.qw.psi, saved.qw.psi) and back.qw.nu == saved.qw.nu
-    elif isinstance(saved.qw, QWGammaDiag):
-        assert back.qw.a == saved.qw.a and np.array_equal(back.qw.b, saved.qw.b)
     else:
-        assert back.qw.a == saved.qw.a and back.qw.b == saved.qw.b
+        assert back.qw.a == saved.qw.a and np.array_equal(back.qw.b, saved.qw.b)
     if saved.qalpha is None:
         assert back.qalpha is None
     else:
@@ -183,15 +181,25 @@ def test_model_file_round_trip_bit_exact(tmp_path, variant):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def rewrite_variant_tag(path, variant):
+    """Point a model file's variant byte (after the magic and the format version) at `variant`."""
+    data = bytearray(path.read_bytes())
+    data[len(mio.MAGIC_MODEL) + 2] = mdl.VARIANTS.index(variant) + 1
+    path.write_bytes(bytes(data))
+
+
 @pytest.mark.parametrize(
-    "change",
-    [dict(variant=mdl.V2_GAMMA_DIAGONAL), dict(qalpha=None)],
+    "variant, drop_qalpha",
+    [(mdl.V2_GAMMA_DIAGONAL, False), (mdl.V1_WISHART_INFORMATIVE, True)],
     ids=["wishart-block-under-gamma-variant", "v1-without-qalpha"],
 )
-def test_model_file_rejects_inconsistent_tags(tmp_path, capsys, change):
+def test_model_file_rejects_inconsistent_tags(tmp_path, capsys, variant, drop_qalpha):
     saved = saved_model_for(mdl.V1_WISHART_INFORMATIVE, np.random.default_rng(0))
     path = tmp_path / "bad.model"
-    mio.write_model_file(path, replace(saved, **change))
+    mio.write_model_file(path, replace(saved, qalpha=None) if drop_qalpha else saved)
+    # the writer takes the arm from the variant, so a Wishart block under a
+    # Gamma variant is made by rewriting the variant byte of a V1 file
+    rewrite_variant_tag(path, variant)
     with pytest.raises(mio.FormatError, match="variant"):
         mio.read_model_file(path)
     data, labels = write_sim_files(tmp_path, d=saved.dim)

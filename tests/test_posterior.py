@@ -9,8 +9,7 @@ from bsplda.posterior import (
     QY,
     QAlpha,
     QVtilde,
-    QWGammaDiag,
-    QWGammaIso,
+    QWGamma,
     QWWishart,
     YAggregates,
     expected_vtw_quadratic,
@@ -114,7 +113,7 @@ def test_expected_w_wishart_scalar_reduction():
 
 
 def test_expected_w_gamma_iso():
-    qw = QWGammaIso(a=2.0, b=2.0, dim=3)
+    qw = QWGamma(a=2.0, b=2.0, dim=3)
     wbar, logdet = qw.mean, qw.mean_logdet
     np.testing.assert_allclose(wbar, np.eye(3))
     from scipy.special import digamma
@@ -126,8 +125,8 @@ def test_expected_w_jensen_inequality():
     rng = np.random.default_rng(5)
     arms = [
         QWWishart(psi=random_spd(rng, 3, 0.2), nu=7.5),
-        QWGammaDiag(a=3.0, b=rng.uniform(0.5, 2.0, size=4)),
-        QWGammaIso(a=1.5, b=0.7, dim=2),
+        QWGamma(a=3.0, b=rng.uniform(0.5, 2.0, size=4), dim=4),
+        QWGamma(a=1.5, b=0.7, dim=2),
     ]
     for qw in arms:
         wbar, logdet = qw.mean, qw.mean_logdet
@@ -258,7 +257,7 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         QWWishart(psi=np.eye(2), nu=0.5)
     with pytest.raises(ValueError):
-        QWGammaDiag(a=1.0, b=np.array([1.0, -2.0]))
+        QWGamma(a=1.0, b=np.array([1.0, -2.0]), dim=2)
     with pytest.raises(ValueError):
         QY(mean=np.zeros((2, 2)), prec=np.zeros((2, 3, 3)), group=np.arange(2))
 

@@ -5,9 +5,10 @@ V1-Wishart-noninformative, V2-Gamma-diagonal and V2-Gamma-isotropic (the V2
 pair once more with `whiten = true`) with annealing, hyperparameter refresh,
 minimum divergence and a trace, adapts every trained model to the second
 corpus (V3-GaussV-Wishart, V4-GaussV-Gamma-diagonal, V4-GaussV-Gamma-isotropic)
-and runs `elbo` on each model. It then does the same for V1-Wishart-informative
-on two corpora at d = 40, where q(W) inverts matrices above the order that
-`linalg` inverts whole. It prints each command's exit code and one line per
+and runs `elbo` on each model. It then does the same for V1-Wishart-informative,
+V2-Gamma-diagonal and V2-Gamma-isotropic on two corpora at d = 40: there q(W)
+inverts matrices above the order that `linalg` inverts whole, and the Gamma
+arms' pooled sums run over enough entries for numpy's pairwise summation. It prints each command's exit code and one line per
 model file, trace CSV and `elbo` output. A change that must keep behaviour
 prints the same lines before and after:
 
@@ -58,7 +59,11 @@ TRAIN_RUNS = (
     ("v2-diagonal-whitened", "V2-Gamma-diagonal", True),
     ("v2-isotropic-whitened", "V2-Gamma-isotropic", True),
 )
-HIGH_DIM_RUNS = (("v1-informative-d40", "V1-Wishart-informative", False),)
+HIGH_DIM_RUNS = (
+    ("v1-informative-d40", "V1-Wishart-informative", False),
+    ("v2-diagonal-d40", "V2-Gamma-diagonal", False),
+    ("v2-isotropic-d40", "V2-Gamma-isotropic", False),
+)
 # (suffix, d, nu_d, train speakers, adapt speakers, runs)
 CORPORA = (("", 5, 9, 40, 10, TRAIN_RUNS), ("-d40", 40, 45, 60, 20, HIGH_DIM_RUNS))
 
