@@ -142,6 +142,9 @@ def cmd_adapt(args):
 def _params_from_spec_config(config, seed):
     d = int(config["d"])
     ny = int(config["ny"])
+    for key, value in (("d", d), ("ny", ny)):
+        if value < 1:
+            raise ValueError(f"spec key {key} must be at least 1, got {value}")
     mu = mdl.scalar_or_list(config.get("mu", "0"))
     mu = np.full(d, float(mu)) if np.isscalar(mu) else np.asarray(mu, dtype=float)
     if mu.shape != (d,):

@@ -246,6 +246,8 @@ def read_model_file(path):
         loading, arm = mdl.SCHEMES[variant]
         d = _read_scalar(f, "<I")
         ny = _read_scalar(f, "<I")
+        if d < 1 or ny < 1:
+            raise FormatError(f"{path}: header declares d = {d}, n_y = {ny}; both must be at least 1")
         k = ny + 1
         elbo = _read_scalar(f, "<d")
         mu = _read_finite(f, (d,))

@@ -3,10 +3,11 @@
 A prior scheme is a (loading prior, precision arm) pair. The loading prior is
 either ARD columns with a Gaussian mean, trained from scratch with a relevance
 posterior q(alpha), or full-covariance Gaussian rows taken from a previous
-run's posterior. The precision arm is a Wishart, its flat limit, independent
-Gammas on diag(W), or one Gamma on an isotropic W. SCHEMES maps each variant
-name to its pair; every decision that depends on the variant is a method or an
-attribute of these six objects.
+run's posterior. The precision arm is a Wishart, its flat limit, or Gammas on
+diag(W): one GammaArm class, whose two instances give each diagonal entry its
+own rate or let one rate cover them all (an isotropic W = w I). SCHEMES maps
+each variant name to its pair; every decision that depends on the variant is a
+method or an attribute of these objects.
 """
 
 from dataclasses import dataclass
@@ -422,9 +423,13 @@ class GammaArm:
         self.adapted_variant = adapted_variant
         self.shared = shared
 
-    def _size(self, d):
+    def _n_factors(self, d):
         """The number of Gamma factors: one shared by the d entries, or one per entry."""
         return 1 if self.shared else d
+
+    def _shape(self, prior, n, d):
+        """a_w + n/2 for each diagonal entry a factor covers."""
+        return prior.a_w + 0.5 * n * (d if self.shared else 1)
 
     def _pooled(self, diag, reduce):
         """Per-entry statistics, or their reduction to the one shared factor."""
@@ -451,15 +456,15 @@ class GammaArm:
     def init_qw(self, prior, n, d, w_point):
         """Start matched to the diagonal of the point precision `w_point`; at the prior without data."""
         if n > 0:
-            a = prior.a_w + 0.5 * n * (d if self.shared else 1)
+            a = self._shape(prior, n, d)
             return QWGamma(a=a, b=a / self._pooled(np.diag(w_point), np.mean), dim=d)
-        return QWGamma(a=prior.a_w, b=np.full(self._size(d), prior.b_w), dim=d)
+        return QWGamma(a=prior.a_w, b=np.full(self._n_factors(d), prior.b_w), dim=d)
 
     def update_qw(self, prior, k_mat, n):
         """q(W) from the diagonal of the expected residual scatter K of n vectors."""
         d = k_mat.shape[0]
         return QWGamma(
-            a=prior.a_w + 0.5 * n * (d if self.shared else 1),
+            a=self._shape(prior, n, d),
             b=prior.b_w + 0.5 * self._pooled(np.diag(k_mat), np.sum),
             dim=d,
         )
@@ -484,7 +489,7 @@ class GammaArm:
 
     def read_qw(self, get, d):
         a = get(())
-        return QWGamma(a=a, b=get((self._size(d),)), dim=d)
+        return QWGamma(a=a, b=get((self._n_factors(d),)), dim=d)
 
 
 ARD_COLUMNS = ArdColumns()

@@ -261,7 +261,10 @@ class QWWishart:
         )
 
     def anneal(self, kappa):
-        """The factor to the power kappa, renormalized: (Psi/kappa, kappa(nu-d-1)+d+1)."""
+        """The factor to the power kappa, renormalized: (Psi/kappa, kappa(nu-d-1)+d+1).
+
+        ln|Psi/kappa| = ln|Psi| - d ln kappa is carried, not refactorized.
+        """
         if _is_identity_temperature(kappa):
             return self
         d = self.dim
@@ -269,7 +272,11 @@ class QWWishart:
             raise ValueError(
                 f"annealed Wishart dof condition violated (kappa={kappa}, nu={self.nu}, d={d})"
             )
-        return QWWishart(psi=self.psi / kappa, nu=kappa * (self.nu - d - 1.0) + d + 1.0)
+        return QWWishart.with_logdet(
+            self.logdet_psi - d * math.log(kappa),
+            psi=self.psi / kappa,
+            nu=kappa * (self.nu - d - 1.0) + d + 1.0,
+        )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import bsplda.model as mdl
 from bsplda import io as mio
 from bsplda.cli import main
 from bsplda.model import ModelParams, PriorConfig
-from bsplda.posterior import QAlpha, QWGamma, QWWishart
+from bsplda.posterior import QAlpha, QVtilde, QWGamma, QWWishart
 from bsplda.synth import GenSpec, sample
 from tests.test_posterior import random_qv, random_spd
 
@@ -267,6 +267,34 @@ def test_model_file_with_non_finite_payload_is_input_error(tmp_path, capsys, blo
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_model_file_with_zero_rank_header_is_input_error(tmp_path, capsys):
+    # a file consistent with its header n_y = 0: no loading column, one-column q(Vtilde) rows
+    d = 3
+    rng = np.random.default_rng(0)
+    qv = QVtilde(mean=rng.normal(size=(d, 1)), prec=np.tile(np.eye(1), (d, 1, 1)))
+    prior = PriorConfig(variant=mdl.V4_GAUSSV_GAMMA_ISOTROPIC, v_row_means=qv.mean,
+                        v_row_precisions=qv.prec, a_w=0.5, b_w=0.5).validate(d, 0)
+    qw = QWGamma(a=2.0, b=1.1, dim=d)
+    saved = mio.SavedModel(variant=prior.variant, mu=qv.mu.copy(), V=qv.V.copy(), W=qw.mean,
+                           qv=qv, qw=qw, prior=prior, elbo=0.0)
+    path = tmp_path / "rank0.model"
+    mio.write_model_file(path, saved)
+    with pytest.raises(mio.FormatError, match="n_y = 0"):
+        mio.read_model_file(path)
+    assert elbo_exit_code(tmp_path, saved) == 2
+    assert "n_y = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["d", "ny"])
+def test_simulate_spec_rejects_empty_dimension(tmp_path, capsys, key):
+    spec = tmp_path / "sim.cfg"
+    spec.write_text("d = 3\nny = 2\n" + f"{key} = 0\n")
+    rc = main(["simulate", "--spec", str(spec), "--speakers", "4", "--per-speaker", "2",
+               "--seed", "0", "--out", str(tmp_path / "sim")])
+    assert rc == 2
+    assert f"spec key {key} must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     import bsplda
 
@@ -403,7 +431,7 @@ class TestCli:
         ])
         assert rc == 2
 
-    def test_adapt_round_trip_and_gating(self, tmp_path):
+    def test_adapt_round_trip_and_gating(self, tmp_path, capsys):
         data, labels = write_sim_files(tmp_path)
         base = tmp_path / "base.model"
         rc = main([
@@ -427,6 +455,7 @@ class TestCli:
             "--variant", "V3-GaussV-Wishart",
         ])
         assert rc == 2
+        assert "variant V2-Gamma-diagonal, incompatible with V3-GaussV-Wishart" in capsys.readouterr().err
         # isotropic arm flows to the isotropic adaptation variant
         iso_base = tmp_path / "iso.model"
         rc = main([

@@ -60,6 +60,21 @@ def test_update_qw_carries_logdet_psi():
     assert qw.logdet_psi == pytest.approx(np.linalg.slogdet(qw.psi)[1], rel=1e-12)
 
 
+def test_annealed_wishart_carries_logdet_psi(monkeypatch):
+    d = 60
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(d, 2 * d))
+    prior = PriorConfig(variant=mdl.V1_WISHART_INFORMATIVE, psi0=spd_stack(rng, d) / d, nu_d=d + 2.0)
+    qw = mdl.WISHART.update_qw(prior, x @ x.T, 1000.0)
+    calls = []
+    cholesky = linalg.spd_cholesky
+    monkeypatch.setattr(linalg, "spd_cholesky", lambda *a, **k: calls.append(1) or cholesky(*a, **k))
+    annealed = qw.anneal(0.3)
+    logdet = annealed.logdet_psi
+    assert calls == []  # ln|psi / kappa| = ln|psi| - d ln kappa, no second factorization
+    assert logdet == pytest.approx(np.linalg.slogdet(annealed.psi)[1], rel=1e-12)
+
+
 def test_flat_update_qw_carries_logdet_of_the_jittered_matrix():
     d = 300
     x = np.random.default_rng(d).normal(size=(d, 200))
