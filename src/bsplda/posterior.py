@@ -74,6 +74,12 @@ class _Gaussian:
 class _Gamma:
     """Gamma factors with one shape a and rates b."""
 
+    def __post_init__(self):
+        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        if self.a <= 0 or np.any(b <= 0):
+            raise ValueError("Gamma parameters must be positive")
+        object.__setattr__(self, "b", b)
+
     def anneal(self, kappa):
         """The factor to the power kappa, renormalized: (kappa(a-1)+1, kappa b)."""
         if _is_identity_temperature(kappa):  # the formula can move a in its last bit
@@ -196,12 +202,6 @@ class QAlpha(_Gamma):
     a: float
     b: np.ndarray  # (n_y,)
 
-    def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if self.a <= 0 or np.any(b <= 0):
-            raise ValueError("Gamma parameters must be positive")
-        object.__setattr__(self, "b", b)
-
     @cached_property
     def mean(self):
         return self.a / self.b
@@ -292,12 +292,9 @@ class QWGamma(_Gamma):
     dim: int
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if self.a <= 0 or np.any(b <= 0):
-            raise ValueError("Gamma parameters must be positive")
-        if b.shape not in ((self.dim,), (1,)):
-            raise ValueError(f"b must hold {self.dim} rates or one, got shape {b.shape}")
-        object.__setattr__(self, "b", b)
+        super().__post_init__()
+        if self.b.shape not in ((self.dim,), (1,)):
+            raise ValueError(f"b must hold {self.dim} rates or one, got shape {self.b.shape}")
 
     @cached_property
     def factor_mean(self):

@@ -258,6 +258,8 @@ def test_invalid_parameters_rejected():
         QWWishart(psi=np.eye(2), nu=0.5)
     with pytest.raises(ValueError):
         QWGamma(a=1.0, b=np.array([1.0, -2.0]), dim=2)
+    with pytest.raises(ValueError, match="rates or one"):
+        QWGamma(a=1.0, b=np.ones(3), dim=2)
     with pytest.raises(ValueError):
         QY(mean=np.zeros((2, 2)), prec=np.zeros((2, 3, 3)), group=np.arange(2))
 
