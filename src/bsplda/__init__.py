@@ -1,6 +1,6 @@
 """Variational Bayes training and adaptation for the SPLDA linear-Gaussian model."""
 
-from .data import CenteredStats, Dataset, SpeakerPartition, SuffStats, accumulate, center, merge
+from .data import Dataset, SpeakerPartition, SuffStats, accumulate, merge, rotate
 from .elbo import ElboBreakdown, elbo_total
 from .engine import (
     FitConfig,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedLoading",
-    "CenteredStats",
     "CounterRng",
     "Dataset",
     "ElboBreakdown",
@@ -45,7 +44,6 @@ __all__ = [
     "VARIANTS",
     "VariationalState",
     "accumulate",
-    "center",
     "conditional_loglik",
     "conditional_loglik_augmented",
     "elbo_total",
@@ -54,6 +52,7 @@ __all__ = [
     "heldout_bound",
     "merge",
     "minimum_divergence",
+    "rotate",
     "sample",
     "__version__",
 ]

@@ -2,14 +2,13 @@
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import io as mio
 from . import model as mdl
-from .data import accumulate
+from .data import accumulate, rotate
 from .elbo import NonFiniteElboError, elbo_total
 from .engine import FitConfig, fit_stats, update_qy
 from .linalg import FactorizationError
@@ -92,24 +91,25 @@ def _save_fit(args, state, params, report, rotation):
         mio.write_trace_csv(args.trace, report)
 
 
-def _model_stats(saved, args):
-    """Statistics of the command's dataset, rotated when the model was trained whitened."""
+def _load_stats(args, saved=None):
+    """Statistics of the command's dataset; for a saved model, checked against its
+    dimension and rotated into its coordinates when it was trained whitened."""
     dataset, partition = mio.load_dataset(args.data, args.labels)
-    if dataset.dim != saved.dim:
-        raise ValueError(f"data dimension {dataset.dim} does not match model {saved.dim}")
-    if saved.rotation is not None:
-        dataset = replace(dataset, vectors=dataset.vectors @ saved.rotation)
-    return accumulate(dataset, partition)
+    stats = accumulate(dataset, partition)
+    if saved is None:
+        return stats
+    if stats.dim != saved.dim:
+        raise ValueError(f"data dimension {stats.dim} does not match model {saved.dim}")
+    return stats if saved.rotation is None else rotate(stats, saved.rotation)
 
 
 def cmd_train(args):
-    dataset, partition = mio.load_dataset(args.data, args.labels)
+    stats = _load_stats(args)
     config = mio.parse_config(args.config) if args.config else {}
     variant = args.variant or config.get("variant", mdl.V1_WISHART_NONINFORMATIVE)
     if variant not in mdl.VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     n_y = args.ny if args.ny is not None else _config_get(config, "ny", int, 2)
-    stats = accumulate(dataset, partition)
     prior = _build_train_prior(config, variant, stats.dim)
     fit_config = _build_fit_config(config, args)
     state, params, report = fit_stats(stats, prior, fit_config, n_y)
@@ -119,7 +119,7 @@ def cmd_train(args):
 
 def cmd_adapt(args):
     saved = mio.read_model_file(args.prior)
-    stats = _model_stats(saved, args)
+    stats = _load_stats(args, saved)
     arm = mdl.SCHEMES[saved.variant][1]
     variant = args.variant or arm.adapted_variant
     if variant != arm.adapted_variant:
@@ -140,6 +140,9 @@ def cmd_adapt(args):
 
 
 def _params_from_spec_config(config, seed):
+    missing = [key for key in ("d", "ny") if key not in config]
+    if missing:
+        raise ValueError(f"spec must set {' and '.join(missing)}")
     d = int(config["d"])
     ny = int(config["ny"])
     for key, value in (("d", d), ("ny", ny)):
@@ -179,7 +182,7 @@ def cmd_simulate(args):
 
 def cmd_elbo(args):
     saved = mio.read_model_file(args.model)
-    stats = _model_stats(saved, args)
+    stats = _load_stats(args, saved)
     qy = update_qy(stats, saved.qv, saved.qw)
     breakdown = elbo_total(stats, qy, saved.qv, saved.qw, saved.qalpha, saved.prior)
     for name, value in breakdown.as_dict().items():

@@ -4,14 +4,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import sym
+
 __all__ = [
     "Dataset",
     "SpeakerPartition",
     "SuffStats",
-    "CenteredStats",
     "accumulate",
     "merge",
-    "center",
+    "rotate",
 ]
 
 _BLOCK_VALUES = 1 << 22  # numbers of the data gathered at a time by accumulate (32 MiB)
@@ -112,22 +113,6 @@ class SuffStats:
     def dim(self):
         return self.spk_sums.shape[1]
 
-    @staticmethod
-    def empty(dim):
-        """Statistics of an empty dataset (no speakers, no vectors)."""
-        return SuffStats(
-            counts=np.zeros(0), spk_sums=np.zeros((0, dim)), scatter_total=np.zeros((dim, dim))
-        )
-
-
-@dataclass(frozen=True)
-class CenteredStats:
-    """First-order sums centered per speaker and the global centered scatter."""
-
-    mu: np.ndarray
-    spk_sums: np.ndarray      # (M, d): F_i - N_i mu
-    scatter_total: np.ndarray  # (d, d): S - mu F^T - F mu^T + N mu mu^T
-
 
 def accumulate(dataset, partition):
     """Sufficient statistics of a dataset under a speaker partition.
@@ -177,17 +162,14 @@ def merge(chunks):
     )
 
 
-def center(stats, mu):
-    """Centered statistics for a given mean: F_i - N_i mu and the global centered scatter."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (stats.dim,):
-        raise ValueError(f"mu has shape {mu.shape}, expected ({stats.dim},)")
-    spk_sums = stats.spk_sums - stats.counts[:, None] * mu[None, :]
-    f = stats.sum_total
-    scatter = (
-        stats.scatter_total
-        - np.outer(mu, f)
-        - np.outer(f, mu)
-        + stats.n_total * np.outer(mu, mu)
+def rotate(stats, rotation):
+    """Statistics of the rotated vectors x^T R: the sums F_i R and the scatter R^T S R.
+
+    Every command rotates statistics, never vectors, so a whitened model sees
+    the same numbers in train, adapt and elbo.
+    """
+    return SuffStats(
+        counts=stats.counts,
+        spk_sums=stats.spk_sums @ rotation,
+        scatter_total=sym(rotation.T @ stats.scatter_total @ rotation),
     )
-    return CenteredStats(mu=mu, spk_sums=spk_sums, scatter_total=scatter)

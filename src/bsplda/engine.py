@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model as mdl
-from .data import SuffStats, accumulate, center
+from .data import accumulate, rotate
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
 from .linalg import (
     FactorizationError, batched_spd_inverse_logdet, spd_cholesky, spd_inverse_logdet, sym,
@@ -234,15 +234,6 @@ def whitening_rotation(stats):
     return vecs
 
 
-def _rotate_stats(stats, rotation):
-    r = rotation
-    return SuffStats(
-        counts=stats.counts,
-        spk_sums=stats.spk_sums @ r,
-        scatter_total=sym(r.T @ stats.scatter_total @ r),
-    )
-
-
 def _init_state(stats, prior, n_y, seed):
     """Scale-aware random start: data mean, scaled Gaussian loading rows,
     identity row precisions, precision arm matched to the within-class
@@ -252,9 +243,11 @@ def _init_state(stats, prior, n_y, seed):
     n = stats.n_total
     rng = CounterRng(seed)
     if n > 0:
-        mu_init = stats.sum_total / n
-        centered = center(stats, mu_init)
-        tr_sbar = max(float(np.trace(centered.scatter_total)), 0.0)
+        f = stats.sum_total
+        mu_init = f / n
+        # trace of the centered scatter S - mu F^T - F mu^T + N mu mu^T, read off its diagonal
+        diag = np.diag(stats.scatter_total) - mu_init * f - f * mu_init + n * (mu_init * mu_init)
+        tr_sbar = max(float(np.sum(diag)), 0.0)
         scale = 0.5 * math.sqrt(tr_sbar / (n * d * n_y)) if tr_sbar > 0 else 0.5
         v_init = scale * rng.gaussians(d * n_y).reshape(d, n_y)
         within = _within_class_covariance(stats)
@@ -308,7 +301,7 @@ def fit_stats(stats, prior, config, n_y):
     """
     if n_y < 1:
         raise ValueError("latent rank must be at least 1")
-    prior.validate(stats.dim, n_y)
+    prior = prior.validate(stats.dim, n_y)
     variant = prior.variant
     rotation = None
     if config.whiten:
@@ -319,7 +312,7 @@ def fit_stats(stats, prior, config, n_y):
         if arm.coupled_rows or not loading.has_alpha:
             raise ValueError("whitening preprocessing applies to the V2 variants only")
         rotation = whitening_rotation(stats)
-        stats = _rotate_stats(stats, rotation)
+        stats = rotate(stats, rotation)
 
     state = _init_state(stats, prior, n_y, config.seed)
     breakdown = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior)

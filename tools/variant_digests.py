@@ -8,9 +8,11 @@ corpus (V3-GaussV-Wishart, V4-GaussV-Gamma-diagonal, V4-GaussV-Gamma-isotropic)
 and runs `elbo` on each model. It then does the same for V1-Wishart-informative,
 V2-Gamma-diagonal and V2-Gamma-isotropic on two corpora at d = 40: there q(W)
 inverts matrices above the order that `linalg` inverts whole, and the Gamma
-arms' pooled sums run over enough entries for numpy's pairwise summation. It prints each command's exit code and one line per
-model file, trace CSV and `elbo` output. A change that must keep behaviour
-prints the same lines before and after:
+arms' pooled sums run over enough entries for numpy's pairwise summation.
+It prints each command's exit code, one line per model file, trace CSV and
+`elbo` output, and one `elbo == trace` line per model: `elbo` on the corpus a
+model was fitted to must print the last total of that fit's trace exactly. A
+change that must keep behaviour prints the same lines before and after:
 
     python3 tools/variant_digests.py > before.txt   # on the old commit
     python3 tools/variant_digests.py > after.txt
@@ -88,10 +90,19 @@ def digest_files(*paths):
 
 
 def elbo(work, name, corpus):
-    """Run `elbo` on a model; keep its output as NAME.elbo and print the digest."""
+    """Run `elbo` on a model; keep its output as NAME.elbo and print the digest.
+
+    Then print whether the printed total equals, digit for digit, the last total
+    of the trace CSV that the model's own fit wrote on the same corpus.
+    """
     path = work / f"{name}.elbo"
-    path.write_text(run(f"elbo {name}", ["elbo", "--model", str(work / f"{name}.model"), *corpus]))
+    printed = run(f"elbo {name}", ["elbo", "--model", str(work / f"{name}.model"), *corpus])
+    path.write_text(printed)
     digest_files(path)
+    total = dict(line.split("=", 1) for line in printed.splitlines()).get("total")
+    trace = work / f"{name}.csv"
+    last = trace.read_text().splitlines()[-1].split(",")[1] if trace.exists() else None
+    print(f"elbo {'==' if total is not None and total == last else '!='} trace  {name}")
 
 
 def main_digests(work):
