@@ -10,7 +10,7 @@ each variant name to its pair; every decision that depends on the variant is a
 method or an attribute of these objects.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -149,13 +149,19 @@ class PriorConfig:
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
 
     def validate(self, d, n_y):
-        """Check presence, shapes and positivity of every field the variant uses."""
+        """Check presence, shapes and positivity of every field the variant uses.
+
+        Returns a copy whose vector fields are broadcast to their full length;
+        this prior is left as it is, so it can be validated again at another d.
+        """
         loading, arm = SCHEMES[self.variant]
-        loading.validate(self, d, n_y)
         # A previous run's posterior gives each row its own Gamma rate; a prior
         # trained from scratch shares one rate, the one hyperopt refreshes.
-        arm.validate(self, d, per_row=not loading.has_alpha)
-        return self
+        return replace(
+            self,
+            **loading.validate(self, d, n_y),
+            **arm.validate(self, d, per_row=not loading.has_alpha),
+        )
 
     @cached_property
     def psi0_inv_logdet(self):
@@ -172,16 +178,21 @@ class PriorConfig:
         if value is None or not np.isfinite(value) or value <= 0:
             raise ValueError(f"{self.variant} requires positive {name}, got {value!r}")
 
-    def _require_vector(self, name, d):
-        value = getattr(self, name)
-        if value is None:
-            raise ValueError(f"{self.variant} requires {name}")
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        if value.size == 1:
-            value = np.full(d, float(value[0]))
-        if value.shape != (d,):
-            raise ValueError(f"{name} must be scalar or length-{d}, got shape {value.shape}")
-        return value
+
+
+def _scalar_or_length(prior, name, d):
+    """Field `name` of `prior` as a length-d vector; one number covers all d entries."""
+    value = getattr(prior, name)
+    if value is None:
+        raise ValueError(f"{prior.variant} requires {name}")
+    value = np.atleast_1d(value)
+    if value.size == 1:
+        return np.full(d, float(value.flat[0]))
+    if value.shape != (d,):
+        raise ValueError(
+            f"{prior.variant} takes {name} as a scalar or length-{d}, got shape {value.shape}"
+        )
+    return value
 
 
 def _require_spd(name, matrices):
@@ -208,14 +219,14 @@ class ArdColumns:
     has_alpha = True
 
     def validate(self, prior, d, n_y):
+        """The broadcast mean-prior fields, mu0 and beta."""
         prior._require_positive_scalar("a_alpha")
         prior._require_positive_scalar("b_alpha")
-        mu0 = prior._require_vector("mu0", d)
-        beta = prior._require_vector("beta", d)
+        mu0 = _scalar_or_length(prior, "mu0", d)
+        beta = _scalar_or_length(prior, "beta", d)
         if np.any(beta <= 0):
             raise ValueError("beta entries must be positive")
-        object.__setattr__(prior, "mu0", mu0)
-        object.__setattr__(prior, "beta", beta)
+        return {"mu0": mu0, "beta": beta}
 
     def row_prior_terms(self, prior, qalpha, d, k):
         """Per-row prior precision matrices and precision-times-mean vectors."""
@@ -287,6 +298,7 @@ class GaussRows:
                 f"v_row_precisions has shape {prior.v_row_precisions.shape}, expected ({d}, {k}, {k})"
             )
         _require_spd("v_row_precisions", prior.v_row_precisions)
+        return {}
 
     def row_prior_terms(self, prior, qalpha, d, k):
         prec = prior.v_row_precisions
@@ -341,6 +353,7 @@ class WishartArm:
         _require_spd("psi0", prior.psi0)
         if prior.nu_d <= d - 1:
             raise ValueError(f"nu_d must exceed d-1={d - 1}, got {prior.nu_d}")
+        return {}
 
     def init_qw(self, prior, n, d, w_point):
         """Start matched to the point precision `w_point`; at the prior without data."""
@@ -388,7 +401,7 @@ class FlatWishartArm(WishartArm):
     """The flat (non-informative) limit of the Wishart prior; needs N > d."""
 
     def validate(self, prior, d, per_row):
-        pass  # no hyperparameters
+        return {}  # no hyperparameters
 
     def init_qw(self, prior, n, d, w_point):
         _require_n_above_d(n, d)
@@ -436,22 +449,12 @@ class GammaArm:
         return reduce(diag, keepdims=True) if self.shared else diag
 
     def validate(self, prior, d, per_row):
+        """The rate field b_w: one rate per row for a previous run's diagonal posterior, else one."""
         prior._require_positive_scalar("a_w")
-        if prior.b_w is None:
-            raise ValueError(f"{prior.variant} requires b_w")
-        b_w = np.atleast_1d(np.asarray(prior.b_w, dtype=float))
-        if per_row and not self.shared:
-            if b_w.size == 1:
-                b_w = np.full(d, float(b_w[0]))
-            if b_w.shape != (d,):
-                raise ValueError(f"b_w must be scalar or length-{d}, got shape {b_w.shape}")
-        else:
-            if b_w.size != 1:
-                raise ValueError(f"{prior.variant} takes a scalar b_w")
-            b_w = b_w.reshape(1)
+        b_w = _scalar_or_length(prior, "b_w", d if per_row and not self.shared else 1)
         if np.any(b_w <= 0):
             raise ValueError("b_w must be positive")
-        object.__setattr__(prior, "b_w", b_w)
+        return {"b_w": b_w}
 
     def init_qw(self, prior, n, d, w_point):
         """Start matched to the diagonal of the point precision `w_point`; at the prior without data."""

@@ -235,7 +235,7 @@ def test_criterion_05_kl_zero_suite():
                 a_w=prior.a_w,
                 b_w=prior.b_w,
             )
-        prior.validate(d, ny)
+        prior = prior.validate(d, ny)
         # q(Y) at its prior
         qy = QY(mean=np.zeros((2, ny)), prec=np.tile(np.eye(ny), (2, 1, 1)), group=np.arange(2))
         y_prior, y_entropy_neg = elbo_y_terms(qy)

@@ -108,7 +108,7 @@ def converged_fit(variant, seed=0):
             kwargs.update(psi0=np.eye(d), nu_d=d + 2.0)
         else:
             kwargs.update(a_w=1.0, b_w=1.0)
-    prior = PriorConfig(variant=variant, **kwargs)
+    prior = PriorConfig(variant=variant, **kwargs).validate(d, ny)
     state, _, report = fit(
         ds, part, prior, FitConfig(max_iterations=4000, elbo_rel_tol=1e-14, seed=seed), n_y=ny
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bsplda.data as data_module
-from bsplda.data import Dataset, SpeakerPartition, SuffStats, accumulate, center, merge
+from bsplda.data import Dataset, SpeakerPartition, accumulate, merge, rotate
 
 
 def make_dataset(vectors):
@@ -112,31 +112,7 @@ def test_chunked_merge_contract(n, d, m, scale):
     assert np.all(np.abs(full.scatter_total - brute) <= bound)
 
 
-def test_center_one_speaker_example():
-    ds = make_dataset([[1.0, 0.0], [0.0, 1.0]])
-    stats = accumulate(ds, SpeakerPartition(assignment=[0, 0], n_speakers=1))
-    mu = np.array([1.0, 1.0])
-    cen = center(stats, mu)
-    np.testing.assert_allclose(cen.spk_sums[0], [-1.0, -1.0])
-    # direct centered summation oracle
-    expected = sum(np.outer(x - mu, x - mu) for x in ds.vectors)
-    np.testing.assert_allclose(cen.scatter_total, expected, atol=1e-12)
-
-
-def test_center_zero_and_mean():
-    rng = np.random.default_rng(31)
-    vectors = rng.normal(size=(9, 3))
-    assignment = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2])
-    stats = accumulate(make_dataset(vectors), SpeakerPartition(assignment=assignment, n_speakers=3))
-    zero = center(stats, np.zeros(3))
-    np.testing.assert_allclose(zero.spk_sums, stats.spk_sums)
-    np.testing.assert_allclose(zero.scatter_total, stats.scatter_total)
-    mean = stats.sum_total / stats.n_total
-    cen = center(stats, mean)
-    np.testing.assert_allclose(cen.spk_sums.sum(axis=0), np.zeros(3), atol=1e-12)
-
-
-def test_centered_scatter_matches_brute_force():
+def test_rotate_matches_rotated_vectors():
     rng = np.random.default_rng(41)
     for _ in range(10):
         n, d, m = 14, 4, 3
@@ -144,15 +120,14 @@ def test_centered_scatter_matches_brute_force():
         assignment = rng.integers(0, m, size=n)
         while len(np.unique(assignment)) < m:
             assignment = rng.integers(0, m, size=n)
-        mu = rng.normal(size=d)
-        stats = accumulate(make_dataset(vectors), SpeakerPartition(assignment=assignment, n_speakers=m))
-        cen = center(stats, mu)
-        brute = sum(np.outer(x - mu, x - mu) for x in vectors)
-        err = np.linalg.norm(cen.scatter_total - brute) / np.linalg.norm(brute)
-        assert err < 1e-10
-        for i in range(m):
-            rows = vectors[assignment == i]
-            np.testing.assert_allclose(cen.spk_sums[i], (rows - mu).sum(axis=0), atol=1e-10)
+        rotation = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        part = SpeakerPartition(assignment=assignment, n_speakers=m)
+        rotated = rotate(accumulate(make_dataset(vectors), part), rotation)
+        oracle = accumulate(make_dataset(vectors @ rotation), part)
+        assert np.array_equal(rotated.counts, oracle.counts)
+        np.testing.assert_allclose(rotated.spk_sums, oracle.spk_sums, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rotated.scatter_total, oracle.scatter_total, rtol=0, atol=1e-12)
+        assert np.array_equal(rotated.scatter_total, rotated.scatter_total.T)
 
 
 def test_validation_errors():
@@ -165,14 +140,3 @@ def test_validation_errors():
     ds = make_dataset([[1.0], [2.0]])
     with pytest.raises(ValueError):
         accumulate(ds, SpeakerPartition(assignment=[0], n_speakers=1))
-    stats = accumulate(ds, SpeakerPartition(assignment=[0, 0], n_speakers=1))
-    with pytest.raises(ValueError):
-        center(stats, np.zeros(3))
-
-
-def test_empty_stats_shapes():
-    stats = SuffStats.empty(3)
-    assert stats.n_speakers == 0
-    assert stats.n_total == 0
-    np.testing.assert_allclose(stats.sum_total, np.zeros(3))
-    np.testing.assert_allclose(stats.scatter_total, np.zeros((3, 3)))

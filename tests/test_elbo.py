@@ -236,7 +236,7 @@ def test_noninformative_w_prior_term():
 
 
 def test_data_term_empty_is_zero():
-    stats = SuffStats.empty(3)
+    stats = SuffStats(counts=np.zeros(0), spk_sums=np.zeros((0, 3)), scatter_total=np.zeros((3, 3)))
     qy = QY(mean=np.zeros((0, 2)), prec=np.zeros((0, 2, 2)), group=np.arange(0))
     qv = random_qv(np.random.default_rng(0), 3, 2)
     qw = QWGamma(a=1.0, b=1.0, dim=3)

@@ -31,7 +31,7 @@ from bsplda.model import ModelParams, PriorConfig
 from bsplda.posterior import (
     QY, QAlpha, QVtilde, QWGamma, QWWishart, YAggregates, y_aggregates,
 )
-from bsplda.synth import GenSpec, sample
+from bsplda.synth import CounterRng, GenSpec, sample
 from tests.test_posterior import random_qv, random_qy, random_spd, stats_for
 
 
@@ -661,6 +661,26 @@ class TestFit:
         assert math.isfinite(report.initial_elbo)
         assert report.final_breakdown.total == pytest.approx(report.initial_elbo)
 
+    def test_fit_leaves_its_prior_unchanged(self):
+        # validate broadcasts mu0 and beta onto a copy, so one prior serves fits at any d
+        prior = v1_prior(3, mdl.V2_GAMMA_DIAGONAL)
+        for d in (3, 4):
+            ds, part, _ = synthetic_problem(41, d=d)
+            _, _, report = fit(ds, part, prior, FitConfig(max_iterations=3, seed=1), n_y=2)
+            assert report.final_prior.mu0.shape == report.final_prior.beta.shape == (d,)
+        assert prior.mu0.shape == prior.beta.shape == prior.b_w.shape == ()
+
+    def test_start_scale_reads_the_centered_scatter_trace(self):
+        d, n_y = 5, 2
+        ds, part, _ = synthetic_problem(42, d=d, m=10, per=4)
+        stats = accumulate(ds, part)
+        state = _init_state(stats, v1_prior(d), n_y, seed=3)
+        centered = ds.vectors - ds.vectors.mean(axis=0)
+        scale = 0.5 * math.sqrt(np.sum(centered**2) / (stats.n_total * d * n_y))
+        expected = scale * CounterRng(3).gaussians(d * n_y).reshape(d, n_y)
+        np.testing.assert_allclose(state.qv.V, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.qv.mu, stats.sum_total / stats.n_total, rtol=1e-15, atol=0)
+
     def test_trace_length_matches_iterations(self):
         ds, part, _ = synthetic_problem(32)
         state, params, report = fit(ds, part, v1_prior(4), FitConfig(max_iterations=7, elbo_rel_tol=1e-16, seed=1), n_y=2)
@@ -712,7 +732,8 @@ class TestFit:
             (mdl.V4_GAUSSV_GAMMA_ISOTROPIC, dict(a_w=1.5, b_w=0.8)),
         ]:
             prior = PriorConfig(variant=variant, v_row_means=means, v_row_precisions=precs, **extra)
-            state, _, report = fit_stats(SuffStats.empty(d), prior, FitConfig(max_iterations=2, seed=0), n_y=ny)
+            empty = SuffStats(counts=np.zeros(0), spk_sums=np.zeros((0, d)), scatter_total=np.zeros((d, d)))
+            state, _, report = fit_stats(empty, prior, FitConfig(max_iterations=2, seed=0), n_y=ny)
             assert abs(report.elbo_trace[-1]) < 1e-10
             np.testing.assert_allclose(state.qv.mean, means, atol=1e-9)
             np.testing.assert_allclose(state.qv.prec, precs, atol=1e-9)

@@ -285,14 +285,20 @@ def test_model_file_with_zero_rank_header_is_input_error(tmp_path, capsys):
     assert "n_y = 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["d", "ny"])
-def test_simulate_spec_rejects_empty_dimension(tmp_path, capsys, key):
+@pytest.mark.parametrize("spec_text, message", [
+    pytest.param("d = 3\nny = 2\nd = 0\n", "spec key d must be at least 1", id="d"),
+    pytest.param("d = 3\nny = 2\nny = 0\n", "spec key ny must be at least 1", id="ny"),
+    pytest.param("ny = 2\n", "spec must set d\n", id="d-missing"),
+    pytest.param("d = 3\n", "spec must set ny\n", id="ny-missing"),
+    pytest.param("mu = 0.5\n", "spec must set d and ny\n", id="both-missing"),
+])
+def test_simulate_spec_rejects_empty_dimension(tmp_path, capsys, spec_text, message):
     spec = tmp_path / "sim.cfg"
-    spec.write_text("d = 3\nny = 2\n" + f"{key} = 0\n")
+    spec.write_text(spec_text)
     rc = main(["simulate", "--spec", str(spec), "--speakers", "4", "--per-speaker", "2",
                "--seed", "0", "--out", str(tmp_path / "sim")])
     assert rc == 2
-    assert f"spec key {key} must be at least 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():
@@ -545,7 +551,36 @@ class TestCli:
             line.split("=") for line in capsys.readouterr().out.strip().splitlines()
         )
         last_total = float(trace.read_text().strip().splitlines()[-1].split(",")[1])
-        assert float(printed["total"]) == pytest.approx(last_total, rel=1e-12)
+        assert float(printed["total"]) == last_total
+
+    @pytest.mark.parametrize("variant", ["V2-Gamma-diagonal", "V2-Gamma-isotropic"])
+    def test_whitened_train_adapt_elbo_round_trip(self, tmp_path, capsys, variant):
+        # train, adapt and elbo rotate the same statistics, so each model's
+        # elbo on its own corpus prints its trace's last total digit for digit
+        data, labels = write_sim_files(tmp_path)
+        (tmp_path / "small").mkdir()
+        small_data, small_labels = write_sim_files(tmp_path / "small", seed=9, speakers=6, per=3)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("whiten = true\n")
+        model, trace = tmp_path / "m.model", tmp_path / "m.csv"
+        assert main([
+            "train", "--data", str(data), "--labels", str(labels), "--config", str(cfg),
+            "--out", str(model), "--variant", variant, "--ny", "2",
+            "--iters", "25", "--seed", "5", "--trace", str(trace),
+        ]) == 0
+        adapted, adapted_trace = tmp_path / "a.model", tmp_path / "a.csv"
+        assert main([
+            "adapt", "--prior", str(model), "--data", str(small_data), "--labels", str(small_labels),
+            "--out", str(adapted), "--iters", "15", "--seed", "3", "--trace", str(adapted_trace),
+        ]) == 0
+        assert mio.read_model_file(adapted).rotation is not None
+        capsys.readouterr()
+        for fitted, corpus, fit_trace in ((model, (data, labels), trace),
+                                          (adapted, (small_data, small_labels), adapted_trace)):
+            assert main(["elbo", "--model", str(fitted), "--data", str(corpus[0]),
+                         "--labels", str(corpus[1])]) == 0
+            printed = dict(line.split("=") for line in capsys.readouterr().out.split())
+            assert printed["total"] == fit_trace.read_text().splitlines()[-1].split(",")[1]
 
     def test_simulate_from_model_round_trip(self, tmp_path):
         data, labels = write_sim_files(tmp_path)

@@ -161,11 +161,25 @@ def test_augmented_loading_structure():
     np.testing.assert_allclose(loading.Vtilde, np.column_stack([v, mu]))
 
 
+def test_validate_returns_a_broadcast_copy():
+    d, k = 3, 2
+    prior = PriorConfig(variant="V4-GaussV-Gamma-diagonal", v_row_means=np.zeros((d, k)),
+                        v_row_precisions=np.tile(np.eye(k), (d, 1, 1)), a_w=1.0, b_w=0.5)
+    checked = prior.validate(d, 1)
+    np.testing.assert_array_equal(checked.b_w, np.full(d, 0.5))
+    assert prior.b_w.shape == ()
+    assert prior.validate(d, 1).b_w.shape == (d,)
+    shared = PriorConfig(variant="V4-GaussV-Gamma-isotropic", v_row_means=prior.v_row_means,
+                         v_row_precisions=prior.v_row_precisions, a_w=1.0, b_w=[0.5, 0.5])
+    with pytest.raises(ValueError, match="takes b_w as a scalar or length-1"):
+        shared.validate(d, 1)
+
+
 def test_prior_config_validation():
     with pytest.raises(ValueError):
         PriorConfig(variant="V9-unknown")
     prior = PriorConfig(variant="V1-Wishart-noninformative", mu0=0.0, beta=1.0, a_alpha=1e-3, b_alpha=1e-3)
-    prior.validate(3, 2)
+    prior = prior.validate(3, 2)
     assert prior.mu0.shape == (3,)
     with pytest.raises(ValueError):
         PriorConfig(variant="V1-Wishart-informative", mu0=0.0, beta=1.0, a_alpha=1e-3, b_alpha=1e-3).validate(3, 2)

@@ -37,7 +37,8 @@ def expected_vrv(qv, r):
     from bsplda.engine import _residual_scatter
 
     d, k = qv.mean.shape
-    return _residual_scatter(SuffStats.empty(d), YAggregates(C=np.zeros((d, k)), R=r), qv)
+    empty = SuffStats(counts=np.zeros(0), spk_sums=np.zeros((0, d)), scatter_total=np.zeros((d, d)))
+    return _residual_scatter(empty, YAggregates(C=np.zeros((d, k)), R=r), qv)
 
 
 def random_qy(rng, m, ny):
