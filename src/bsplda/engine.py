@@ -102,9 +102,13 @@ class FitReport:
 
 
 def update_qy(stats, qv, qw):
-    """Closed-form q(Y): L = I + N E[V^T W V] once per distinct count N.
+    """Closed-form q(Y): L = I + N A once per distinct count N, with A = E[V^T W V].
 
-    Means come from the W-weighted sums, F_i^T (E[W] V) - N_i E[V^T W mu].
+    One eigendecomposition A = U diag(lam) U^T gives every group's covariance
+    U diag(1 / (1 + N lam)) U^T and log-determinant sum ln(1 + N lam), and every
+    mean ((b U) / (1 + N_i lam)) U^T from the W-weighted sums
+    b = F_i^T (E[W] V) - N_i E[V^T W mu]. A precision with 1 + N lam <= 0 is not
+    positive definite: np.linalg.LinAlgError, as its Cholesky factorization would raise.
     """
     ny = qv.rank
     wbar = qw.mean
@@ -113,8 +117,14 @@ def update_qy(stats, qv, qw):
     evtwmu = quad[:-1, -1]
     values, group = np.unique(stats.counts, return_inverse=True)
     prec = np.eye(ny)[None, :, :] + values[:, None, None] * evtwv[None, :, :]
+    lam, vecs = np.linalg.eigh(evtwv)
+    scale = 1.0 + values[:, None] * lam[None, :]  # (G, n_y): eigenvalues of each precision
+    if not np.all(scale > 0.0):
+        raise np.linalg.LinAlgError("a q(Y) precision is not positive definite")
+    cov = sym((vecs[None, :, :] / scale[:, None, :]) @ vecs.T)
     rhs = stats.spk_sums @ (wbar @ qv.V) - stats.counts[:, None] * evtwmu[None, :]
-    return QY.solve(prec, group, rhs)
+    mean = ((rhs @ vecs) / scale[group]) @ vecs.T
+    return QY.with_inverse(cov, np.sum(np.log(scale), axis=1), mean=mean, prec=prec, group=group)
 
 
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):

@@ -41,16 +41,43 @@ def spd_cholesky(a, jitter=False):
     return spd_cholesky(a + 1e-10 * max(np.trace(a) / d, 1.0) * np.eye(d))
 
 
+_LEAF_ORDER = 8  # triangular blocks up to this order are inverted by forward substitution
+
+
+def _forward_substitution_inverse(chol):
+    """L^-1 of each lower-triangular L of a stack, one row per step: row i of L^-1 left of
+    the diagonal is -L[i, :i] L[:i, :i]^-1 / L[i, i], a product batched over the stack."""
+    n = chol.shape[-1]
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    inv = np.zeros_like(chol)
+    inv[..., range(n), range(n)] = 1.0 / diag
+    for i in range(1, n):
+        inv[..., i, :i] = -(chol[..., i, None, :i] @ inv[..., :i, :i])[..., 0, :] / diag[..., i, None]
+    return inv
+
+
 def _triangular_inverse(chol):
     """L^-1 of a lower-triangular L, or of each of a stack, by 2x2 blocks in matrix products:
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
+
+    A is padded with a unit diagonal to the order of C, and the two are inverted
+    as one stack, so every leaf of the recursion is inverted in the same step.
+    """
     n = chol.shape[-1]
-    if n <= 32:  # inverted whole, so small stacks keep the bits of a plain inverse
-        return np.linalg.inv(chol)
-    h = n // 2
-    a_inv, c_inv = _triangular_inverse(chol[..., :h, :h]), _triangular_inverse(chol[..., h:, h:])
-    lower = -(c_inv @ chol[..., h:, :h]) @ a_inv
-    return np.block([[a_inv, np.zeros_like(chol[..., :h, h:])], [lower, c_inv]])
+    if n <= _LEAF_ORDER:
+        return _forward_substitution_inverse(chol)
+    h, t = n // 2, n - n // 2
+    pair = np.zeros((2, *chol.shape[:-2], t, t))
+    pair[0, ..., :h, :h] = chol[..., :h, :h]
+    pair[0, ..., h:, h:] = 1.0  # the unit pad: empty when n is even
+    pair[1] = chol[..., h:, h:]
+    pair_inv = _triangular_inverse(pair)
+    a_inv, c_inv = pair_inv[0, ..., :h, :h], pair_inv[1]
+    inv = np.zeros_like(chol)
+    inv[..., :h, :h] = a_inv
+    inv[..., h:, h:] = c_inv
+    inv[..., h:, :h] = -(c_inv @ chol[..., h:, :h]) @ a_inv
+    return inv
 
 
 def _inverse_from_cholesky(chol):

@@ -169,6 +169,11 @@ class PriorConfig:
         return spd_inverse_logdet(self.psi0)
 
     @cached_property
+    def psi0_log_B(self):
+        """ln B(psi0, nu_d), the Wishart prior's normalizer, once per prior."""
+        return wishart_log_B(self.psi0_inv_logdet[1], self.nu_d, self.psi0.shape[0])
+
+    @cached_property
     def v_row_logdets(self):
         """ln|L0_r| of the d row-prior precisions, computed once per prior."""
         return np.linalg.slogdet(self.v_row_precisions)[1]
@@ -370,9 +375,9 @@ class WishartArm:
     def w_prior(self, qw, prior):
         """E[ln P(W)]."""
         d = qw.dim
-        psi0_inv, psi0_logdet = prior.psi0_inv_logdet
+        psi0_inv = prior.psi0_inv_logdet[0]
         return float(
-            wishart_log_B(psi0_logdet, prior.nu_d, d)
+            prior.psi0_log_B
             + 0.5 * (prior.nu_d - d - 1) * qw.mean_logdet
             - 0.5 * qw.nu * np.sum(psi0_inv * qw.psi)
         )

@@ -5,7 +5,7 @@ rebuilt whenever a new value is constructed, so caches can never go stale.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,8 +23,6 @@ __all__ = [
     "y_aggregates",
     "expected_vtw_quadratic",
 ]
-
-_MEAN_BLOCK = 256  # speakers per block when q(Y) means gather their group's covariance
 
 
 def _is_identity_temperature(kappa):
@@ -65,10 +63,19 @@ class _Gaussian:
         return self._cov_logdet[1]
 
     def anneal(self, kappa):
-        """The factor to the power kappa, renormalized: same mean, precision times kappa."""
+        """The factor to the power kappa, renormalized: same mean, precision times kappa.
+
+        The covariances and log-determinants are carried, cov / kappa and
+        ln|P| + k ln kappa for order k, not refactorized.
+        """
         if _is_identity_temperature(kappa):
             return self
-        return replace(self, prec=kappa * self.prec)
+        cov, logdets = self._cov_logdet
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["prec"] = kappa * self.prec
+        return self.with_inverse(
+            cov / kappa, logdets + self.prec.shape[-1] * math.log(kappa), **values
+        )
 
 
 class _Gamma:
@@ -121,20 +128,6 @@ class QY(_Gaussian):
         if group.size and (group.min() < 0 or group.max() >= self.prec.shape[0]):
             raise ValueError(f"group indices must lie in [0, {self.prec.shape[0]})")
         object.__setattr__(self, "group", group)
-
-    @classmethod
-    def solve(cls, prec, group, rhs):
-        """Factors with precision prec[group[i]] and mean prec[group[i]]^-1 rhs[i].
-
-        The covariances are inverted once per group and kept as the factor's
-        cache; the means gather them in blocks of a bounded number of speakers.
-        """
-        cov, logdets = batched_spd_inverse_logdet(prec)
-        mean = np.empty_like(rhs)
-        for lo in range(0, rhs.shape[0], _MEAN_BLOCK):
-            block = slice(lo, lo + _MEAN_BLOCK)
-            mean[block] = (rhs[block, None, :] @ cov[group[block]])[:, 0, :]
-        return cls.with_inverse(cov, logdets, mean=mean, prec=prec, group=group)
 
     @property
     def n_speakers(self):

@@ -163,6 +163,66 @@ def test_grouped_qy_matches_per_speaker_reference(mix):
     assert all(np.ndim(value) <= 2 for value in vars(stats).values())
 
 
+def counted_batched_inverse(monkeypatch):
+    """Count batched_spd_inverse_logdet calls from every module that imports it."""
+    calls = []
+    batched = linalg.batched_spd_inverse_logdet
+
+    def counted(mats):
+        calls.append(mats.shape)
+        return batched(mats)
+
+    for module in (linalg, posterior, engine):
+        monkeypatch.setattr(module, "batched_spd_inverse_logdet", counted)
+    return calls
+
+
+def test_qy_with_rank_deficient_quadratic_matches_per_speaker_reference(monkeypatch):
+    # loading column 1 is a point mass at 0 (zero mean, zero covariance), so
+    # A = E[V^T W V] has an exactly zero row and column
+    rng = np.random.default_rng(12)
+    d, ny = 6, 3
+    counts = np.round(10.0 ** rng.uniform(0, 4, size=200)).astype(int)
+    counts[:2] = (1, 10_000)
+    stats = SuffStats(counts=counts.astype(float), spk_sums=rng.normal(size=(counts.size, d)),
+                      scatter_total=random_spd(rng, d))
+    cov = np.stack([np.linalg.inv(random_spd(rng, ny + 1)) for _ in range(d)])
+    cov[:, 1, :] = cov[:, :, 1] = 0.0
+    mean = rng.normal(size=(d, ny + 1))
+    mean[:, 1] = 0.0
+    qv = QVtilde.with_inverse(cov, np.zeros(d), mean=mean, prec=np.tile(np.eye(ny + 1), (d, 1, 1)))
+    qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 4.0)
+    evtwv = posterior.expected_vtw_quadratic(qv, qw.mean)[:ny, :ny]
+    assert not evtwv[1].any() and not evtwv[:, 1].any()
+
+    calls = counted_batched_inverse(monkeypatch)
+    qy = update_qy(stats, qv, qw)
+    qy.cov, qy.prec_logdets  # what the aggregates and the bound read
+    assert calls == []  # one eigendecomposition, no factorization per group
+    means, covs, _, _, _, ref_terms = per_speaker_qy_reference(stats, qv, qw.mean)
+    for got, want in ((qy.mean, means), (qy.cov[qy.group], covs), (elbo_y_terms(qy), ref_terms)):
+        want = np.asarray(want)
+        assert np.abs(np.asarray(got) - want).max() <= 1e-12 * max(float(np.abs(want).max()), 1.0)
+    np.testing.assert_array_equal(qy.mean[:, 1], 0.0)
+
+
+def test_qy_rejects_a_precision_that_is_not_positive_definite():
+    # a negative W direction makes A = V^T W V indefinite, diag(1, -0.5) up to the
+    # point-mass covariances; I + N A is positive definite for N = 1 but not for N = 1000
+    d = ny = 2
+    qv = point_qv(np.column_stack([np.eye(d), np.zeros(d)]))
+    qw = PointWArm(np.diag([1.0, -0.5]))
+    rng = np.random.default_rng(13)
+
+    def stats_with(counts):
+        return SuffStats(counts=np.array(counts), spk_sums=rng.normal(size=(len(counts), d)),
+                         scatter_total=np.eye(d))
+
+    update_qy(stats_with([1.0, 1.0]), qv, qw)
+    with pytest.raises(np.linalg.LinAlgError):
+        update_qy(stats_with([1.0, 1000.0]), qv, qw)
+
+
 class PointWArm:
     def __init__(self, w):
         self._w = np.asarray(w, dtype=float)
@@ -529,6 +589,20 @@ class TestAnnealing:
             for kappa in (0.0, -0.5, 1.5, math.nan):
                 with pytest.raises(ValueError, match="kappa"):
                     f.anneal(kappa)
+
+    def test_annealing_carries_the_inverse(self, monkeypatch):
+        f = self.factors(np.random.default_rng(16))
+        for name in ("qy", "qv"):
+            f[name].cov  # fill the cache, as the updates do
+        fresh = linalg.batched_spd_inverse_logdet
+        calls = counted_batched_inverse(monkeypatch)
+        for name in ("qy", "qv"):
+            out = f[name].anneal(0.3)
+            cov, logdets = out.cov, out.prec_logdets
+            assert calls == []
+            fresh_cov, fresh_logdets = fresh(out.prec)
+            for got, want in ((cov, fresh_cov), (logdets, fresh_logdets)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_covariance_doubles_at_half(self):
         f = self.factors(np.random.default_rng(13))

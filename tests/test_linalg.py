@@ -38,15 +38,33 @@ def test_batched_inverse_matches_cho_solve_above_the_base_order():
     np.testing.assert_allclose(logdets, np.linalg.slogdet(stack)[1], rtol=1e-13)
 
 
-@pytest.mark.parametrize("k", [1, 11, 16, 31, 32])
-def test_batched_inverse_keeps_plain_inverse_bits_up_to_order_32(k):
-    # q(Y) and q(Vtilde) stacks are this small: the blocked inverse leaves their bits alone
-    stack = spd_stack(np.random.default_rng(k), k, (7,))
-    inv_chol = np.linalg.inv(np.linalg.cholesky(stack))
-    full = np.swapaxes(inv_chol, -1, -2) @ inv_chol
-    cov, _ = batched_spd_inverse_logdet(stack)
-    assert np.array_equal(cov, 0.5 * (full + np.swapaxes(full, -1, -2)))
-    assert rel_diff(cov[0], cho_solve_inverse(stack[0])) <= 1e-13
+# Orders on both sides of the leaf order 8; the odd ones above it split into
+# blocks of unequal order, the leading one padded. The (300,) stack is the
+# q(Vtilde) row stack of a d = 300 fit; it stops below order 301 to stay small.
+INVERSE_CASES = [
+    (n, batch)
+    for n in (1, 7, 8, 9, 16, 31, 33, 65, 301)
+    for batch in ((), (1,), (7,), (300,))
+    if n < 301 or batch != (300,)
+]
+
+
+@pytest.mark.parametrize("n, batch", INVERSE_CASES)
+def test_batched_inverse_matches_cho_solve(n, batch):
+    stack = spd_stack(np.random.default_rng(n), n, batch)
+    cov, logdets = batched_spd_inverse_logdet(stack)
+    assert cov.shape == stack.shape and np.shape(logdets) == batch
+    for a, inv in zip(stack.reshape(-1, n, n), cov.reshape(-1, n, n)):
+        assert rel_diff(inv, cho_solve_inverse(a)) <= 1e-13
+    # absolute floor for order-1 log-determinants near 0
+    np.testing.assert_allclose(logdets, np.linalg.slogdet(stack)[1], rtol=1e-13, atol=1e-14)
+
+
+def test_batched_inverse_rejects_a_stack_with_one_indefinite_matrix():
+    stack = spd_stack(np.random.default_rng(3), 9, (7,))
+    stack[4, 2, 2] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        batched_spd_inverse_logdet(stack)
 
 
 def test_update_qw_carries_logdet_psi():

@@ -9,6 +9,9 @@ and runs `elbo` on each model. It then does the same for V1-Wishart-informative,
 V2-Gamma-diagonal and V2-Gamma-isotropic on two corpora at d = 40: there q(W)
 inverts matrices above the order that `linalg` inverts whole, and the Gamma
 arms' pooled sums run over enough entries for numpy's pairwise summation.
+Last it trains and adapts V1-Wishart-informative at d = 37, an odd order above
+the leaf order of the triangular inverse, so its blocks split unequally and the
+leading one is padded.
 It prints each command's exit code, one line per model file, trace CSV and
 `elbo` output, and one `elbo == trace` line per model: `elbo` on the corpus a
 model was fitted to must print the last total of that fit's trace exactly. A
@@ -66,8 +69,10 @@ HIGH_DIM_RUNS = (
     ("v2-diagonal-d40", "V2-Gamma-diagonal", False),
     ("v2-isotropic-d40", "V2-Gamma-isotropic", False),
 )
+ODD_DIM_RUNS = (("v1-informative-d37", "V1-Wishart-informative", False),)
 # (suffix, d, nu_d, train speakers, adapt speakers, runs)
-CORPORA = (("", 5, 9, 40, 10, TRAIN_RUNS), ("-d40", 40, 45, 60, 20, HIGH_DIM_RUNS))
+CORPORA = (("", 5, 9, 40, 10, TRAIN_RUNS), ("-d40", 40, 45, 60, 20, HIGH_DIM_RUNS),
+           ("-d37", 37, 42, 60, 20, ODD_DIM_RUNS))
 
 
 def sha256(data):
