@@ -15,8 +15,6 @@ __all__ = [
     "rotate",
 ]
 
-_BLOCK_VALUES = 1 << 22  # numbers of the data gathered at a time by accumulate (32 MiB)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -117,28 +115,26 @@ class SuffStats:
 def accumulate(dataset, partition):
     """Sufficient statistics of a dataset under a speaker partition.
 
-    A stable sort lists each speaker's rows together in ascending row order.
-    The sorted rows are gathered in blocks of whole speakers holding about
-    _BLOCK_VALUES numbers, so no second copy of the data is made, and one
-    reduction per block sums each speaker's rows; a speaker's sum does not
-    depend on the blocks. The scatter is X^T X over all rows.
+    Each speaker's sum adds its rows one at a time in ascending row order, bit
+    for bit a sequential loop. A stable sort lists each speaker's rows
+    together, and the speakers are ranked by decreasing count, so step j adds
+    the j-th row of every speaker that has one to a leading slice of the
+    ranked sums: max N_i vectorized steps, no temporary above M x d. The
+    scatter is X^T X over all rows.
     """
     partition.check_compatible(dataset)
     x = dataset.vectors
     m = partition.n_speakers
     counts = np.bincount(partition.assignment, minlength=m)
     order = np.argsort(partition.assignment, kind="stable")
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    sums = np.empty((m, dataset.dim))
-    block_rows = max(1, _BLOCK_VALUES // dataset.dim)
-    lo = 0
-    while lo < m:
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + block_rows, side="right")))
-        rows = order[starts[lo]:ends[hi - 1]]
-        # every speaker has at least one row, so the segment starts increase strictly
-        sums[lo:hi] = np.add.reduceat(x[rows], starts[lo:hi] - starts[lo], axis=0)
-        lo = hi
+    rank = np.argsort(-counts, kind="stable")
+    first = (np.cumsum(counts) - counts)[rank]  # where each ranked speaker's rows start in order
+    active = m - np.cumsum(np.bincount(counts))[:-1]  # active[j]: speakers with more than j rows
+    ranked = x[order[first]]
+    for j in range(1, active.size):
+        ranked[:active[j]] += x[order[first[:active[j]] + j]]
+    sums = np.empty_like(ranked)
+    sums[rank] = ranked
     return SuffStats(counts=counts, spk_sums=sums, scatter_total=x.T @ x)
 
 

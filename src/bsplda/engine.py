@@ -134,7 +134,10 @@ def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     Cholesky, without jitter, and kept as the factor's cache. Full-covariance
     W couples the row means: they are refreshed in ascending index order,
     each seeing the newest means of every other row (one Gauss-Seidel sweep,
-    an exact coordinate maximizer per row). Diagonal W decouples them.
+    an exact coordinate maximizer per row). The sweep is a forward
+    substitution: the part that the old means and C give is solved for every
+    row at once, and row r then subtracts (W_r,:r V_:r) R cov_r for the rows
+    already refreshed. Diagonal W decouples them.
     """
     d, k = qv.mean.shape
     loading, arm = mdl.SCHEMES[prior.variant]
@@ -146,12 +149,13 @@ def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     cov, logdets = batched_spd_inverse_logdet(prec)
     rhs = prior_rhs + wdiag[:, None] * c
     if arm.coupled_rows:
-        mean = qv.mean.copy()
-        cross = c - mean @ r_yt  # row s: C_s - R v_s; refreshed as rows update
-        for row in range(d):
-            coupling = wbar[row] @ cross - wdiag[row] * cross[row]
-            mean[row] = (rhs[row] + coupling) @ cov[row]
-            cross[row] = c[row] - mean[row] @ r_yt
+        # row r sees sum_{s != r} W_rs (C_s - v_s R), with v_s new for s < r:
+        # everything but the new rows is known before the sweep
+        rhs = rhs + (wbar - np.diag(wdiag)) @ c - (np.triu(wbar, 1) @ qv.mean) @ r_yt
+        mean = (rhs[:, None, :] @ cov)[:, 0, :]
+        gain = r_yt @ cov  # row r: R cov_r
+        for row in range(1, d):
+            mean[row] -= (wbar[row, :row] @ mean[:row]) @ gain[row]
     else:
         mean = (rhs[:, None, :] @ cov)[:, 0, :]
     return QVtilde.with_inverse(cov, logdets, mean=mean, prec=prec)
@@ -217,13 +221,13 @@ def minimum_divergence(qy, qv):
     g_mat = np.linalg.inv(j_mat.T)
     qv_new = QVtilde(
         mean=qv.mean @ j_mat,
-        prec=np.einsum("ab,rbc,cd->rad", g_mat.T, qv.prec, g_mat),
+        prec=g_mat.T @ qv.prec @ g_mat,
     )
     # y' = (Sigma^{1/2})^{-T} (y - mu_y) = L^{-1} (y - mu_y)
     a_mat = np.linalg.inv(chol)
     qy_new = QY(
         mean=(qy.mean - mu_y[None, :]) @ a_mat.T,
-        prec=np.einsum("ab,gbc,cd->gad", chol.T, qy.prec, chol),
+        prec=chol.T @ qy.prec @ chol,
         group=qy.group,
     )
     return qy_new, qv_new, j_mat

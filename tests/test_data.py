@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import bsplda.data as data_module
 from bsplda.data import Dataset, SpeakerPartition, accumulate, merge, rotate
 
 
@@ -67,20 +66,28 @@ def test_within_speaker_permutation_invariance():
     np.testing.assert_allclose(base.scatter_total, other.scatter_total, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("block_values", [1, 7, 40])
-def test_accumulate_blocks_do_not_change_sums(monkeypatch, block_values):
-    # blocks as small as one row or a few speakers give the one-block result bit for bit
+def sequential_sums(vectors, assignment, m):
+    sums = np.zeros((m, vectors.shape[1]))
+    for x, spk in zip(vectors, assignment):
+        sums[spk] += x
+    return sums
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [np.arange(200) % 23, np.zeros(9, dtype=int), np.repeat(np.arange(6), 4),
+     np.concatenate([np.zeros(1000, dtype=int), [1, 2], np.full(3, 3)])],
+    ids=["shuffled", "one-speaker", "tied-counts", "counts-1-and-1000"],
+)
+def test_accumulate_sums_rows_in_row_order(counts):
+    # bit for bit the sequential loop, whatever the row order and the counts
     rng = np.random.default_rng(29)
-    vectors = rng.normal(size=(200, 4))
-    assignment = rng.permutation(np.arange(200) % 23)
-    ds = make_dataset(vectors)
-    part = SpeakerPartition(assignment=assignment, n_speakers=23)
-    whole = accumulate(ds, part)
-    monkeypatch.setattr(data_module, "_BLOCK_VALUES", block_values)
-    blocked = accumulate(ds, part)
-    assert np.array_equal(blocked.counts, whole.counts)
-    assert np.array_equal(blocked.spk_sums, whole.spk_sums)
-    assert np.array_equal(blocked.scatter_total, whole.scatter_total)
+    assignment = rng.permutation(counts)
+    m = int(assignment.max()) + 1
+    vectors = rng.normal(size=(assignment.size, 4)) * 10.0 ** rng.integers(-8, 9, size=(1, 4))
+    stats = accumulate(make_dataset(vectors), SpeakerPartition(assignment=assignment, n_speakers=m))
+    assert np.array_equal(stats.spk_sums, sequential_sums(vectors, assignment, m))
+    assert np.array_equal(stats.counts, np.bincount(assignment, minlength=m))
 
 
 @pytest.mark.parametrize(

@@ -374,28 +374,33 @@ def row_update_problem(variant, rng, d=12, ny=3):
     aggs = y_aggregates(random_qy(rng, 20, ny), stats_for(rng, 20, d))
     qv0 = random_qv(rng, d, ny)
     qalpha = QAlpha(a=2.0, b=np.array([2e-10, 0.5, 1.0]))  # E[alpha] = 1e10, 4, 2
-    if variant == mdl.V1_WISHART_INFORMATIVE:
+    if mdl.SCHEMES[variant][1].coupled_rows:  # the Wishart arms
         qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
-        prior = v1_prior(d, variant)
-    elif variant == mdl.V2_GAMMA_DIAGONAL:
-        qw = QWGamma(a=50.0, b=rng.uniform(10.0, 100.0, size=d), dim=d)
-        prior = v1_prior(d, variant)
+        arm_prior = dict(psi0=np.eye(d), nu_d=d + 2.0)
     else:
         qw = QWGamma(a=50.0, b=rng.uniform(10.0, 100.0, size=d), dim=d)
+        arm_prior = dict(a_w=50.0, b_w=qw.b)
+    if not mdl.SCHEMES[variant][0].has_alpha:  # the row-prior (adaptation) schemes
         precs = np.stack([random_spd(rng, k) for _ in range(d)])
         precs[3, 1, 1] += 1e10
         prior = PriorConfig(variant=variant, v_row_means=rng.normal(size=(d, k)),
-                            v_row_precisions=precs, a_w=50.0, b_w=qw.b)
+                            v_row_precisions=precs, **arm_prior)
         qalpha = None
+    else:
+        prior = v1_prior(d, variant)
     return aggs, qv0, qw, prior.validate(d, ny), qalpha
 
 
 @pytest.mark.parametrize(
-    "variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL, mdl.V4_GAUSSV_GAMMA_DIAGONAL]
+    "variant, d",
+    [pytest.param(variant, 12, id=variant) for variant in (
+        mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL, mdl.V3_GAUSSV_WISHART,
+        mdl.V4_GAUSSV_GAMMA_DIAGONAL)]
+    + [pytest.param(mdl.V3_GAUSSV_WISHART, 40, id="V3-GaussV-Wishart-d40")],
 )
-def test_row_update_matches_per_row_solve(variant, monkeypatch):
+def test_row_update_matches_per_row_solve(variant, d, monkeypatch):
     rng = np.random.default_rng(mdl.VARIANTS.index(variant))
-    aggs, qv0, qw, prior, qalpha = row_update_problem(variant, rng)
+    aggs, qv0, qw, prior, qalpha = row_update_problem(variant, rng, d)
     ref_mean, ref_prec = per_row_solve_reference(aggs, qv0, qw, prior, qalpha)
 
     calls = {"batched": 0, "cholesky": 0}
