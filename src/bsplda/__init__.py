@@ -1,6 +1,6 @@
 """Variational Bayes training and adaptation for the SPLDA linear-Gaussian model."""
 
-from .data import Dataset, SpeakerPartition, SuffStats, accumulate, merge, rotate
+from .data import Dataset, SpeakerPartition, SuffStats, accumulate, rotate
 from .elbo import ElboBreakdown, elbo_total
 from .engine import (
     FitConfig,
@@ -50,7 +50,6 @@ __all__ = [
     "fit",
     "fit_stats",
     "heldout_bound",
-    "merge",
     "minimum_divergence",
     "rotate",
     "sample",

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import io as mio
 from . import model as mdl
-from .data import accumulate, rotate
+from .data import accumulate_blocks, rotate
 from .elbo import NonFiniteElboError, elbo_total
 from .engine import FitConfig, fit_stats, update_qy
 from .linalg import FactorizationError
@@ -94,8 +94,8 @@ def _save_fit(args, state, params, report, rotation):
 def _load_stats(args, saved=None):
     """Statistics of the command's dataset; for a saved model, checked against its
     dimension and rotated into its coordinates when it was trained whitened."""
-    dataset, partition = mio.load_dataset(args.data, args.labels)
-    stats = accumulate(dataset, partition)
+    partition = mio.read_labels_file(args.labels)
+    stats = accumulate_blocks(mio.read_data_blocks(args.data, partition.assignment.size), partition)
     if saved is None:
         return stats
     if stats.dim != saved.dim:

@@ -11,7 +11,7 @@ __all__ = [
     "SpeakerPartition",
     "SuffStats",
     "accumulate",
-    "merge",
+    "accumulate_blocks",
     "rotate",
 ]
 
@@ -113,49 +113,69 @@ class SuffStats:
 
 
 def accumulate(dataset, partition):
-    """Sufficient statistics of a dataset under a speaker partition.
-
-    Each speaker's sum adds its rows one at a time in ascending row order, bit
-    for bit a sequential loop. A stable sort lists each speaker's rows
-    together, and the speakers are ranked by decreasing count, so step j adds
-    the j-th row of every speaker that has one to a leading slice of the
-    ranked sums: max N_i vectorized steps, no temporary above M x d. The
-    scatter is X^T X over all rows.
-    """
+    """Sufficient statistics of a dataset under a speaker partition: the whole
+    array as one block of `accumulate_blocks`, so the scatter is X^T X over all rows."""
     partition.check_compatible(dataset)
-    x = dataset.vectors
-    m = partition.n_speakers
-    counts = np.bincount(partition.assignment, minlength=m)
-    order = np.argsort(partition.assignment, kind="stable")
-    rank = np.argsort(-counts, kind="stable")
-    first = (np.cumsum(counts) - counts)[rank]  # where each ranked speaker's rows start in order
-    active = m - np.cumsum(np.bincount(counts))[:-1]  # active[j]: speakers with more than j rows
-    ranked = x[order[first]]
-    for j in range(1, active.size):
-        ranked[:active[j]] += x[order[first[:active[j]] + j]]
-    sums = np.empty_like(ranked)
-    sums[rank] = ranked
-    return SuffStats(counts=counts, spk_sums=sums, scatter_total=x.T @ x)
+    return accumulate_blocks([dataset.vectors], partition)
 
 
-def merge(chunks):
-    """Concatenate the statistics of disjoint speaker chunks.
+def accumulate_blocks(blocks, partition):
+    """Sufficient statistics of consecutive row blocks that together hold the
+    partition's rows in order.
 
-    Chunks must partition the speakers (speaker granularity). Counts, sums and
-    the summed total are bit-identical to a single-pass accumulation. The
-    scatter is the sum of the chunk scatters: it adds the same N products
-    x x^T in another order, so it matches a single pass to rounding only,
+    Each block adds its rows to the speaker sums and its X_b^T X_b to the
+    scatter, so memory is the M x d sums, the d x d scatter and a few blocks.
+    Each speaker's sum adds its rows one at a time in ascending row order,
+    across blocks too, bit for bit a sequential loop. The scatter adds the
+    same N products x x^T as one X^T X in another order: the two agree
     elementwise within 2 gamma_N (|X|^T |X|), gamma_N = N u / (1 - N u),
-    u = 2^-53.
+    u = 2^-53, and are equal when there is one block.
     """
-    chunks = list(chunks)
-    if not chunks:
-        raise ValueError("nothing to merge")
-    return SuffStats(
-        counts=np.concatenate([c.counts for c in chunks]),
-        spk_sums=np.concatenate([c.spk_sums for c in chunks]),
-        scatter_total=sum(c.scatter_total for c in chunks),
-    )
+    assignment = partition.assignment
+    sums = scatter = None
+    start = 0
+    for x in blocks:
+        stop = start + x.shape[0]
+        if stop > assignment.size:
+            raise ValueError(f"blocks hold more than the partition's {assignment.size} rows")
+        if scatter is None:
+            scatter = x.T @ x
+        else:
+            scatter += x.T @ x
+        sums = _add_rows(sums, x, assignment[start:stop], partition.n_speakers)
+        start = stop
+    if start != assignment.size:
+        raise ValueError(f"blocks hold {start} rows, the partition covers {assignment.size}")
+    counts = np.bincount(assignment, minlength=partition.n_speakers)
+    return SuffStats(counts=counts, spk_sums=sums, scatter_total=scatter)
+
+
+def _add_rows(sums, x, assignment, n_speakers):
+    """Add each row of x to sums[assignment[row]], each speaker's rows in row
+    order; sums of None are zeros. Returns the sums.
+
+    A stable sort lists each speaker's rows together, and the block's speakers
+    are ranked by decreasing count. Their running sums are gathered once, step
+    j adds the j-th row of every speaker that has one to a leading slice of
+    the ranked sums, and the sums are scattered back: max count vectorized
+    steps, and no temporary above the block's size. The M x d sums are made
+    after the steps, so one block holding every speaker peaks at 2 M d numbers.
+    """
+    order = np.argsort(assignment, kind="stable")
+    ordered = assignment[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, ordered.size])
+    rank = np.argsort(-counts, kind="stable")
+    speakers = ordered[starts[rank]]
+    first = starts[rank]  # where each ranked speaker's rows start in order
+    active = counts.size - np.cumsum(np.bincount(counts))[:-1]  # active[j]: speakers with more than j rows
+    ranked = np.zeros((speakers.size, x.shape[1])) if sums is None else sums[speakers]
+    for j in range(active.size):
+        ranked[:active[j]] += x[order[first[:active[j]] + j]]
+    if sums is None:
+        sums = np.zeros((n_speakers, x.shape[1]))
+    sums[speakers] = ranked
+    return sums
 
 
 def rotate(stats, rotation):

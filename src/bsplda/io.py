@@ -4,6 +4,7 @@ Every floating-point payload is 64-bit little-endian IEEE-754, so round trips
 are bit-exact and outputs are byte-identical across platforms.
 """
 
+import array
 import math
 import os
 import stat
@@ -14,18 +15,18 @@ from functools import partial
 import numpy as np
 
 from . import model as mdl
-from .data import Dataset, SpeakerPartition
+from .data import SpeakerPartition
 from .posterior import QAlpha, QVtilde
 
 __all__ = [
     "FormatError",
     "MAGIC_DATA",
     "MAGIC_MODEL",
+    "BLOCK_ROWS",
     "write_data_file",
-    "read_data_file",
+    "read_data_blocks",
     "write_labels_file",
     "read_labels_file",
-    "load_dataset",
     "SavedModel",
     "write_model_file",
     "read_model_file",
@@ -36,7 +37,10 @@ __all__ = [
 MAGIC_DATA = b"BSPLDA-DATA\x00"
 MAGIC_MODEL = b"BSPLDA-MODEL\x00"
 FORMAT_VERSION = 1
-_READ_CHUNK = 1 << 18  # bytes per read of a payload
+_READ_CHUNK = 1 << 18  # bytes per read of a model payload
+# Rows per block of a data container payload. Blocks of 1024 rows or more add
+# their scatters as fast as one X^T X; the README gives the measured table.
+BLOCK_ROWS = 2048
 
 
 class FormatError(ValueError):
@@ -47,16 +51,21 @@ def _write_f64(f, arr):
     f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_f64(f, shape):
-    # Python ints, so that a header's dimensions cannot wrap the size around;
-    # checked against a regular file before reading. A pipe is read in bounded
-    # chunks, so a header larger than the stream never allocates its size.
-    size = 8 * math.prod(shape)
+def _check_payload_size(f, size):
+    """A header's payload size (a Python int, so its dimensions cannot wrap it
+    around) must fit in the rest of a regular file; a pipe has no size to check."""
     info = os.fstat(f.fileno())
     if stat.S_ISREG(info.st_mode) and size > info.st_size - f.tell():
         raise FormatError(
             f"header declares {size} payload bytes, the file has {info.st_size - f.tell()} left"
         )
+
+
+def _read_f64(f, shape):
+    # A pipe is read in bounded chunks, so a header larger than the stream
+    # never allocates its size.
+    size = 8 * math.prod(shape)
+    _check_payload_size(f, size)
     buf = bytearray()
     while len(buf) < size:
         chunk = f.read(min(size - len(buf), _READ_CHUNK))
@@ -98,7 +107,15 @@ def write_data_file(path, vectors):
         f.write(vectors.tobytes())
 
 
-def read_data_file(path):
+def read_data_blocks(path, n_rows):
+    """The payload of a data container, as consecutive blocks of at most BLOCK_ROWS rows.
+
+    The header is checked before any payload is read: magic, version, d >= 1,
+    N >= 1, N equal to `n_rows` (the label count), and, for a regular file,
+    a payload that fits in it. A block with a non-finite entry, a payload
+    shorter than its header declares and bytes after it are format errors.
+    Every block is a view of one buffer that the next block overwrites.
+    """
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC_DATA))
         if magic != MAGIC_DATA:
@@ -108,10 +125,28 @@ def read_data_file(path):
             raise FormatError(f"{path}: unsupported data format version {version}")
         d = _read_scalar(f, "<I")
         n = _read_scalar(f, "<Q")
-        vectors = _read_f64(f, (n, d))
+        if d < 1 or n < 1:
+            raise FormatError(f"{path}: header declares N = {n}, d = {d}; both must be at least 1")
+        if n != n_rows:
+            raise FormatError(f"{path}: {n_rows} label lines for {n} data rows")
+        _check_payload_size(f, 8 * n * d)
+        buf = np.empty((min(n, BLOCK_ROWS), d), dtype="<f8")
+        for start in range(0, n, buf.shape[0]):
+            block = buf[:min(buf.shape[0], n - start)]
+            view = memoryview(block).cast("B")
+            filled = 0
+            while filled < view.nbytes:  # a pipe may return less than asked
+                got = f.readinto(view[filled:])
+                if not got:
+                    raise FormatError(f"{path}: truncated file")
+                filled += got
+            if not np.isfinite(block).all():
+                raise FormatError(
+                    f"{path}: rows {start}..{start + block.shape[0] - 1} hold non-finite values"
+                )
+            yield block
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    return vectors
 
 
 def write_labels_file(path, ids, speaker_names):
@@ -123,36 +158,21 @@ def write_labels_file(path, ids, speaker_names):
 
 
 def read_labels_file(path):
-    ids = []
-    speakers = []
+    """The speaker partition of a labels file: one '<record_id> <speaker_id>'
+    line per data row, speakers indexed by first appearance."""
+    index = {}
+    assignment = array.array("q")
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected '<record_id> <speaker_id>'")
-            ids.append(parts[0])
-            speakers.append(parts[1])
-    return ids, speakers
-
-
-def load_dataset(data_path, labels_path):
-    """Dataset plus partition; speakers are indexed by first appearance order."""
-    vectors = read_data_file(data_path)
-    ids, speakers = read_labels_file(labels_path)
-    if len(ids) != vectors.shape[0]:
-        raise FormatError(
-            f"{labels_path}: {len(ids)} label lines for {vectors.shape[0]} data rows"
-        )
-    index = {}
-    assignment = np.empty(len(speakers), dtype=int)
-    for row, name in enumerate(speakers):
-        assignment[row] = index.setdefault(name, len(index))
-    dataset = Dataset(vectors=vectors, ids=tuple(ids))
-    partition = SpeakerPartition(assignment=assignment, n_speakers=len(index))
-    return dataset, partition
+            assignment.append(index.setdefault(parts[1], len(index)))
+    if not index:
+        raise FormatError(f"{path}: no label lines")
+    return SpeakerPartition(assignment=np.asarray(assignment), n_speakers=len(index))
 
 
 @dataclass(frozen=True)

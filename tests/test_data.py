@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsplda.data import Dataset, SpeakerPartition, accumulate, merge, rotate
+from bsplda.data import Dataset, SpeakerPartition, accumulate, rotate
 
 
 def make_dataset(vectors):
@@ -88,35 +88,6 @@ def test_accumulate_sums_rows_in_row_order(counts):
     stats = accumulate(make_dataset(vectors), SpeakerPartition(assignment=assignment, n_speakers=m))
     assert np.array_equal(stats.spk_sums, sequential_sums(vectors, assignment, m))
     assert np.array_equal(stats.counts, np.bincount(assignment, minlength=m))
-
-
-@pytest.mark.parametrize(
-    "n, d, m, scale", [(30, 3, 6, 1.0), (6000, 40, 60, 1e3)], ids=["n30", "n6000-scaled"]
-)
-def test_chunked_merge_contract(n, d, m, scale):
-    # counts and sums are bit-exact; the scatter is within the rounding bound
-    # of two summation orders of the same N products: 2 gamma_N |X|^T |X|
-    rng = np.random.default_rng(23)
-    vectors = scale * rng.normal(size=(n, d)) + rng.normal(size=d)
-    assignment = rng.permutation(np.arange(n) % m)
-    ds = make_dataset(vectors)
-    full = accumulate(ds, SpeakerPartition(assignment=assignment, n_speakers=m))
-    chunks = []
-    for lo, hi in ((0, m // 3), (m // 3, m - 1), (m - 1, m)):
-        rows = np.flatnonzero((assignment >= lo) & (assignment < hi))
-        sub = make_dataset(vectors[rows])
-        part = SpeakerPartition(assignment=assignment[rows] - lo, n_speakers=hi - lo)
-        chunks.append(accumulate(sub, part))
-    merged = merge(chunks)
-    assert np.array_equal(merged.counts, full.counts)
-    assert np.array_equal(merged.spk_sums, full.spk_sums)
-    assert np.array_equal(merged.sum_total, full.sum_total)
-    u = np.finfo(float).eps / 2
-    gamma = n * u / (1 - n * u)
-    bound = 2 * gamma * (np.abs(vectors).T @ np.abs(vectors))
-    brute = brute_force_stats(vectors, assignment, m)[2]
-    assert np.all(np.abs(merged.scatter_total - full.scatter_total) <= bound)
-    assert np.all(np.abs(full.scatter_total - brute) <= bound)
 
 
 def test_rotate_matches_rotated_vectors():

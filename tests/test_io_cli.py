@@ -7,13 +7,15 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import bsplda.model as mdl
 from bsplda import io as mio
-from bsplda.cli import main
+from bsplda.cli import _load_stats, main
+from bsplda.data import Dataset, SpeakerPartition, accumulate
 from bsplda.model import ModelParams, PriorConfig
 from bsplda.posterior import QAlpha, QVtilde, QWGamma, QWWishart
 from bsplda.synth import GenSpec, sample
@@ -24,16 +26,22 @@ def file_digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def read_vectors(path, n_rows):
+    """The whole payload of a data container, copied out of the reader's reused block."""
+    return np.concatenate([block.copy() for block in mio.read_data_blocks(path, n_rows)])
+
+
 def test_data_file_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    vectors = rng.normal(size=(17, 5))
+    n = mio.BLOCK_ROWS + 3
+    vectors = rng.normal(size=(n, 5))
     path = tmp_path / "x.data"
     mio.write_data_file(path, vectors)
-    back = mio.read_data_file(path)
+    back = read_vectors(path, n)
     assert np.array_equal(back, vectors)
     raw = path.read_bytes()
     assert raw.startswith(b"BSPLDA-DATA\x00")
-    assert len(raw) == 12 + 2 + 4 + 8 + 17 * 5 * 8
+    assert len(raw) == 12 + 2 + 4 + 8 + n * 5 * 8
 
 
 def test_data_file_rejects_corruption(tmp_path):
@@ -44,12 +52,21 @@ def test_data_file_rejects_corruption(tmp_path):
     raw[0] ^= 0xFF
     bad = tmp_path / "bad.data"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(mio.FormatError):
-        mio.read_data_file(bad)
+    with pytest.raises(mio.FormatError, match="magic"):
+        read_vectors(bad, 3)
     truncated = tmp_path / "short.data"
     truncated.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(mio.FormatError):
-        mio.read_data_file(truncated)
+    with pytest.raises(mio.FormatError, match="header declares"):
+        read_vectors(truncated, 3)
+    trailing = tmp_path / "long.data"
+    trailing.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(mio.FormatError, match="trailing"):
+        read_vectors(trailing, 3)
+    for d, n in ((0, 3), (2, 0)):
+        empty = tmp_path / "empty.data"
+        empty.write_bytes(mio.MAGIC_DATA + struct.pack("<HIQ", 1, d, n))
+        with pytest.raises(mio.FormatError, match="at least 1"):
+            read_vectors(empty, n)
 
 
 @pytest.mark.parametrize("n", [2**40, 2**61])
@@ -60,27 +77,33 @@ def test_data_file_rejects_header_larger_than_file(tmp_path, n):
     tracemalloc.start()
     try:
         with pytest.raises(mio.FormatError, match="header declares"):
-            mio.read_data_file(path)
+            read_vectors(path, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"read allocated {peak} bytes"
 
 
-def test_data_stream_shorter_than_header_is_format_error():
-    # a pipe has no size to check the header against: it must be read in bounded chunks
+def header_pipe(n, d=4):
+    """(read end, writer thread) of a pipe that carries only a data container's header."""
     read_end, write_end = os.pipe()
 
     def writer():
         with os.fdopen(write_end, "wb") as f:
-            f.write(mio.MAGIC_DATA + struct.pack("<HIQ", 1, 4, 1 << 40))
+            f.write(mio.MAGIC_DATA + struct.pack("<HIQ", 1, d, n))
 
     thread = threading.Thread(target=writer)
     thread.start()
+    return read_end, thread
+
+
+def test_data_stream_shorter_than_header_is_format_error():
+    # a pipe has no size to check the header against: it is read a block at a time
+    read_end, thread = header_pipe(1 << 40)
     tracemalloc.start()
     try:
         with pytest.raises(mio.FormatError, match="truncated"):
-            mio.read_data_file(f"/dev/fd/{read_end}")
+            read_vectors(f"/dev/fd/{read_end}", 1 << 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -94,13 +117,134 @@ def test_labels_round_trip_and_partition(tmp_path):
     ids = ["u1", "u2", "u3", "u4"]
     speakers = ["bob", "alice", "bob", "carol"]
     mio.write_labels_file(path, ids, speakers)
-    back_ids, back_speakers = mio.read_labels_file(path)
-    assert back_ids == ids and back_speakers == speakers
-    data_path = tmp_path / "x.data"
-    mio.write_data_file(data_path, np.zeros((4, 2)))
-    dataset, partition = mio.load_dataset(data_path, path)
+    assert path.read_text() == "u1 bob\nu2 alice\nu3 bob\nu4 carol\n"
+    partition = mio.read_labels_file(path)
     assert partition.n_speakers == 3
     np.testing.assert_array_equal(partition.assignment, [0, 1, 0, 2])  # first appearance order
+    bad = tmp_path / "bad.labels"
+    bad.write_text("u1 bob\nu2\n")
+    with pytest.raises(mio.FormatError, match=":2:"):
+        mio.read_labels_file(bad)
+
+
+def write_corpus(tmp_path, vectors, assignment, tag="c"):
+    data, labels = tmp_path / f"{tag}.data", tmp_path / f"{tag}.labels"
+    mio.write_data_file(data, vectors)
+    mio.write_labels_file(labels, [f"r{i}" for i in range(len(assignment))],
+                          [f"s{a}" for a in assignment])
+    return data, labels
+
+
+def streamed_stats(data, labels):
+    return _load_stats(SimpleNamespace(data=str(data), labels=str(labels)))
+
+
+def straddling_assignment(rng, b):
+    # speaker 0 holds rows b - 3 .. 3b + 2, across four blocks
+    n = 3 * b + 40
+    assignment = rng.integers(1, 30, size=n)
+    assignment[b - 3:3 * b + 3] = 0
+    return assignment
+
+
+@pytest.mark.parametrize(
+    "case", ["one-block", "one-block-plus-one", "speaker-straddles-blocks", "single-speaker"]
+)
+def test_streamed_stats_match_accumulate(tmp_path, case):
+    # counts and sums are bit-exact; the scatter adds the same N products in
+    # another order, so it is within 2 gamma_N |X|^T |X| of one X^T X
+    rng = np.random.default_rng(23)
+    b = mio.BLOCK_ROWS
+    assignment = {
+        "one-block": lambda: rng.integers(0, 50, size=b),
+        "one-block-plus-one": lambda: rng.integers(0, 50, size=b + 1),
+        "speaker-straddles-blocks": lambda: straddling_assignment(rng, b),
+        "single-speaker": lambda: np.zeros(2 * b + 7, dtype=int),
+    }[case]()
+    assignment = np.unique(assignment, return_inverse=True)[1]  # every speaker has a row
+    n, d = assignment.size, 5
+    vectors = (rng.normal(size=(n, d)) + rng.normal(size=d)) * 10.0 ** np.arange(-8, 9, 4)
+    stats = streamed_stats(*write_corpus(tmp_path, vectors, assignment))
+    m = int(assignment.max()) + 1
+    order = np.unique(assignment, return_index=True)[1].argsort().argsort()  # labels index by first appearance
+    full = accumulate(Dataset(vectors=vectors, ids=tuple(range(n))),
+                      SpeakerPartition(assignment=order[assignment], n_speakers=m))
+    assert np.array_equal(stats.counts, full.counts)
+    assert np.array_equal(stats.spk_sums, full.spk_sums)
+    assert np.array_equal(stats.sum_total, full.sum_total)
+    u = np.finfo(float).eps / 2
+    gamma = n * u / (1 - n * u)
+    bound = 2 * gamma * (np.abs(vectors).T @ np.abs(vectors))
+    assert np.all(np.abs(stats.scatter_total - full.scatter_total) <= bound)
+    if n <= b:
+        assert np.array_equal(stats.scatter_total, full.scatter_total)
+    brute = sum(np.outer(x, x) for x in vectors)
+    assert np.all(np.abs(full.scatter_total - brute) <= bound)
+
+
+def test_streamed_stats_memory_is_bounded(tmp_path):
+    # a 16 MiB container: the reader holds the sums, the scatter and a few
+    # blocks, never the N x d vectors
+    rng = np.random.default_rng(31)
+    b, d, m = mio.BLOCK_ROWS, 64, 512
+    n = 16 * b
+    assignment = np.sort(rng.permutation(np.arange(n) % m))
+    data, labels = write_corpus(tmp_path, rng.normal(size=(n, d)), assignment)
+    assert data.stat().st_size >= 16 << 20
+    tracemalloc.start()
+    try:
+        stats = streamed_stats(data, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.n_total == n
+    limit = 8 * (m * d + d * d) + 4 * 8 * b * d
+    assert peak < limit, f"reading {n} x {d} vectors peaked at {peak} bytes, limit {limit}"
+
+
+def test_non_finite_last_block_is_input_error(tmp_path, capsys):
+    # the NaN is read last: no command writes a model, a trace or a bound
+    rng = np.random.default_rng(37)
+    d = 3
+    good = write_corpus(tmp_path, rng.normal(size=(40, d)), np.arange(40) % 8, tag="good")
+    model = tmp_path / "m.model"
+    assert main(["train", "--data", str(good[0]), "--labels", str(good[1]), "--out", str(model),
+                 "--variant", "V2-Gamma-diagonal", "--ny", "1", "--iters", "5"]) == 0
+    n = 2 * mio.BLOCK_ROWS + 5
+    vectors = rng.normal(size=(n, d))
+    vectors[-1, 1] = np.nan
+    data, labels = write_corpus(tmp_path, vectors, np.arange(n) % 50, tag="nan")
+    corpus = ["--data", str(data), "--labels", str(labels)]
+    out, trace = tmp_path / "out.model", tmp_path / "out.csv"
+    capsys.readouterr()
+    for argv in (["train", *corpus, "--out", str(out), "--trace", str(trace), "--iters", "5"],
+                 ["adapt", "--prior", str(model), *corpus, "--out", str(out), "--trace", str(trace),
+                  "--iters", "5"],
+                 ["elbo", "--model", str(model), *corpus]):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and captured.out == "", argv[0]
+        assert not out.exists() and not trace.exists(), argv[0]
+
+
+def test_label_count_mismatch_exits_before_payload(tmp_path, capsys):
+    # the header's N is checked against the labels before a payload byte is read
+    read_end, thread = header_pipe(1 << 40)
+    labels = tmp_path / "x.labels"
+    mio.write_labels_file(labels, ["u1", "u2"], ["a", "b"])
+    tracemalloc.start()
+    try:
+        rc = main(["train", "--data", f"/dev/fd/{read_end}", "--labels", str(labels),
+                   "--out", str(tmp_path / "m.model")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        thread.join()
+        os.close(read_end)
+    assert rc == 2
+    assert f"2 label lines for {1 << 40} data rows" in capsys.readouterr().err
+    assert peak < 1 << 20, f"train allocated {peak} bytes"
+    assert not (tmp_path / "m.model").exists()
 
 
 def saved_model_for(variant, rng):
@@ -576,5 +720,5 @@ class TestCli:
             "--seed", "13", "--out", str(tmp_path / "resim"),
         ])
         assert rc == 0
-        vectors = mio.read_data_file(tmp_path / "resim.data")
+        vectors = read_vectors(tmp_path / "resim.data", 12)
         assert vectors.shape == (12, 4)

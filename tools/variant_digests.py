@@ -70,9 +70,11 @@ HIGH_DIM_RUNS = (
     ("v2-isotropic-d40", "V2-Gamma-isotropic", False),
 )
 ODD_DIM_RUNS = (("v1-informative-d37", "V1-Wishart-informative", False),)
-# (suffix, d, nu_d, train speakers, adapt speakers, runs)
+MULTI_BLOCK_RUNS = (("v2-diagonal-blocks", "V2-Gamma-diagonal", False),)
+# (suffix, d, nu_d, train speakers, adapt speakers, runs); train speakers have
+# 4 rows and adapt speakers 3
 CORPORA = (("", 5, 9, 40, 10, TRAIN_RUNS), ("-d40", 40, 45, 60, 20, HIGH_DIM_RUNS),
-           ("-d37", 37, 42, 60, 20, ODD_DIM_RUNS))
+           ("-d37", 37, 42, 60, 20, ODD_DIM_RUNS), ("-blocks", 5, 9, 1600, 2100, MULTI_BLOCK_RUNS))
 
 
 def sha256(data):
