@@ -47,22 +47,29 @@ def _config_get(config, key, cast, default):
     return default
 
 
-def _build_fit_config(config, args):
-    def pick(flag, key, cast, default):
-        if getattr(args, flag, None) is not None:
-            return cast(getattr(args, flag))
-        return _config_get(config, key, cast, default)
+# (FitConfig field, flag and config key, cast); FitConfig holds the defaults
+_FIT_SETTINGS = (
+    ("max_iterations", "iters", int),
+    ("elbo_rel_tol", "tol", float),
+    ("anneal_schedule", "anneal", _parse_anneal),
+    ("hyperopt_every", "hyperopt_every", int),
+    ("mindiv_every", "mindiv_every", int),
+    ("seed", "seed", int),
+)
 
-    anneal = pick("anneal", "anneal", str, "")
-    return FitConfig(
-        max_iterations=pick("iters", "iters", int, 500),
-        elbo_rel_tol=pick("tol", "tol", float, 1e-7),
-        anneal_schedule=_parse_anneal(anneal) if anneal else (),
-        hyperopt_every=pick("hyperopt_every", "hyperopt_every", int, 0),
-        mindiv_every=pick("mindiv_every", "mindiv_every", int, 0),
-        seed=pick("seed", "seed", int, 0),
-        whiten=_config_get(config, "whiten", lambda v: v.lower() in ("1", "true", "yes"), False),
-    )
+
+def _build_fit_config(config, args):
+    """FitConfig from the settings a flag or the config file gives; a flag beats its key."""
+    settings = {}
+    for field, key, cast in _FIT_SETTINGS:
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key)
+        if value is not None:
+            settings[field] = cast(value)
+    if "whiten" in config:
+        settings["whiten"] = config["whiten"].lower() in ("1", "true", "yes")
+    return FitConfig(**settings)
 
 
 def _build_train_prior(config, variant, d):

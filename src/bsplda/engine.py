@@ -8,9 +8,7 @@ import numpy as np
 from . import model as mdl
 from .data import accumulate, rotate
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
-from .linalg import (
-    FactorizationError, batched_spd_inverse_logdet, spd_cholesky, spd_inverse_logdet, sym,
-)
+from .linalg import FactorizationError, spd_cholesky, spd_inverse_logdet, sym
 from .posterior import QY, QAlpha, QVtilde, expected_vtw_quadratic, y_aggregates
 from .synth import CounterRng
 
@@ -108,7 +106,7 @@ def update_qy(stats, qv, qw):
     U diag(1 / (1 + N lam)) U^T and log-determinant sum ln(1 + N lam), and every
     mean ((b U) / (1 + N_i lam)) U^T from the W-weighted sums
     b = F_i^T (E[W] V) - N_i E[V^T W mu]. A precision with 1 + N lam <= 0 is not
-    positive definite: np.linalg.LinAlgError, as its Cholesky factorization would raise.
+    positive definite: FactorizationError, as its Cholesky factorization would raise.
     """
     ny = qv.rank
     wbar = qw.mean
@@ -120,7 +118,7 @@ def update_qy(stats, qv, qw):
     lam, vecs = np.linalg.eigh(evtwv)
     scale = 1.0 + values[:, None] * lam[None, :]  # (G, n_y): eigenvalues of each precision
     if not np.all(scale > 0.0):
-        raise np.linalg.LinAlgError("a q(Y) precision is not positive definite")
+        raise FactorizationError("a q(Y) precision is not positive definite")
     cov = sym((vecs[None, :, :] / scale[:, None, :]) @ vecs.T)
     rhs = stats.spk_sums @ (wbar @ qv.V) - stats.counts[:, None] * evtwmu[None, :]
     mean = ((rhs @ vecs) / scale[group]) @ vecs.T
@@ -131,7 +129,7 @@ def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     """Row posteriors of the augmented loading.
 
     The d row precisions L0_r + E[W]_rr R are inverted in one batched
-    Cholesky, without jitter, and kept as the factor's cache. Full-covariance
+    Cholesky and kept as the factor's cache. Full-covariance
     W couples the row means: they are refreshed in ascending index order,
     each seeing the newest means of every other row (one Gauss-Seidel sweep,
     an exact coordinate maximizer per row). The sweep is a forward
@@ -146,7 +144,7 @@ def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     wdiag = np.diagonal(wbar)
     c, r_yt = aggregates.C, aggregates.R
     prec = sym(prior_prec + wdiag[:, None, None] * r_yt)
-    cov, logdets = batched_spd_inverse_logdet(prec)
+    cov, logdets = spd_inverse_logdet(prec)
     rhs = prior_rhs + wdiag[:, None] * c
     if arm.coupled_rows:
         # row r sees sum_{s != r} W_rs (C_s - v_s R), with v_s new for s < r:
@@ -183,8 +181,8 @@ def _residual_scatter(stats, aggregates, qv):
     d = k_mat.shape[0]
     tau = 1e-8 * max(float(np.trace(k_mat)) / max(d, 1), 1.0)
     try:
-        np.linalg.cholesky(k_mat + tau * np.eye(d))
-    except np.linalg.LinAlgError:
+        spd_cholesky(k_mat + tau * np.eye(d))
+    except FactorizationError:
         eigs = np.linalg.eigvalsh(k_mat)
         floor = -1e-8 * max(float(np.abs(eigs).max()), 1.0)
         if eigs.min() < floor:
@@ -266,7 +264,7 @@ def _init_state(stats, prior, n_y, seed):
         v_init = scale * rng.gaussians(d * n_y).reshape(d, n_y)
         within = _within_class_covariance(stats)
         within = within + 1e-6 * max(float(np.trace(within)) / d, 1.0) * np.eye(d)
-        w_point = spd_inverse_logdet(within, jitter=True)[0]
+        w_point = spd_inverse_logdet(within)[0]
     else:
         mu_init = np.zeros(d)
         v_init = np.zeros((d, n_y))

@@ -8,7 +8,6 @@ __all__ = [
     "spd_cholesky",
     "spd_inverse_logdet",
     "spd_logdet",
-    "batched_spd_inverse_logdet",
 ]
 
 
@@ -21,13 +20,11 @@ def sym(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def spd_cholesky(a, jitter=False):
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+def spd_cholesky(a):
+    """Lower Cholesky factor of a symmetric positive-definite matrix, or of each of a stack.
 
-    Non-finite entries are a ValueError. With jitter=True a single retry adds
-    1e-10 * tr(A)/d to the diagonal before failing; with jitter=False failure
-    is signalled immediately so the caller decides (exact likelihoods never
-    regularize silently).
+    Non-finite entries are a ValueError and a matrix that is not positive
+    definite a FactorizationError; nothing is regularized, so the caller decides.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
@@ -35,10 +32,7 @@ def spd_cholesky(a, jitter=False):
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        if not jitter:
-            raise FactorizationError("matrix is not positive definite") from None
-    d = a.shape[0]
-    return spd_cholesky(a + 1e-10 * max(np.trace(a) / d, 1.0) * np.eye(d))
+        raise FactorizationError("matrix is not positive definite") from None
 
 
 _LEAF_ORDER = 8  # triangular blocks up to this order are inverted by forward substitution
@@ -86,22 +80,13 @@ def _inverse_from_cholesky(chol):
     return sym(np.swapaxes(inv_chol, -1, -2) @ inv_chol)
 
 
-def spd_inverse_logdet(a, jitter=False):
-    """A^-1 and ln|A| from one Cholesky factor; after a jitter retry, of the matrix factorized."""
-    chol = spd_cholesky(a, jitter=jitter)
-    return _inverse_from_cholesky(chol), 2.0 * float(np.sum(np.log(np.diag(chol))))
+def spd_inverse_logdet(a):
+    """A^-1 and ln|A| from one Cholesky factor, of a matrix or of each matrix of a stack."""
+    chol = spd_cholesky(a)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return _inverse_from_cholesky(chol), float(logdet) if chol.ndim == 2 else logdet
 
 
 def spd_logdet(a):
     """ln|A| from the Cholesky factor; FactorizationError if A is not positive definite."""
     return 2.0 * float(np.sum(np.log(np.diag(spd_cholesky(a)))))
-
-
-def batched_spd_inverse_logdet(mats):
-    """Inverses and log-determinants of an SPD stack (n, k, k) from one batched Cholesky.
-
-    A matrix that is not positive definite raises np.linalg.LinAlgError; no jitter.
-    """
-    chol = np.linalg.cholesky(mats)
-    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return _inverse_from_cholesky(chol), logdets

@@ -369,7 +369,7 @@ class WishartArm:
 
     def update_qw(self, prior, k_mat, n):
         """q(W) from the expected residual scatter K of n vectors."""
-        psi, logdet = spd_inverse_logdet(prior.psi0_inv_logdet[0] + k_mat, jitter=True)
+        psi, logdet = spd_inverse_logdet(prior.psi0_inv_logdet[0] + k_mat)
         return QWWishart.with_logdet(-logdet, psi=psi, nu=prior.nu_d + n)
 
     def w_prior(self, qw, prior):
@@ -415,7 +415,7 @@ class FlatWishartArm(WishartArm):
 
     def update_qw(self, prior, k_mat, n):
         _require_n_above_d(n, k_mat.shape[0])
-        psi, logdet = spd_inverse_logdet(k_mat, jitter=True)
+        psi, logdet = spd_inverse_logdet(k_mat)
         return QWWishart.with_logdet(-logdet, psi=psi, nu=n)
 
     def w_prior(self, qw, prior):

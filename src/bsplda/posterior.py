@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import FactorizationError, batched_spd_inverse_logdet, spd_logdet, sym
+from .linalg import FactorizationError, spd_inverse_logdet, spd_logdet, sym
 from .numerics import LOG2, digamma, gamma_neg_entropy, wishart_log_B
 
 __all__ = [
@@ -52,7 +52,7 @@ class _Gaussian:
 
     @cached_property
     def _cov_logdet(self):
-        return batched_spd_inverse_logdet(self.prec)
+        return spd_inverse_logdet(self.prec)
 
     @property
     def cov(self):

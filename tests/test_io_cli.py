@@ -14,11 +14,13 @@ import pytest
 
 import bsplda.model as mdl
 from bsplda import io as mio
-from bsplda.cli import _load_stats, main
+from bsplda.cli import _build_fit_config, _load_stats, build_parser, main
 from bsplda.data import Dataset, SpeakerPartition, accumulate
+from bsplda.engine import FitConfig
 from bsplda.model import ModelParams, PriorConfig
 from bsplda.posterior import QAlpha, QVtilde, QWGamma, QWWishart
 from bsplda.synth import GenSpec, sample
+from tests.test_engine import duplicated_dimension_problem
 from tests.test_posterior import random_qv, random_spd
 
 
@@ -572,6 +574,38 @@ class TestCli:
             assert rc == 2
             assert field in capsys.readouterr().err
             assert not model.exists()
+
+    def test_fit_settings_come_from_flag_then_config_key_then_fit_config(self):
+        args = build_parser().parse_args(["train", "--data", "d", "--labels", "l", "--out", "o"])
+        assert _build_fit_config({}, args) == FitConfig()
+        config = {"iters": "7", "tol": "1e-3", "anneal": "0.5:2,1:1", "hyperopt_every": "2",
+                  "mindiv_every": "3", "seed": "4", "whiten": "true"}
+        from_config = FitConfig(max_iterations=7, elbo_rel_tol=1e-3,
+                                anneal_schedule=((0.5, 2), (1.0, 1)), hyperopt_every=2,
+                                mindiv_every=3, seed=4, whiten=True)
+        assert _build_fit_config(config, args) == from_config
+        args = build_parser().parse_args([
+            "train", "--data", "d", "--labels", "l", "--out", "o", "--iters", "9", "--tol", "1e-5",
+            "--anneal", "1:3", "--hyperopt-every", "5", "--mindiv-every", "6", "--seed", "8",
+        ])
+        assert _build_fit_config(config, args) == replace(
+            from_config, max_iterations=9, elbo_rel_tol=1e-5, anneal_schedule=((1.0, 3),),
+            hyperopt_every=5, mindiv_every=6, seed=8)
+
+    def test_train_on_rank_deficient_data_is_a_numerical_failure(self, tmp_path, capsys):
+        ds, part = duplicated_dimension_problem()
+        data, labels = tmp_path / "dup.data", tmp_path / "dup.labels"
+        mio.write_data_file(data, ds.vectors)
+        mio.write_labels_file(labels, ds.ids, [f"s{a}" for a in part.assignment])
+        model, trace = tmp_path / "m.model", tmp_path / "trace.csv"
+        rc = main([
+            "train", "--data", str(data), "--labels", str(labels), "--out", str(model),
+            "--trace", str(trace), "--variant", "V1-Wishart-noninformative", "--ny", "2",
+            "--iters", "50", "--seed", "1",
+        ])
+        assert rc == 3
+        assert "not positive definite" in capsys.readouterr().err
+        assert not model.exists() and not trace.exists()
 
     def test_train_rejects_adaptation_variants(self, tmp_path):
         data, labels = write_sim_files(tmp_path)

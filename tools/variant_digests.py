@@ -24,6 +24,9 @@ change that must keep behaviour prints the same lines before and after:
 Everything is written to a temporary directory that is removed on exit, or,
 with `--keep DIR`, to DIR, which is kept; `tools/variant_drift.py` compares
 two kept directories number by number.
+
+Every command is expected to exit 0; the script exits with status 1 if any
+did not, after printing every line.
 """
 
 import os
@@ -81,12 +84,15 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def run(label, argv):
-    """Run one CLI command; print its exit code and return its stdout."""
+def run(label, argv, failed):
+    """Run one CLI command; print its exit code, add `label` to `failed` unless
+    it is 0, and return its stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     print(f"exit {code}  {label}")
+    if code != 0:
+        failed.append(label)
     return out.getvalue()
 
 
@@ -96,14 +102,15 @@ def digest_files(*paths):
         print(f"{text}  {path.name}")
 
 
-def elbo(work, name, corpus):
+def elbo(work, name, corpus, failed):
     """Run `elbo` on a model; keep its output as NAME.elbo and print the digest.
 
     Then print whether the printed total equals, digit for digit, the last total
     of the trace CSV that the model's own fit wrote on the same corpus.
     """
     path = work / f"{name}.elbo"
-    printed = run(f"elbo {name}", ["elbo", "--model", str(work / f"{name}.model"), *corpus])
+    printed = run(f"elbo {name}", ["elbo", "--model", str(work / f"{name}.model"), *corpus],
+                  failed)
     path.write_text(printed)
     digest_files(path)
     total = dict(line.split("=", 1) for line in printed.splitlines()).get("total")
@@ -113,6 +120,8 @@ def elbo(work, name, corpus):
 
 
 def main_digests(work):
+    """Print every line; return the labels of the commands that exited non-zero."""
+    failed = []
     for suffix, d, nu_d, train_speakers, adapt_speakers, runs in CORPORA:
         spec = work / f"sim{suffix}.cfg"
         spec.write_text(f"d = {d}\n" + SPEC)
@@ -122,27 +131,28 @@ def main_digests(work):
             out = work / f"{name}{suffix}"
             run(f"simulate {name}{suffix}", ["simulate", "--spec", str(spec),
                                              "--speakers", str(speakers), "--per-speaker", str(per),
-                                             "--seed", str(seed), "--out", str(out)])
+                                             "--seed", str(seed), "--out", str(out)], failed)
             corpus[name] = ["--data", f"{out}.data", "--labels", f"{out}.labels"]
         for name, variant, whiten in runs:
-            train_and_adapt(work, name, variant, whiten, nu_d, corpus)
+            train_and_adapt(work, name, variant, whiten, nu_d, corpus, failed)
+    return failed
 
 
-def train_and_adapt(work, name, variant, whiten, nu_d, corpus):
+def train_and_adapt(work, name, variant, whiten, nu_d, corpus, failed):
     config = work / f"{name}.cfg"
     config.write_text(TRAIN_CONFIG + f"nu_d = {nu_d}\n" + ("whiten = true\n" if whiten else ""))
     model, trace = work / f"{name}.model", work / f"{name}.csv"
     run(f"train {name}", ["train", *corpus["train"], "--config", str(config),
                           "--variant", variant, "--out", str(model), "--trace", str(trace),
-                          *TRAIN_FLAGS])
+                          *TRAIN_FLAGS], failed)
     digest_files(model, trace)
-    elbo(work, name, corpus["train"])
+    elbo(work, name, corpus["train"], failed)
 
     adapted, adapted_trace = work / f"{name}-adapted.model", work / f"{name}-adapted.csv"
-    run(f"adapt {name}", ["adapt", "--prior", str(model), *corpus["adapt"],
-                          "--out", str(adapted), "--trace", str(adapted_trace), *ADAPT_FLAGS])
+    run(f"adapt {name}", ["adapt", "--prior", str(model), *corpus["adapt"], "--out", str(adapted),
+                          "--trace", str(adapted_trace), *ADAPT_FLAGS], failed)
     digest_files(adapted, adapted_trace)
-    elbo(work, f"{name}-adapted", corpus["adapt"])
+    elbo(work, f"{name}-adapted", corpus["adapt"], failed)
 
 
 if __name__ == "__main__":
@@ -152,7 +162,8 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.keep:
         args.keep.mkdir(parents=True, exist_ok=True)
-        main_digests(args.keep)
+        failed = main_digests(args.keep)
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            main_digests(Path(tmp))
+            failed = main_digests(Path(tmp))
+    sys.exit(1 if failed else 0)
