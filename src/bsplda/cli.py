@@ -182,7 +182,8 @@ def cmd_simulate(args):
     counts = (args.per_speaker,) * args.speakers
     dataset, partition, _ = sample(GenSpec(params=params, counts=counts, seed=args.seed))
     mio.write_data_file(args.out + ".data", dataset.vectors)
-    speaker_names = [f"spk{partition.assignment[i]:05d}" for i in range(dataset.n)]
+    names = [f"spk{i:05d}" for i in range(partition.n_speakers)]
+    speaker_names = [names[i] for i in partition.assignment.tolist()]
     mio.write_labels_file(args.out + ".labels", dataset.ids, speaker_names)
     return EXIT_OK
 

@@ -104,7 +104,7 @@ def write_data_file(path, vectors):
         _write_scalar(f, "<H", FORMAT_VERSION)
         _write_scalar(f, "<I", d)
         _write_scalar(f, "<Q", n)
-        f.write(vectors.tobytes())
+        f.write(memoryview(vectors))
 
 
 def read_data_blocks(path, n_rows):

@@ -204,6 +204,20 @@ def test_streamed_stats_memory_is_bounded(tmp_path):
     assert peak < limit, f"reading {n} x {d} vectors peaked at {peak} bytes, limit {limit}"
 
 
+def test_writing_a_container_holds_no_copy_of_the_payload(tmp_path):
+    vectors = np.random.default_rng(32).normal(size=(16 * mio.BLOCK_ROWS, 64))
+    assert vectors.nbytes == 16 << 20
+    path = tmp_path / "x.data"
+    tracemalloc.start()
+    try:
+        mio.write_data_file(path, vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == 12 + 2 + 4 + 8 + vectors.nbytes
+    assert peak < 2 << 20, f"writing 16 MiB of vectors peaked at {peak} bytes"
+
+
 def test_non_finite_last_block_is_input_error(tmp_path, capsys):
     # the NaN is read last: no command writes a model, a trace or a bound
     rng = np.random.default_rng(37)
@@ -536,6 +550,18 @@ class TestCli:
                 (file_digest(tmp_path / f"{tag}.data"), file_digest(tmp_path / f"{tag}.labels"))
             )
         assert outs[0] == outs[1]
+
+    def test_simulate_labels_name_each_row_by_its_speaker(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("d = 2\nny = 1\nmu = 0.0\nv_scale = 1.0\nw_scale = 1.0\n")
+        rc = main([
+            "simulate", "--spec", str(cfg), "--speakers", "3", "--per-speaker", "2",
+            "--seed", "5", "--out", str(tmp_path / "sim"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "sim.labels").read_text() == "".join(
+            f"spk{i:05d}-utt{j:05d} spk{i:05d}\n" for i in range(3) for j in range(2)
+        )
 
     def test_train_noninformative_needs_data(self, tmp_path):
         # N = 4 <= d = 4: precondition violated, exit 2
