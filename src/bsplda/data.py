@@ -16,6 +16,11 @@ __all__ = [
 ]
 
 
+# Dataset checks finiteness over row blocks of about this many entries, so no
+# N x d mask is built.
+FINITE_CHECK_ENTRIES = 1 << 16
+
+
 @dataclass(frozen=True)
 class Dataset:
     """N observation vectors of dimension d, one per row, with record ids."""
@@ -27,7 +32,8 @@ class Dataset:
         vectors = np.ascontiguousarray(self.vectors, dtype=float)
         if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
             raise ValueError(f"vectors must be a non-empty N x d matrix, got shape {vectors.shape}")
-        if not np.all(np.isfinite(vectors)):
+        step = max(1, FINITE_CHECK_ENTRIES // vectors.shape[1])
+        if not all(np.isfinite(vectors[i:i + step]).all() for i in range(0, vectors.shape[0], step)):
             raise ValueError("vectors contain non-finite entries")
         ids = tuple(self.ids)
         if len(ids) != vectors.shape[0]:

@@ -8,7 +8,15 @@ import numpy as np
 from . import model as mdl
 from .data import accumulate, rotate
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
-from .linalg import FactorizationError, spd_cholesky, spd_inverse_logdet, sym
+from .linalg import (
+    FactorizationError,
+    check_psd,
+    packed_outer,
+    spd_cholesky,
+    spd_inverse_logdet,
+    sym,
+    unpack_symmetric,
+)
 from .posterior import QY, QAlpha, QVtilde, expected_vtw_quadratic, y_aggregates
 from .synth import CounterRng
 
@@ -119,7 +127,7 @@ def update_qy(stats, qv, qw):
     scale = 1.0 + values[:, None] * lam[None, :]  # (G, n_y): eigenvalues of each precision
     if not np.all(scale > 0.0):
         raise FactorizationError("a q(Y) precision is not positive definite")
-    cov = sym((vecs[None, :, :] / scale[:, None, :]) @ vecs.T)
+    cov = unpack_symmetric((1.0 / scale) @ packed_outer(vecs.T), ny)
     rhs = stats.spk_sums @ (wbar @ qv.V) - stats.counts[:, None] * evtwmu[None, :]
     mean = ((rhs @ vecs) / scale[group]) @ vecs.T
     return QY.with_inverse(cov, np.sum(np.log(scale), axis=1), mean=mean, prec=prec, group=group)
@@ -128,8 +136,8 @@ def update_qy(stats, qv, qw):
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     """Row posteriors of the augmented loading.
 
-    The d row precisions L0_r + E[W]_rr R are inverted in one batched
-    Cholesky and kept as the factor's cache. Full-covariance
+    The d row precisions L0_r + E[W]_rr R are inverted once, by the loading
+    prior's `row_inverses`, and kept as the factor's cache. Full-covariance
     W couples the row means: they are refreshed in ascending index order,
     each seeing the newest means of every other row (one Gauss-Seidel sweep,
     an exact coordinate maximizer per row). The sweep is a forward
@@ -143,18 +151,18 @@ def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     wbar = qw.mean
     wdiag = np.diagonal(wbar)
     c, r_yt = aggregates.C, aggregates.R
-    prec = sym(prior_prec + wdiag[:, None, None] * r_yt)
-    cov, logdets = spd_inverse_logdet(prec)
-    rhs = prior_rhs + wdiag[:, None] * c
+    prec = prior_prec + wdiag[:, None, None] * r_yt
+    cov, logdets = loading.row_inverses(prec, prior, qalpha, wdiag, r_yt)
     if arm.coupled_rows:
-        # row r sees sum_{s != r} W_rs (C_s - v_s R), with v_s new for s < r:
-        # everything but the new rows is known before the sweep
-        rhs = rhs + (wbar - np.diag(wdiag)) @ c - (np.triu(wbar, 1) @ qv.mean) @ r_yt
+        # row r sees W_rr C_r + sum_{s != r} W_rs (C_s - v_s R), with v_s new for
+        # s < r: everything but the new rows is known before the sweep
+        rhs = prior_rhs + wbar @ c - (np.triu(wbar, 1) @ qv.mean) @ r_yt
         mean = (rhs[:, None, :] @ cov)[:, 0, :]
         gain = r_yt @ cov  # row r: R cov_r
-        for row in range(1, d):
-            mean[row] -= (wbar[row, :row] @ mean[:row]) @ gain[row]
+        for row in range(1, d):  # np.dot dispatches these small products faster than @
+            mean[row] -= np.dot(np.dot(wbar[row, :row], mean[:row]), gain[row])
     else:
+        rhs = prior_rhs + wdiag[:, None] * c
         mean = (rhs[:, None, :] @ cov)[:, 0, :]
     return QVtilde.with_inverse(cov, logdets, mean=mean, prec=prec)
 
@@ -164,38 +172,35 @@ def update_qalpha(qv, prior):
     return mdl.SCHEMES[prior.variant][0].update_qalpha(qv, prior)
 
 
-def _residual_scatter(stats, aggregates, qv):
-    """K = S - C Vt^T - Vt C^T + E[Vt R Vt^T], the expected residual scatter.
+def _residual_scatter(stats, aggregates, qv, checked=True):
+    """K = S - C Vt^T - Vt C^T + E[Vt R Vt^T], the expected residual scatter, in
+    which E[Vt R Vt^T] = Vt R Vt^T + diag(rho), rho_r = tr(cov_r R).
 
-    K must be finite with no eigenvalue below -1e-8 max(max|eig|, 1). A Cholesky
-    factor of K + tau I certifies that: tau puts tr K / d <= max eig in place of
-    max|eig|, so it is never above the floor. Only if that fails does eigvalsh decide.
+    K must be finite with no eigenvalue below -1e-8 max(max|eig|, 1); with
+    `checked`, `check_psd` certifies that here. An arm that certifies K with
+    its own factorization takes it unchecked.
     """
     c, r_yt = aggregates.C, aggregates.R
     vt = qv.mean
-    rho = np.einsum("rab,ab->r", qv.cov, r_yt)
-    k_mat = stats.scatter_total - c @ vt.T - vt @ c.T + vt @ r_yt @ vt.T + np.diag(rho)
-    k_mat = sym(k_mat)
+    # K = H + H^T + diag(rho) with H = S/2 - C Vt^T + Vt (R/2) Vt^T, so K is
+    # exactly symmetric without a symmetrizing pass
+    half = vt @ (0.5 * r_yt) @ vt.T
+    half -= c @ vt.T
+    half += 0.5 * stats.scatter_total
+    k_mat = half + half.T
+    k_mat[np.diag_indices_from(k_mat)] += np.einsum("rab,ab->r", qv.cov, r_yt)
     if not np.isfinite(k_mat).all():
         raise FactorizationError("residual scatter has non-finite entries")
-    d = k_mat.shape[0]
-    tau = 1e-8 * max(float(np.trace(k_mat)) / max(d, 1), 1.0)
-    try:
-        spd_cholesky(k_mat + tau * np.eye(d))
-    except FactorizationError:
-        eigs = np.linalg.eigvalsh(k_mat)
-        floor = -1e-8 * max(float(np.abs(eigs).max()), 1.0)
-        if eigs.min() < floor:
-            raise FactorizationError(
-                f"residual scatter lost positive semidefiniteness (min eig {eigs.min():.3e})"
-            ) from None
+    if checked:
+        check_psd(k_mat, "residual scatter")
     return k_mat
 
 
 def update_qw(stats, aggregates, qv, prior):
     """Precision posterior for the variant's arm from the expected residual scatter."""
-    k_mat = _residual_scatter(stats, aggregates, qv)
-    return mdl.SCHEMES[prior.variant][1].update_qw(prior, k_mat, stats.n_total)
+    arm = mdl.SCHEMES[prior.variant][1]
+    k_mat = _residual_scatter(stats, aggregates, qv, checked=not arm.certifies_scatter)
+    return arm.update_qw(prior, k_mat, stats.n_total)
 
 
 def minimum_divergence(qy, qv):
@@ -309,7 +314,9 @@ def fit_stats(stats, prior, config, n_y):
     only where the carried one would differ: in the first iteration, when kappa
     changes, and after a re-standardization. Stops when the relative bound
     change drops below tolerance at kappa = 1 with no hyperparameter or
-    re-standardization event in the iteration.
+    re-standardization event in the iteration. When the last sweep ran at
+    kappa = 1 its bound is evaluated once more, the way `elbo` evaluates the
+    stored model, so `elbo` on the fitted data reproduces the trace exactly.
     """
     if n_y < 1:
         raise ValueError("latent rank must be at least 1")
@@ -383,6 +390,14 @@ def fit_stats(stats, prior, config, n_y):
                 aggregates = None
                 event = True
         baseline = None if (event or kappa != 1.0) else breakdown.total
+
+    if trace and state.kappa == 1.0:
+        # The last bound as `elbo` evaluates the stored model: the factors
+        # rebuilt from their stored numbers, without the inverses of the fit.
+        qv, qw = replace(state.qv), replace(state.qw)
+        breakdown = elbo_total(stats, update_qy(stats, qv, qw), qv, qw, state.qalpha, prior)
+        trace[-1] = breakdown.total
+        breakdowns[-1] = breakdown
 
     params = mdl.ModelParams(mu=state.qv.mu, V=state.qv.V, W=state.qw.mean)
     report = FitReport(

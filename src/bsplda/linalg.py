@@ -1,5 +1,7 @@
 """Dense symmetric linear algebra helpers shared by the model and the engine."""
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -8,6 +10,9 @@ __all__ = [
     "spd_cholesky",
     "spd_inverse_logdet",
     "spd_logdet",
+    "check_psd",
+    "packed_outer",
+    "unpack_symmetric",
 ]
 
 
@@ -74,19 +79,68 @@ def _triangular_inverse(chol):
     return inv
 
 
-def _inverse_from_cholesky(chol):
-    """A^-1 = L^-T L^-1 from the lower Cholesky factor L of A, or of each matrix of a stack."""
-    inv_chol = _triangular_inverse(chol)
-    return sym(np.swapaxes(inv_chol, -1, -2) @ inv_chol)
-
-
 def spd_inverse_logdet(a):
-    """A^-1 and ln|A| from one Cholesky factor, of a matrix or of each matrix of a stack."""
+    """A^-1 and ln|A| from one Cholesky factor, of a matrix or of each matrix of a stack.
+
+    A^-1 = L^-T L^-1 is one product of a factor with its own transpose, which
+    numpy hands to SYRK, so the inverse is exactly symmetric.
+    """
     chol = spd_cholesky(a)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return _inverse_from_cholesky(chol), float(logdet) if chol.ndim == 2 else logdet
+    inv_chol = _triangular_inverse(chol)
+    inv = np.swapaxes(inv_chol, -1, -2) @ inv_chol
+    return inv, float(logdet) if chol.ndim == 2 else logdet
+
+
+@functools.lru_cache(maxsize=None)
+def _packing(k):
+    """(rows, cols, index) of the packed upper triangle of order k: entry p
+    holds (rows[p], cols[p]), and index[a, b] is the entry of (a, b) or (b, a).
+    Read-only arrays, built once per order."""
+    rows, cols = np.triu_indices(k)
+    index = np.zeros((k, k), dtype=np.intp)
+    index[rows, cols] = np.arange(rows.size)
+    index = np.maximum(index, index.T)
+    for array in (rows, cols, index):
+        array.flags.writeable = False
+    return rows, cols, index
+
+
+def packed_outer(rows):
+    """The upper triangle of the outer product a a^T of each row a of `rows`
+    (n, k), packed row by row into k(k+1)/2 entries."""
+    upper_rows, upper_cols, _ = _packing(rows.shape[-1])
+    return rows[..., upper_rows] * rows[..., upper_cols]
+
+
+def unpack_symmetric(packed, k):
+    """The k x k matrices whose upper triangles are packed as `packed_outer`
+    packs them; an entry and its mirror image read the same number, so each is
+    exactly symmetric."""
+    return np.take(packed, _packing(k)[2], axis=-1)
 
 
 def spd_logdet(a):
     """ln|A| from the Cholesky factor; FactorizationError if A is not positive definite."""
     return 2.0 * float(np.sum(np.log(np.diag(spd_cholesky(a)))))
+
+
+def check_psd(a, name):
+    """FactorizationError unless the symmetric, finite `a` has no eigenvalue
+    below -1e-8 max(max|eig|, 1).
+
+    A Cholesky factor of a + tau I certifies that: tau = 1e-8 max(tr a / n, 1)
+    puts the mean eigenvalue tr a / n <= max eig in place of max|eig|, so it is
+    never above the floor. Only if that fails does eigvalsh decide.
+    """
+    n = a.shape[0]
+    tau = 1e-8 * max(float(np.trace(a)) / max(n, 1), 1.0)
+    try:
+        spd_cholesky(a + tau * np.eye(n))
+    except FactorizationError:
+        eigs = np.linalg.eigvalsh(a)
+        floor = -1e-8 * max(float(np.abs(eigs).max()), 1.0)
+        if eigs.min() < floor:
+            raise FactorizationError(
+                f"{name} lost positive semidefiniteness (min eig {eigs.min():.3e})"
+            ) from None

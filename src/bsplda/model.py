@@ -10,13 +10,23 @@ each variant name to its pair; every decision that depends on the variant is a
 method or an attribute of these objects.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import hyperopt
-from .linalg import FactorizationError, spd_cholesky, spd_inverse_logdet, spd_logdet, sym
+from .linalg import (
+    FactorizationError,
+    check_psd,
+    packed_outer,
+    spd_cholesky,
+    spd_inverse_logdet,
+    spd_logdet,
+    sym,
+    unpack_symmetric,
+)
 from .numerics import LOG2PI, expected_log_gamma_pdf, wishart_log_B
 from .posterior import QAlpha, QWGamma, QWWishart
 
@@ -234,7 +244,7 @@ class ArdColumns:
         return {"mu0": mu0, "beta": beta}
 
     def row_prior_terms(self, prior, qalpha, d, k):
-        """Per-row prior precision matrices and precision-times-mean vectors."""
+        """Per-row prior precision matrices, diagonal, and precision-times-mean vectors."""
         prec = np.zeros((d, k, k))
         rhs = np.zeros((d, k))
         idx = np.arange(k - 1)
@@ -242,6 +252,45 @@ class ArdColumns:
         prec[:, -1, -1] = prior.beta
         rhs[:, -1] = prior.beta * prior.mu0
         return prec, rhs
+
+    def row_inverses(self, prec, prior, qalpha, wdiag, r_yt):
+        """Covariances and log-determinants of the row precisions
+        prec_r = diag(E[alpha], beta_r) + w_r R, from one eigendecomposition.
+
+        With D = diag(E[alpha], b), b the geometric mean of the extreme beta_r,
+        D^-1/2 R D^-1/2 = U diag(lam) U^T and B = D^-1/2 U, the precision
+        D + w_r R has covariance G_r = B diag(1 / (1 + w_r lam)) B^T and
+        ln-determinant ln|D| + sum ln(1 + w_r lam) (Golub & Van Loan, Matrix
+        Computations, 8.7). A row whose beta_r is not b adds s_r = beta_r - b to
+        its last diagonal entry, and Sherman-Morrison subtracts
+        s_r g g^T / (1 + s_r g_k) from G_r, g = G_r e_k. The upper triangles of
+        all d covariances, corrections included, are formed packed and unpacked
+        once. A factor 1 + w_r lam or a denominator 1 + s_r g_k that is not
+        positive means a precision that is not positive definite:
+        FactorizationError, as its Cholesky factorization would raise. `prec`,
+        the stack these terms assemble, is not read.
+        """
+        k = r_yt.shape[0]
+        beta = prior.beta
+        ref = math.sqrt(beta.min() * beta.max())  # b when every beta_r is b
+        diag = np.append(qalpha.mean, ref)
+        root = 1.0 / np.sqrt(diag)
+        lam, vecs = np.linalg.eigh(root[:, None] * r_yt * root[None, :])
+        basis = root[:, None] * vecs
+        scale = 1.0 + wdiag[:, None] * lam[None, :]
+        if not np.all(scale > 0.0):
+            raise FactorizationError("a q(Vtilde) row precision is not positive definite")
+        packed = (1.0 / scale) @ packed_outer(basis.T)  # sum_j B_j B_j^T / scale_j
+        logdets = float(np.sum(np.log(diag))) + np.sum(np.log(scale), axis=1)
+        shift = beta - ref
+        if np.any(shift):
+            last = (basis[-1] / scale) @ basis.T  # g of every row
+            denom = 1.0 + shift * last[:, -1]
+            if not np.all(denom > 0.0):
+                raise FactorizationError("a q(Vtilde) row precision is not positive definite")
+            packed -= (shift / denom)[:, None] * packed_outer(last)
+            logdets += np.log(denom)
+        return unpack_symmetric(packed, k), logdets
 
     def init_qalpha(self, prior, n_y):
         return QAlpha(a=prior.a_alpha, b=np.full(n_y, prior.b_alpha))
@@ -306,8 +355,15 @@ class GaussRows:
         return {}
 
     def row_prior_terms(self, prior, qalpha, d, k):
+        """The row-prior precisions, symmetrized since a caller may give them
+        symmetric only to rounding, and their products with the row-prior means."""
         prec = prior.v_row_precisions
-        return prec, np.einsum("rab,rb->ra", prec, prior.v_row_means)
+        return sym(prec), np.einsum("rab,rb->ra", prec, prior.v_row_means)
+
+    def row_inverses(self, prec, prior, qalpha, wdiag, r_yt):
+        """Covariances and log-determinants of the row precisions, by one batched
+        Cholesky: the row priors L0_r share no structure."""
+        return spd_inverse_logdet(prec)
 
     def init_qalpha(self, prior, n_y):
         return None
@@ -343,11 +399,23 @@ def _require_n_above_d(n, d):
         raise ValueError(f"non-informative precision prior requires N > d (got N={n:g}, d={d})")
 
 
+def _scatter_inverse(a, k_mat):
+    """spd_inverse_logdet(a) for a q(W) update from the residual scatter K; when
+    `a` fails to factorize, check_psd first reports a K that lost positive
+    semidefiniteness, and only then is the factorization's own error raised."""
+    try:
+        return spd_inverse_logdet(a)
+    except FactorizationError:
+        check_psd(k_mat, "residual scatter")
+        raise
+
+
 class WishartArm:
     """Wishart(psi0, nu_d) prior on the full within-class precision."""
 
     tag = 1  # model-container tag of the q(W) block
     coupled_rows = True  # full-covariance W couples the loading rows: Gauss-Seidel sweep
+    certifies_scatter = True  # update_qw certifies K, so it arrives unchecked
     adapted_variant = V3_GAUSSV_WISHART
 
     def validate(self, prior, d, per_row):
@@ -365,11 +433,20 @@ class WishartArm:
         if n > 0:
             nu = prior.nu_d + n
             return QWWishart(psi=w_point / nu, nu=nu)
-        return QWWishart(psi=prior.psi0, nu=prior.nu_d)
+        return QWWishart(psi=sym(prior.psi0), nu=prior.nu_d)
 
     def update_qw(self, prior, k_mat, n):
-        """q(W) from the expected residual scatter K of n vectors."""
-        psi, logdet = spd_inverse_logdet(prior.psi0_inv_logdet[0] + k_mat)
+        """q(W) from the expected residual scatter K of n vectors.
+
+        K >= 0 iff psi0^-1 + K >= psi0^-1 iff lambda_max(psi0^-1/2 psi psi0^-1/2) <= 1,
+        and that eigenvalue is at most tr(psi0^-1 psi). A trace up to 1/2 thus
+        certifies K, with room for rounding, from the factor the update makes
+        anyway; above it check_psd decides.
+        """
+        psi0_inv = prior.psi0_inv_logdet[0]
+        psi, logdet = _scatter_inverse(psi0_inv + k_mat, k_mat)
+        if not np.sum(psi0_inv * psi) <= 0.5:
+            check_psd(k_mat, "residual scatter")
         return QWWishart.with_logdet(-logdet, psi=psi, nu=prior.nu_d + n)
 
     def w_prior(self, qw, prior):
@@ -414,8 +491,9 @@ class FlatWishartArm(WishartArm):
         return QWWishart(psi=w_point / nu, nu=nu)
 
     def update_qw(self, prior, k_mat, n):
+        """q(W) from the inverse of K, whose Cholesky factor certifies K."""
         _require_n_above_d(n, k_mat.shape[0])
-        psi, logdet = spd_inverse_logdet(k_mat)
+        psi, logdet = _scatter_inverse(k_mat, k_mat)
         return QWWishart.with_logdet(-logdet, psi=psi, nu=n)
 
     def w_prior(self, qw, prior):
@@ -435,6 +513,7 @@ class GammaArm:
     """
 
     coupled_rows = False
+    certifies_scatter = False  # update_qw reads only diag K or tr K: K arrives certified
 
     def __init__(self, tag, adapted_variant, shared):
         self.tag = tag  # model-container tag of the q(W) block

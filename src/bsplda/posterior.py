@@ -202,6 +202,9 @@ class QAlpha(_Gamma):
 
 @dataclass(frozen=True)
 class QWWishart:
+    """Wishart factor over the full precision W. psi is taken as given: every
+    q(W) update, temper, start and model file makes it exactly symmetric."""
+
     psi: np.ndarray
     nu: float
 
@@ -212,7 +215,7 @@ class QWWishart:
             raise ValueError("psi must be square")
         if self.nu <= d - 1:
             raise ValueError(f"Wishart dof must exceed d-1={d - 1}, got {self.nu}")
-        object.__setattr__(self, "psi", sym(psi))
+        object.__setattr__(self, "psi", psi)
 
     @classmethod
     def with_logdet(cls, logdet_psi, **fields):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bsplda import data
 from bsplda.data import Dataset, SpeakerPartition, accumulate, rotate
 
 
@@ -118,3 +119,15 @@ def test_validation_errors():
     ds = make_dataset([[1.0], [2.0]])
     with pytest.raises(ValueError):
         accumulate(ds, SpeakerPartition(assignment=[0], n_speakers=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_in_the_last_row_block_is_rejected(bad):
+    # finiteness is checked block by block: the last block is a partial one
+    d = 3
+    step = data.FINITE_CHECK_ENTRIES // d
+    vectors = np.ones((2 * step + 5, d))
+    Dataset(vectors=vectors, ids=range(vectors.shape[0]))
+    vectors[-1, -1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset(vectors=vectors, ids=range(vectors.shape[0]))

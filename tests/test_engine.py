@@ -406,7 +406,9 @@ def test_row_update_matches_per_row_solve(variant, d, monkeypatch):
     calls = counted_cholesky(monkeypatch)
     qv = update_qvtilde(aggs, qv0, qw, prior, qalpha)
     qv.cov, qv.prec_logdets  # what update_qw and the bound read
-    assert calls == [ref_prec.shape]  # the d row precisions in one batched factorization
+    # the row-prior schemes factorize their d row precisions in one batch; the
+    # ARD schemes eigendecompose one k x k matrix and factorize nothing
+    assert calls == ([] if mdl.SCHEMES[variant][0].has_alpha else [ref_prec.shape])
 
     np.testing.assert_array_equal(qv.prec, ref_prec)
     assert np.max(np.abs(qv.mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
@@ -427,6 +429,61 @@ def test_row_update_rejects_indefinite_precision(variant):
     else:
         qw = QWGamma(a=2.0, b=np.full(d, 2.0), dim=d)
     prior = v1_prior(d, variant).validate(d, ny)
+    with pytest.raises(FactorizationError):
+        update_qvtilde(aggs, random_qv(rng, d, ny), qw, prior, qalpha)
+
+
+def ard_row_problem(variant, rng, d=40):
+    """(aggregates, qv0, qw, prior, qalpha): E[alpha] spans e^-3 to 1e10 and
+    every row has its own beta, so the rows need the rank-one correction."""
+    ny = 6
+    aggs = y_aggregates(random_qy(rng, 30, ny), stats_for(rng, 30, d))
+    e_alpha = np.array([math.exp(-3.0), 1.0, 10.0, 1e3, 1e6, 1e10])
+    qalpha = QAlpha(a=2.0, b=2.0 / e_alpha)
+    beta = 10.0 ** rng.uniform(-2.0, 3.0, size=d)
+    beta[:3] = (1e-2, 1e3, 1.0)
+    if mdl.SCHEMES[variant][1].coupled_rows:
+        qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
+    else:
+        qw = QWGamma(a=50.0, b=rng.uniform(10.0, 100.0, size=d), dim=d)
+    prior = v1_prior(d, variant, beta=beta).validate(d, ny)
+    return aggs, random_qv(rng, d, ny), qw, prior, qalpha
+
+
+@pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL],
+                         ids=["coupled", "decoupled"])
+def test_ard_row_inverses_match_batched_cholesky(variant):
+    rng = np.random.default_rng(mdl.VARIANTS.index(variant) + 20)
+    aggs, qv0, qw, prior, qalpha = ard_row_problem(variant, rng)
+    qv = update_qvtilde(aggs, qv0, qw, prior, qalpha)
+    ref_cov, ref_logdets = linalg.spd_inverse_logdet(qv.prec)
+    for cov, ref in zip(qv.cov, ref_cov):
+        assert np.abs(cov - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.abs(qv.prec_logdets - ref_logdets).max() <= 1e-9
+    np.testing.assert_array_equal(qv.cov, np.swapaxes(qv.cov, 1, 2))
+    ref_mean, _ = per_row_solve_reference(aggs, qv0, qw, prior, qalpha)
+    assert np.abs(qv.mean - ref_mean).max() <= 1e-10 * np.abs(ref_mean).max()
+
+
+@pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL],
+                         ids=["coupled", "decoupled"])
+def test_ard_row_inverses_reject_an_indefinite_rank_one_correction(variant):
+    # E[W] = I and R = diag(1, 1, -0.5): the last diagonal entry of row r's
+    # precision is beta_r - 0.5. The shared eigendecomposition is positive
+    # definite for a reference beta above 0.5 (the geometric mean of the betas
+    # here is 1), so only the rank-one correction to beta_0 = 0.01 finds row 0
+    # indefinite.
+    d, ny = 2, 2
+    rng = np.random.default_rng(mdl.VARIANTS.index(variant))
+    aggs = YAggregates(C=rng.normal(size=(d, ny + 1)), R=np.diag([1.0, 1.0, -0.5]))
+    qalpha = QAlpha(a=2.0, b=np.ones(ny))
+    if variant == mdl.V1_WISHART_INFORMATIVE:
+        qw = QWWishart(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
+    else:
+        qw = QWGamma(a=2.0, b=np.full(d, 2.0), dim=d)
+    prior = v1_prior(d, variant, beta=np.array([0.01, 100.0])).validate(d, ny)
+    assert np.linalg.eigvalsh(np.diag([2.0, 2.0, 0.01]) + aggs.R).min() < 0.0
+    update_qvtilde(aggs, random_qv(rng, d, ny), qw, replace(prior, beta=np.array([1.0, 100.0])), qalpha)
     with pytest.raises(FactorizationError):
         update_qvtilde(aggs, random_qv(rng, d, ny), qw, prior, qalpha)
 
@@ -549,6 +606,58 @@ class TestResidualScatterCheck:
         k_mat[3, 7] = bad
         with pytest.raises(FactorizationError, match="non-finite"):
             self.scatter(k_mat, monkeypatch)
+
+
+class TestScatterCertificate:
+    """A Wishart q(W) step certifies K with the factorization it makes anyway;
+    the ladder of check_psd runs only when that certificate is not given."""
+
+    d = 50
+
+    def update(self, variant, k_mat, monkeypatch=None, **overrides):
+        """update_qw with C = 0, R = 0, so K = S, from 2d vectors; with
+        `monkeypatch`, returns (q(W), the Cholesky calls of the step alone)."""
+        d, k = self.d, 3
+        stats = SuffStats(counts=np.array([2.0 * d]), spk_sums=np.zeros((1, d)), scatter_total=k_mat)
+        aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)))
+        qv = point_qv(np.ones((d, k)))
+        prior = v1_prior(d, variant, **overrides).validate(d, k - 1)
+        if monkeypatch is None:
+            return update_qw(stats, aggs, qv, prior)
+        qv.cov, prior.psi0 is None or prior.psi0_inv_logdet  # once per factor and per prior
+        calls = counted_cholesky(monkeypatch)
+        return update_qw(stats, aggs, qv, prior), calls
+
+    def k_with_min_eigenvalue(self, low):
+        # lambda_max = 1e4 and the rest 1; the floor is -1e-8 * 1e4 = -1e-4
+        eigs = np.ones(self.d)
+        eigs[0], eigs[-1] = 1e4, low
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(self.d, self.d)))
+        return (q * eigs) @ q.T
+
+    @pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V1_WISHART_NONINFORMATIVE])
+    def test_certified_step_runs_one_factorization(self, variant, monkeypatch):
+        x = np.random.default_rng(2).normal(size=(self.d, 3 * self.d))
+        qw, calls = self.update(variant, x @ x.T, monkeypatch)
+        assert calls == [(self.d, self.d)]
+        if variant == mdl.V1_WISHART_INFORMATIVE:
+            assert np.trace(qw.psi) <= 0.5  # tr(psi0^-1 psi) with psi0 = I
+
+    @pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V1_WISHART_NONINFORMATIVE,
+                                         mdl.V2_GAMMA_DIAGONAL, mdl.V2_GAMMA_ISOTROPIC])
+    @pytest.mark.parametrize("low", [-1e-3, -10.0], ids=["below-floor", "indefinite-update"])
+    def test_eigenvalue_below_the_floor_is_a_factorization_error(self, variant, low):
+        # at -10 the informative arm's psi0^-1 + K = I + K itself fails to
+        # factorize; the ladder names the lost semidefiniteness before that error
+        with pytest.raises(FactorizationError, match="positive semidefiniteness"):
+            self.update(variant, self.k_with_min_eigenvalue(low))
+
+    def test_uncertified_informative_step_runs_the_ladder(self, monkeypatch):
+        # psi0 = I and K = I: tr(psi0^-1 psi) = d / 2 > 1/2, so the update's
+        # factor does not certify K and the ladder does
+        qw, calls = self.update(mdl.V1_WISHART_INFORMATIVE, np.eye(self.d), monkeypatch)
+        assert calls == [(self.d, self.d)] * 2  # psi0^-1 + K, then K + tau I
+        assert np.trace(qw.psi) == pytest.approx(self.d / 2)
 
 
 class TestAnnealing:
@@ -860,7 +969,9 @@ def two_refresh_reference(stats, prior, config, n_y):
 
     It refreshes q(Y) from the previous global factors before q(Vtilde) in
     every sweep, tempers each factor behind its own kappa test and lets the
-    bound form its own aggregates.
+    bound form its own aggregates. A budget that ends at kappa = 1 has its
+    last bound evaluated again as `elbo` would, on factors built from their
+    stored numbers alone.
     """
     prior = prior.validate(stats.dim, n_y)
     state = _init_state(stats, prior, n_y, config.seed)
@@ -896,6 +1007,10 @@ def two_refresh_reference(stats, prior, config, n_y):
             if config.mindiv_every and iteration % config.mindiv_every == 0:
                 qy_new, qv_new, _ = minimum_divergence(state.qy, state.qv)
                 state = replace(state, qy=qy_new, qv=qv_new)
+    if trace and state.kappa == 1.0:
+        qv = QVtilde(mean=state.qv.mean, prec=state.qv.prec)
+        qw = replace(state.qw)  # a new value holds none of the old one's cached moments
+        trace[-1] = elbo_total(stats, update_qy(stats, qv, qw), qv, qw, state.qalpha, prior).total
     return state, trace, kappa_log
 
 
@@ -930,7 +1045,8 @@ def test_sweep_matches_two_refresh_reference(variant, monkeypatch):
     kappa_changes = sum(a != b for a, b in zip(report.kappa_log, report.kappa_log[1:]))
     mindiv_events = (sweeps - 1) // config.mindiv_every
     assert (kappa_changes, mindiv_events) == (2, 3)
-    assert len(calls) == sweeps + 1 + kappa_changes + mindiv_events
+    final_evaluation = 1  # the budget ends at kappa = 1
+    assert len(calls) == sweeps + 1 + kappa_changes + mindiv_events + final_evaluation
 
 
 class TestArdRankRecoverySmall:

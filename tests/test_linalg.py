@@ -60,6 +60,15 @@ def test_batched_inverse_matches_cho_solve(n, batch):
     np.testing.assert_allclose(logdets, np.linalg.slogdet(stack)[1], rtol=1e-13, atol=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(300, 300), (300, 16, 16)], ids=["matrix", "stack"])
+def test_inverse_is_exactly_symmetric(shape):
+    # L^-T L^-1 is a product of a factor with its own transpose (SYRK): no
+    # symmetrizing pass is needed
+    stack = spd_stack(np.random.default_rng(shape[0]), shape[-1], shape[:-2])
+    inv, _ = spd_inverse_logdet(stack)
+    assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+
+
 def test_batched_inverse_rejects_a_stack_with_one_indefinite_matrix():
     stack = spd_stack(np.random.default_rng(3), 9, (7,))
     stack[4, 2, 2] = -1.0

@@ -25,8 +25,9 @@ Everything is written to a temporary directory that is removed on exit, or,
 with `--keep DIR`, to DIR, which is kept; `tools/variant_drift.py` compares
 two kept directories number by number.
 
-Every command is expected to exit 0; the script exits with status 1 if any
-did not, after printing every line.
+Every command is expected to exit 0 and every `elbo == trace` line to read
+`==`; the script exits with status 1 if either fails, after printing every
+line.
 """
 
 import os
@@ -106,7 +107,8 @@ def elbo(work, name, corpus, failed):
     """Run `elbo` on a model; keep its output as NAME.elbo and print the digest.
 
     Then print whether the printed total equals, digit for digit, the last total
-    of the trace CSV that the model's own fit wrote on the same corpus.
+    of the trace CSV that the model's own fit wrote on the same corpus; a
+    mismatch is added to `failed`.
     """
     path = work / f"{name}.elbo"
     printed = run(f"elbo {name}", ["elbo", "--model", str(work / f"{name}.model"), *corpus],
@@ -116,11 +118,15 @@ def elbo(work, name, corpus, failed):
     total = dict(line.split("=", 1) for line in printed.splitlines()).get("total")
     trace = work / f"{name}.csv"
     last = trace.read_text().splitlines()[-1].split(",")[1] if trace.exists() else None
-    print(f"elbo {'==' if total is not None and total == last else '!='} trace  {name}")
+    equal = total is not None and total == last
+    print(f"elbo {'==' if equal else '!='} trace  {name}")
+    if not equal:
+        failed.append(f"elbo != trace {name}")
 
 
 def main_digests(work):
-    """Print every line; return the labels of the commands that exited non-zero."""
+    """Print every line; return the labels of the commands that exited non-zero
+    and of the models whose `elbo` missed their trace."""
     failed = []
     for suffix, d, nu_d, train_speakers, adapt_speakers, runs in CORPORA:
         spec = work / f"sim{suffix}.cfg"
