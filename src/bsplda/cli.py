@@ -9,8 +9,8 @@ import numpy as np
 from . import io as mio
 from . import model as mdl
 from .data import accumulate_blocks, rotate
-from .elbo import NonFiniteElboError, elbo_total
-from .engine import FitConfig, fit_stats, update_qy
+from .elbo import NonFiniteElboError
+from .engine import FitConfig, fit_stats, stored_bound
 from .linalg import FactorizationError
 from .model import ModelParams, PriorConfig
 from .numerics import ConvergenceError
@@ -58,6 +58,10 @@ _FIT_SETTINGS = (
 )
 
 
+# a yes/no config value, in any case; anything else is an input error
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _build_fit_config(config, args):
     """FitConfig from the settings a flag or the config file gives; a flag beats its key."""
     settings = {}
@@ -68,7 +72,10 @@ def _build_fit_config(config, args):
         if value is not None:
             settings[field] = cast(value)
     if "whiten" in config:
-        settings["whiten"] = config["whiten"].lower() in ("1", "true", "yes")
+        text = config["whiten"]
+        if text.lower() not in _SWITCH:
+            raise ValueError(f"whiten must be one of 1/true/yes/0/false/no, got {text!r}")
+        settings["whiten"] = _SWITCH[text.lower()]
     return FitConfig(**settings)
 
 
@@ -191,8 +198,7 @@ def cmd_simulate(args):
 def cmd_elbo(args):
     saved = mio.read_model_file(args.model)
     stats = _load_stats(args, saved)
-    qy = update_qy(stats, saved.qv, saved.qw)
-    breakdown = elbo_total(stats, qy, saved.qv, saved.qw, saved.qalpha, saved.prior)
+    breakdown = stored_bound(stats, saved.qv, saved.qw, saved.qalpha, saved.prior)
     for name, value in breakdown.as_dict().items():
         print(f"{name}={value:.17g}")
     return EXIT_OK

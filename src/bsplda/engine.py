@@ -8,15 +8,7 @@ import numpy as np
 from . import model as mdl
 from .data import accumulate, rotate
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
-from .linalg import (
-    FactorizationError,
-    check_psd,
-    packed_outer,
-    spd_cholesky,
-    spd_inverse_logdet,
-    sym,
-    unpack_symmetric,
-)
+from .linalg import FactorizationError, pencil_inverses, spd_cholesky, spd_inverse_logdet, sym
 from .posterior import QY, QAlpha, QVtilde, expected_vtw_quadratic, y_aggregates
 from .synth import CounterRng
 
@@ -31,6 +23,7 @@ __all__ = [
     "minimum_divergence",
     "fit",
     "fit_stats",
+    "stored_bound",
     "heldout_bound",
     "whitening_rotation",
 ]
@@ -110,11 +103,10 @@ class FitReport:
 def update_qy(stats, qv, qw):
     """Closed-form q(Y): L = I + N A once per distinct count N, with A = E[V^T W V].
 
-    One eigendecomposition A = U diag(lam) U^T gives every group's covariance
-    U diag(1 / (1 + N lam)) U^T and log-determinant sum ln(1 + N lam), and every
-    mean ((b U) / (1 + N_i lam)) U^T from the W-weighted sums
-    b = F_i^T (E[W] V) - N_i E[V^T W mu]. A precision with 1 + N lam <= 0 is not
-    positive definite: FactorizationError, as its Cholesky factorization would raise.
+    One eigendecomposition A = U diag(lam) U^T (`pencil_inverses` with D = I)
+    gives every group's covariance U diag(1 / (1 + N lam)) U^T and
+    log-determinant sum ln(1 + N lam), and every mean ((b U) / (1 + N_i lam)) U^T
+    from the W-weighted sums b = F_i^T (E[W] V) - N_i E[V^T W mu].
     """
     ny = qv.rank
     wbar = qw.mean
@@ -123,14 +115,10 @@ def update_qy(stats, qv, qw):
     evtwmu = quad[:-1, -1]
     values, group = np.unique(stats.counts, return_inverse=True)
     prec = np.eye(ny)[None, :, :] + values[:, None, None] * evtwv[None, :, :]
-    lam, vecs = np.linalg.eigh(evtwv)
-    scale = 1.0 + values[:, None] * lam[None, :]  # (G, n_y): eigenvalues of each precision
-    if not np.all(scale > 0.0):
-        raise FactorizationError("a q(Y) precision is not positive definite")
-    cov = unpack_symmetric((1.0 / scale) @ packed_outer(vecs.T), ny)
+    vecs, factors, cov, logdets = pencil_inverses(np.ones(ny), evtwv, values, "q(Y) precision")
     rhs = stats.spk_sums @ (wbar @ qv.V) - stats.counts[:, None] * evtwmu[None, :]
-    mean = ((rhs @ vecs) / scale[group]) @ vecs.T
-    return QY.with_inverse(cov, np.sum(np.log(scale), axis=1), mean=mean, prec=prec, group=group)
+    mean = ((rhs @ vecs) / factors[group]) @ vecs.T
+    return QY.with_inverse(cov, logdets, mean=mean, prec=prec, group=group)
 
 
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
@@ -172,13 +160,12 @@ def update_qalpha(qv, prior):
     return mdl.SCHEMES[prior.variant][0].update_qalpha(qv, prior)
 
 
-def _residual_scatter(stats, aggregates, qv, checked=True):
+def _residual_scatter(stats, aggregates, qv):
     """K = S - C Vt^T - Vt C^T + E[Vt R Vt^T], the expected residual scatter, in
     which E[Vt R Vt^T] = Vt R Vt^T + diag(rho), rho_r = tr(cov_r R).
 
-    K must be finite with no eigenvalue below -1e-8 max(max|eig|, 1); with
-    `checked`, `check_psd` certifies that here. An arm that certifies K with
-    its own factorization takes it unchecked.
+    K must be finite, which is checked here, and have no eigenvalue below
+    -1e-8 max(max|eig|, 1), which the precision arm that reads K certifies.
     """
     c, r_yt = aggregates.C, aggregates.R
     vt = qv.mean
@@ -191,16 +178,13 @@ def _residual_scatter(stats, aggregates, qv, checked=True):
     k_mat[np.diag_indices_from(k_mat)] += np.einsum("rab,ab->r", qv.cov, r_yt)
     if not np.isfinite(k_mat).all():
         raise FactorizationError("residual scatter has non-finite entries")
-    if checked:
-        check_psd(k_mat, "residual scatter")
     return k_mat
 
 
 def update_qw(stats, aggregates, qv, prior):
     """Precision posterior for the variant's arm from the expected residual scatter."""
-    arm = mdl.SCHEMES[prior.variant][1]
-    k_mat = _residual_scatter(stats, aggregates, qv, checked=not arm.certifies_scatter)
-    return arm.update_qw(prior, k_mat, stats.n_total)
+    k_mat = _residual_scatter(stats, aggregates, qv)
+    return mdl.SCHEMES[prior.variant][1].update_qw(prior, k_mat, stats.n_total)
 
 
 def minimum_divergence(qy, qv):
@@ -315,8 +299,9 @@ def fit_stats(stats, prior, config, n_y):
     changes, and after a re-standardization. Stops when the relative bound
     change drops below tolerance at kappa = 1 with no hyperparameter or
     re-standardization event in the iteration. When the last sweep ran at
-    kappa = 1 its bound is evaluated once more, the way `elbo` evaluates the
-    stored model, so `elbo` on the fitted data reproduces the trace exactly.
+    kappa = 1 its bound is evaluated once more by `stored_bound`, as `elbo`
+    evaluates the stored model, so `elbo` on the fitted data reproduces the
+    trace exactly.
     """
     if n_y < 1:
         raise ValueError("latent rank must be at least 1")
@@ -392,10 +377,7 @@ def fit_stats(stats, prior, config, n_y):
         baseline = None if (event or kappa != 1.0) else breakdown.total
 
     if trace and state.kappa == 1.0:
-        # The last bound as `elbo` evaluates the stored model: the factors
-        # rebuilt from their stored numbers, without the inverses of the fit.
-        qv, qw = replace(state.qv), replace(state.qw)
-        breakdown = elbo_total(stats, update_qy(stats, qv, qw), qv, qw, state.qalpha, prior)
+        breakdown = stored_bound(stats, state.qv, state.qw, state.qalpha, prior)
         trace[-1] = breakdown.total
         breakdowns[-1] = breakdown
 
@@ -413,6 +395,15 @@ def fit_stats(stats, prior, config, n_y):
         rotation=rotation,
     )
     return state, params, report
+
+
+def stored_bound(stats, qv, qw, qalpha, prior):
+    """The bound of a stored model on `stats`, as `elbo` evaluates it and as the
+    last entry of a fit's trace records it: q(Vtilde) and q(W) rebuilt from
+    their stored numbers, without the inverses of the fit, and q(Y) at its
+    closed-form optimum given them."""
+    qv, qw = replace(qv), replace(qw)
+    return elbo_total(stats, update_qy(stats, qv, qw), qv, qw, qalpha, prior)
 
 
 def heldout_bound(qv, qw, stats):

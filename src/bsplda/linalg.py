@@ -11,8 +11,7 @@ __all__ = [
     "spd_inverse_logdet",
     "spd_logdet",
     "check_psd",
-    "packed_outer",
-    "unpack_symmetric",
+    "pencil_inverses",
 ]
 
 
@@ -40,31 +39,16 @@ def spd_cholesky(a):
         raise FactorizationError("matrix is not positive definite") from None
 
 
-_LEAF_ORDER = 8  # triangular blocks up to this order are inverted by forward substitution
-
-
-def _forward_substitution_inverse(chol):
-    """L^-1 of each lower-triangular L of a stack, one row per step: row i of L^-1 left of
-    the diagonal is -L[i, :i] L[:i, :i]^-1 / L[i, i], a product batched over the stack."""
-    n = chol.shape[-1]
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    inv = np.zeros_like(chol)
-    inv[..., range(n), range(n)] = 1.0 / diag
-    for i in range(1, n):
-        inv[..., i, :i] = -(chol[..., i, None, :i] @ inv[..., :i, :i])[..., 0, :] / diag[..., i, None]
-    return inv
-
-
 def _triangular_inverse(chol):
     """L^-1 of a lower-triangular L, or of each of a stack, by 2x2 blocks in matrix products:
     [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
 
     A is padded with a unit diagonal to the order of C, and the two are inverted
-    as one stack, so every leaf of the recursion is inverted in the same step.
+    as one stack, so every 1x1 leaf of the recursion is inverted in the same step.
     """
     n = chol.shape[-1]
-    if n <= _LEAF_ORDER:
-        return _forward_substitution_inverse(chol)
+    if n == 1:
+        return 1.0 / chol
     h, t = n // 2, n - n // 2
     pair = np.zeros((2, *chol.shape[:-2], t, t))
     pair[0, ..., :h, :h] = chol[..., :h, :h]
@@ -79,6 +63,12 @@ def _triangular_inverse(chol):
     return inv
 
 
+def _chol_logdet(chol):
+    """ln|A| from the Cholesky factor of A, a float for a matrix and an array for a stack."""
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return float(logdet) if chol.ndim == 2 else logdet
+
+
 def spd_inverse_logdet(a):
     """A^-1 and ln|A| from one Cholesky factor, of a matrix or of each matrix of a stack.
 
@@ -86,10 +76,8 @@ def spd_inverse_logdet(a):
     numpy hands to SYRK, so the inverse is exactly symmetric.
     """
     chol = spd_cholesky(a)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     inv_chol = _triangular_inverse(chol)
-    inv = np.swapaxes(inv_chol, -1, -2) @ inv_chol
-    return inv, float(logdet) if chol.ndim == 2 else logdet
+    return np.swapaxes(inv_chol, -1, -2) @ inv_chol, _chol_logdet(chol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,23 +94,37 @@ def _packing(k):
     return rows, cols, index
 
 
-def packed_outer(rows):
-    """The upper triangle of the outer product a a^T of each row a of `rows`
-    (n, k), packed row by row into k(k+1)/2 entries."""
-    upper_rows, upper_cols, _ = _packing(rows.shape[-1])
-    return rows[..., upper_rows] * rows[..., upper_cols]
+def pencil_inverses(diag, a, weights, name):
+    """(B, factors, covariances, log-determinants) of the precisions
+    diag(diag) + w a, one per weight w of `weights`, from one eigendecomposition.
 
-
-def unpack_symmetric(packed, k):
-    """The k x k matrices whose upper triangles are packed as `packed_outer`
-    packs them; an entry and its mirror image read the same number, so each is
-    exactly symmetric."""
-    return np.take(packed, _packing(k)[2], axis=-1)
+    With D = diag(diag), D^-1/2 a D^-1/2 = U diag(lam) U^T and B = D^-1/2 U, the
+    precision D + w a has the factors 1 + w lam, the covariance
+    B diag(1 / (1 + w lam)) B^T and the log-determinant
+    ln|D| + sum ln(1 + w lam) (Golub & Van Loan, Matrix Computations, 8.7).
+    The covariances are formed on their packed upper triangles and unpacked, so
+    each is exactly symmetric. A factor that is not positive means a precision
+    that is not positive definite: FactorizationError naming `name`, as its
+    Cholesky factorization would raise.
+    """
+    root = 1.0 / np.sqrt(diag)
+    lam, vecs = np.linalg.eigh(root[:, None] * a * root[None, :])
+    basis = root[:, None] * vecs
+    factors = 1.0 + weights[:, None] * lam[None, :]
+    if not np.all(factors > 0.0):
+        raise FactorizationError(f"a {name} is not positive definite")
+    rows, cols, index = _packing(diag.size)
+    columns = basis.T
+    packed = (1.0 / factors) @ (columns[:, rows] * columns[:, cols])  # sum_j B_j B_j^T / factor_j
+    cov = np.take(packed, index, axis=-1)
+    logdets = float(np.sum(np.log(diag))) + np.sum(np.log(factors), axis=1)
+    return basis, factors, cov, logdets
 
 
 def spd_logdet(a):
-    """ln|A| from the Cholesky factor; FactorizationError if A is not positive definite."""
-    return 2.0 * float(np.sum(np.log(np.diag(spd_cholesky(a)))))
+    """ln|A| of a matrix, or of each matrix of a stack, from the Cholesky factor;
+    FactorizationError if one is not positive definite."""
+    return _chol_logdet(spd_cholesky(a))
 
 
 def check_psd(a, name):

@@ -20,12 +20,11 @@ from . import hyperopt
 from .linalg import (
     FactorizationError,
     check_psd,
-    packed_outer,
+    pencil_inverses,
     spd_cholesky,
     spd_inverse_logdet,
     spd_logdet,
     sym,
-    unpack_symmetric,
 )
 from .numerics import LOG2PI, expected_log_gamma_pdf, wishart_log_B
 from .posterior import QAlpha, QWGamma, QWWishart
@@ -186,7 +185,7 @@ class PriorConfig:
     @cached_property
     def v_row_logdets(self):
         """ln|L0_r| of the d row-prior precisions, computed once per prior."""
-        return np.linalg.slogdet(self.v_row_precisions)[1]
+        return spd_logdet(self.v_row_precisions)
 
     def _require_positive_scalar(self, name):
         value = getattr(self, name)
@@ -196,11 +195,13 @@ class PriorConfig:
 
 
 def _scalar_or_length(prior, name, d):
-    """Field `name` of `prior` as a length-d vector; one number covers all d entries."""
+    """Field `name` of `prior` as a finite length-d vector; one number covers all d entries."""
     value = getattr(prior, name)
     if value is None:
         raise ValueError(f"{prior.variant} requires {name}")
     value = np.atleast_1d(value)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{prior.variant} requires finite {name}, got {value.tolist()}")
     if value.size == 1:
         return np.full(d, float(value.flat[0]))
     if value.shape != (d,):
@@ -257,40 +258,29 @@ class ArdColumns:
         """Covariances and log-determinants of the row precisions
         prec_r = diag(E[alpha], beta_r) + w_r R, from one eigendecomposition.
 
-        With D = diag(E[alpha], b), b the geometric mean of the extreme beta_r,
-        D^-1/2 R D^-1/2 = U diag(lam) U^T and B = D^-1/2 U, the precision
-        D + w_r R has covariance G_r = B diag(1 / (1 + w_r lam)) B^T and
-        ln-determinant ln|D| + sum ln(1 + w_r lam) (Golub & Van Loan, Matrix
-        Computations, 8.7). A row whose beta_r is not b adds s_r = beta_r - b to
-        its last diagonal entry, and Sherman-Morrison subtracts
-        s_r g g^T / (1 + s_r g_k) from G_r, g = G_r e_k. The upper triangles of
-        all d covariances, corrections included, are formed packed and unpacked
-        once. A factor 1 + w_r lam or a denominator 1 + s_r g_k that is not
-        positive means a precision that is not positive definite:
-        FactorizationError, as its Cholesky factorization would raise. `prec`,
-        the stack these terms assemble, is not read.
+        `pencil_inverses` gives the covariances G_r of D + w_r R with
+        D = diag(E[alpha], b), b the geometric mean of the extreme beta_r. A row
+        whose beta_r is not b adds s_r = beta_r - b to its last diagonal entry,
+        and Sherman-Morrison subtracts s_r g g^T / (1 + s_r g_k) from G_r,
+        g = G_r e_k. A denominator 1 + s_r g_k that is not positive means a
+        precision that is not positive definite: FactorizationError, as its
+        Cholesky factorization would raise. `prec`, the stack these terms
+        assemble, is not read.
         """
-        k = r_yt.shape[0]
+        name = "q(Vtilde) row precision"
         beta = prior.beta
         ref = math.sqrt(beta.min() * beta.max())  # b when every beta_r is b
         diag = np.append(qalpha.mean, ref)
-        root = 1.0 / np.sqrt(diag)
-        lam, vecs = np.linalg.eigh(root[:, None] * r_yt * root[None, :])
-        basis = root[:, None] * vecs
-        scale = 1.0 + wdiag[:, None] * lam[None, :]
-        if not np.all(scale > 0.0):
-            raise FactorizationError("a q(Vtilde) row precision is not positive definite")
-        packed = (1.0 / scale) @ packed_outer(basis.T)  # sum_j B_j B_j^T / scale_j
-        logdets = float(np.sum(np.log(diag))) + np.sum(np.log(scale), axis=1)
+        basis, factors, cov, logdets = pencil_inverses(diag, r_yt, wdiag, name)
         shift = beta - ref
         if np.any(shift):
-            last = (basis[-1] / scale) @ basis.T  # g of every row
+            last = (basis[-1] / factors) @ basis.T  # g of every row
             denom = 1.0 + shift * last[:, -1]
             if not np.all(denom > 0.0):
-                raise FactorizationError("a q(Vtilde) row precision is not positive definite")
-            packed -= (shift / denom)[:, None] * packed_outer(last)
+                raise FactorizationError(f"a {name} is not positive definite")
+            cov -= (shift / denom)[:, None, None] * (last[:, :, None] * last[:, None, :])
             logdets += np.log(denom)
-        return unpack_symmetric(packed, k), logdets
+        return cov, logdets
 
     def init_qalpha(self, prior, n_y):
         return QAlpha(a=prior.a_alpha, b=np.full(n_y, prior.b_alpha))
@@ -415,7 +405,6 @@ class WishartArm:
 
     tag = 1  # model-container tag of the q(W) block
     coupled_rows = True  # full-covariance W couples the loading rows: Gauss-Seidel sweep
-    certifies_scatter = True  # update_qw certifies K, so it arrives unchecked
     adapted_variant = V3_GAUSSV_WISHART
 
     def validate(self, prior, d, per_row):
@@ -424,8 +413,8 @@ class WishartArm:
         if prior.psi0.shape != (d, d):
             raise ValueError(f"psi0 has shape {prior.psi0.shape}, expected ({d}, {d})")
         _require_spd("psi0", prior.psi0)
-        if prior.nu_d <= d - 1:
-            raise ValueError(f"nu_d must exceed d-1={d - 1}, got {prior.nu_d}")
+        if not d - 1 < prior.nu_d < math.inf:  # also rejects NaN
+            raise ValueError(f"nu_d must be finite and exceed d-1={d - 1}, got {prior.nu_d}")
         return {}
 
     def init_qw(self, prior, n, d, w_point):
@@ -513,7 +502,6 @@ class GammaArm:
     """
 
     coupled_rows = False
-    certifies_scatter = False  # update_qw reads only diag K or tr K: K arrives certified
 
     def __init__(self, tag, adapted_variant, shared):
         self.tag = tag  # model-container tag of the q(W) block
@@ -548,7 +536,11 @@ class GammaArm:
         return QWGamma(a=prior.a_w, b=np.full(self._n_factors(d), prior.b_w), dim=d)
 
     def update_qw(self, prior, k_mat, n):
-        """q(W) from the diagonal of the expected residual scatter K of n vectors."""
+        """q(W) from the diagonal of the expected residual scatter K of n vectors.
+
+        Only diag K or tr K is read, so no factorization of the step certifies
+        K: check_psd does."""
+        check_psd(k_mat, "residual scatter")
         d = k_mat.shape[0]
         return QWGamma(
             a=self._shape(prior, n, d),

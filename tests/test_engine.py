@@ -568,7 +568,8 @@ class TestResidualScatterCheck:
     d = 50
 
     def scatter(self, k_mat, monkeypatch):
-        """_residual_scatter with C = 0, R = 0, so K = S; returns (K, eigvalsh calls)."""
+        """_residual_scatter with C = 0, R = 0, so K = S, then check_psd on that K;
+        returns (K, eigvalsh calls)."""
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
@@ -576,6 +577,7 @@ class TestResidualScatterCheck:
         stats = SuffStats(counts=np.zeros(0), spk_sums=np.zeros((0, d)), scatter_total=k_mat)
         aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)))
         out = engine._residual_scatter(stats, aggs, point_qv(np.ones((d, k))))
+        linalg.check_psd(out, "residual scatter")
         return out, len(calls)
 
     def with_eigenvalues(self, low):

@@ -601,6 +601,43 @@ class TestCli:
             assert field in capsys.readouterr().err
             assert not model.exists()
 
+    @pytest.mark.parametrize("variant, key, value", [
+        (mdl.V1_WISHART_NONINFORMATIVE, "mu0", "nan"),
+        (mdl.V1_WISHART_NONINFORMATIVE, "mu0", "1,nan,2,3"),
+        (mdl.V1_WISHART_NONINFORMATIVE, "beta", "inf"),
+        (mdl.V1_WISHART_NONINFORMATIVE, "beta", "nan"),
+        (mdl.V2_GAMMA_DIAGONAL, "b_w", "nan"),
+        (mdl.V1_WISHART_INFORMATIVE, "nu_d", "nan"),
+        (mdl.V1_WISHART_INFORMATIVE, "nu_d", "inf"),
+    ])
+    def test_train_rejects_non_finite_hyperparameters(self, tmp_path, capsys, variant, key, value):
+        data, labels = write_sim_files(tmp_path)
+        cfg, model = tmp_path / "t.cfg", tmp_path / "m.model"
+        cfg.write_text(f"variant = {variant}\n{key} = {value}\n")
+        rc = main([
+            "train", "--data", str(data), "--labels", str(labels), "--config", str(cfg),
+            "--out", str(model), "--iters", "3",
+        ])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_whiten_takes_known_values_only(self, tmp_path, capsys):
+        args = build_parser().parse_args(["train", "--data", "d", "--labels", "l", "--out", "o"])
+        for text, whiten in [("1", True), ("TRUE", True), ("Yes", True),
+                             ("0", False), ("False", False), ("NO", False)]:
+            assert _build_fit_config({"whiten": text}, args).whiten is whiten
+        data, labels = write_sim_files(tmp_path)
+        cfg, model = tmp_path / "t.cfg", tmp_path / "m.model"
+        cfg.write_text(f"variant = {mdl.V2_GAMMA_DIAGONAL}\nwhiten = on\n")
+        rc = main([
+            "train", "--data", str(data), "--labels", str(labels), "--config", str(cfg),
+            "--out", str(model), "--iters", "3",
+        ])
+        assert rc == 2
+        assert "whiten" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_fit_settings_come_from_flag_then_config_key_then_fit_config(self):
         args = build_parser().parse_args(["train", "--data", "d", "--labels", "l", "--out", "o"])
         assert _build_fit_config({}, args) == FitConfig()

@@ -38,12 +38,19 @@ def test_batched_inverse_matches_cho_solve_above_the_base_order():
     np.testing.assert_allclose(logdets, np.linalg.slogdet(stack)[1], rtol=1e-13)
 
 
-# Orders on both sides of the leaf order 8; the odd ones above it split into
-# blocks of unequal order, the leading one padded. The (300,) stack is the
-# q(Vtilde) row stack of a d = 300 fit; it stops below order 301 to stay small.
+def test_spd_logdet_takes_a_matrix_or_a_stack():
+    stack = spd_stack(np.random.default_rng(5), 11, (20,))
+    np.testing.assert_allclose(linalg.spd_logdet(stack), np.linalg.slogdet(stack)[1], rtol=1e-13)
+    assert isinstance(linalg.spd_logdet(stack[0]), float)
+
+
+# The odd orders split into blocks of unequal order, the leading one padded.
+# The (300,) stack is the q(Vtilde) row stack of a d = 300 fit; it stops below
+# order 301 to stay small. Orders 2 and 3 come last so that the other cases
+# keep their test ids.
 INVERSE_CASES = [
     (n, batch)
-    for n in (1, 7, 8, 9, 16, 31, 33, 65, 301)
+    for n in (1, 7, 8, 9, 16, 31, 33, 65, 301, 2, 3)
     for batch in ((), (1,), (7,), (300,))
     if n < 301 or batch != (300,)
 ]

@@ -7,11 +7,11 @@ minimum divergence and a trace, adapts every trained model to the second
 corpus (V3-GaussV-Wishart, V4-GaussV-Gamma-diagonal, V4-GaussV-Gamma-isotropic)
 and runs `elbo` on each model. It then does the same for V1-Wishart-informative,
 V2-Gamma-diagonal and V2-Gamma-isotropic on two corpora at d = 40: there q(W)
-inverts matrices above the order that `linalg` inverts whole, and the Gamma
-arms' pooled sums run over enough entries for numpy's pairwise summation.
-Last it trains and adapts V1-Wishart-informative at d = 37, an odd order above
-the leaf order of the triangular inverse, so its blocks split unequally and the
-leading one is padded.
+inverts matrices through several levels of the triangular inverse's block
+recursion, and the Gamma arms' pooled sums run over enough entries for numpy's
+pairwise summation.
+Last it trains and adapts V1-Wishart-informative at d = 37, an odd order, so
+the triangular inverse splits its blocks unequally and pads the leading one.
 It prints each command's exit code, one line per model file, trace CSV and
 `elbo` output, and one `elbo == trace` line per model: `elbo` on the corpus a
 model was fitted to must print the last total of that fit's trace exactly. A
