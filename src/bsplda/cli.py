@@ -41,9 +41,18 @@ def _parse_anneal(text):
     return tuple(schedule)
 
 
+def _parse_setting(key, cast, value):
+    """cast(value) for the setting `key`; a value that does not parse is an input
+    error that names the key."""
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: cannot parse {value!r} ({exc})") from None
+
+
 def _config_get(config, key, cast, default):
     if key in config:
-        return cast(config[key])
+        return _parse_setting(key, cast, config[key])
     return default
 
 
@@ -70,7 +79,7 @@ def _build_fit_config(config, args):
         if value is None:
             value = config.get(key)
         if value is not None:
-            settings[field] = cast(value)
+            settings[field] = _parse_setting(key, cast, value)
     if "whiten" in config:
         text = config["whiten"]
         if text.lower() not in _SWITCH:
@@ -157,17 +166,17 @@ def _params_from_spec_config(config, seed):
     missing = [key for key in ("d", "ny") if key not in config]
     if missing:
         raise ValueError(f"spec must set {' and '.join(missing)}")
-    d = int(config["d"])
-    ny = int(config["ny"])
+    d = _config_get(config, "d", int, None)
+    ny = _config_get(config, "ny", int, None)
     for key, value in (("d", d), ("ny", ny)):
         if value < 1:
             raise ValueError(f"spec key {key} must be at least 1, got {value}")
-    mu = mdl.scalar_or_list(config.get("mu", "0"))
+    mu = _config_get(config, "mu", mdl.scalar_or_list, 0.0)
     mu = np.full(d, float(mu)) if np.isscalar(mu) else np.asarray(mu, dtype=float)
     if mu.shape != (d,):
         raise ValueError(f"mu must be scalar or length-{d}")
-    v_scale = float(config.get("v_scale", "1"))
-    w_scale = float(config.get("w_scale", "1"))
+    v_scale = _config_get(config, "v_scale", float, 1.0)
+    w_scale = _config_get(config, "w_scale", float, 1.0)
     # parameter stream is decoupled from the data stream by seed+1
     rng = CounterRng(seed + 1)
     v = v_scale * rng.gaussians(d * ny).reshape(d, ny)

@@ -83,7 +83,8 @@ class SuffStats:
     """Per-speaker counts N_i and sums F_i, and the scatter S of all vectors.
 
     Nothing of size M*d*d is held: the fit reads the second-order statistics
-    only through the dataset-wide scatter.
+    only through the dataset-wide scatter. The speakers are grouped by count
+    once, here: q(Y) has one precision per distinct count.
     """
 
     counts: np.ndarray         # (M,) observation counts
@@ -91,6 +92,8 @@ class SuffStats:
     scatter_total: np.ndarray  # (d, d) sum of x x^T over every vector
     n_total: float = field(init=False)
     sum_total: np.ndarray = field(init=False)
+    count_values: np.ndarray = field(init=False)  # (G,) the distinct counts, ascending
+    count_group: np.ndarray = field(init=False)   # (M,) index of each speaker's count
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float)
@@ -108,6 +111,9 @@ class SuffStats:
         # Globals reduce over speakers in ascending index order (bit-reproducible).
         object.__setattr__(self, "n_total", float(counts.sum()))
         object.__setattr__(self, "sum_total", spk_sums.sum(axis=0))
+        values, group = np.unique(counts, return_inverse=True)
+        object.__setattr__(self, "count_values", values)
+        object.__setattr__(self, "count_group", group)
 
     @property
     def n_speakers(self):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model as mdl
 from .numerics import LOG2PI
-from .posterior import expected_vtw_quadratic, y_aggregates
+from .posterior import vtw_moments, y_aggregates
 
 __all__ = [
     "ElboBreakdown",
@@ -46,18 +46,19 @@ class ElboBreakdown:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def elbo_data_term(stats, aggregates, qv, qw):
-    """Expected data log-likelihood under the factored posterior."""
+def elbo_data_term(stats, aggregates, qv, qw, moments=None):
+    """Expected data log-likelihood under the factored posterior; `moments` are
+    the pair's `vtw_moments`, formed here when not given."""
     n, d = stats.n_total, stats.dim
     if n == 0:
         return 0.0
     wbar, mean_logdet = qw.mean, qw.mean_logdet
-    evtwvt = expected_vtw_quadratic(qv, wbar)
+    wvt, evtwvt = vtw_moments(qv, wbar) if moments is None else moments
     return float(
         0.5 * n * mean_logdet
         - 0.5 * n * d * LOG2PI
         - 0.5 * np.sum(wbar * stats.scatter_total)
-        + np.sum((wbar @ qv.mean) * aggregates.C)
+        + np.sum(wvt * aggregates.C)
         - 0.5 * np.sum(evtwvt * aggregates.R)
     )
 
@@ -95,11 +96,12 @@ def elbo_w_terms(qw, prior):
     return arm.w_prior(qw, prior), qw.neg_entropy
 
 
-def elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates=None):
-    """Assemble the full lower bound for the prior scheme of `prior.variant`."""
+def elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates=None, moments=None):
+    """Assemble the full lower bound for the prior scheme of `prior.variant`;
+    `aggregates` and `moments` are formed here when not given."""
     if aggregates is None:
         aggregates = y_aggregates(qy, stats)
-    data_term = elbo_data_term(stats, aggregates, qv, qw)
+    data_term = elbo_data_term(stats, aggregates, qv, qw, moments)
     y_prior, y_entropy_neg = elbo_y_terms(qy)
     v_prior, alpha_prior, alpha_entropy_neg, mu_prior, v_entropy_neg = elbo_v_alpha_mu_terms(
         qv, qalpha, prior

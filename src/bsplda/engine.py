@@ -9,7 +9,7 @@ from . import model as mdl
 from .data import accumulate, rotate
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
 from .linalg import FactorizationError, pencil_inverses, spd_cholesky, spd_inverse_logdet, sym
-from .posterior import QY, QAlpha, QVtilde, expected_vtw_quadratic, y_aggregates
+from .posterior import QY, QAlpha, QVtilde, vtw_moments, y_aggregates
 from .synth import CounterRng
 
 __all__ = [
@@ -100,25 +100,28 @@ class FitReport:
     rotation: np.ndarray = None  # whitening rotation when preprocessing ran
 
 
-def update_qy(stats, qv, qw):
+def update_qy(stats, qv, qw, moments=None):
     """Closed-form q(Y): L = I + N A once per distinct count N, with A = E[V^T W V].
 
     One eigendecomposition A = U diag(lam) U^T (`pencil_inverses` with D = I)
     gives every group's covariance U diag(1 / (1 + N lam)) U^T and
-    log-determinant sum ln(1 + N lam), and every mean ((b U) / (1 + N_i lam)) U^T
-    from the W-weighted sums b = F_i^T (E[W] V) - N_i E[V^T W mu].
+    log-determinant sum ln(1 + N lam). Speaker i's mean is U z_i with
+    z_i = (P^T F_i - N_i U^T E[V^T W mu]) / (1 + N_i lam) and P = (E[W] V) U.
+    The means are formed speaker-minor: one n_y x d by d x M product P^T F^T,
+    scaled in place and mapped back by one n_y x n_y product, so `mean` is
+    the transpose of an (n_y, M) array. `moments` are the pair's
+    `vtw_moments`, formed here when not given.
     """
     ny = qv.rank
-    wbar = qw.mean
-    quad = expected_vtw_quadratic(qv, wbar)
+    wvt, quad = vtw_moments(qv, qw.mean) if moments is None else moments
     evtwv = quad[:-1, :-1]
-    evtwmu = quad[:-1, -1]
-    values, group = np.unique(stats.counts, return_inverse=True)
+    values, group = stats.count_values, stats.count_group
     prec = np.eye(ny)[None, :, :] + values[:, None, None] * evtwv[None, :, :]
     vecs, factors, cov, logdets = pencil_inverses(np.ones(ny), evtwv, values, "q(Y) precision")
-    rhs = stats.spk_sums @ (wbar @ qv.V) - stats.counts[:, None] * evtwmu[None, :]
-    mean = ((rhs @ vecs) / factors[group]) @ vecs.T
-    return QY.with_inverse(cov, logdets, mean=mean, prec=prec, group=group)
+    z = (wvt[:, :-1] @ vecs).T @ stats.spk_sums.T
+    z -= np.outer(quad[:-1, -1] @ vecs, stats.counts)
+    z /= factors.T[:, group]
+    return QY.with_inverse(cov, logdets, mean=(vecs @ z).T, prec=prec, group=group)
 
 
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
@@ -238,7 +241,9 @@ def whitening_rotation(stats):
 def _init_state(stats, prior, n_y, seed):
     """Scale-aware random start: data mean, scaled Gaussian loading rows,
     identity row precisions, precision arm matched to the within-class
-    covariance, q(alpha) at its prior."""
+    covariance, q(alpha) at its prior. No precision whose inverse is known is
+    factorized: the identities carry themselves as inverses, and a Wishart
+    start reads ln|psi| off the within-class factorization."""
     d = stats.dim
     k = n_y + 1
     n = stats.n_total
@@ -253,16 +258,20 @@ def _init_state(stats, prior, n_y, seed):
         v_init = scale * rng.gaussians(d * n_y).reshape(d, n_y)
         within = _within_class_covariance(stats)
         within = within + 1e-6 * max(float(np.trace(within)) / d, 1.0) * np.eye(d)
-        w_point = spd_inverse_logdet(within)[0]
+        w_point, logdet_within = spd_inverse_logdet(within)
+        logdet_w_point = -logdet_within
     else:
         mu_init = np.zeros(d)
         v_init = np.zeros((d, n_y))
-        w_point = np.eye(d)
-    qv = QVtilde(mean=np.column_stack([v_init, mu_init]), prec=np.tile(np.eye(k), (d, 1, 1)))
+        w_point, logdet_w_point = np.eye(d), 0.0
+    # the identity precisions are their own inverses, of log-determinant 0
+    rows, latent = np.tile(np.eye(k), (d, 1, 1)), np.eye(n_y)[None]
+    qv = QVtilde.with_inverse(rows, np.zeros(d), mean=np.column_stack([v_init, mu_init]), prec=rows)
     m = stats.n_speakers
-    qy = QY(mean=np.zeros((m, n_y)), prec=np.eye(n_y)[None], group=np.zeros(m, dtype=int))
+    qy = QY.with_inverse(latent, np.zeros(1), mean=np.zeros((m, n_y)), prec=latent,
+                         group=np.zeros(m, dtype=int))
     loading, arm = mdl.SCHEMES[prior.variant]
-    qw = arm.init_qw(prior, n, d, w_point)
+    qw = arm.init_qw(prior, n, d, w_point, logdet_w_point)
     qalpha = loading.init_qalpha(prior, n_y)
     return VariationalState(variant=prior.variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha)
 
@@ -296,9 +305,10 @@ def fit_stats(stats, prior, config, n_y):
     factors alone, and that q(Y)'s aggregates feed the next iteration's
     q(Vtilde) step. q(Y) is recomputed from the global factors before q(Vtilde)
     only where the carried one would differ: in the first iteration, when kappa
-    changes, and after a re-standardization. Stops when the relative bound
-    change drops below tolerance at kappa = 1 with no hyperparameter or
-    re-standardization event in the iteration. When the last sweep ran at
+    changes, and after a re-standardization. Each (q(Vtilde), q(W)) pair's
+    `vtw_moments` are formed once, for its q(Y) update and its bound. Stops
+    when the relative bound change drops below tolerance at kappa = 1 with no
+    hyperparameter or re-standardization event in the iteration. When the last sweep ran at
     kappa = 1 its bound is evaluated once more by `stored_bound`, as `elbo`
     evaluates the stored model, so `elbo` on the fitted data reproduces the
     trace exactly.
@@ -319,7 +329,8 @@ def fit_stats(stats, prior, config, n_y):
         stats = rotate(stats, rotation)
 
     state = _init_state(stats, prior, n_y, config.seed)
-    breakdown = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior)
+    moments = vtw_moments(state.qv, state.qw.mean)  # of state.qv, state.qw; None if stale
+    breakdown = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior, None, moments)
     initial_elbo = breakdown.total
 
     trace = []
@@ -331,18 +342,19 @@ def fit_stats(stats, prior, config, n_y):
     for iteration in range(1, config.max_iterations + 1):
         kappa = config.kappa_for(iteration)
         if aggregates is None or kappa != state.kappa:
-            aggregates = y_aggregates(update_qy(stats, state.qv, state.qw).anneal(kappa), stats)
+            aggregates = y_aggregates(update_qy(stats, state.qv, state.qw, moments).anneal(kappa), stats)
         qv = update_qvtilde(aggregates, state.qv, state.qw, prior, state.qalpha).anneal(kappa)
         qw = update_qw(stats, aggregates, qv, prior).anneal(kappa)
         qalpha = state.qalpha
         if qalpha is not None:
             qalpha = update_qalpha(qv, prior).anneal(kappa)
-        qy = update_qy(stats, qv, qw).anneal(kappa)
+        moments = vtw_moments(qv, qw.mean)
+        qy = update_qy(stats, qv, qw, moments).anneal(kappa)
         aggregates = y_aggregates(qy, stats)
         state = VariationalState(
             variant=variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha, iteration=iteration, kappa=kappa
         )
-        breakdown = elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates)
+        breakdown = elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates, moments)
         if not math.isfinite(breakdown.total):
             raise NonFiniteElboError(f"lower bound diverged at iteration {iteration}")
         trace.append(breakdown.total)
@@ -372,7 +384,7 @@ def fit_stats(stats, prior, config, n_y):
             ):
                 qy_new, qv_new, _ = minimum_divergence(state.qy, state.qv)
                 state = replace(state, qy=qy_new, qv=qv_new)
-                aggregates = None
+                aggregates = moments = None
                 event = True
         baseline = None if (event or kappa != 1.0) else breakdown.total
 
@@ -403,7 +415,9 @@ def stored_bound(stats, qv, qw, qalpha, prior):
     their stored numbers, without the inverses of the fit, and q(Y) at its
     closed-form optimum given them."""
     qv, qw = replace(qv), replace(qw)
-    return elbo_total(stats, update_qy(stats, qv, qw), qv, qw, qalpha, prior)
+    moments = vtw_moments(qv, qw.mean)
+    qy = update_qy(stats, qv, qw, moments)
+    return elbo_total(stats, qy, qv, qw, qalpha, prior, None, moments)
 
 
 def heldout_bound(qv, qw, stats):
@@ -413,8 +427,8 @@ def heldout_bound(qv, qw, stats):
     is the data term plus the latent prior term minus the latent entropy, a
     lower bound on the expected held-out log-likelihood.
     """
-    qy = update_qy(stats, qv, qw)
-    aggregates = y_aggregates(qy, stats)
-    data_term = elbo_data_term(stats, aggregates, qv, qw)
+    moments = vtw_moments(qv, qw.mean)
+    qy = update_qy(stats, qv, qw, moments)
+    data_term = elbo_data_term(stats, y_aggregates(qy, stats), qv, qw, moments)
     y_prior, y_entropy_neg = elbo_y_terms(qy)
     return data_term + y_prior - y_entropy_neg

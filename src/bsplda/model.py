@@ -217,6 +217,8 @@ def _require_spd(name, matrices):
         spd_cholesky(matrices)
     except FactorizationError as exc:
         raise ValueError(f"{name} must be positive definite") from exc
+    except ValueError as exc:  # non-finite entries
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def scalar_or_list(text):
@@ -400,6 +402,13 @@ def _scatter_inverse(a, k_mat):
         raise
 
 
+def _wishart_start(w_point, logdet_w_point, nu):
+    """The Wishart of mean `w_point` and dof nu: psi = w_point / nu, whose
+    ln|psi| = ln|w_point| - d ln nu needs no factorization."""
+    d = w_point.shape[0]
+    return QWWishart.with_logdet(logdet_w_point - d * math.log(nu), psi=w_point / nu, nu=nu)
+
+
 class WishartArm:
     """Wishart(psi0, nu_d) prior on the full within-class precision."""
 
@@ -417,11 +426,11 @@ class WishartArm:
             raise ValueError(f"nu_d must be finite and exceed d-1={d - 1}, got {prior.nu_d}")
         return {}
 
-    def init_qw(self, prior, n, d, w_point):
-        """Start matched to the point precision `w_point`; at the prior without data."""
+    def init_qw(self, prior, n, d, w_point, logdet_w_point):
+        """Start matched to the point precision `w_point` of log-determinant
+        `logdet_w_point`; at the prior without data."""
         if n > 0:
-            nu = prior.nu_d + n
-            return QWWishart(psi=w_point / nu, nu=nu)
+            return _wishart_start(w_point, logdet_w_point, prior.nu_d + n)
         return QWWishart(psi=sym(prior.psi0), nu=prior.nu_d)
 
     def update_qw(self, prior, k_mat, n):
@@ -453,7 +462,7 @@ class WishartArm:
 
     def train_prior(self, get, d):
         scale = get("psi0_scale", float, 1.0)
-        return dict(psi0=scale * np.eye(d), nu_d=get("nu_d", float, float(d + 2)))
+        return dict(psi0=np.diag(np.full(d, scale)), nu_d=get("nu_d", float, float(d + 2)))
 
     def adaptation_prior(self, qw):
         """Precision-prior fields of the adapted variant, from this arm's posterior."""
@@ -474,10 +483,9 @@ class FlatWishartArm(WishartArm):
     def validate(self, prior, d, per_row):
         return {}  # no hyperparameters
 
-    def init_qw(self, prior, n, d, w_point):
+    def init_qw(self, prior, n, d, w_point, logdet_w_point):
         _require_n_above_d(n, d)
-        nu = max(n, d + 2.0)
-        return QWWishart(psi=w_point / nu, nu=nu)
+        return _wishart_start(w_point, logdet_w_point, max(n, d + 2.0))
 
     def update_qw(self, prior, k_mat, n):
         """q(W) from the inverse of K, whose Cholesky factor certifies K."""
@@ -528,8 +536,9 @@ class GammaArm:
             raise ValueError("b_w must be positive")
         return {"b_w": b_w}
 
-    def init_qw(self, prior, n, d, w_point):
-        """Start matched to the diagonal of the point precision `w_point`; at the prior without data."""
+    def init_qw(self, prior, n, d, w_point, logdet_w_point=None):
+        """Start matched to the diagonal of the point precision `w_point`; at the
+        prior without data. Only the Wishart arms read `logdet_w_point`."""
         if n > 0:
             a = self._shape(prior, n, d)
             return QWGamma(a=a, b=a / self._pooled(np.diag(w_point), np.mean), dim=d)

@@ -4,6 +4,7 @@ psi and psi' shift x by ten steps of their recurrences and sum the asymptotic
 series at x + 10 up to x^-14 (x^-15 for psi'); ln Gamma is `math.lgamma`.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ __all__ = [
     "digamma",
     "trigamma",
     "log_multivariate_gamma",
+    "wishart_digamma_sum",
     "wishart_log_B",
     "expected_log_gamma_pdf",
     "gamma_neg_entropy",
@@ -73,8 +75,11 @@ def trigamma(x):
     return (1.0 + 0.5 / z + series) / z + sum(1.0 / (x + k) ** 2 for k in range(_SHIFT))
 
 
+@functools.lru_cache(maxsize=256)
 def log_multivariate_gamma(d, a):
-    """ln Gamma_d(a) = (d(d-1)/4) ln pi + sum_i ln Gamma(a + (1-i)/2), i = 1..d."""
+    """ln Gamma_d(a) = (d(d-1)/4) ln pi + sum_i ln Gamma(a + (1-i)/2), i = 1..d.
+
+    A fit evaluates it at one dof per temperature, so it is computed once per (d, a)."""
     if d < 1 or int(d) != d:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     d = int(d)
@@ -83,6 +88,15 @@ def log_multivariate_gamma(d, a):
     return 0.25 * d * (d - 1) * math.log(math.pi) + math.fsum(
         math.lgamma(a - 0.5 * i) for i in range(d)
     )
+
+
+@functools.lru_cache(maxsize=256)
+def wishart_digamma_sum(dof, dim):
+    """sum_i psi((dof + 1 - i) / 2), i = 1..dim: E[ln|W|] of a Wishart less d ln 2 + ln|Psi|.
+
+    Computed once per (dof, dim), like `log_multivariate_gamma`."""
+    i = np.arange(1, dim + 1)
+    return float(np.sum(digamma(0.5 * (dof + 1 - i))))
 
 
 def wishart_log_B(logdet_scale, dof, dim):

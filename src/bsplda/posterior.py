@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import FactorizationError, spd_inverse_logdet, spd_logdet, sym
-from .numerics import LOG2, digamma, gamma_neg_entropy, wishart_log_B
+from .numerics import LOG2, digamma, gamma_neg_entropy, wishart_digamma_sum, wishart_log_B
 
 __all__ = [
     "QY",
@@ -22,6 +22,7 @@ __all__ = [
     "YAggregates",
     "y_aggregates",
     "expected_vtw_quadratic",
+    "vtw_moments",
 ]
 
 
@@ -243,8 +244,7 @@ class QWWishart:
     @cached_property
     def mean_logdet(self):
         d = self.dim
-        i = np.arange(1, d + 1)
-        return float(np.sum(digamma(0.5 * (self.nu + 1 - i))) + d * LOG2 + self.logdet_psi)
+        return float(wishart_digamma_sum(self.nu, d) + d * LOG2 + self.logdet_psi)
 
     @cached_property
     def neg_entropy(self):
@@ -322,27 +322,45 @@ class YAggregates:
 def y_aggregates(qy, stats):
     """C and R_ytilde from the current q(Y) and the sufficient statistics.
 
-    R = sum_g w_g Sigma_g + Yt^T diag(N) Yt with w_g the count summed over
-    group g and Yt the augmented means [E[y_i]; 1]. The unweighted
+    With Y the (M, n_y) means and N the counts, C = [(Y^T F)^T, F^T 1] and
+    R = [[Y^T diag(N) Y + sum_g w_g Sigma_g, Y^T N], [N^T Y, sum_i N_i]], w_g
+    the count summed over group g. The products run speaker-minor, n_y x M
+    times M x d, which BLAS packs better than an M x (n_y+1) right operand;
+    F^T 1 and sum_i N_i are the statistics' totals. The unweighted
     sum_i E[y_i y_i^T] is `QY.second_moment_sum`.
     """
     m, ny = qy.mean.shape
     if stats.n_speakers != m:
         raise ValueError(f"q(Y) covers {m} speakers, statistics have {stats.n_speakers}")
-    eyt = np.concatenate([qy.mean, np.ones((m, 1))], axis=1)
+    y_t = qy.mean.T  # contiguous for the q(Y) update's means
+    c = np.empty((stats.dim, ny + 1))
+    c[:, :ny] = (y_t @ stats.spk_sums).T
+    c[:, -1] = stats.sum_total
+    weighted = y_t * stats.counts  # row q: N_i y_iq
     weights = np.bincount(qy.group, weights=stats.counts, minlength=qy.prec.shape[0])
-    r = (stats.counts[:, None] * eyt).T @ eyt
-    r[:ny, :ny] += np.einsum("g,gab->ab", weights, qy.cov)
-    c = stats.spk_sums.T @ eyt
+    r = np.empty((ny + 1, ny + 1))
+    r[:ny, :ny] = weighted @ y_t.T + np.einsum("g,gab->ab", weights, qy.cov)
+    r[:ny, -1] = r[-1, :ny] = weighted.sum(axis=1)
+    r[-1, -1] = stats.n_total
     return YAggregates(C=c, R=sym(r))
 
 
-def expected_vtw_quadratic(qv, wbar):
-    """E[Vt^T W Vt] = sum_r wbar_rr cov_r + Vtbar^T Wbar Vtbar.
+def expected_vtw_quadratic(qv, wbar, wvt=None):
+    """E[Vt^T W Vt] = sum_r wbar_rr cov_r + Vtbar^T (Wbar Vtbar); `wvt`, if
+    given, is the product Wbar Vtbar.
 
     The per-row factorization zeroes every cross-row covariance, so only the
     diagonal of Wbar meets the row covariances.
     """
+    if wvt is None:
+        wvt = wbar @ qv.mean
     wdiag = np.diagonal(wbar)
-    full = np.einsum("r,rab->ab", wdiag, qv.cov) + qv.mean.T @ wbar @ qv.mean
+    full = np.einsum("r,rab->ab", wdiag, qv.cov) + qv.mean.T @ wvt
     return sym(full)
+
+
+def vtw_moments(qv, wbar):
+    """(Wbar Vtbar, E[Vt^T W Vt]): the moments of one (q(Vtilde), q(W)) pair
+    that the q(Y) update and the data term of the bound both read."""
+    wvt = wbar @ qv.mean
+    return wvt, expected_vtw_quadratic(qv, wbar, wvt)

@@ -1051,6 +1051,45 @@ def test_sweep_matches_two_refresh_reference(variant, monkeypatch):
     assert len(calls) == sweeps + 1 + kappa_changes + mindiv_events + final_evaluation
 
 
+@pytest.mark.parametrize("variant, fixed", [
+    # psi0's check and inverse, the within-class inverse, the stored bound's psi, ModelParams' W
+    (mdl.V1_WISHART_INFORMATIVE, 5),
+    # the within-class inverse, the stored bound's psi, ModelParams' W
+    (mdl.V1_WISHART_NONINFORMATIVE, 3),
+])
+def test_fit_factorizes_no_known_inverse(variant, fixed, monkeypatch):
+    # the start's identity row and latent precisions carry themselves as inverses
+    # and its ln|psi| comes from the within-class factorization, so a fit
+    # factorizes one order-d matrix per q(W) step plus `fixed`, and one row stack:
+    # the stored bound's, rebuilt from the stored numbers
+    ds, part, _ = synthetic_problem(61, d=4, m=40, per=5)
+    stats = accumulate(ds, part)
+    sweeps = 6
+    calls = counted_cholesky(monkeypatch)
+    fit_stats(stats, v1_prior(4, variant), FitConfig(max_iterations=sweeps, elbo_rel_tol=1e-300, seed=1), 2)
+    assert sorted(set(calls)) == [(4, 3, 3), (4, 4)]
+    assert calls.count((4, 4)) == sweeps + fixed
+    assert calls.count((4, 3, 3)) == 1
+
+
+def test_fit_forms_each_pair_moments_once_and_groups_counts_once(monkeypatch):
+    # q(Y) and the bound of a sweep share one vtw_moments of (q(Vtilde), q(W)):
+    # the start's bound, one per sweep and the stored bound's, each on its own pair
+    ds, part, _ = synthetic_problem(62, d=4, m=30, per=4)
+    stats = accumulate(ds, part)
+    unique, quadratic = np.unique, posterior.expected_vtw_quadratic
+    groupings, pairs = [], []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: groupings.append(1) or unique(*a, **k))
+    monkeypatch.setattr(posterior, "expected_vtw_quadratic",
+                        lambda qv, wbar, *rest: pairs.append((qv, wbar)) or quadratic(qv, wbar, *rest))
+    stats = SuffStats(counts=stats.counts, spk_sums=stats.spk_sums, scatter_total=stats.scatter_total)
+    sweeps = 7
+    fit_stats(stats, v1_prior(4), FitConfig(max_iterations=sweeps, elbo_rel_tol=1e-300, seed=1), 2)
+    assert len(groupings) == 1  # the statistics group their counts; update_qy reads the groups
+    assert len(pairs) == sweeps + 2
+    assert len({id(qv) for qv, _ in pairs}) == len(pairs)  # pairs holds every qv, so ids are unique
+
+
 class TestArdRankRecoverySmall:
     def test_two_active_columns_survive(self):
         rng = np.random.default_rng(41)

@@ -622,6 +622,33 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("key, value", [("iters", "1.5"), ("ny", "two"), ("a_alpha", "x")])
+    def test_config_value_that_does_not_parse_names_its_key(self, tmp_path, capsys, key, value):
+        data, labels = write_sim_files(tmp_path)
+        cfg, model = tmp_path / "t.cfg", tmp_path / "m.model"
+        cfg.write_text(f"{key} = {value}\n")
+        rc = main([
+            "train", "--data", str(data), "--labels", str(labels), "--config", str(cfg),
+            "--out", str(model),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{key}: cannot parse {value!r}" in err and "Traceback" not in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_wishart_scale_names_psi0(self, tmp_path, capsys, value):
+        data, labels = write_sim_files(tmp_path)
+        cfg, model = tmp_path / "t.cfg", tmp_path / "m.model"
+        cfg.write_text(f"variant = {mdl.V1_WISHART_INFORMATIVE}\npsi0_scale = {value}\n")
+        rc = main([
+            "train", "--data", str(data), "--labels", str(labels), "--config", str(cfg),
+            "--out", str(model), "--iters", "3",
+        ])
+        assert rc == 2
+        assert "psi0: matrix has non-finite entries" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_whiten_takes_known_values_only(self, tmp_path, capsys):
         args = build_parser().parse_args(["train", "--data", "d", "--labels", "l", "--out", "o"])
         for text, whiten in [("1", True), ("TRUE", True), ("Yes", True),

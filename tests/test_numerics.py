@@ -10,8 +10,10 @@ from bsplda.numerics import (
     log_multivariate_gamma,
     solve_gamma_shape,
     trigamma,
+    wishart_digamma_sum,
     wishart_log_B,
 )
+from bsplda.posterior import QWWishart
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -118,6 +120,21 @@ def test_wishart_log_B_matches_scalar_gamma_normalizer():
         a, b = nu / 2.0, 1.0 / (2.0 * psi)
         gamma_lognorm = a * math.log(b) - float(special.gammaln(a))
         assert wishart_log_B(math.log(psi), nu, 1) == pytest.approx(gamma_lognorm, rel=1e-12)
+
+
+def test_wishart_constants_once_per_dof_and_dim():
+    # a sweep's q(W) factors share (nu, d): the digamma sum of E[ln|W|] and
+    # ln Gamma_d(nu/2) are computed on the first and read back after, same bits
+    d, nu = 7, 11.5
+    wishart_digamma_sum.cache_clear()
+    log_multivariate_gamma.cache_clear()
+    for scale in (1.0, 2.0, 3.0):
+        qw = QWWishart(psi=scale * np.eye(d), nu=nu)
+        direct = float(np.sum(digamma(0.5 * (nu + 1 - np.arange(1, d + 1)))))
+        assert qw.mean_logdet == float(direct + d * math.log(2.0) + qw.logdet_psi)
+        qw.neg_entropy
+    assert wishart_digamma_sum.cache_info()[:2] == (2, 1)  # (hits, misses)
+    assert log_multivariate_gamma.cache_info()[:2] == (2, 1)
 
 
 def test_wishart_log_B_errors():
