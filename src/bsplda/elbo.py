@@ -53,7 +53,7 @@ def elbo_data_term(stats, aggregates, qv, qw, moments=None):
     if n == 0:
         return 0.0
     wbar, mean_logdet = qw.mean, qw.mean_logdet
-    wvt, evtwvt = vtw_moments(qv, wbar) if moments is None else moments
+    wvt, evtwvt = vtw_moments(qv, qw) if moments is None else moments
     return float(
         0.5 * n * mean_logdet
         - 0.5 * n * d * LOG2PI

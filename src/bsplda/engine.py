@@ -113,7 +113,7 @@ def update_qy(stats, qv, qw, moments=None):
     `vtw_moments`, formed here when not given.
     """
     ny = qv.rank
-    wvt, quad = vtw_moments(qv, qw.mean) if moments is None else moments
+    wvt, quad = vtw_moments(qv, qw) if moments is None else moments
     evtwv = quad[:-1, :-1]
     values, group = stats.count_values, stats.count_group
     prec = np.eye(ny)[None, :, :] + values[:, None, None] * evtwv[None, :, :]
@@ -329,7 +329,7 @@ def fit_stats(stats, prior, config, n_y):
         stats = rotate(stats, rotation)
 
     state = _init_state(stats, prior, n_y, config.seed)
-    moments = vtw_moments(state.qv, state.qw.mean)  # of state.qv, state.qw; None if stale
+    moments = vtw_moments(state.qv, state.qw)  # of state.qv, state.qw; None if stale
     breakdown = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior, None, moments)
     initial_elbo = breakdown.total
 
@@ -348,7 +348,7 @@ def fit_stats(stats, prior, config, n_y):
         qalpha = state.qalpha
         if qalpha is not None:
             qalpha = update_qalpha(qv, prior).anneal(kappa)
-        moments = vtw_moments(qv, qw.mean)
+        moments = vtw_moments(qv, qw)
         qy = update_qy(stats, qv, qw, moments).anneal(kappa)
         aggregates = y_aggregates(qy, stats)
         state = VariationalState(
@@ -415,7 +415,7 @@ def stored_bound(stats, qv, qw, qalpha, prior):
     their stored numbers, without the inverses of the fit, and q(Y) at its
     closed-form optimum given them."""
     qv, qw = replace(qv), replace(qw)
-    moments = vtw_moments(qv, qw.mean)
+    moments = vtw_moments(qv, qw)
     qy = update_qy(stats, qv, qw, moments)
     return elbo_total(stats, qy, qv, qw, qalpha, prior, None, moments)
 
@@ -427,7 +427,7 @@ def heldout_bound(qv, qw, stats):
     is the data term plus the latent prior term minus the latent entropy, a
     lower bound on the expected held-out log-likelihood.
     """
-    moments = vtw_moments(qv, qw.mean)
+    moments = vtw_moments(qv, qw)
     qy = update_qy(stats, qv, qw, moments)
     data_term = elbo_data_term(stats, y_aggregates(qy, stats), qv, qw, moments)
     y_prior, y_entropy_neg = elbo_y_terms(qy)

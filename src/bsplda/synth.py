@@ -3,16 +3,19 @@
 Randomness comes from a splitmix64 counter generator (constants below) with
 Box-Muller conversion to Gaussians (numpy's log, cos and sin), so fixtures are
 reproducible from the seed alone. Every output depends only on the seed and
-its counter, so the stream is drawn in blocks of BLOCK_COUNTERS counters and
-its bits do not depend on how calls split it. The noise is g L^-1 with
-W = L L^T: for a diagonal W each entry is g * (1/sqrt(w)), whatever the LAPACK
-and BLAS build; for a full W its last bits can move between builds.
+its counter, so the stream is drawn in blocks of BLOCK_COUNTERS counters,
+several at once on `workers`, and its bits do not depend on how calls split
+it or on the worker count. The noise is g L^-1 with W = L L^T: for a
+diagonal W each entry is g * (1/sqrt(w)), whatever the LAPACK and BLAS
+build; for a full W its last bits can move between builds.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import workers
 from .data import Dataset, SpeakerPartition
 from .linalg import spd_cholesky
 
@@ -28,62 +31,84 @@ BLOCK_COUNTERS = 1 << 16
 
 
 class CounterRng:
-    """Counter-mode splitmix64 stream with Box-Muller Gaussian output."""
+    """Counter-mode splitmix64 stream with Box-Muller Gaussian output.
+
+    A call of more than one block fills its blocks on `workers`; each block
+    depends only on the seed and its counters, so the bits do not depend on
+    the worker count.
+    """
 
     def __init__(self, seed):
         self._seed = _U64(int(seed) & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
-    def _uniforms_into(self, out):
-        """Fill `out`, at most BLOCK_COUNTERS long, with the next uniforms."""
-        z = np.arange(self._counter + 1, self._counter + out.size + 1, dtype=np.uint64)
-        self._counter += out.size
-        z *= _GAMMA
-        z += self._seed
-        t = np.empty_like(z)
-        np.right_shift(z, 30, out=t)
-        z ^= t
-        z *= _MIX1
-        np.right_shift(z, 27, out=t)
-        z ^= t
-        z *= _MIX2
-        np.right_shift(z, 31, out=t)
-        z ^= t
-        z >>= 11
-        np.add(z, 0.5, out=out)
-        out *= 2.0**-53
+    def _take(self, n):
+        """The counter before the next n, which the stream then moves past."""
+        counter = self._counter
+        self._counter += n
+        return counter
+
+    def _fill(self, fill_block, out):
+        """`out` filled block by block from the next out.size counters."""
+        counter = self._take(out.size)
+        workers.run(
+            partial(fill_block, self._seed, counter + start, out[start:start + BLOCK_COUNTERS])
+            for start in range(0, out.size, BLOCK_COUNTERS)
+        )
+        return out
 
     def uniforms(self, n):
         """n doubles in the open interval (0, 1)."""
-        out = np.empty(n)
-        for start in range(0, n, BLOCK_COUNTERS):
-            self._uniforms_into(out[start:start + BLOCK_COUNTERS])
-        return out
+        return self._fill(_uniforms_into, np.empty(n))
 
     def gaussians(self, n):
-        """n standard normals; each counter pair yields a Box-Muller pair.
+        """n standard normals; each counter pair yields a Box-Muller pair."""
+        return self._fill(_gaussians_into, np.empty(2 * ((n + 1) // 2)))[:n]
 
-        log reads a strided view and cos and sin read contiguous arrays; that
-        layout is part of the stream's definition, since numpy may take another
-        code path, with other last bits, for another layout.
-        """
-        out = np.empty(2 * ((n + 1) // 2))
-        u = np.empty(min(out.size, BLOCK_COUNTERS))
-        radius, angle, trig = np.empty((3, u.size // 2))
-        for start in range(0, out.size, BLOCK_COUNTERS):
-            block = out[start:start + BLOCK_COUNTERS]
-            pairs = block.size // 2
-            ub, r, a, c = u[:block.size], radius[:pairs], angle[:pairs], trig[:pairs]
-            self._uniforms_into(ub)
-            np.log(ub[0::2], out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            np.multiply(ub[1::2], 2.0 * np.pi, out=a)
-            np.cos(a, out=c)
-            np.multiply(r, c, out=block[0::2])
-            np.sin(a, out=c)
-            np.multiply(r, c, out=block[1::2])
-        return out[:n]
+
+def _uniforms_into(seed, counter, out):
+    """Fill `out`, at most BLOCK_COUNTERS long, with the uniforms of the
+    counters after `counter`."""
+    z = np.arange(counter + 1, counter + out.size + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += seed
+    t = np.empty_like(z)
+    np.right_shift(z, 30, out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    z >>= 11
+    np.add(z, 0.5, out=out)
+    out *= 2.0**-53
+
+
+def _gaussians_into(seed, counter, out):
+    """Fill `out`, of even length, with the Box-Muller pairs of the counters
+    after `counter`, one block of BLOCK_COUNTERS at a time.
+
+    Each block of `out` holds its uniforms until they are read. log reads a
+    strided view and cos and sin read contiguous arrays; that layout is part
+    of the stream's definition, since numpy may take another code path, with
+    other last bits, for another layout.
+    """
+    radius, angle, trig = np.empty((3, min(out.size, BLOCK_COUNTERS) // 2))
+    for start in range(0, out.size, BLOCK_COUNTERS):
+        block = out[start:start + BLOCK_COUNTERS]
+        pairs = block.size // 2
+        r, a, c = radius[:pairs], angle[:pairs], trig[:pairs]
+        _uniforms_into(seed, counter + start, block)
+        np.log(block[0::2], out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        np.multiply(block[1::2], 2.0 * np.pi, out=a)
+        np.cos(a, out=c)
+        np.multiply(r, c, out=block[0::2])
+        np.sin(a, out=c)
+        np.multiply(r, c, out=block[1::2])
 
 
 @dataclass(frozen=True)
@@ -120,23 +145,38 @@ def sample(spec):
     # GEMM entry depend on where its row falls in the BLAS tiling, so products
     # over row blocks would not reproduce it.
     vectors = y[assignment] @ params.V.T
-    vectors += params.mu
     scale = np.diag(l_inv)
     if np.array_equal(l_inv, np.diag(scale)):
         # Every off-diagonal term of g L^-1 is an exact zero, so the product is
         # g * diag(L^-1) bit for bit. Blocks of an even number of rows start on
-        # a Box-Muller pair.
+        # a Box-Muller pair, so each block's noise comes from its own counters.
         rows = max(2, BLOCK_COUNTERS // d // 2 * 2)
-        for start in range(0, n, rows):
-            block = vectors[start:start + rows]
-            g = rng.gaussians(block.size).reshape(block.shape)
-            g *= scale
-            block += g
+        counter = rng._take(n * d)
+        workers.run(
+            partial(_add_diagonal_noise, vectors[start:start + rows], params.mu, scale,
+                    rng._seed, counter + start * d)
+            for start in range(0, n, rows)
+        )
     else:
+        vectors += params.mu
         vectors += rng.gaussians(n * d).reshape(n, d) @ l_inv
+    suffixes = [f"-utt{j:05d}" for j in range(max(spec.counts))]
     ids = tuple(
-        f"spk{i:05d}-utt{j:05d}" for i, c in enumerate(spec.counts) for j in range(c)
+        prefix + suffix
+        for prefix, c in zip((f"spk{i:05d}" for i in range(m)), spec.counts)
+        for suffix in suffixes[:c]
     )
     dataset = Dataset(vectors=vectors, ids=ids)
     partition = SpeakerPartition(assignment=assignment, n_speakers=m)
     return dataset, partition, y
+
+
+def _add_diagonal_noise(block, mu, scale, seed, counter):
+    """Add mu, then Gaussians of the counters after `counter` times `scale`
+    column by column, to the rows of `block`."""
+    g = np.empty(2 * ((block.size + 1) // 2))
+    _gaussians_into(seed, counter, g)
+    g = g[:block.size].reshape(block.shape)
+    g *= scale
+    block += mu
+    block += g

@@ -470,6 +470,62 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# Runs the CLI on its arguments, then prints the live thread count and whether
+# the worker pool's module was imported.
+CLI_THREAD_PROBE = (
+    "import sys, threading; from bsplda.cli import main; rc = main(sys.argv[1:]); "
+    "print(threading.active_count(), 'concurrent.futures' in sys.modules); sys.exit(rc)"
+)
+
+
+def run_cli_probe(argv, preexec_fn=None):
+    import bsplda
+
+    env = dict(os.environ, PYTHONPATH=str(Path(bsplda.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", CLI_THREAD_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True, preexec_fn=preexec_fn,
+                         timeout=120)
+    threads, imported = out.stdout.splitlines()[-1].split()  # after what the command prints
+    return int(threads), imported == "True"
+
+
+def test_small_commands_start_no_thread(tmp_path):
+    # one block drawn and one block accumulated: nothing imported, no thread started
+    spec = tmp_path / "sim.cfg"
+    spec.write_text("d = 4\nny = 1\nw_scale = 2.0\n")
+    sim = str(tmp_path / "sim")
+    model = str(tmp_path / "m.model")
+    for argv in (
+        ["simulate", "--spec", str(spec), "--speakers", "50", "--per-speaker", "4",
+         "--seed", "3", "--out", sim],
+        ["train", "--data", sim + ".data", "--labels", sim + ".labels", "--out", model,
+         "--ny", "1", "--iters", "3"],
+        ["elbo", "--model", model, "--data", sim + ".data", "--labels", sim + ".labels"],
+    ):
+        assert run_cli_probe(argv) == (1, False), argv[0]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least two CPUs",
+)
+def test_simulate_files_do_not_depend_on_the_cpus(tmp_path):
+    # 10 000 rows at d = 21 span four noise blocks: drawn on the workers when
+    # the process may run on two CPUs, on the calling thread when pinned to one
+    spec = tmp_path / "sim.cfg"
+    spec.write_text("d = 21\nny = 3\nmu = 0.5\nw_scale = 3.0\n")
+    cpu = min(os.sched_getaffinity(0))
+    files, threads = [], []
+    for tag, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("free", None)):
+        out = tmp_path / tag
+        threads.append(run_cli_probe(
+            ["simulate", "--spec", str(spec), "--speakers", "1000", "--per-speaker", "10",
+             "--seed", "8", "--out", str(out)], preexec_fn=pin)[0])
+        files.append((Path(f"{out}.data").read_bytes(), Path(f"{out}.labels").read_bytes()))
+    assert threads[0] == 1 and threads[1] > 1
+    assert files[0] == files[1]
+
+
 def test_parse_config(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment\nny = 3\n\nvariant = V2-Gamma-diagonal  # trailing\n tol =1e-8\n")

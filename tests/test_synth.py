@@ -1,9 +1,14 @@
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bsplda import synth, workers
 from bsplda.model import ModelParams
 from bsplda.synth import BLOCK_COUNTERS, CounterRng, GenSpec, sample
 from tests.test_posterior import random_spd
@@ -117,6 +122,100 @@ def test_sample_matches_one_shot_sample(spec):
     assert np.array_equal(got_y, y)
     assert ds.ids == ids
     assert np.array_equal(part.assignment, assignment)
+
+
+@pytest.fixture(params=[1, 2], ids=["one-worker", "two-workers"])
+def forced_workers(request, monkeypatch):
+    """Force the worker count; returns it and the names of the threads that
+    draw Box-Muller blocks."""
+    monkeypatch.setattr(workers, "count", lambda: request.param)
+    draw, threads = synth._gaussians_into, []
+
+    def recorded(*args):
+        threads.append(threading.current_thread().name)
+        draw(*args)
+
+    monkeypatch.setattr(synth, "_gaussians_into", recorded)
+    return request.param, threads
+
+
+def drew_on_workers(threads):
+    # a call of one block draws on the calling thread whatever the count
+    return any(name.startswith("bsplda-worker") for name in threads)
+
+
+def test_streams_do_not_depend_on_the_worker_count(forced_workers):
+    count, threads = forced_workers
+    b = BLOCK_COUNTERS
+    calls = [("gaussians", 3 * b + 3), ("uniforms", 2 * b + 1), ("gaussians", 7),
+             ("uniforms", b + 2), ("gaussians", 2 * b)]
+    blocked, one_shot = CounterRng(2**63 + 11), OneShotRng(2**63 + 11)
+    for kind, n in calls:
+        assert np.array_equal(getattr(blocked, kind)(n), getattr(one_shot, kind)(n)), (kind, n)
+    assert drew_on_workers(threads) == (count > 1)
+
+
+def test_draws_on_more_workers_than_cores_match_one_shot_draws(monkeypatch):
+    # eight workers switching every microsecond: a block drawn twice, lost or
+    # written with another block's scratch changes the draw
+    monkeypatch.setattr(workers, "count", lambda: 8)
+    monkeypatch.setattr(workers, "_pool", None)
+    n = 24 * BLOCK_COUNTERS + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = CounterRng(5).gaussians(n)
+    finally:
+        sys.setswitchinterval(interval)
+        workers._pool.shutdown()
+    assert np.array_equal(got, OneShotRng(5).gaussians(n))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_draws_on_a_pool_of_its_own():
+    # the child inherits the parent's pool object but not its threads
+    import bsplda
+
+    code = (
+        "import os; from bsplda import synth, workers; workers.count = lambda: 2; "
+        "n = 5 * synth.BLOCK_COUNTERS; first = synth.CounterRng(3).gaussians(n); pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0 if (synth.CounterRng(3).gaussians(n) == first).all() else 1)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bsplda.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "0"
+
+
+def _latent_rich_spec():
+    # m n_y = 66 700 latents span two blocks; N = 10 005 rows at odd d = 7 give
+    # noise blocks of 9362 rows and a last one of 643 rows, an odd number of entries
+    rng = np.random.default_rng(12)
+    params = ModelParams(mu=rng.normal(size=7), V=rng.normal(size=(7, 20)),
+                         W=np.diag(rng.uniform(0.5, 4.0, size=7)))
+    return GenSpec(params=params, counts=(3,) * 3335, seed=2**64 - 5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _latent_rich_spec(),
+        _oracle_spec(5, np.diag(np.arange(1.0, 6.0)), (9,) * 4501 + (2,)),
+        _oracle_spec(7, random_spd(np.random.default_rng(9), 7, 0.5), (9,) * 2001),
+    ],
+    ids=["diagonal-odd-last-block", "diagonal-several-blocks", "full-several-blocks"],
+)
+def test_sample_does_not_depend_on_the_worker_count(forced_workers, spec):
+    count, threads = forced_workers
+    vectors, ids, assignment, y = one_shot_sample(spec)
+    ds, part, got_y = sample(spec)
+    assert np.array_equal(ds.vectors, vectors)
+    assert np.array_equal(got_y, y)
+    assert ds.ids == ids
+    assert np.array_equal(part.assignment, assignment)
+    assert drew_on_workers(threads) == (count > 1)
 
 
 def test_sample_holds_about_one_corpus():
