@@ -1,11 +1,9 @@
 """Datasets, speaker partitions, and zero/first/second-order sufficient statistics."""
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from . import workers
 from .linalg import sym
 
 __all__ = [
@@ -21,12 +19,6 @@ __all__ = [
 # Dataset checks finiteness over row blocks of about this many entries, so no
 # N x d mask is built.
 FINITE_CHECK_ENTRIES = 1 << 16
-
-# accumulate_blocks overlaps each block's scatter with its speaker sums when
-# the statistics cover at least this many entries (N d). Below it the overlap
-# saves less than the pool's one-time start, 7-10 ms, most of it importing
-# concurrent.futures: 3 ms of 14 at N d = 2^20, d = 60, in 2048-row blocks.
-OVERLAP_MIN_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -150,11 +142,6 @@ def accumulate_blocks(blocks, partition):
     same N products x x^T as one X^T X in another order: the two agree
     elementwise within 2 gamma_N (|X|^T |X|), gamma_N = N u / (1 - N u),
     u = 2^-53, and are equal when there is one block.
-
-    For statistics of at least OVERLAP_MIN_ENTRIES entries, each block's
-    X_b^T X_b is formed on a worker while the calling thread adds its rows to
-    the sums; the scatter still adds the block products in block order, so
-    the bits are those of the serial loop.
     """
     assignment = partition.assignment
     sums = scatter = None
@@ -163,15 +150,11 @@ def accumulate_blocks(blocks, partition):
         stop = start + x.shape[0]
         if stop > assignment.size:
             raise ValueError(f"blocks hold more than the partition's {assignment.size} rows")
-        add_rows = partial(_add_rows, sums, x, assignment[start:stop], partition.n_speakers)
-        if assignment.size * x.shape[1] >= OVERLAP_MIN_ENTRIES:
-            product, sums = workers.run([partial(np.matmul, x.T, x), add_rows])
-        else:
-            product, sums = x.T @ x, add_rows()
         if scatter is None:
-            scatter = product
+            scatter = x.T @ x
         else:
-            scatter += product
+            scatter += x.T @ x
+        sums = _add_rows(sums, x, assignment[start:stop], partition.n_speakers)
         start = stop
     if start != assignment.size:
         raise ValueError(f"blocks hold {start} rows, the partition covers {assignment.size}")

@@ -42,28 +42,37 @@ class CounterRng:
         self._seed = _U64(int(seed) & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
-    def _take(self, n):
-        """The counter before the next n, which the stream then moves past."""
-        counter = self._counter
+    def _filler(self, fill_block, n):
+        """Move the stream past n counters; returns fill(i, out), which has
+        `fill_block` write outputs i, i + 1, ... of those n into `out`."""
+        seed, counter = self._seed, self._counter
         self._counter += n
-        return counter
+        return lambda i, out: fill_block(seed, counter + i, out)
 
-    def _fill(self, fill_block, out):
-        """`out` filled block by block from the next out.size counters."""
-        counter = self._take(out.size)
-        workers.run(
-            partial(fill_block, self._seed, counter + start, out[start:start + BLOCK_COUNTERS])
-            for start in range(0, out.size, BLOCK_COUNTERS)
-        )
-        return out
+    def gaussian_filler(self, n):
+        """Move the stream past n standard normals; returns fill(i, out), which
+        writes normals i, i + 1, ... of them into `out`, for an even i.
+
+        Fills of disjoint ranges may run at once, on any threads.
+        """
+        return self._filler(_gaussians_into, 2 * ((n + 1) // 2))
 
     def uniforms(self, n):
         """n doubles in the open interval (0, 1)."""
-        return self._fill(_uniforms_into, np.empty(n))
+        return _fill_blocks(self._filler(_uniforms_into, n), np.empty(n))
 
     def gaussians(self, n):
         """n standard normals; each counter pair yields a Box-Muller pair."""
-        return self._fill(_gaussians_into, np.empty(2 * ((n + 1) // 2)))[:n]
+        return _fill_blocks(self.gaussian_filler(n), np.empty(n))
+
+
+def _fill_blocks(fill, out):
+    """`out` filled by `fill` one BLOCK_COUNTERS block per task."""
+    workers.run(
+        partial(fill, start, out[start:start + BLOCK_COUNTERS])
+        for start in range(0, out.size, BLOCK_COUNTERS)
+    )
+    return out
 
 
 def _uniforms_into(seed, counter, out):
@@ -87,14 +96,20 @@ def _uniforms_into(seed, counter, out):
 
 
 def _gaussians_into(seed, counter, out):
-    """Fill `out`, of even length, with the Box-Muller pairs of the counters
-    after `counter`, one block of BLOCK_COUNTERS at a time.
+    """Fill the contiguous `out` with the Box-Muller pairs of the counters
+    after `counter`, one block of BLOCK_COUNTERS at a time; an odd length
+    drops the second normal of the last pair.
 
     Each block of `out` holds its uniforms until they are read. log reads a
     strided view and cos and sin read contiguous arrays; that layout is part
     of the stream's definition, since numpy may take another code path, with
     other last bits, for another layout.
     """
+    if out.size % 2:
+        padded = np.empty(out.size + 1)
+        _gaussians_into(seed, counter, padded)
+        out[:] = padded[:-1]
+        return
     radius, angle, trig = np.empty((3, min(out.size, BLOCK_COUNTERS) // 2))
     for start in range(0, out.size, BLOCK_COUNTERS):
         block = out[start:start + BLOCK_COUNTERS]
@@ -151,10 +166,10 @@ def sample(spec):
         # g * diag(L^-1) bit for bit. Blocks of an even number of rows start on
         # a Box-Muller pair, so each block's noise comes from its own counters.
         rows = max(2, BLOCK_COUNTERS // d // 2 * 2)
-        counter = rng._take(n * d)
+        fill = rng.gaussian_filler(n * d)
         workers.run(
-            partial(_add_diagonal_noise, vectors[start:start + rows], params.mu, scale,
-                    rng._seed, counter + start * d)
+            partial(_add_diagonal_noise, fill, start * d, vectors[start:start + rows],
+                    params.mu, scale)
             for start in range(0, n, rows)
         )
     else:
@@ -171,12 +186,11 @@ def sample(spec):
     return dataset, partition, y
 
 
-def _add_diagonal_noise(block, mu, scale, seed, counter):
-    """Add mu, then Gaussians of the counters after `counter` times `scale`
+def _add_diagonal_noise(fill, first, block, mu, scale):
+    """Add mu, then normals `first`, `first` + 1, ... of `fill` times `scale`
     column by column, to the rows of `block`."""
-    g = np.empty(2 * ((block.size + 1) // 2))
-    _gaussians_into(seed, counter, g)
-    g = g[:block.size].reshape(block.shape)
+    g = np.empty(block.shape)
+    fill(first, g.reshape(-1))
     g *= scale
     block += mu
     block += g

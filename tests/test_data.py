@@ -1,10 +1,8 @@
-import threading
-
 import numpy as np
 import pytest
 
-from bsplda import data, workers
-from bsplda.data import Dataset, SpeakerPartition, accumulate, accumulate_blocks, rotate
+from bsplda import data
+from bsplda.data import Dataset, SpeakerPartition, accumulate, rotate
 
 
 def make_dataset(vectors):
@@ -91,39 +89,6 @@ def test_accumulate_sums_rows_in_row_order(counts):
     stats = accumulate(make_dataset(vectors), SpeakerPartition(assignment=assignment, n_speakers=m))
     assert np.array_equal(stats.spk_sums, sequential_sums(vectors, assignment, m))
     assert np.array_equal(stats.counts, np.bincount(assignment, minlength=m))
-
-
-@pytest.mark.parametrize("count", [1, 2], ids=["one-worker", "two-workers"])
-@pytest.mark.parametrize("rows", [None, 700], ids=["one-block", "700-row-blocks"])
-def test_statistics_do_not_depend_on_the_worker_count(monkeypatch, count, rows):
-    # the overlapped scatter and sums are bit for bit the serial block loop
-    monkeypatch.setattr(workers, "count", lambda: count)
-    monkeypatch.setattr(data, "OVERLAP_MIN_ENTRIES", 0)  # overlap at this small size
-    add_rows, threads = data._add_rows, []
-
-    def recorded(*args):
-        threads.append(threading.current_thread().name)
-        return add_rows(*args)
-
-    monkeypatch.setattr(data, "_add_rows", recorded)
-    rng = np.random.default_rng(37)
-    n, d, m = 2501, 9, 300
-    assignment = rng.permutation(np.r_[np.arange(m), rng.integers(0, m, size=n - m)])
-    vectors = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(1, d))
-    part = SpeakerPartition(assignment=assignment, n_speakers=m)
-    if rows is None:
-        stats = accumulate(make_dataset(vectors), part)
-        scatter = vectors.T @ vectors
-    else:
-        blocks = [vectors[s:s + rows] for s in range(0, n, rows)]
-        stats = accumulate_blocks(blocks, part)
-        scatter = blocks[0].T @ blocks[0]
-        for x in blocks[1:]:
-            scatter += x.T @ x
-    assert np.array_equal(stats.scatter_total, scatter)
-    assert np.array_equal(stats.spk_sums, sequential_sums(vectors, assignment, m))
-    assert np.array_equal(stats.counts, np.bincount(assignment, minlength=m))
-    assert {name.startswith("bsplda-worker") for name in threads} == {count > 1}
 
 
 def test_rotate_matches_rotated_vectors():

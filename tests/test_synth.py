@@ -155,10 +155,25 @@ def test_streams_do_not_depend_on_the_worker_count(forced_workers):
     assert drew_on_workers(threads) == (count > 1)
 
 
+def test_gaussian_filler_fills_ranges_in_any_order():
+    # ranges from even starts, one across two blocks and an odd-sized last one,
+    # filled out of order; the stream moves past all n normals at once
+    n = 2 * BLOCK_COUNTERS + 5
+    rng, one_shot = CounterRng(4), OneShotRng(4)
+    fill = rng.gaussian_filler(n)
+    after = rng.gaussians(3)
+    out = np.empty(n)
+    for start, stop in ((n - 7, n), (2, n - 7), (0, 2)):
+        fill(start, out[start:stop])
+    assert np.array_equal(out, one_shot.gaussians(n))
+    assert np.array_equal(after, one_shot.gaussians(3))
+
+
 def test_draws_on_more_workers_than_cores_match_one_shot_draws(monkeypatch):
     # eight workers switching every microsecond: a block drawn twice, lost or
     # written with another block's scratch changes the draw
     monkeypatch.setattr(workers, "count", lambda: 8)
+    monkeypatch.setattr(workers, "MAX_WORKERS", 8)
     monkeypatch.setattr(workers, "_pool", None)
     n = 24 * BLOCK_COUNTERS + 1
     interval = sys.getswitchinterval()
@@ -233,6 +248,19 @@ def test_sample_holds_about_one_corpus():
     assert ds.vectors.size == 1 << 21
     held = ds.vectors.nbytes + sys.getsizeof(ds.ids) + sum(sys.getsizeof(i) for i in ds.ids)
     assert peak < 1.25 * held, f"sampling peaked at {peak / held:.2f} x the output and ids"
+
+
+@pytest.mark.parametrize("cpus", [4, 8])
+def test_sample_scratch_does_not_grow_with_the_cpus(monkeypatch, cpus):
+    # a process that may run on more CPUs starts a pool of the same size, so
+    # the bound above holds for it too
+    monkeypatch.setattr(workers, "count", lambda: cpus)
+    monkeypatch.setattr(workers, "_pool", None)
+    try:
+        test_sample_holds_about_one_corpus()
+    finally:
+        if workers._pool is not None:
+            workers._pool.shutdown()
 
 
 def test_sample_deterministic_bit_for_bit():
