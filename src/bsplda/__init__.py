@@ -13,7 +13,6 @@ from .engine import (
 )
 from .model import (
     VARIANTS,
-    AugmentedLoading,
     ModelParams,
     PriorConfig,
     conditional_loglik,
@@ -25,7 +24,6 @@ from .synth import CounterRng, GenSpec, sample
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedLoading",
     "CounterRng",
     "Dataset",
     "ElboBreakdown",

@@ -214,10 +214,11 @@ def cmd_elbo(args):
 
 
 def _add_fit_flags(parser):
-    """The fit-setting flags train and adapt share; each overrides its config-file key."""
-    for flag, cast in (("--iters", int), ("--tol", float), ("--seed", int), ("--anneal", str),
-                       ("--hyperopt-every", int), ("--mindiv-every", int), ("--trace", str)):
-        parser.add_argument(flag, type=cast)
+    """The flags train and adapt share: one per fit setting, whose text is parsed
+    like its config-file value and overrides it, and --trace."""
+    for _, key, _ in _FIT_SETTINGS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key)
+    parser.add_argument("--trace")
 
 
 def build_parser():

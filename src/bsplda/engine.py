@@ -116,7 +116,8 @@ def update_qy(stats, qv, qw, moments=None):
     wvt, quad = vtw_moments(qv, qw) if moments is None else moments
     evtwv = quad[:-1, :-1]
     values, group = stats.count_values, stats.count_group
-    prec = np.eye(ny)[None, :, :] + values[:, None, None] * evtwv[None, :, :]
+    prec = values[:, None, None] * evtwv
+    np.einsum("gaa->ga", prec)[...] += 1.0  # the diagonals, in place
     vecs, factors, cov, logdets = pencil_inverses(np.ones(ny), evtwv, values, "q(Y) precision")
     z = (wvt[:, :-1] @ vecs).T @ stats.spk_sums.T
     z -= np.outer(quad[:-1, -1] @ vecs, stats.counts)
@@ -125,25 +126,25 @@ def update_qy(stats, qv, qw, moments=None):
 
 
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
-    """Row posteriors of the augmented loading.
+    """Row posteriors of the augmented loading, for a validated `prior`.
 
-    The d row precisions L0_r + E[W]_rr R are inverted once, by the loading
-    prior's `row_inverses`, and kept as the factor's cache. Full-covariance
-    W couples the row means: they are refreshed in ascending index order,
-    each seeing the newest means of every other row (one Gauss-Seidel sweep,
-    an exact coordinate maximizer per row). The sweep is a forward
-    substitution: the part that the old means and C give is solved for every
-    row at once, and row r then subtracts (W_r,:r V_:r) R cov_r for the rows
-    already refreshed. Diagonal W decouples them.
+    The loading prior's `row_posteriors` assembles the d row precisions
+    "prior part + E[W]_rr R" and the prior parts of their right-hand sides,
+    and inverts the precisions once; the covariances are kept as the factor's
+    cache. What is left here is the mean sweep. Full-covariance W couples the
+    row means: they are refreshed in ascending index order, each seeing the
+    newest means of every other row (one Gauss-Seidel sweep, an exact
+    coordinate maximizer per row). The sweep is a forward substitution: the
+    part that the old means and C give is solved for every row at once, and
+    row r then subtracts (W_r,:r V_:r) R cov_r for the rows already
+    refreshed. Diagonal W decouples them.
     """
-    d, k = qv.mean.shape
+    d = qv.dim
     loading, arm = mdl.SCHEMES[prior.variant]
-    prior_prec, prior_rhs = loading.row_prior_terms(prior, qalpha, d, k)
     wbar = qw.mean
     wdiag = np.diagonal(wbar)
     c, r_yt = aggregates.C, aggregates.R
-    prec = prior_prec + wdiag[:, None, None] * r_yt
-    cov, logdets = loading.row_inverses(prec, prior, qalpha, wdiag, r_yt)
+    prec, prior_rhs, cov, logdets = loading.row_posteriors(prior, qalpha, wdiag, r_yt)
     if arm.coupled_rows:
         # row r sees W_rr C_r + sum_{s != r} W_rs (C_s - v_s R), with v_s new for
         # s < r: everything but the new rows is known before the sweep

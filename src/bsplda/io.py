@@ -16,6 +16,7 @@ import numpy as np
 
 from . import model as mdl
 from .data import SpeakerPartition
+from .linalg import require_symmetric
 from .posterior import QAlpha, QVtilde
 
 __all__ = [
@@ -274,6 +275,7 @@ def read_model_file(path):
         v = _read_finite(f, (d, ny))
         w = _read_finite(f, (d, d))
         qv = QVtilde(mean=_read_finite(f, (d, k)), prec=_read_finite(f, (d, k, k)))
+        require_symmetric(qv.prec, "qv.prec")
         tag = _read_scalar(f, "<B")
         if tag != arm.tag:
             raise FormatError(f"{path}: precision arm tag {tag} does not match variant {variant}")

@@ -7,6 +7,7 @@ import numpy as np
 __all__ = [
     "FactorizationError",
     "sym",
+    "require_symmetric",
     "spd_cholesky",
     "spd_inverse_logdet",
     "spd_logdet",
@@ -22,6 +23,15 @@ class FactorizationError(RuntimeError):
 def sym(a):
     """(A + A^T)/2 of a matrix or a stack of them; assembled precisions are symmetrized."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def require_symmetric(a, name):
+    """ValueError naming `name` unless `a`, a matrix or each of a stack, equals
+    its transpose to rounding: np.isclose with the absolute tolerance
+    1e-10 max(1, max|entry|) of each matrix."""
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1), keepdims=True), 1.0)
+    if not np.isclose(a, np.swapaxes(a, -1, -2), atol=1e-10 * scale).all():
+        raise ValueError(f"{name} must be symmetric")
 
 
 def spd_cholesky(a):

@@ -21,6 +21,7 @@ from .linalg import (
     FactorizationError,
     check_psd,
     pencil_inverses,
+    require_symmetric,
     spd_cholesky,
     spd_inverse_logdet,
     spd_logdet,
@@ -31,7 +32,6 @@ from .posterior import QAlpha, QWGamma, QWWishart
 
 __all__ = [
     "ModelParams",
-    "AugmentedLoading",
     "PriorConfig",
     "VARIANTS",
     "SCHEMES",
@@ -81,8 +81,7 @@ class ModelParams:
             raise ValueError(f"inconsistent shapes mu {mu.shape}, V {V.shape}")
         if W.shape != (d, d):
             raise ValueError(f"W has shape {W.shape}, expected ({d}, {d})")
-        if not np.allclose(W, W.T, atol=1e-10 * max(1.0, float(np.abs(W).max()))):
-            raise ValueError("W must be symmetric")
+        require_symmetric(W, "W")
         spd_cholesky(W)  # signals non-PD instead of regularizing
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "V", V)
@@ -101,28 +100,8 @@ class ModelParams:
         return spd_logdet(self.W)
 
     def augmented(self):
-        return AugmentedLoading(np.column_stack([self.V, self.mu]))
-
-
-@dataclass(frozen=True)
-class AugmentedLoading:
-    """The loading matrix with the mean folded in as the last column: [V mu]."""
-
-    Vtilde: np.ndarray
-
-    def __post_init__(self):
-        vt = np.asarray(self.Vtilde, dtype=float)
-        if vt.ndim != 2 or vt.shape[1] < 2:
-            raise ValueError(f"augmented loading needs at least two columns, got {vt.shape}")
-        object.__setattr__(self, "Vtilde", vt)
-
-    @property
-    def V(self):
-        return self.Vtilde[:, :-1]
-
-    @property
-    def mu(self):
-        return self.Vtilde[:, -1]
+        """The augmented loading [V mu], (d, n_y+1): the mean folded in as the last column."""
+        return np.column_stack([self.V, self.mu])
 
 
 @dataclass(frozen=True)
@@ -160,8 +139,9 @@ class PriorConfig:
     def validate(self, d, n_y):
         """Check presence, shapes and positivity of every field the variant uses.
 
-        Returns a copy whose vector fields are broadcast to their full length;
-        this prior is left as it is, so it can be validated again at another d.
+        Returns a copy whose vector fields are broadcast to their full length
+        and whose matrices, symmetric to rounding, are symmetrized; this prior
+        is left as it is, so it can be validated again at another d.
         """
         loading, arm = SCHEMES[self.variant]
         # A previous run's posterior gives each row its own Gamma rate; a prior
@@ -187,6 +167,11 @@ class PriorConfig:
         """ln|L0_r| of the d row-prior precisions, computed once per prior."""
         return spd_logdet(self.v_row_precisions)
 
+    @cached_property
+    def v_row_rhs(self):
+        """L0_r m0_r, each row-prior precision times its mean, computed once per prior."""
+        return np.einsum("rab,rb->ra", self.v_row_precisions, self.v_row_means)
+
     def _require_positive_scalar(self, name):
         value = getattr(self, name)
         if value is None or not np.isfinite(value) or value <= 0:
@@ -211,14 +196,17 @@ def _scalar_or_length(prior, name, d):
     return value
 
 
-def _require_spd(name, matrices):
-    """A prior matrix, or each of a stack, must be positive definite: an input error if not."""
+def _symmetric_spd(name, matrices):
+    """A prior matrix, or each of a stack, symmetrized: it must be positive
+    definite and symmetric to rounding, an input error if not."""
     try:
         spd_cholesky(matrices)
     except FactorizationError as exc:
         raise ValueError(f"{name} must be positive definite") from exc
     except ValueError as exc:  # non-finite entries
         raise ValueError(f"{name}: {exc}") from exc
+    require_symmetric(matrices, name)
+    return sym(matrices)
 
 
 def scalar_or_list(text):
@@ -246,31 +234,28 @@ class ArdColumns:
             raise ValueError("beta entries must be positive")
         return {"mu0": mu0, "beta": beta}
 
-    def row_prior_terms(self, prior, qalpha, d, k):
-        """Per-row prior precision matrices, diagonal, and precision-times-mean vectors."""
-        prec = np.zeros((d, k, k))
-        rhs = np.zeros((d, k))
-        idx = np.arange(k - 1)
-        prec[:, idx, idx] = qalpha.mean[None, :]
-        prec[:, -1, -1] = prior.beta
-        rhs[:, -1] = prior.beta * prior.mu0
-        return prec, rhs
+    def row_posteriors(self, prior, qalpha, wdiag, r_yt):
+        """(precisions, prior parts of the right-hand sides, covariances,
+        log-determinants) of the rows: prec_r = diag(E[alpha], beta_r) + w_r R,
+        whose prior part of the right-hand side is (0, beta_r mu0_r).
 
-    def row_inverses(self, prec, prior, qalpha, wdiag, r_yt):
-        """Covariances and log-determinants of the row precisions
-        prec_r = diag(E[alpha], beta_r) + w_r R, from one eigendecomposition.
-
-        `pencil_inverses` gives the covariances G_r of D + w_r R with
+        The stack is w_r R with E[alpha] and beta_r added to its diagonals in
+        place. `pencil_inverses` gives the covariances G_r of D + w_r R with
         D = diag(E[alpha], b), b the geometric mean of the extreme beta_r. A row
         whose beta_r is not b adds s_r = beta_r - b to its last diagonal entry,
         and Sherman-Morrison subtracts s_r g g^T / (1 + s_r g_k) from G_r,
         g = G_r e_k. A denominator 1 + s_r g_k that is not positive means a
         precision that is not positive definite: FactorizationError, as its
-        Cholesky factorization would raise. `prec`, the stack these terms
-        assemble, is not read.
+        Cholesky factorization would raise.
         """
         name = "q(Vtilde) row precision"
         beta = prior.beta
+        prec = wdiag[:, None, None] * r_yt
+        diagonals = np.einsum("rkk->rk", prec)  # a writable view
+        diagonals[:, :-1] += qalpha.mean
+        diagonals[:, -1] += beta
+        rhs = np.zeros(prec.shape[:2])
+        rhs[:, -1] = beta * prior.mu0
         ref = math.sqrt(beta.min() * beta.max())  # b when every beta_r is b
         diag = np.append(qalpha.mean, ref)
         basis, factors, cov, logdets = pencil_inverses(diag, r_yt, wdiag, name)
@@ -282,7 +267,7 @@ class ArdColumns:
                 raise FactorizationError(f"a {name} is not positive definite")
             cov -= (shift / denom)[:, None, None] * (last[:, :, None] * last[:, None, :])
             logdets += np.log(denom)
-        return cov, logdets
+        return prec, rhs, cov, logdets
 
     def init_qalpha(self, prior, n_y):
         return QAlpha(a=prior.a_alpha, b=np.full(n_y, prior.b_alpha))
@@ -343,19 +328,16 @@ class GaussRows:
             raise ValueError(
                 f"v_row_precisions has shape {prior.v_row_precisions.shape}, expected ({d}, {k}, {k})"
             )
-        _require_spd("v_row_precisions", prior.v_row_precisions)
-        return {}
+        return {"v_row_precisions": _symmetric_spd("v_row_precisions", prior.v_row_precisions)}
 
-    def row_prior_terms(self, prior, qalpha, d, k):
-        """The row-prior precisions, symmetrized since a caller may give them
-        symmetric only to rounding, and their products with the row-prior means."""
-        prec = prior.v_row_precisions
-        return sym(prec), np.einsum("rab,rb->ra", prec, prior.v_row_means)
-
-    def row_inverses(self, prec, prior, qalpha, wdiag, r_yt):
-        """Covariances and log-determinants of the row precisions, by one batched
-        Cholesky: the row priors L0_r share no structure."""
-        return spd_inverse_logdet(prec)
+    def row_posteriors(self, prior, qalpha, wdiag, r_yt):
+        """(precisions, prior parts of the right-hand sides, covariances,
+        log-determinants) of the rows: prec_r = L0_r + w_r R, with L0_r m0_r on
+        the right-hand side. The row priors share no structure, so the
+        precisions go through one batched Cholesky."""
+        prec = wdiag[:, None, None] * r_yt
+        prec += prior.v_row_precisions
+        return (prec, prior.v_row_rhs, *spd_inverse_logdet(prec))
 
     def init_qalpha(self, prior, n_y):
         return None
@@ -421,17 +403,17 @@ class WishartArm:
             raise ValueError(f"{prior.variant} requires psi0 and nu_d")
         if prior.psi0.shape != (d, d):
             raise ValueError(f"psi0 has shape {prior.psi0.shape}, expected ({d}, {d})")
-        _require_spd("psi0", prior.psi0)
+        psi0 = _symmetric_spd("psi0", prior.psi0)
         if not d - 1 < prior.nu_d < math.inf:  # also rejects NaN
             raise ValueError(f"nu_d must be finite and exceed d-1={d - 1}, got {prior.nu_d}")
-        return {}
+        return {"psi0": psi0}
 
     def init_qw(self, prior, n, d, w_point, logdet_w_point):
         """Start matched to the point precision `w_point` of log-determinant
         `logdet_w_point`; at the prior without data."""
         if n > 0:
             return _wishart_start(w_point, logdet_w_point, prior.nu_d + n)
-        return QWWishart(psi=sym(prior.psi0), nu=prior.nu_d)
+        return QWWishart(psi=prior.psi0, nu=prior.nu_d)
 
     def update_qw(self, prior, k_mat, n):
         """q(W) from the expected residual scatter K of n vectors.
@@ -474,7 +456,9 @@ class WishartArm:
 
     def read_qw(self, get, d):
         nu = get(())
-        return QWWishart(psi=get((d, d)), nu=nu)
+        psi = get((d, d))
+        require_symmetric(psi, "qw.psi")
+        return QWWishart(psi=psi, nu=nu)
 
 
 class FlatWishartArm(WishartArm):
@@ -635,15 +619,16 @@ def conditional_loglik_traced(n_i, f_i, s_i, y, params):
     return float(_logdet_term(n_i, params.logdet_W, d) - 0.5 * np.sum(W * inner.T))
 
 
-def conditional_loglik_augmented(n_i, f_i, s_i, ytilde, loading, W, logdet_W=None):
-    """ln P(speaker data | ytilde, [V mu], W) from raw statistics.
+def conditional_loglik_augmented(n_i, f_i, s_i, ytilde, vtilde, W, logdet_W=None):
+    """ln P(speaker data | ytilde, [V mu], W) from raw statistics; `vtilde` is
+    the (d, n_y+1) augmented loading [V mu].
 
     (N_i/2) ln|W/2pi| - tr(W S_i)/2 + yt^T Vt^T W F_i - (N_i/2) yt^T Vt^T W Vt yt
     """
     ytilde = np.asarray(ytilde, dtype=float)
     if ytilde[-1] != 1.0:
         raise ValueError(f"last entry of the augmented factor must be 1, got {ytilde[-1]}")
-    vt = loading.Vtilde
+    vt = np.asarray(vtilde, dtype=float)
     d = vt.shape[0]
     if logdet_W is None:
         logdet_W = spd_logdet(W)
@@ -657,12 +642,12 @@ def conditional_loglik_augmented(n_i, f_i, s_i, ytilde, loading, W, logdet_W=Non
     )
 
 
-def conditional_loglik_augmented_traced(n_i, f_i, s_i, ytilde, loading, W, logdet_W=None):
+def conditional_loglik_augmented_traced(n_i, f_i, s_i, ytilde, vtilde, W, logdet_W=None):
     """Augmented likelihood written as a single trace."""
     ytilde = np.asarray(ytilde, dtype=float)
     if ytilde[-1] != 1.0:
         raise ValueError(f"last entry of the augmented factor must be 1, got {ytilde[-1]}")
-    vt = loading.Vtilde
+    vt = np.asarray(vtilde, dtype=float)
     d = vt.shape[0]
     if logdet_W is None:
         logdet_W = spd_logdet(W)

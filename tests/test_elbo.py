@@ -262,11 +262,10 @@ def test_data_term_degenerate_equals_augmented_loglik():
     qw = PointW(w=w)
     aggs = y_aggregates(qy, stats)
     got = elbo_data_term(stats, aggs, qv, qw)
-    loading = mdl.AugmentedLoading(vt)
     expected = sum(
         conditional_loglik_augmented(
             stats.counts[i], stats.spk_sums[i], vectors[i].T @ vectors[i],
-            np.append(ybars[i], 1.0), loading, w,
+            np.append(ybars[i], 1.0), vt, w,
         )
         for i in range(m)
     )

@@ -344,6 +344,16 @@ class TestUpdateQVtilde:
         assert after >= before - 1e-8 * abs(before)
 
 
+def row_prior_reference(prior, qalpha, row):
+    """(L0, L0 m0) of one loading row, from the prior's fields: the row prior of
+    V3/V4, or diag(E[alpha], beta_r) and the mean (0, mu0_r) of V1/V2."""
+    if qalpha is None:
+        l0 = prior.v_row_precisions[row]
+        return l0, l0 @ prior.v_row_means[row]
+    l0 = np.diag(np.append(qalpha.mean, prior.beta[row]))
+    return l0, l0 @ np.append(np.zeros(qalpha.mean.size), prior.mu0[row])
+
+
 def per_row_solve_reference(aggregates, qv, qw, prior, qalpha):
     """The row update as one Cholesky solve per row, rows swept in ascending order.
 
@@ -351,16 +361,16 @@ def per_row_solve_reference(aggregates, qv, qw, prior, qalpha):
     independent row solves.
     """
     d, k = qv.mean.shape
-    prior_prec, prior_rhs = mdl.SCHEMES[prior.variant][0].row_prior_terms(prior, qalpha, d, k)
     wbar = qw.mean
     c, r_yt = aggregates.C, aggregates.R
     means = qv.mean.copy()
     precs = np.empty((d, k, k))
     cross = c - means @ r_yt
     for row in range(d):
+        prior_prec, prior_rhs = row_prior_reference(prior, qalpha, row)
         coupling = wbar[row] @ cross - wbar[row, row] * cross[row]
-        rhs = prior_rhs[row] + wbar[row, row] * c[row] + coupling
-        prec = prior_prec[row] + wbar[row, row] * r_yt
+        rhs = prior_rhs + wbar[row, row] * c[row] + coupling
+        prec = prior_prec + wbar[row, row] * r_yt
         precs[row] = 0.5 * (prec + prec.T)
         chol = scipy.linalg.cholesky(precs[row], lower=True)
         means[row] = scipy.linalg.cho_solve((chol, True), rhs)
@@ -486,6 +496,38 @@ def test_ard_row_inverses_reject_an_indefinite_rank_one_correction(variant):
     update_qvtilde(aggs, random_qv(rng, d, ny), qw, replace(prior, beta=np.array([1.0, 100.0])), qalpha)
     with pytest.raises(FactorizationError):
         update_qvtilde(aggs, random_qv(rng, d, ny), qw, prior, qalpha)
+
+
+@pytest.mark.parametrize("variant", [
+    mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL, mdl.V3_GAUSSV_WISHART,
+    mdl.V4_GAUSSV_GAMMA_DIAGONAL])
+def test_row_precisions_are_the_prior_part_plus_weighted_r(variant):
+    # bit for bit: L0_r + E[W]_rr R, the ARD rows with a beta of their own
+    rng = np.random.default_rng(mdl.VARIANTS.index(variant) + 40)
+    if mdl.SCHEMES[variant][0].has_alpha:
+        aggs, qv0, qw, prior, qalpha = ard_row_problem(variant, rng)
+    else:
+        aggs, qv0, qw, prior, qalpha = row_update_problem(variant, rng)
+    qv = update_qvtilde(aggs, qv0, qw, prior, qalpha)
+    wdiag = np.diagonal(qw.mean)
+    want = [row_prior_reference(prior, qalpha, r)[0] + wdiag[r] * aggs.R for r in range(qv.dim)]
+    np.testing.assert_array_equal(qv.prec, np.stack(want))
+
+
+def test_qy_precisions_are_identity_plus_count_times_quadratic():
+    # bit for bit: I + N_i A for every speaker, A = E[V^T W V]
+    rng = np.random.default_rng(41)
+    d, ny = 6, 4
+    counts = np.array([1.0, 3.0, 3.0, 7.0, 50.0, 1.0, 1000.0])
+    stats = SuffStats(counts=counts, spk_sums=rng.normal(size=(counts.size, d)),
+                      scatter_total=random_spd(rng, d))
+    qv = random_qv(rng, d, ny)
+    qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 4.0)
+    qy = update_qy(stats, qv, qw)
+    quad = posterior.vtw_moments(qv, qw)[1][:ny, :ny]
+    want = np.stack([np.eye(ny) + n * quad for n in counts])
+    np.testing.assert_array_equal(qy.prec[qy.group], want)
+    assert qy.prec.shape[0] == np.unique(counts).size
 
 
 class TestUpdateQAlphaQW:

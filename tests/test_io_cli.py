@@ -427,6 +427,32 @@ def test_model_file_with_non_finite_payload_is_input_error(tmp_path, capsys, blo
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", ["qv.prec", "qw.psi"])
+def test_adapt_from_a_model_file_with_an_asymmetric_precision_is_input_error(
+        tmp_path, capsys, block):
+    # adapt builds its row and Wishart priors from these two blocks
+    saved = saved_model_for(mdl.V1_WISHART_INFORMATIVE, np.random.default_rng(3))
+    if block == "qv.prec":
+        prec = saved.qv.prec.copy()
+        prec[1, 0, 2] += 1.5
+        saved = replace(saved, qv=QVtilde(mean=saved.qv.mean, prec=prec))
+    else:
+        psi = saved.qw.psi.copy()
+        psi[0, 1] += 1.5
+        saved = replace(saved, qw=QWWishart(psi=psi, nu=saved.qw.nu))
+    path = tmp_path / "asym.model"
+    mio.write_model_file(path, saved)
+    with pytest.raises(ValueError, match=f"{block} must be symmetric"):
+        mio.read_model_file(path)
+    data, labels = write_sim_files(tmp_path, d=saved.dim)
+    out = tmp_path / "adapted.model"
+    rc = main(["adapt", "--prior", str(path), "--data", str(data), "--labels", str(labels),
+               "--out", str(out), "--iters", "5"])
+    assert rc == 2
+    assert f"{block} must be symmetric" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_file_with_zero_rank_header_is_input_error(tmp_path, capsys):
     # a file consistent with its header n_y = 0: no loading column, one-column q(Vtilde) rows
     d = 3
@@ -737,6 +763,18 @@ class TestCli:
         assert _build_fit_config(config, args) == replace(
             from_config, max_iterations=9, elbo_rel_tol=1e-5, anneal_schedule=((1.0, 3),),
             hyperopt_every=5, mindiv_every=6, seed=8)
+
+    @pytest.mark.parametrize("flag, value", [("--iters", "1.5"), ("--hyperopt-every", "x"),
+                                             ("--anneal", "0.5:2:3")])
+    def test_fit_flags_parse_like_config_keys(self, tmp_path, capsys, flag, value):
+        # a flag that does not parse is an input error naming its config key
+        data, labels = write_sim_files(tmp_path)
+        model = tmp_path / "m.model"
+        rc = main(["train", "--data", str(data), "--labels", str(labels), "--out", str(model),
+                   flag, value])
+        assert rc == 2
+        assert f"{flag[2:].replace('-', '_')}: cannot parse {value!r}" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_train_on_rank_deficient_data_is_a_numerical_failure(self, tmp_path, capsys):
         ds, part = duplicated_dimension_problem()

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from bsplda.data import SuffStats
+from bsplda.engine import FitConfig, fit_stats
 from bsplda.linalg import FactorizationError, spd_cholesky
 from bsplda.model import (
     ModelParams,
@@ -155,10 +158,8 @@ def test_spd_cholesky_rejects_non_finite_input(bad):
 def test_augmented_loading_structure():
     v = np.arange(6.0).reshape(3, 2)
     mu = np.array([7.0, 8.0, 9.0])
-    loading = ModelParams(mu=mu, V=v, W=np.eye(3)).augmented()
-    np.testing.assert_allclose(loading.V, v)
-    np.testing.assert_allclose(loading.mu, mu)
-    np.testing.assert_allclose(loading.Vtilde, np.column_stack([v, mu]))
+    vtilde = ModelParams(mu=mu, V=v, W=np.eye(3)).augmented()
+    np.testing.assert_array_equal(vtilde, np.column_stack([v, mu]))
 
 
 def test_validate_returns_a_broadcast_copy():
@@ -173,6 +174,55 @@ def test_validate_returns_a_broadcast_copy():
                          v_row_precisions=prior.v_row_precisions, a_w=1.0, b_w=[0.5, 0.5])
     with pytest.raises(ValueError, match="takes b_w as a scalar or length-1"):
         shared.validate(d, 1)
+
+
+def row_prior(variant, rng, d, k):
+    """A V3/V4 prior of random positive-definite row precisions, exactly symmetric."""
+    fields = dict(variant=variant, v_row_means=rng.normal(size=(d, k)),
+                  v_row_precisions=np.stack([random_spd(rng, k) for _ in range(d)]))
+    if variant == "V3-GaussV-Wishart":
+        fields.update(psi0=random_spd(rng, d), nu_d=d + 2.0)
+    else:
+        fields.update(a_w=1.0, b_w=0.5)
+    return PriorConfig(**fields)
+
+
+@pytest.mark.parametrize("field", ["psi0", "v_row_precisions"])
+def test_validate_rejects_precisions_that_are_not_symmetric(field):
+    d, k = 4, 3
+    prior = row_prior("V3-GaussV-Wishart", np.random.default_rng(17), d, k)
+    bumped = getattr(prior, field).copy()
+    bumped[..., 0, 1] += 1.5  # the lower triangle, which a Cholesky factor reads, is unchanged
+    spd_cholesky(bumped)
+    with pytest.raises(ValueError, match=f"{field} must be symmetric"):
+        replace(prior, **{field: bumped}).validate(d, k - 1)
+
+
+@pytest.mark.parametrize("field", ["psi0", "v_row_precisions"])
+def test_validate_symmetrizes_precisions_symmetric_to_rounding(field):
+    d, k = 4, 3
+    prior = row_prior("V3-GaussV-Wishart", np.random.default_rng(18), d, k)
+    rounded = getattr(prior, field).copy()
+    rounded[..., 0, 1] *= 1.0 + 1e-14
+    given = replace(prior, **{field: rounded})
+    checked = getattr(given.validate(d, k - 1), field)
+    np.testing.assert_array_equal(checked, 0.5 * (rounded + np.swapaxes(rounded, -1, -2)))
+    np.testing.assert_array_equal(checked, np.swapaxes(checked, -1, -2))
+    assert getattr(given, field) is rounded  # the given prior is left as it is
+
+
+def test_fit_rejects_a_row_prior_that_is_not_symmetric():
+    # the lower triangle alone, which the row-prior log-determinants read, is positive definite
+    rng = np.random.default_rng(19)
+    d, ny, m = 4, 2, 6
+    prior = row_prior("V4-GaussV-Gamma-diagonal", rng, d, ny + 1)
+    precs = prior.v_row_precisions.copy()
+    precs[2, 0, 1] += 1.5
+    counts = np.full(m, 3.0)
+    stats = SuffStats(counts=counts, spk_sums=rng.normal(size=(m, d)),
+                      scatter_total=random_spd(rng, d, 10.0))
+    with pytest.raises(ValueError, match="v_row_precisions must be symmetric"):
+        fit_stats(stats, replace(prior, v_row_precisions=precs), FitConfig(max_iterations=5), ny)
 
 
 def test_prior_config_validation():
