@@ -177,6 +177,12 @@ def _params_from_spec_config(config, seed):
         raise ValueError(f"mu must be scalar or length-{d}")
     v_scale = _config_get(config, "v_scale", float, 1.0)
     w_scale = _config_get(config, "w_scale", float, 1.0)
+    if not np.isfinite(mu).all():
+        raise ValueError(f"spec key mu must be finite, got {config['mu']!r}")
+    if not np.isfinite(v_scale):
+        raise ValueError(f"spec key v_scale must be finite, got {v_scale}")
+    if not 0.0 < w_scale < np.inf:
+        raise ValueError(f"spec key w_scale must be positive and finite, got {w_scale}")
     # parameter stream is decoupled from the data stream by seed+1
     rng = CounterRng(seed + 1)
     v = v_scale * rng.gaussians(d * ny).reshape(d, ny)

@@ -74,6 +74,13 @@ class FitConfig:
                 raise ValueError("annealing spans must be positive")
         if schedule and schedule[-1][0] != 1.0:
             raise ValueError("annealing schedule must end at kappa = 1")
+        # a fit must not stop tempered: its factors and bound would not be the model's
+        tempered = sum(span for _, span in schedule[:-1])
+        if 1 <= self.max_iterations <= tempered:
+            raise ValueError(
+                f"max_iterations {self.max_iterations} ends inside the annealing schedule, "
+                f"whose final kappa = 1 span starts at iteration {tempered + 1}"
+            )
         object.__setattr__(self, "anneal_schedule", schedule)
 
     def kappa_for(self, iteration):
@@ -101,7 +108,7 @@ class FitReport:
 
 
 def update_qy(stats, qv, qw, moments=None):
-    """Closed-form q(Y): L = I + N A once per distinct count N, with A = E[V^T W V].
+    """Closed-form q(Y) by its covariances; L = I + N A, A = E[V^T W V], is never formed.
 
     One eigendecomposition A = U diag(lam) U^T (`pencil_inverses` with D = I)
     gives every group's covariance U diag(1 / (1 + N lam)) U^T and
@@ -116,13 +123,11 @@ def update_qy(stats, qv, qw, moments=None):
     wvt, quad = vtw_moments(qv, qw) if moments is None else moments
     evtwv = quad[:-1, :-1]
     values, group = stats.count_values, stats.count_group
-    prec = values[:, None, None] * evtwv
-    np.einsum("gaa->ga", prec)[...] += 1.0  # the diagonals, in place
     vecs, factors, cov, logdets = pencil_inverses(np.ones(ny), evtwv, values, "q(Y) precision")
     z = (wvt[:, :-1] @ vecs).T @ stats.spk_sums.T
     z -= np.outer(quad[:-1, -1] @ vecs, stats.counts)
     z /= factors.T[:, group]
-    return QY.with_inverse(cov, logdets, mean=(vecs @ z).T, prec=prec, group=group)
+    return QY(mean=(vecs @ z).T, cov=cov, prec_logdets=logdets, group=group)
 
 
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
@@ -214,11 +219,12 @@ def minimum_divergence(qy, qv):
         mean=qv.mean @ j_mat,
         prec=g_mat.T @ qv.prec @ g_mat,
     )
-    # y' = (Sigma^{1/2})^{-T} (y - mu_y) = L^{-1} (y - mu_y)
+    # y' = L^-1 (y - mu_y): covariances L^-1 Sigma_g L^-T, precision log-dets + 2 ln|L|
     a_mat = np.linalg.inv(chol)
     qy_new = QY(
         mean=(qy.mean - mu_y[None, :]) @ a_mat.T,
-        prec=chol.T @ qy.prec @ chol,
+        cov=sym(a_mat @ qy.cov @ a_mat.T),
+        prec_logdets=qy.prec_logdets + 2.0 * np.sum(np.log(np.diag(chol))),
         group=qy.group,
     )
     return qy_new, qv_new, j_mat
@@ -266,11 +272,11 @@ def _init_state(stats, prior, n_y, seed):
         v_init = np.zeros((d, n_y))
         w_point, logdet_w_point = np.eye(d), 0.0
     # the identity precisions are their own inverses, of log-determinant 0
-    rows, latent = np.tile(np.eye(k), (d, 1, 1)), np.eye(n_y)[None]
+    rows = np.tile(np.eye(k), (d, 1, 1))
     qv = QVtilde.with_inverse(rows, np.zeros(d), mean=np.column_stack([v_init, mu_init]), prec=rows)
     m = stats.n_speakers
-    qy = QY.with_inverse(latent, np.zeros(1), mean=np.zeros((m, n_y)), prec=latent,
-                         group=np.zeros(m, dtype=int))
+    qy = QY(mean=np.zeros((m, n_y)), cov=np.eye(n_y)[None], prec_logdets=np.zeros(1),
+            group=np.zeros(m, dtype=int))
     loading, arm = mdl.SCHEMES[prior.variant]
     qw = arm.init_qw(prior, n, d, w_point, logdet_w_point)
     qalpha = loading.init_qalpha(prior, n_y)

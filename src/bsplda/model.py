@@ -81,6 +81,8 @@ class ModelParams:
             raise ValueError(f"inconsistent shapes mu {mu.shape}, V {V.shape}")
         if W.shape != (d, d):
             raise ValueError(f"W has shape {W.shape}, expected ({d}, {d})")
+        if not np.isfinite(W).all():
+            raise ValueError("W has non-finite entries")
         require_symmetric(W, "W")
         spd_cholesky(W)  # signals non-PD instead of regularizing
         object.__setattr__(self, "mu", mu)

@@ -5,7 +5,7 @@ rebuilt whenever a new value is constructed, so caches can never go stale.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,52 +31,6 @@ def _is_identity_temperature(kappa):
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     return kappa == 1.0
-
-
-class _Gaussian:
-    """A stack of Gaussian factors: means (n, k) and precisions (p, k, k)."""
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        prec = np.asarray(self.prec, dtype=float)
-        if mean.ndim != 2 or prec.ndim != 3 or prec.shape[1:] != (mean.shape[1],) * 2:
-            raise ValueError(f"inconsistent shapes mean {mean.shape}, prec {prec.shape}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "prec", prec)
-
-    @classmethod
-    def with_inverse(cls, cov, logdets, **fields):
-        """The factor of `fields` with its covariances and precision log-determinants cached."""
-        factor = cls(**fields)
-        object.__setattr__(factor, "_cov_logdet", (cov, logdets))
-        return factor
-
-    @cached_property
-    def _cov_logdet(self):
-        return spd_inverse_logdet(self.prec)
-
-    @property
-    def cov(self):
-        return self._cov_logdet[0]
-
-    @property
-    def prec_logdets(self):
-        return self._cov_logdet[1]
-
-    def anneal(self, kappa):
-        """The factor to the power kappa, renormalized: same mean, precision times kappa.
-
-        The covariances and log-determinants are carried, cov / kappa and
-        ln|P| + k ln kappa for order k, not refactorized.
-        """
-        if _is_identity_temperature(kappa):
-            return self
-        cov, logdets = self._cov_logdet
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values["prec"] = kappa * self.prec
-        return self.with_inverse(
-            cov / kappa, logdets + self.prec.shape[-1] * math.log(kappa), **values
-        )
 
 
 class _Gamma:
@@ -109,25 +63,32 @@ class _Gamma:
 
 
 @dataclass(frozen=True)
-class QY(_Gaussian):
-    """Gaussian factors over the latent speaker vectors, one precision per group.
+class QY:
+    """Gaussian factors over the latent speaker vectors, held by the moments the
+    sweep and the bound read: speaker i has mean `mean[i]`, covariance
+    `cov[group[i]]` and precision log-determinant `prec_logdets[group[i]]`.
+    The q(Y) update puts the speakers that share a count in one group."""
 
-    Speaker i has mean `mean[i]` and precision `prec[group[i]]`. The q(Y)
-    update puts the speakers that share a count in one group, so precisions,
-    covariances and log-determinants are held once per distinct count.
-    """
-
-    mean: np.ndarray   # (M, n_y)
-    prec: np.ndarray   # (G, n_y, n_y)
-    group: np.ndarray  # (M,) index into prec
+    mean: np.ndarray          # (M, n_y)
+    cov: np.ndarray           # (G, n_y, n_y)
+    prec_logdets: np.ndarray  # (G,)
+    group: np.ndarray         # (M,) index into cov
 
     def __post_init__(self):
-        super().__post_init__()
+        mean = np.asarray(self.mean, dtype=float)
+        cov = np.asarray(self.cov, dtype=float)
+        logdets = np.asarray(self.prec_logdets, dtype=float)
         group = np.asarray(self.group, dtype=np.intp)
-        if group.shape != self.mean.shape[:1]:
-            raise ValueError(f"group has shape {group.shape}, expected ({self.mean.shape[0]},)")
-        if group.size and (group.min() < 0 or group.max() >= self.prec.shape[0]):
-            raise ValueError(f"group indices must lie in [0, {self.prec.shape[0]})")
+        if mean.ndim != 2 or cov.shape[1:] != (mean.shape[1],) * 2 or logdets.shape != cov.shape[:1]:
+            raise ValueError(f"inconsistent shapes mean {mean.shape}, cov {cov.shape}, "
+                             f"prec_logdets {logdets.shape}")
+        if group.shape != mean.shape[:1]:
+            raise ValueError(f"group has shape {group.shape}, expected ({mean.shape[0]},)")
+        if group.size and (group.min() < 0 or group.max() >= cov.shape[0]):
+            raise ValueError(f"group indices must lie in [0, {cov.shape[0]})")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "prec_logdets", logdets)
         object.__setattr__(self, "group", group)
 
     @property
@@ -138,10 +99,17 @@ class QY(_Gaussian):
     def rank(self):
         return self.mean.shape[1]
 
+    def anneal(self, kappa):
+        """The factor to the power kappa, renormalized: cov / kappa, ln|P| + n_y ln kappa."""
+        if _is_identity_temperature(kappa):
+            return self
+        logdets = self.prec_logdets + self.rank * math.log(kappa)
+        return replace(self, cov=self.cov / kappa, prec_logdets=logdets)
+
     @cached_property
     def group_sizes(self):
         """n_g: the number of speakers in each group."""
-        return np.bincount(self.group, minlength=self.prec.shape[0]).astype(float)
+        return np.bincount(self.group, minlength=self.cov.shape[0]).astype(float)
 
     @cached_property
     def second_moment_sum(self):
@@ -150,16 +118,49 @@ class QY(_Gaussian):
 
 
 @dataclass(frozen=True)
-class QVtilde(_Gaussian):
-    """Independent Gaussian factors over the rows of the augmented loading [V mu]."""
+class QVtilde:
+    """Independent Gaussian factors over the rows of the augmented loading [V mu],
+    held by the precisions that the model file stores and the adaptation prior
+    reads. Their covariances and log-determinants are factorized when first
+    read, unless `with_inverse` gave them."""
 
     mean: np.ndarray  # (d, n_y+1); row r is the posterior mean of row r of [V mu]
     prec: np.ndarray  # (d, n_y+1, n_y+1)
 
     def __post_init__(self):
-        super().__post_init__()
-        if self.prec.shape[0] != self.mean.shape[0]:
-            raise ValueError(f"{self.mean.shape[0]} rows, {self.prec.shape[0]} precisions")
+        mean = np.asarray(self.mean, dtype=float)
+        prec = np.asarray(self.prec, dtype=float)
+        if mean.ndim != 2 or prec.shape != (mean.shape[0],) + (mean.shape[1],) * 2:
+            raise ValueError(f"inconsistent shapes mean {mean.shape}, prec {prec.shape}")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "prec", prec)
+
+    @classmethod
+    def with_inverse(cls, cov, logdets, **fields):
+        """The factor of `fields` with its covariances and precision log-determinants cached."""
+        factor = cls(**fields)
+        object.__setattr__(factor, "_cov_logdet", (cov, logdets))
+        return factor
+
+    @cached_property
+    def _cov_logdet(self):
+        return spd_inverse_logdet(self.prec)
+
+    @property
+    def cov(self):
+        return self._cov_logdet[0]
+
+    @property
+    def prec_logdets(self):
+        return self._cov_logdet[1]
+
+    def anneal(self, kappa):
+        """The factor to the power kappa, renormalized; carries cov / kappa, ln|P| + k ln kappa."""
+        if _is_identity_temperature(kappa):
+            return self
+        cov, logdets = self._cov_logdet
+        logdets = logdets + self.prec.shape[-1] * math.log(kappa)
+        return self.with_inverse(cov / kappa, logdets, mean=self.mean, prec=kappa * self.prec)
 
     @property
     def dim(self):
@@ -337,7 +338,7 @@ def y_aggregates(qy, stats):
     c[:, :ny] = (y_t @ stats.spk_sums).T
     c[:, -1] = stats.sum_total
     weighted = y_t * stats.counts  # row q: N_i y_iq
-    weights = np.bincount(qy.group, weights=stats.counts, minlength=qy.prec.shape[0])
+    weights = np.bincount(qy.group, weights=stats.counts, minlength=qy.cov.shape[0])
     r = np.empty((ny + 1, ny + 1))
     r[:ny, :ny] = weighted @ y_t.T + np.einsum("g,gab->ab", weights, qy.cov)
     r[:ny, -1] = r[-1, :ny] = weighted.sum(axis=1)

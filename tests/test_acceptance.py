@@ -136,8 +136,14 @@ def test_criterion_02_conjugacy_oracle():
             mean_exact = np.linalg.solve(
                 prec_exact, params.V.T @ params.W @ (sums[i] - counts[i] * params.mu)
             )
-            scale = max(1.0, float(np.abs(prec_exact).max()))
-            assert np.abs(qy.prec[qy.group[i]] - prec_exact).max() <= 1e-10 * scale
+            # the covariance and log-determinant the sweep and the bound read
+            cov_exact = np.linalg.inv(prec_exact)
+            logdet_exact = np.linalg.slogdet(prec_exact)[1]
+            scale = max(1.0, float(np.abs(cov_exact).max()))
+            assert np.abs(qy.cov[qy.group[i]] - cov_exact).max() <= 1e-10 * scale
+            assert abs(qy.prec_logdets[qy.group[i]] - logdet_exact) <= 1e-10 * max(
+                1.0, abs(logdet_exact)
+            )
             assert np.abs(qy.mean[i] - mean_exact).max() <= 1e-10 * max(
                 1.0, float(np.abs(mean_exact).max())
             )
@@ -237,7 +243,8 @@ def test_criterion_05_kl_zero_suite():
             )
         prior = prior.validate(d, ny)
         # q(Y) at its prior
-        qy = QY(mean=np.zeros((2, ny)), prec=np.tile(np.eye(ny), (2, 1, 1)), group=np.arange(2))
+        qy = QY(mean=np.zeros((2, ny)), cov=np.tile(np.eye(ny), (2, 1, 1)), prec_logdets=np.zeros(2),
+                group=np.arange(2))
         y_prior, y_entropy_neg = elbo_y_terms(qy)
         assert abs(y_prior - y_entropy_neg) < 1e-9
         checked.append((variant, "y"))

@@ -138,7 +138,9 @@ def test_fixed_point_is_per_factor_optimal(variant):
     for _ in range(10):
         qy = replace(state.qy, mean=state.qy.mean + eps * rng.normal(size=state.qy.mean.shape))
         check(replace(state, qy=qy))
-        qy = replace(state.qy, prec=state.qy.prec * (1.0 + eps * rng.uniform(-1, 1)))
+        scale = 1.0 + eps * rng.uniform(-1, 1)  # of the precisions
+        qy = replace(state.qy, cov=state.qy.cov / scale,
+                     prec_logdets=state.qy.prec_logdets + state.qy.rank * math.log(scale))
         check(replace(state, qy=qy))
         qv = QVtilde(mean=state.qv.mean + eps * rng.normal(size=state.qv.mean.shape), prec=state.qv.prec)
         check(replace(state, qv=qv))

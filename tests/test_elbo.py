@@ -22,7 +22,7 @@ from bsplda.posterior import (
     QWWishart,
     y_aggregates,
 )
-from tests.test_posterior import random_qv, random_qy, random_spd, stats_for
+from tests.test_posterior import qy_from_precisions, random_qv, random_qy, random_spd, stats_for
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -56,7 +56,7 @@ def gaussian_kl(mean, cov, prior_mean, prior_cov):
 
 
 def test_y_terms_at_prior():
-    qy = QY(mean=np.zeros((1, 1)), prec=np.ones((1, 1, 1)), group=np.arange(1))
+    qy = qy_from_precisions(np.zeros((1, 1)), np.ones((1, 1, 1)), np.arange(1))
     y_prior, y_entropy_neg = elbo_y_terms(qy)
     assert y_prior == pytest.approx(-0.5 * LOG2PI - 0.5, rel=1e-12)
     assert y_entropy_neg == pytest.approx(-0.5 * (LOG2PI + 1.0), rel=1e-12)
@@ -64,7 +64,7 @@ def test_y_terms_at_prior():
 
 
 def test_y_terms_nonzero_mean_negative_kl():
-    qy = QY(mean=np.array([[0.7]]), prec=np.ones((1, 1, 1)), group=np.arange(1))
+    qy = qy_from_precisions(np.array([[0.7]]), np.ones((1, 1, 1)), np.arange(1))
     y_prior, y_entropy_neg = elbo_y_terms(qy)
     assert y_prior - y_entropy_neg < 0
 
@@ -237,7 +237,7 @@ def test_noninformative_w_prior_term():
 
 def test_data_term_empty_is_zero():
     stats = SuffStats(counts=np.zeros(0), spk_sums=np.zeros((0, 3)), scatter_total=np.zeros((3, 3)))
-    qy = QY(mean=np.zeros((0, 2)), prec=np.zeros((0, 2, 2)), group=np.arange(0))
+    qy = QY(mean=np.zeros((0, 2)), cov=np.zeros((0, 2, 2)), prec_logdets=np.zeros(0), group=np.arange(0))
     qv = random_qv(np.random.default_rng(0), 3, 2)
     qw = QWGamma(a=1.0, b=1.0, dim=3)
     aggs = y_aggregates(qy, stats)
@@ -255,7 +255,7 @@ def test_data_term_degenerate_equals_augmented_loglik():
         scatter_total=sum(x.T @ x for x in vectors),
     )
     ybars = rng.normal(size=(m, ny))
-    qy = QY(mean=ybars, prec=np.tile(1e14 * np.eye(ny), (m, 1, 1)), group=np.arange(m))
+    qy = qy_from_precisions(ybars, np.tile(1e14 * np.eye(ny), (m, 1, 1)), np.arange(m))
     vt = rng.normal(size=(d, k))
     qv = QVtilde(mean=vt, prec=np.tile(1e14 * np.eye(k), (d, 1, 1)))
     w = random_spd(rng, d, 0.5)
@@ -295,7 +295,7 @@ def test_data_term_matches_quadrature_oracle():
         spk_sums=phi.sum(axis=0, keepdims=True),
         scatter_total=phi.T @ phi,
     )
-    qy = QY(mean=np.array([[0.3]]), prec=np.array([[[2.0]]]), group=np.arange(1))
+    qy = qy_from_precisions(np.array([[0.3]]), np.array([[[2.0]]]), np.arange(1))
     qv = QVtilde(mean=np.array([[0.8, -0.2]]), prec=random_spd(rng, 2, 2.0)[None])
     qw = QWGamma(a=3.0, b=2.0, dim=1)
     aggs = y_aggregates(qy, stats)
@@ -375,7 +375,6 @@ def test_breakdown_sums_to_total(variant):
 def test_total_increases_after_one_qy_update():
     # coordinate ascent from the all-prior state on random data
     from bsplda.engine import update_qy
-    from bsplda.posterior import QY as QYFactor
 
     rng = np.random.default_rng(77)
     d, ny, m = 3, 2, 4
@@ -388,7 +387,7 @@ def test_total_increases_after_one_qy_update():
     qv, qalpha = _prior_state(d, ny, prior)
     qv = QVtilde(mean=qv.mean + 0.5 * rng.standard_normal(qv.mean.shape), prec=qv.prec)
     qw = QWWishart(psi=prior.psi0, nu=prior.nu_d)
-    qy0 = QYFactor(mean=np.zeros((m, ny)), prec=np.tile(np.eye(ny), (m, 1, 1)), group=np.arange(m))
+    qy0 = qy_from_precisions(np.zeros((m, ny)), np.tile(np.eye(ny), (m, 1, 1)), np.arange(m))
     stats = stats_for(rng, m, d)
     before = elbo_total(stats, qy0, qv, qw, qalpha, prior).total
     qy1 = update_qy(stats, qv, qw)
@@ -404,6 +403,6 @@ def test_total_invariant_under_speaker_relabeling():
     stats_p = SuffStats(
         counts=stats.counts[perm], spk_sums=stats.spk_sums[perm], scatter_total=stats.scatter_total
     )
-    qy_p = QY(mean=qy.mean[perm], prec=qy.prec, group=qy.group[perm])
+    qy_p = QY(mean=qy.mean[perm], cov=qy.cov, prec_logdets=qy.prec_logdets, group=qy.group[perm])
     bd_p = elbo_total(stats_p, qy_p, qv, qw, qalpha, prior)
     assert bd_p.total == pytest.approx(bd.total, rel=1e-9)

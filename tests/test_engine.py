@@ -32,7 +32,7 @@ from bsplda.posterior import (
     QY, QAlpha, QVtilde, QWGamma, QWWishart, YAggregates, y_aggregates,
 )
 from bsplda.synth import CounterRng, GenSpec, sample
-from tests.test_posterior import random_qv, random_qy, random_spd, stats_for
+from tests.test_posterior import qy_from_precisions, random_qv, random_qy, random_spd, stats_for
 
 
 def point_qv(vt):
@@ -57,7 +57,8 @@ class TestUpdateQY:
         qw = QWGamma(a=2.0, b=2.0, dim=2)
         qy = update_qy(stats, qv, qw)
         np.testing.assert_allclose(qy.mean, np.zeros((1, 2)), atol=1e-12)
-        np.testing.assert_allclose(qy.prec[0], np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(qy.cov[0], np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(qy.prec_logdets, [0.0], atol=1e-12)
 
     def test_scalar_closed_form(self):
         # point-mass V=1, W=1, mu=0, F=8, N=4: L = 5, mean = 1.6
@@ -65,7 +66,8 @@ class TestUpdateQY:
         qv = point_qv(np.array([[1.0, 0.0]]))
         qw = QWGamma(a=1e14, b=1e14, dim=1)
         qy = update_qy(stats, qv, qw)
-        assert qy.prec[0, 0, 0] == pytest.approx(5.0, rel=1e-9)
+        assert qy.cov[0, 0, 0] == pytest.approx(0.2, rel=1e-9)
+        assert qy.prec_logdets[0] == pytest.approx(math.log(5.0), rel=1e-9)
         assert qy.mean[0, 0] == pytest.approx(1.6, rel=1e-9)
 
     def test_conjugate_gaussian_oracle(self):
@@ -81,7 +83,8 @@ class TestUpdateQY:
             qy = update_qy(stats, qv, PointWArm(params.W))
             prec_exact = np.eye(ny) + n_i * params.V.T @ params.W @ params.V
             mean_exact = np.linalg.solve(prec_exact, params.V.T @ params.W @ (x.sum(axis=0) - n_i * params.mu))
-            np.testing.assert_allclose(qy.prec[0], prec_exact, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(qy.cov[0], np.linalg.inv(prec_exact), rtol=1e-10, atol=1e-10)
+            assert qy.prec_logdets[0] == pytest.approx(np.linalg.slogdet(prec_exact)[1], rel=1e-10)
             np.testing.assert_allclose(qy.mean[0], mean_exact, rtol=1e-8, atol=1e-10)
 
     def test_large_count_limit_is_least_squares(self):
@@ -158,8 +161,8 @@ def test_grouped_qy_matches_per_speaker_reference(mix):
     close(aggs.R, r)
     close(qy.second_moment_sum, rho)
     close(y_terms, ref_terms)
-    # layout: one precision per distinct count, no M x d x d statistics
-    assert qy.prec.shape[0] == np.unique(counts).size
+    # layout: one covariance per distinct count, no M x d x d statistics
+    assert qy.cov.shape[0] == np.unique(counts).size
     assert all(np.ndim(value) <= 2 for value in vars(stats).values())
 
 
@@ -515,7 +518,8 @@ def test_row_precisions_are_the_prior_part_plus_weighted_r(variant):
 
 
 def test_qy_precisions_are_identity_plus_count_times_quadratic():
-    # bit for bit: I + N_i A for every speaker, A = E[V^T W V]
+    # the covariances and log-determinants of I + N_i A for every speaker,
+    # A = E[V^T W V]; no precision is formed
     rng = np.random.default_rng(41)
     d, ny = 6, 4
     counts = np.array([1.0, 3.0, 3.0, 7.0, 50.0, 1.0, 1000.0])
@@ -526,8 +530,11 @@ def test_qy_precisions_are_identity_plus_count_times_quadratic():
     qy = update_qy(stats, qv, qw)
     quad = posterior.vtw_moments(qv, qw)[1][:ny, :ny]
     want = np.stack([np.eye(ny) + n * quad for n in counts])
-    np.testing.assert_array_equal(qy.prec[qy.group], want)
-    assert qy.prec.shape[0] == np.unique(counts).size
+    cov, logdets = np.linalg.inv(want), np.linalg.slogdet(want)[1]
+    assert np.abs(qy.cov[qy.group] - cov).max() <= 1e-10 * np.abs(cov).max()
+    assert np.abs(qy.prec_logdets[qy.group] - logdets).max() <= 1e-10 * np.abs(logdets).max()
+    assert qy.cov.shape == (np.unique(counts).size, ny, ny)
+    assert not hasattr(qy, "prec")
 
 
 class TestUpdateQAlphaQW:
@@ -557,7 +564,7 @@ class TestUpdateQAlphaQW:
 
     def test_qw_noninformative_scalar_example(self):
         stats = SuffStats(counts=np.array([10.0]), spk_sums=np.zeros((1, 1)), scatter_total=np.array([[5.0]]))
-        qy = QY(mean=np.zeros((1, 1)), prec=np.full((1, 1, 1), 1e14), group=np.arange(1))
+        qy = qy_from_precisions(np.zeros((1, 1)), np.full((1, 1, 1), 1e14), np.arange(1))
         qv = point_qv(np.zeros((1, 2)))
         aggs = y_aggregates(qy, stats)
         prior = v1_prior(1).validate(1, 1)
@@ -597,7 +604,7 @@ class TestUpdateQAlphaQW:
 
     def test_qw_noninformative_needs_enough_data(self):
         stats = SuffStats(counts=np.array([2.0]), spk_sums=np.zeros((1, 3)), scatter_total=np.eye(3))
-        qy = QY(mean=np.zeros((1, 1)), prec=np.ones((1, 1, 1)), group=np.arange(1))
+        qy = qy_from_precisions(np.zeros((1, 1)), np.ones((1, 1, 1)), np.arange(1))
         qv = point_qv(np.zeros((3, 2)))
         prior = v1_prior(3).validate(3, 1)
         with pytest.raises(ValueError, match="requires N > d"):
@@ -738,15 +745,15 @@ class TestAnnealing:
 
     def test_annealing_carries_the_inverse(self, monkeypatch):
         f = self.factors(np.random.default_rng(16))
-        for name in ("qy", "qv"):
-            f[name].cov  # fill the cache, as the updates do
+        f["qv"].cov  # fill the cache, as the update does; q(Y) holds its covariances
+        precisions = {"qy": linalg.spd_inverse_logdet(f["qy"].cov)[0], "qv": f["qv"].prec}
         for name in ("qy", "qv"):
             calls = counted_cholesky(monkeypatch)
             out = f[name].anneal(0.3)
             cov, logdets = out.cov, out.prec_logdets
             assert calls == []
             monkeypatch.undo()
-            fresh_cov, fresh_logdets = linalg.spd_inverse_logdet(out.prec)
+            fresh_cov, fresh_logdets = linalg.spd_inverse_logdet(0.3 * precisions[name])
             for got, want in ((cov, fresh_cov), (logdets, fresh_logdets)):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -787,7 +794,7 @@ class TestAnnealing:
 class TestMinimumDivergence:
     def make_pair(self, rng, m=6, ny=2, d=4, standard=False):
         if standard:
-            qy = QY(mean=np.zeros((m, ny)), prec=np.tile(np.eye(ny), (m, 1, 1)), group=np.arange(m))
+            qy = qy_from_precisions(np.zeros((m, ny)), np.tile(np.eye(ny), (m, 1, 1)), np.arange(m))
         else:
             qy = random_qy(rng, m, ny)
         return qy, random_qv(rng, d, ny)
@@ -800,8 +807,8 @@ class TestMinimumDivergence:
         # scale so pooled second moment is I: construct covariances accordingly
         pooled = means.T @ means / m
         cov = np.eye(ny) - pooled
-        prec = np.linalg.inv(cov)
-        qy = QY(mean=means, prec=np.tile(prec, (m, 1, 1)), group=np.arange(m))
+        qy = QY(mean=means, cov=np.tile(cov, (m, 1, 1)),
+                prec_logdets=np.full(m, -np.linalg.slogdet(cov)[1]), group=np.arange(m))
         qv = random_qv(rng, 3, ny)
         qy2, qv2, j_mat = minimum_divergence(qy, qv)
         np.testing.assert_allclose(j_mat, np.eye(ny + 1), atol=1e-8)
@@ -812,7 +819,7 @@ class TestMinimumDivergence:
         m, ny, d = 64, 2, 3
         shift = np.array([0.8, -0.3])
         means = rng.normal(size=(m, ny)) * 0.0 + shift  # all means equal: Sigma_y from covariances
-        qy = QY(mean=means, prec=np.tile(np.eye(ny), (m, 1, 1)), group=np.arange(m))
+        qy = qy_from_precisions(means, np.tile(np.eye(ny), (m, 1, 1)), np.arange(m))
         qv = random_qv(rng, d, ny)
         _, qv2, j_mat = minimum_divergence(qy, qv)
         np.testing.assert_allclose(j_mat[:ny, -1], shift, atol=1e-10)
@@ -825,6 +832,22 @@ class TestMinimumDivergence:
         np.testing.assert_allclose(qy2.mean.mean(axis=0), 0.0, atol=1e-10)
         pooled = qy2.second_moment_sum / qy2.n_speakers
         assert np.abs(pooled - np.eye(qy.rank)).max() < 1e-8
+
+    def test_transformed_qy_inverts_the_transformed_precisions(self):
+        # q(Y') is formed from the covariances: L^-1 Sigma_g L^-T and
+        # ln|P_g| + 2 ln|L|, the inverse of the transformed precision L^T P_g L
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            m, ny, groups = int(rng.integers(2, 12)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            prec = np.stack([random_spd(rng, ny, rng.uniform(0.1, 10.0)) for _ in range(groups)])
+            qy = qy_from_precisions(rng.normal(size=(m, ny)), prec, rng.integers(0, groups, size=m))
+            qy2, _, j_mat = minimum_divergence(qy, random_qv(rng, 2, ny))
+            chol = j_mat[:ny, :ny]
+            cov, logdets = linalg.spd_inverse_logdet(chol.T @ prec @ chol)
+            np.testing.assert_array_equal(qy2.cov, np.swapaxes(qy2.cov, 1, 2))
+            assert np.abs(qy2.cov - cov).max() <= 1e-12 * np.abs(cov).max()
+            assert np.abs(qy2.prec_logdets - logdets).max() <= 1e-12 * max(np.abs(logdets).max(), 1.0)
+            np.testing.assert_array_equal(qy2.group, qy.group)
 
     def test_data_term_invariant(self):
         rng = np.random.default_rng(20)
@@ -843,7 +866,7 @@ class TestMinimumDivergence:
         with pytest.raises(ValueError):
             minimum_divergence(qy, qv)
         # identical degenerate means, tiny covariance: singular Sigma_y
-        qy = QY(mean=np.ones((3, 2)), prec=np.tile(1e18 * np.eye(2), (3, 1, 1)), group=np.arange(3))
+        qy = qy_from_precisions(np.ones((3, 2)), np.tile(1e18 * np.eye(2), (3, 1, 1)), np.arange(3))
         with pytest.raises(FactorizationError):
             minimum_divergence(qy, random_qv(rng, 3, 2))
 
@@ -863,6 +886,18 @@ def test_fit_config_rejects_invalid_values(bad):
     # a NaN tolerance never converges; a negative period fires every sweep
     with pytest.raises(ValueError, match=next(iter(bad))):
         FitConfig(**bad)
+
+
+def test_fit_config_rejects_a_budget_that_ends_tempered():
+    # the final kappa = 1 span of this schedule starts at sweep 8; a fit that
+    # stops before it would save tempered factors and a bound `elbo` cannot reproduce
+    schedule = ((0.5, 5), (0.8, 2), (1.0, 1))
+    for iterations in (1, 2, 7):
+        with pytest.raises(ValueError, match="max_iterations .* starts at iteration 8"):
+            FitConfig(max_iterations=iterations, anneal_schedule=schedule)
+    for iterations in (0, 8, 9):
+        assert FitConfig(max_iterations=iterations, anneal_schedule=schedule).kappa_for(8) == 1.0
+    FitConfig(max_iterations=1, anneal_schedule=((1.0, 3),))
 
 
 def synthetic_problem(rng_seed, d=4, ny=2, m=12, per=3, noise=1.0):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -487,6 +488,28 @@ def test_simulate_spec_rejects_empty_dimension(tmp_path, capsys, spec_text, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, rule", [
+    pytest.param("w_scale", "0", "positive and finite", id="w_scale-zero"),
+    pytest.param("w_scale", "-1", "positive and finite", id="w_scale-negative"),
+    pytest.param("w_scale", "nan", "positive and finite", id="w_scale-nan"),
+    pytest.param("w_scale", "inf", "positive and finite", id="w_scale-inf"),
+    pytest.param("v_scale", "nan", "finite", id="v_scale-nan"),
+    pytest.param("v_scale", "-inf", "finite", id="v_scale-inf"),
+    pytest.param("mu", "inf", "finite", id="mu-inf"),
+    pytest.param("mu", "1,nan,2", "finite", id="mu-list-nan"),
+])
+def test_simulate_spec_rejects_numbers_out_of_range(tmp_path, capsys, key, value, rule):
+    spec = tmp_path / "sim.cfg"
+    spec.write_text(f"d = 3\nny = 2\n{key} = {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["simulate", "--spec", str(spec), "--speakers", "4", "--per-speaker", "2",
+                   "--seed", "0", "--out", str(tmp_path / "sim")])
+    assert rc == 2
+    assert f"spec key {key} must be {rule}" in capsys.readouterr().err
+    assert not (tmp_path / "sim.data").exists() and not (tmp_path / "sim.labels").exists()
+
+
 def test_cli_import_loads_no_scipy():
     import bsplda
 
@@ -682,6 +705,17 @@ class TestCli:
             assert rc == 2
             assert field in capsys.readouterr().err
             assert not model.exists()
+
+    def test_train_rejects_a_budget_that_ends_tempered(self, tmp_path, capsys):
+        data, labels = write_sim_files(tmp_path)
+        model = tmp_path / "m.model"
+        rc = main([
+            "train", "--data", str(data), "--labels", str(labels), "--out", str(model),
+            "--iters", "2", "--anneal", "0.5:5,1:1",
+        ])
+        assert rc == 2
+        assert "max_iterations 2 ends inside the annealing schedule" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("variant, key, value", [
         (mdl.V1_WISHART_NONINFORMATIVE, "mu0", "nan"),

@@ -148,6 +148,15 @@ def test_non_pd_w_rejected():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_w_is_named_before_its_symmetry(bad):
+    # an off-diagonal NaN or inf fails the symmetry check too; the cause is named
+    w = np.eye(2)
+    w[0, 1] = bad
+    with pytest.raises(ValueError, match="W has non-finite entries"):
+        ModelParams(mu=np.zeros(2), V=np.ones((2, 1)), W=w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_spd_cholesky_rejects_non_finite_input(bad):
     a = np.eye(3)
     a[1, 1] = bad

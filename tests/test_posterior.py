@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 from bsplda.data import SuffStats
+from bsplda.linalg import spd_inverse_logdet
 from bsplda.posterior import (
     QY,
     QAlpha,
@@ -41,10 +42,16 @@ def expected_vrv(qv, r):
     return _residual_scatter(empty, YAggregates(C=np.zeros((d, k)), R=r), qv)
 
 
+def qy_from_precisions(mean, prec, group):
+    """q(Y) whose group g has the precision prec[g], inverted here."""
+    cov, logdets = spd_inverse_logdet(np.asarray(prec, dtype=float))
+    return QY(mean=mean, cov=cov, prec_logdets=logdets, group=group)
+
+
 def random_qy(rng, m, ny):
     """q(Y) with random means and one random precision per speaker (a group each)."""
     mean = rng.normal(size=(m, ny))
-    return QY(mean=mean, prec=np.stack([random_spd(rng, ny) for _ in range(m)]), group=np.arange(m))
+    return qy_from_precisions(mean, np.stack([random_spd(rng, ny) for _ in range(m)]), np.arange(m))
 
 
 def stats_for(rng, m, d):
@@ -58,7 +65,7 @@ def stats_for(rng, m, d):
 
 def test_aggregates_identity_example():
     # M=1, ybar=0, L=I, N1=2: R = 2 I (bottom-right = N), C from outer product
-    qy = QY(mean=np.zeros((1, 2)), prec=np.eye(2)[None], group=np.arange(1))
+    qy = QY(mean=np.zeros((1, 2)), cov=np.eye(2)[None], prec_logdets=np.zeros(1), group=np.arange(1))
     stats = SuffStats(counts=np.array([2.0]), spk_sums=np.array([[1.0, 0.0, 0.0]]),
                       scatter_total=np.zeros((3, 3)))
     aggs = y_aggregates(qy, stats)
@@ -69,7 +76,7 @@ def test_aggregates_identity_example():
 
 def test_aggregates_outer_product_example():
     # M=1, F1=(1,0), E[ytilde]=(1,1): C = [[1,1],[0,0]]
-    qy = QY(mean=np.ones((1, 1)), prec=np.full((1, 1, 1), 1e12), group=np.arange(1))
+    qy = qy_from_precisions(np.ones((1, 1)), np.full((1, 1, 1), 1e12), np.arange(1))
     stats = SuffStats(counts=np.array([1.0]), spk_sums=np.array([[1.0, 0.0]]),
                       scatter_total=np.zeros((2, 2)))
     aggs = y_aggregates(qy, stats)
@@ -98,7 +105,7 @@ def test_aggregates_monte_carlo_oracle():
     n_samp = 200_000
     r_est = np.zeros((ny + 1, ny + 1))
     for i in range(m):
-        cov = np.linalg.inv(qy.prec[qy.group[i]])
+        cov = qy.cov[qy.group[i]]
         draws = rng.multivariate_normal(qy.mean[i], cov, size=n_samp)
         yt = np.concatenate([draws, np.ones((n_samp, 1))], axis=1)
         r_est += stats.counts[i] * (yt.T @ yt) / n_samp
@@ -261,8 +268,10 @@ def test_invalid_parameters_rejected():
         QWGamma(a=1.0, b=np.array([1.0, -2.0]), dim=2)
     with pytest.raises(ValueError, match="rates or one"):
         QWGamma(a=1.0, b=np.ones(3), dim=2)
-    with pytest.raises(ValueError):
-        QY(mean=np.zeros((2, 2)), prec=np.zeros((2, 3, 3)), group=np.arange(2))
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        QY(mean=np.zeros((2, 2)), cov=np.zeros((2, 3, 3)), prec_logdets=np.zeros(2), group=np.arange(2))
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        QY(mean=np.zeros((2, 2)), cov=np.zeros((2, 2, 2)), prec_logdets=np.zeros(3), group=np.arange(2))
 
 
 @pytest.mark.parametrize("psi", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]])
