@@ -1,12 +1,16 @@
 """Datasets, speaker partitions, and zero/first/second-order sufficient statistics."""
 
+import contextlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import workers
 from .linalg import sym
 
 __all__ = [
+    "BLOCK_ROWS",
     "Dataset",
     "SpeakerPartition",
     "SuffStats",
@@ -15,6 +19,18 @@ __all__ = [
     "rotate",
 ]
 
+
+# Rows per block of the statistics. The scatter is the sum, in block order, of
+# X_b^T X_b over blocks of this many rows, in `accumulate` and in a container
+# read by `io.read_data_blocks` alike. Blocks of 1024 rows or more add their
+# scatters as fast as one X^T X; the README gives the measured table.
+BLOCK_ROWS = 2048
+
+# A block product X_b^T X_b of at least this many multiply-adds (rows d^2, a
+# full block at d = 128) is formed on a worker while the calling thread goes
+# on. The README gives the measurements behind the value: the statistics alone
+# gained from d = 80, a whole training job at d = 300 but not at d = 100.
+POOL_MIN_BLOCK_WORK = 1 << 25
 
 # Dataset checks finiteness over row blocks of about this many entries, so no
 # N x d mask is built.
@@ -125,10 +141,19 @@ class SuffStats:
 
 
 def accumulate(dataset, partition):
-    """Sufficient statistics of a dataset under a speaker partition: the whole
-    array as one block of `accumulate_blocks`, so the scatter is X^T X over all rows."""
+    """Sufficient statistics of a dataset under a speaker partition, bit for bit
+    `accumulate_blocks` on its rows in blocks of BLOCK_ROWS, as a container is read.
+
+    The speaker sums are added over the whole array in one pass, which gives the
+    bits of the block-by-block pass at less cost. When the block products go to
+    the workers, so does that pass, and this thread adds the products.
+    """
     partition.check_compatible(dataset)
-    return accumulate_blocks([dataset.vectors], partition)
+    x = dataset.vectors
+    sums = _start(partial(_add_rows, None, x, partition.assignment, partition.n_speakers), x[:BLOCK_ROWS])
+    scatter = _scatter(x[i:i + BLOCK_ROWS] for i in range(0, dataset.n, BLOCK_ROWS))
+    counts = np.bincount(partition.assignment, minlength=partition.n_speakers)
+    return SuffStats(counts=counts, spk_sums=sums(), scatter_total=scatter)
 
 
 def accumulate_blocks(blocks, partition):
@@ -136,30 +161,75 @@ def accumulate_blocks(blocks, partition):
     partition's rows in order.
 
     Each block adds its rows to the speaker sums and its X_b^T X_b to the
-    scatter, so memory is the M x d sums, the d x d scatter and a few blocks.
-    Each speaker's sum adds its rows one at a time in ascending row order,
-    across blocks too, bit for bit a sequential loop. The scatter adds the
-    same N products x x^T as one X^T X in another order: the two agree
-    elementwise within 2 gamma_N (|X|^T |X|), gamma_N = N u / (1 - N u),
-    u = 2^-53, and are equal when there is one block.
+    scatter, in block order, so memory is the M x d sums, the d x d scatter,
+    two block products and the blocks. Each speaker's sum adds its rows one at
+    a time in ascending row order, across blocks too, bit for bit a sequential
+    loop. The scatter's bits are fixed by the blocking: blocks of BLOCK_ROWS
+    rows give those of `accumulate`.
+
+    A block's product starts before this thread adds the block's rows and
+    draws the next block, and it is added before the block after next is
+    drawn, so a block must stay unchanged until then.
     """
     assignment = partition.assignment
-    sums = scatter = None
-    start = 0
-    for x in blocks:
-        stop = start + x.shape[0]
-        if stop > assignment.size:
-            raise ValueError(f"blocks hold more than the partition's {assignment.size} rows")
-        if scatter is None:
-            scatter = x.T @ x
-        else:
-            scatter += x.T @ x
-        sums = _add_rows(sums, x, assignment[start:stop], partition.n_speakers)
-        start = stop
-    if start != assignment.size:
-        raise ValueError(f"blocks hold {start} rows, the partition covers {assignment.size}")
+    sums = None
+
+    def summed():
+        nonlocal sums
+        start = 0
+        for x in blocks:
+            stop = start + x.shape[0]
+            if stop > assignment.size:
+                raise ValueError(f"blocks hold more than the partition's {assignment.size} rows")
+            yield x
+            sums = _add_rows(sums, x, assignment[start:stop], partition.n_speakers)
+            start = stop
+        if start != assignment.size:
+            raise ValueError(f"blocks hold {start} rows, the partition covers {assignment.size}")
+
+    scatter = _scatter(summed())
     counts = np.bincount(assignment, minlength=partition.n_speakers)
     return SuffStats(counts=counts, spk_sums=sums, scatter_total=scatter)
+
+
+def _start(task, block):
+    """A function returning the result of `task`, which is started on a worker
+    when the product X_b^T X_b of `block` is worth one (POOL_MIN_BLOCK_WORK
+    multiply-adds), else run now."""
+    if block.shape[0] * block.shape[1] ** 2 >= POOL_MIN_BLOCK_WORK:
+        return workers.start(task)
+    result = task()
+    return lambda: result
+
+
+def _scatter(blocks):
+    """The sum of X_b^T X_b over the blocks, added in block order.
+
+    Each product starts when its block is drawn and is added before the block
+    after next is drawn, so at most two are alive, and it is the same SYRK on
+    any thread: no bit depends on the worker count.
+    """
+    scatter = pending = None
+    try:
+        for x in blocks:
+            product = _start(partial(np.matmul, x.T, x), x)
+            if pending is not None:
+                scatter = _added(scatter, pending())
+            pending = product
+    except BaseException:
+        if pending is not None:  # no worker reads a block after the error leaves
+            with contextlib.suppress(Exception):
+                pending()
+        raise
+    return _added(scatter, pending())
+
+
+def _added(scatter, product):
+    """scatter + product, in place; a scatter of None is zeros."""
+    if scatter is None:
+        return product
+    scatter += product
+    return scatter
 
 
 def _add_rows(sums, x, assignment, n_speakers):

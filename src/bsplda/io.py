@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import model as mdl
-from .data import SpeakerPartition
+from .data import BLOCK_ROWS, SpeakerPartition
 from .linalg import require_symmetric
 from .posterior import QAlpha, QVtilde
 
@@ -39,9 +39,6 @@ MAGIC_DATA = b"BSPLDA-DATA\x00"
 MAGIC_MODEL = b"BSPLDA-MODEL\x00"
 FORMAT_VERSION = 1
 _READ_CHUNK = 1 << 18  # bytes per read of a model payload
-# Rows per block of a data container payload. Blocks of 1024 rows or more add
-# their scatters as fast as one X^T X; the README gives the measured table.
-BLOCK_ROWS = 2048
 
 
 class FormatError(ValueError):
@@ -115,7 +112,9 @@ def read_data_blocks(path, n_rows):
     N >= 1, N equal to `n_rows` (the label count), and, for a regular file,
     a payload that fits in it. A block with a non-finite entry, a payload
     shorter than its header declares and bytes after it are format errors.
-    Every block is a view of one buffer that the next block overwrites.
+    The blocks are views of two buffers used in turn, so a block stays
+    unchanged until the block after next is read (`accumulate_blocks` forms a
+    block's product on a worker meanwhile).
     """
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC_DATA))
@@ -131,9 +130,10 @@ def read_data_blocks(path, n_rows):
         if n != n_rows:
             raise FormatError(f"{path}: {n_rows} label lines for {n} data rows")
         _check_payload_size(f, 8 * n * d)
-        buf = np.empty((min(n, BLOCK_ROWS), d), dtype="<f8")
-        for start in range(0, n, buf.shape[0]):
-            block = buf[:min(buf.shape[0], n - start)]
+        rows = min(n, BLOCK_ROWS)
+        buffers = [np.empty((rows, d), dtype="<f8") for _ in range(1 if n == rows else 2)]
+        for k, start in enumerate(range(0, n, rows)):
+            block = buffers[k % len(buffers)][:min(rows, n - start)]
             view = memoryview(block).cast("B")
             filled = 0
             while filled < view.nbytes:  # a pipe may return less than asked

@@ -79,15 +79,48 @@ def _chol_logdet(chol):
     return float(logdet) if chol.ndim == 2 else logdet
 
 
-def spd_inverse_logdet(a):
-    """A^-1 and ln|A| from one Cholesky factor, of a matrix or of each matrix of a stack.
+# spd_inverse_logdet splits a single matrix of higher order than this into 2x2
+# blocks and inverts it through the Schur complement; at this order and below,
+# and for stacks, it inverts the Cholesky factor. On one BLAS thread of a
+# 2-core x86_64 host the split was faster from order 161 on (0.62 -> 0.57 ms
+# at 161, 3.5 -> 2.8 ms at 300, 20 -> 14 ms at 600), but not at every order
+# above 128 or 144 (0.39 -> 0.42 ms at 129, 0.50 -> 0.51 ms at 145).
+SCHUR_LEAF = 160
 
-    A^-1 = L^-T L^-1 is one product of a factor with its own transpose, which
-    numpy hands to SYRK, so the inverse is exactly symmetric.
+
+def spd_inverse_logdet(a):
+    """A^-1 and ln|A| of a symmetric positive-definite matrix, or of each matrix
+    of a stack; the inverse is exactly symmetric.
+
+    A stack, or a matrix of order up to SCHUR_LEAF, is inverted from its
+    Cholesky factor: A^-1 = L^-T L^-1 is one product of a factor with its own
+    transpose, which numpy hands to SYRK. A matrix of higher order is split
+    into [[A11, A12], [A21, A22]] with A11 of half its order, and
+    A^-1 = [[A11^-1 + G S^-1 G^T, -G S^-1], [-S^-1 G^T, S^-1]], where
+    G = A11^-1 A12 and S = A22 - A21 G is the Schur complement of A11, and
+    ln|A| = ln|A11| + ln|S|. A11 and S are inverted by the same rule, so the
+    work is in full matrix products, and the leaves raise FactorizationError
+    when A is not positive definite. S and the leading block are symmetrized
+    and the off-diagonal blocks mirrored.
     """
-    chol = spd_cholesky(a)
-    inv_chol = _triangular_inverse(chol)
-    return np.swapaxes(inv_chol, -1, -2) @ inv_chol, _chol_logdet(chol)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or not a.shape[0] == a.shape[1] > SCHUR_LEAF:
+        chol = spd_cholesky(a)
+        inv_chol = _triangular_inverse(chol)
+        return np.swapaxes(inv_chol, -1, -2) @ inv_chol, _chol_logdet(chol)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    h = a.shape[0] // 2
+    a11_inv, logdet = spd_inverse_logdet(a[:h, :h])
+    gain = a11_inv @ a[:h, h:]
+    s_inv, logdet_s = spd_inverse_logdet(sym(a[h:, h:] - a[h:, :h] @ gain))
+    upper = -(gain @ s_inv)
+    inv = np.empty_like(a)
+    inv[:h, :h] = sym(a11_inv - upper @ gain.T)
+    inv[:h, h:] = upper
+    inv[h:, :h] = upper.T
+    inv[h:, h:] = s_inv
+    return inv, logdet + logdet_s
 
 
 @functools.lru_cache(maxsize=None)

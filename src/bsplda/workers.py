@@ -2,16 +2,17 @@
 
 numpy releases the interpreter lock in its ufunc loops and BLAS calls, so
 tasks made mostly of such calls run in parallel. Callers hand over only tasks
-that write disjoint outputs with the same code whichever thread runs them, so
-no result depends on the worker count. The pool is created, and
-`concurrent.futures` imported, by the first `run` that has more than one task
-and more than one worker; a process that never has such work starts no thread.
+that compute their results with the same code whichever thread runs them, so
+no result depends on the worker count. With more than one worker, the pool
+is created, and `concurrent.futures` imported, by the first `run` of more
+than one task or the first `start`; a process that never has such work
+starts no thread.
 """
 
 import os
 import threading
 
-__all__ = ["MAX_WORKERS", "count", "run"]
+__all__ = ["MAX_WORKERS", "count", "run", "start"]
 
 # Threads in the pool at most, whatever the CPU count. Every task holds its
 # own scratch (a sampler task about 2.3 MB), so this bounds the scratch live
@@ -41,6 +42,20 @@ def count():
     return os.cpu_count() or 1
 
 
+def _workers():
+    return min(count(), MAX_WORKERS)
+
+
+def _started_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_workers(), thread_name_prefix="bsplda-worker")
+    return _pool
+
+
 def run(tasks):
     """Call every task once and return the results in task order.
 
@@ -49,17 +64,25 @@ def run(tasks):
     `run` returns or raises the first task's exception. A task must not call
     `run`: it would wait on the pool it occupies.
     """
-    global _pool
     tasks = list(tasks)
-    workers = min(count(), MAX_WORKERS)
-    if len(tasks) < 2 or workers < 2:
+    if len(tasks) < 2 or _workers() < 2:
         return [task() for task in tasks]
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="bsplda-worker")
-    futures = [_pool.submit(task) for task in tasks]
+    pool = _started_pool()
+    futures = [pool.submit(task) for task in tasks]
     for future in futures:
         future.exception()  # waits; a failed task does not leave others running
     return [future.result() for future in futures]
+
+
+def start(task):
+    """Start `task` and return a function that waits for its result and returns
+    it, or raises its exception.
+
+    With more than one CPU the task runs on the pool while the caller goes on;
+    with one it runs now, on the calling thread, and raises now. The caller
+    keeps what the task reads unchanged until it has the result.
+    """
+    if _workers() < 2:
+        result = task()
+        return lambda: result
+    return _started_pool().submit(task).result

@@ -703,6 +703,15 @@ class TestScatterCertificate:
         with pytest.raises(FactorizationError, match="positive semidefiniteness"):
             self.update(variant, self.k_with_min_eigenvalue(low))
 
+    @pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V1_WISHART_NONINFORMATIVE])
+    def test_indefinite_update_above_the_schur_leaf_names_the_scatter(self, variant):
+        # at d = 300 the update's inverse fails in a Schur leaf, not in one
+        # Cholesky factorization; the ladder still names K
+        self.d = 300
+        assert self.d > linalg.SCHUR_LEAF
+        with pytest.raises(FactorizationError, match="residual scatter lost positive semidefiniteness"):
+            self.update(variant, self.k_with_min_eigenvalue(-10.0))
+
     def test_uncertified_informative_step_runs_the_ladder(self, monkeypatch):
         # psi0 = I and K = I: tr(psi0^-1 psi) = d / 2 > 1/2, so the update's
         # factor does not certify K and the ladder does

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 
 import bsplda.model as mdl
-from bsplda import io as mio
+from bsplda import io as mio, workers
 from bsplda.cli import _build_fit_config, _load_stats, build_parser, main
-from bsplda.data import Dataset, SpeakerPartition, accumulate
+from bsplda.data import Dataset, SpeakerPartition, accumulate, accumulate_blocks
 from bsplda.engine import FitConfig
 from bsplda.model import ModelParams, PriorConfig
 from bsplda.posterior import QAlpha, QVtilde, QWGamma, QWWishart
@@ -130,6 +131,26 @@ def test_labels_round_trip_and_partition(tmp_path):
         mio.read_labels_file(bad)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_labels_skip_blank_lines_and_index_speakers_by_first_appearance(tmp_path, newline):
+    lines = ["u1 bob", "", "u2\talice ", "   ", " u3  bob", "u4 carol", "u5 alice", ""]
+    path = tmp_path / "x.labels"
+    path.write_bytes(newline.join(lines).encode())
+    partition = mio.read_labels_file(path)
+    assert partition.n_speakers == 3
+    np.testing.assert_array_equal(partition.assignment, [0, 1, 0, 2, 1])
+
+
+@pytest.mark.parametrize("bad_line", ["u9", "u9 bob extra"], ids=["one-field", "three-fields"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_malformed_label_line_reports_its_line_number(tmp_path, bad_line, newline):
+    # blank lines count: the malformed line is the file's fifth
+    path = tmp_path / "bad.labels"
+    path.write_bytes(newline.join(["u1 bob", "", "u2 alice", "  ", bad_line, "u3 bob"]).encode())
+    with pytest.raises(mio.FormatError, match=f"^{re.escape(str(path))}:5: expected '<record_id> <speaker_id>'$"):
+        mio.read_labels_file(path)
+
+
 def write_corpus(tmp_path, vectors, assignment, tag="c"):
     data, labels = tmp_path / f"{tag}.data", tmp_path / f"{tag}.labels"
     mio.write_data_file(data, vectors)
@@ -150,12 +171,11 @@ def straddling_assignment(rng, b):
     return assignment
 
 
-@pytest.mark.parametrize(
-    "case", ["one-block", "one-block-plus-one", "speaker-straddles-blocks", "single-speaker"]
-)
-def test_streamed_stats_match_accumulate(tmp_path, case):
-    # counts and sums are bit-exact; the scatter adds the same N products in
-    # another order, so it is within 2 gamma_N |X|^T |X| of one X^T X
+STREAM_CASES = ["one-block", "one-block-plus-one", "speaker-straddles-blocks", "single-speaker"]
+
+
+def stream_case(case):
+    """(vectors, assignment) of a streamed-statistics case; every speaker has a row."""
     rng = np.random.default_rng(23)
     b = mio.BLOCK_ROWS
     assignment = {
@@ -164,14 +184,28 @@ def test_streamed_stats_match_accumulate(tmp_path, case):
         "speaker-straddles-blocks": lambda: straddling_assignment(rng, b),
         "single-speaker": lambda: np.zeros(2 * b + 7, dtype=int),
     }[case]()
-    assignment = np.unique(assignment, return_inverse=True)[1]  # every speaker has a row
+    assignment = np.unique(assignment, return_inverse=True)[1]
     n, d = assignment.size, 5
     vectors = (rng.normal(size=(n, d)) + rng.normal(size=d)) * 10.0 ** np.arange(-8, 9, 4)
+    return vectors, assignment
+
+
+def in_label_order(vectors, assignment):
+    """The Dataset and SpeakerPartition of a corpus, speakers indexed by first
+    appearance as a labels file indexes them."""
+    order = np.unique(assignment, return_index=True)[1].argsort().argsort()
+    return (Dataset(vectors=vectors, ids=tuple(range(assignment.size))),
+            SpeakerPartition(assignment=order[assignment], n_speakers=order.size))
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_streamed_stats_match_accumulate(tmp_path, case):
+    # counts and sums are bit-exact; the scatter adds the same N products in
+    # another order, so it is within 2 gamma_N |X|^T |X| of one X^T X
+    vectors, assignment = stream_case(case)
+    b, n = mio.BLOCK_ROWS, assignment.size
     stats = streamed_stats(*write_corpus(tmp_path, vectors, assignment))
-    m = int(assignment.max()) + 1
-    order = np.unique(assignment, return_index=True)[1].argsort().argsort()  # labels index by first appearance
-    full = accumulate(Dataset(vectors=vectors, ids=tuple(range(n))),
-                      SpeakerPartition(assignment=order[assignment], n_speakers=m))
+    full = accumulate(*in_label_order(vectors, assignment))
     assert np.array_equal(stats.counts, full.counts)
     assert np.array_equal(stats.spk_sums, full.spk_sums)
     assert np.array_equal(stats.sum_total, full.sum_total)
@@ -183,6 +217,115 @@ def test_streamed_stats_match_accumulate(tmp_path, case):
         assert np.array_equal(stats.scatter_total, full.scatter_total)
     brute = sum(np.outer(x, x) for x in vectors)
     assert np.all(np.abs(full.scatter_total - brute) <= bound)
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_accumulate_equals_the_streamed_statistics(tmp_path, case):
+    # the library and the CLI both sum X_b^T X_b over BLOCK_ROWS-row blocks
+    vectors, assignment = stream_case(case)
+    stats = streamed_stats(*write_corpus(tmp_path, vectors, assignment))
+    full = accumulate(*in_label_order(vectors, assignment))
+    for name in ("counts", "spk_sums", "scatter_total", "sum_total"):
+        assert np.array_equal(getattr(stats, name), getattr(full, name)), name
+
+
+@pytest.fixture(params=[1, 2], ids=["one-worker", "two-workers"])
+def worker_threads(request, monkeypatch):
+    """Force the worker count; returns it and the names of the threads that ran
+    the tasks handed to `workers.start`."""
+    monkeypatch.setattr(workers, "count", lambda: request.param)
+    start, threads = workers.start, []
+
+    def recorded(task):
+        def named():
+            threads.append(threading.current_thread().name)
+            return task()
+
+        return start(named)
+
+    monkeypatch.setattr(workers, "start", recorded)
+    return request.param, threads
+
+
+def test_statistics_do_not_depend_on_the_worker_count(tmp_path, worker_threads):
+    # three blocks at d = 300, the last of 5 rows; threads switch every
+    # microsecond, so a block overwritten by the reader while a worker forms
+    # its product, or products added out of order, change the bits
+    count, threads = worker_threads
+    rng = np.random.default_rng(41)
+    b, d, m = mio.BLOCK_ROWS, 300, 40
+    n = 2 * b + 5
+    assignment = np.r_[np.arange(m), rng.integers(0, m, size=n - m)]
+    vectors = rng.normal(size=(n, d)) + rng.normal(size=d)
+    scatter = np.zeros((d, d))
+    for start in range(0, n, b):
+        scatter += vectors[start:start + b].T @ vectors[start:start + b]
+    sums = np.zeros((m, d))
+    np.add.at(sums, assignment, vectors)  # each speaker's rows in row order
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        library = accumulate(*in_label_order(vectors, assignment))
+        streamed = streamed_stats(*write_corpus(tmp_path, vectors, assignment))
+    finally:
+        sys.setswitchinterval(interval)
+    for stats in (library, streamed):
+        assert np.array_equal(stats.scatter_total, scatter)
+        assert np.array_equal(stats.spk_sums, sums)
+    pooled = [name.startswith("bsplda-worker") for name in threads]
+    # the library's sums pass and two full blocks from each source
+    assert len(pooled) == 5 and all(pooled) == (count > 1)
+
+
+def test_a_failing_block_source_leaves_no_product_running(monkeypatch):
+    # the source fails after two blocks, the second product still forming:
+    # the error leaves accumulate_blocks only once no worker reads a block
+    monkeypatch.setattr(workers, "count", lambda: 2)
+    start, started, finished = workers.start, [], []
+
+    def recorded(task):
+        def run():
+            result = task()
+            finished.append(1)
+            return result
+
+        started.append(1)
+        return start(run)
+
+    monkeypatch.setattr(workers, "start", recorded)
+    x = np.random.default_rng(43).normal(size=(mio.BLOCK_ROWS, 300))
+
+    def blocks():
+        yield x
+        yield x
+        raise mio.FormatError("bad block")
+
+    partition = SpeakerPartition(assignment=np.arange(4 * mio.BLOCK_ROWS) % 3, n_speakers=3)
+    with pytest.raises(mio.FormatError, match="bad block"):
+        accumulate_blocks(blocks(), partition)
+    assert len(started) == 2 and len(finished) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_accumulates_on_a_pool_of_its_own():
+    # the child inherits the parent's pool object but not its threads
+    import bsplda
+
+    code = (
+        "import os, numpy as np; from bsplda import data, workers; workers.count = lambda: 2\n"
+        "x = np.random.default_rng(5).normal(size=(3 * data.BLOCK_ROWS, 160))\n"
+        "ds = data.Dataset(vectors=x, ids=range(x.shape[0]))\n"
+        "part = data.SpeakerPartition(assignment=np.arange(x.shape[0]) % 7, n_speakers=7)\n"
+        "first = data.accumulate(ds, part).scatter_total; assert workers._pool is not None\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0 if (data.accumulate(ds, part).scatter_total == first).all() else 1)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bsplda.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "0"
 
 
 def test_streamed_stats_memory_is_bounded(tmp_path):

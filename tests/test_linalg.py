@@ -69,8 +69,8 @@ def test_batched_inverse_matches_cho_solve(n, batch):
 
 @pytest.mark.parametrize("shape", [(300, 300), (300, 16, 16)], ids=["matrix", "stack"])
 def test_inverse_is_exactly_symmetric(shape):
-    # L^-T L^-1 is a product of a factor with its own transpose (SYRK): no
-    # symmetrizing pass is needed
+    # a stack's L^-T L^-1 is a product of a factor with its own transpose
+    # (SYRK); the order-300 matrix is assembled from symmetric Schur blocks
     stack = spd_stack(np.random.default_rng(shape[0]), shape[-1], shape[:-2])
     inv, _ = spd_inverse_logdet(stack)
     assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
@@ -89,6 +89,71 @@ def test_batched_inverse_rejects_a_stack_with_one_nan():
     stack[4, 2, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         spd_inverse_logdet(stack)
+
+
+def cholesky_inverse_logdet(a):
+    """The Cholesky path of spd_inverse_logdet, a copy kept here: stacks and
+    matrices up to linalg.SCHUR_LEAF take it bit for bit."""
+    chol = np.linalg.cholesky(a)
+
+    def triangular_inverse(chol):
+        n = chol.shape[-1]
+        if n == 1:
+            return 1.0 / chol
+        h, t = n // 2, n - n // 2
+        pair = np.zeros((2, *chol.shape[:-2], t, t))
+        pair[0, ..., :h, :h] = chol[..., :h, :h]
+        pair[0, ..., h:, h:] = 1.0
+        pair[1] = chol[..., h:, h:]
+        pair_inv = triangular_inverse(pair)
+        a_inv, c_inv = pair_inv[0, ..., :h, :h], pair_inv[1]
+        inv = np.zeros_like(chol)
+        inv[..., :h, :h] = a_inv
+        inv[..., h:, h:] = c_inv
+        inv[..., h:, :h] = -(c_inv @ chol[..., h:, :h]) @ a_inv
+        return inv
+
+    inv_chol = triangular_inverse(chol)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return np.swapaxes(inv_chol, -1, -2) @ inv_chol, logdet
+
+
+@pytest.mark.parametrize("n", [129, 150, 161, 255, 256, 300, 301])
+def test_schur_inverse_matches_numpy(n):
+    a = spd_stack(np.random.default_rng(n), n) / n
+    inv, logdet = spd_inverse_logdet(a)
+    assert rel_diff(inv, np.linalg.inv(a)) <= 1e-12
+    assert logdet == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12)
+    assert np.array_equal(inv, inv.T)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (33, 33), (128, 128), (linalg.SCHUR_LEAF,) * 2,
+                                   (3, 40, 40), (2, 301, 301)],
+                         ids=["1", "33", "128", "leaf", "stack-40", "stack-301"])
+def test_stacks_and_orders_up_to_the_leaf_keep_the_cholesky_path(shape):
+    stack = spd_stack(np.random.default_rng(shape[-1]), shape[-1], shape[:-2])
+    inv, logdet = spd_inverse_logdet(stack)
+    ref_inv, ref_logdet = cholesky_inverse_logdet(stack)
+    assert np.array_equal(inv, ref_inv)
+    assert np.array_equal(logdet, ref_logdet)
+
+
+def test_schur_inverse_rejects_an_indefinite_matrix_with_a_definite_leading_block():
+    # [[I, B], [B^T, I]] with |B| > 1: A11 = I factorizes, the complement
+    # I - B^T B does not
+    n = 300
+    a = np.eye(n)
+    a[:n // 2, n // 2:] = a[n // 2:, :n // 2] = 1.5 * np.eye(n // 2)
+    assert np.linalg.eigvalsh(a[:n // 2, :n // 2]).min() > 0 > np.linalg.eigvalsh(a).min()
+    with pytest.raises(FactorizationError):
+        spd_inverse_logdet(a)
+
+
+def test_schur_inverse_rejects_non_finite_entries():
+    a = spd_stack(np.random.default_rng(7), 300)
+    a[250, 3] = a[3, 250] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        spd_inverse_logdet(a)
 
 
 def test_update_qw_carries_logdet_psi():
