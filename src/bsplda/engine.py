@@ -9,7 +9,7 @@ from . import model as mdl
 from .data import accumulate, rotate
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
 from .linalg import FactorizationError, pencil_inverses, spd_cholesky, spd_inverse_logdet, sym
-from .posterior import QY, QAlpha, QVtilde, vtw_moments, y_aggregates
+from .posterior import QY, QAlpha, QVtilde, QWWishart, vtw_moments, y_aggregates
 from .synth import CounterRng
 
 __all__ = [
@@ -135,8 +135,8 @@ def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
 
     The loading prior's `row_posteriors` assembles the d row precisions
     "prior part + E[W]_rr R" and the prior parts of their right-hand sides,
-    and inverts the precisions once; the covariances are kept as the factor's
-    cache. What is left here is the mean sweep. Full-covariance W couples the
+    and inverts the precisions once; the factor holds the covariances and
+    log-determinants. What is left here is the mean sweep. Full-covariance W couples the
     row means: they are refreshed in ascending index order, each seeing the
     newest means of every other row (one Gauss-Seidel sweep, an exact
     coordinate maximizer per row). The sweep is a forward substitution: the
@@ -161,7 +161,7 @@ def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
     else:
         rhs = prior_rhs + wdiag[:, None] * c
         mean = (rhs[:, None, :] @ cov)[:, 0, :]
-    return QVtilde.with_inverse(cov, logdets, mean=mean, prec=prec)
+    return QVtilde(mean=mean, prec=prec, cov=cov, prec_logdets=logdets)
 
 
 def update_qalpha(qv, prior):
@@ -201,7 +201,10 @@ def minimum_divergence(qy, qv):
 
     Returns (qy', qv', J): the pooled q(y') gets zero mean and identity average
     second moment while the expected data log-likelihood is left unchanged; the
-    loading rows absorb the transform ytilde = J ytilde'.
+    loading rows absorb the transform ytilde = J ytilde', J = [[L, mu_y], [0, 1]]
+    with L the Cholesky factor of the pooled covariance. Row r of q(Vtilde') has
+    precision G^T P_r G, G = J^-T, covariance J^T cov_r J and log-determinant
+    ln|P_r| - 2 ln|L|: nothing is refactorized.
     """
     m, ny = qy.mean.shape
     if m < 2:
@@ -214,17 +217,20 @@ def minimum_divergence(qy, qv):
     j_mat[:ny, :ny] = chol
     j_mat[:ny, -1] = mu_y
     j_mat[-1, -1] = 1.0
+    logdet_chol = np.sum(np.log(np.diag(chol)))
     g_mat = np.linalg.inv(j_mat.T)
     qv_new = QVtilde(
         mean=qv.mean @ j_mat,
         prec=g_mat.T @ qv.prec @ g_mat,
+        cov=sym(j_mat.T @ qv.cov @ j_mat),
+        prec_logdets=qv.prec_logdets - 2.0 * logdet_chol,
     )
     # y' = L^-1 (y - mu_y): covariances L^-1 Sigma_g L^-T, precision log-dets + 2 ln|L|
     a_mat = np.linalg.inv(chol)
     qy_new = QY(
         mean=(qy.mean - mu_y[None, :]) @ a_mat.T,
         cov=sym(a_mat @ qy.cov @ a_mat.T),
-        prec_logdets=qy.prec_logdets + 2.0 * np.sum(np.log(np.diag(chol))),
+        prec_logdets=qy.prec_logdets + 2.0 * logdet_chol,
         group=qy.group,
     )
     return qy_new, qv_new, j_mat
@@ -273,7 +279,7 @@ def _init_state(stats, prior, n_y, seed):
         w_point, logdet_w_point = np.eye(d), 0.0
     # the identity precisions are their own inverses, of log-determinant 0
     rows = np.tile(np.eye(k), (d, 1, 1))
-    qv = QVtilde.with_inverse(rows, np.zeros(d), mean=np.column_stack([v_init, mu_init]), prec=rows)
+    qv = QVtilde(mean=np.column_stack([v_init, mu_init]), prec=rows, cov=rows, prec_logdets=np.zeros(d))
     m = stats.n_speakers
     qy = QY(mean=np.zeros((m, n_y)), cov=np.eye(n_y)[None], prec_logdets=np.zeros(1),
             group=np.zeros(m, dtype=int))
@@ -316,9 +322,9 @@ def fit_stats(stats, prior, config, n_y):
     `vtw_moments` are formed once, for its q(Y) update and its bound. Stops
     when the relative bound change drops below tolerance at kappa = 1 with no
     hyperparameter or re-standardization event in the iteration. When the last sweep ran at
-    kappa = 1 its bound is evaluated once more by `stored_bound`, as `elbo`
-    evaluates the stored model, so `elbo` on the fitted data reproduces the
-    trace exactly.
+    kappa = 1 its bound is evaluated once more by `stored_bound`, on q(Vtilde)
+    and q(W) built from their stored numbers as `io.read_model_file` builds
+    them, so `elbo` on the fitted data reproduces the trace exactly.
     """
     if n_y < 1:
         raise ValueError("latent rank must be at least 1")
@@ -396,7 +402,9 @@ def fit_stats(stats, prior, config, n_y):
         baseline = None if (event or kappa != 1.0) else breakdown.total
 
     if trace and state.kappa == 1.0:
-        breakdown = stored_bound(stats, state.qv, state.qw, state.qalpha, prior)
+        qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec)
+        qw = QWWishart.from_psi(state.qw.psi, state.qw.nu) if isinstance(state.qw, QWWishart) else state.qw
+        breakdown = stored_bound(stats, qv, qw, state.qalpha, prior)
         trace[-1] = breakdown.total
         breakdowns[-1] = breakdown
 
@@ -418,10 +426,9 @@ def fit_stats(stats, prior, config, n_y):
 
 def stored_bound(stats, qv, qw, qalpha, prior):
     """The bound of a stored model on `stats`, as `elbo` evaluates it and as the
-    last entry of a fit's trace records it: q(Vtilde) and q(W) rebuilt from
-    their stored numbers, without the inverses of the fit, and q(Y) at its
-    closed-form optimum given them."""
-    qv, qw = replace(qv), replace(qw)
+    last entry of a fit's trace records it: q(Vtilde) and q(W) as
+    `QVtilde.from_precisions` and `QWWishart.from_psi` build them from their
+    stored numbers, and q(Y) at its closed-form optimum given them."""
     moments = vtw_moments(qv, qw)
     qy = update_qy(stats, qv, qw, moments)
     return elbo_total(stats, qy, qv, qw, qalpha, prior, None, moments)

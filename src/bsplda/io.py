@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model as mdl
 from .data import BLOCK_ROWS, SpeakerPartition
-from .linalg import require_symmetric
+from .linalg import FactorizationError, require_symmetric
 from .posterior import QAlpha, QVtilde
 
 __all__ = [
@@ -274,8 +274,12 @@ def read_model_file(path):
         mu = _read_finite(f, (d,))
         v = _read_finite(f, (d, ny))
         w = _read_finite(f, (d, d))
-        qv = QVtilde(mean=_read_finite(f, (d, k)), prec=_read_finite(f, (d, k, k)))
-        require_symmetric(qv.prec, "qv.prec")
+        qv_mean, qv_prec = _read_finite(f, (d, k)), _read_finite(f, (d, k, k))
+        require_symmetric(qv_prec, "qv.prec")
+        try:
+            qv = QVtilde.from_precisions(qv_mean, qv_prec)
+        except FactorizationError as exc:
+            raise ValueError("qv.prec must be positive definite") from exc
         tag = _read_scalar(f, "<B")
         if tag != arm.tag:
             raise FormatError(f"{path}: precision arm tag {tag} does not match variant {variant}")

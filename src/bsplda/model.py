@@ -390,7 +390,7 @@ def _wishart_start(w_point, logdet_w_point, nu):
     """The Wishart of mean `w_point` and dof nu: psi = w_point / nu, whose
     ln|psi| = ln|w_point| - d ln nu needs no factorization."""
     d = w_point.shape[0]
-    return QWWishart.with_logdet(logdet_w_point - d * math.log(nu), psi=w_point / nu, nu=nu)
+    return QWWishart(psi=w_point / nu, nu=nu, logdet_psi=logdet_w_point - d * math.log(nu))
 
 
 class WishartArm:
@@ -415,7 +415,7 @@ class WishartArm:
         `logdet_w_point`; at the prior without data."""
         if n > 0:
             return _wishart_start(w_point, logdet_w_point, prior.nu_d + n)
-        return QWWishart(psi=prior.psi0, nu=prior.nu_d)
+        return QWWishart.from_psi(prior.psi0, prior.nu_d)
 
     def update_qw(self, prior, k_mat, n):
         """q(W) from the expected residual scatter K of n vectors.
@@ -429,7 +429,7 @@ class WishartArm:
         psi, logdet = _scatter_inverse(psi0_inv + k_mat, k_mat)
         if not np.sum(psi0_inv * psi) <= 0.5:
             check_psd(k_mat, "residual scatter")
-        return QWWishart.with_logdet(-logdet, psi=psi, nu=prior.nu_d + n)
+        return QWWishart(psi=psi, nu=prior.nu_d + n, logdet_psi=-logdet)
 
     def w_prior(self, qw, prior):
         """E[ln P(W)]."""
@@ -460,7 +460,10 @@ class WishartArm:
         nu = get(())
         psi = get((d, d))
         require_symmetric(psi, "qw.psi")
-        return QWWishart(psi=psi, nu=nu)
+        try:
+            return QWWishart.from_psi(psi, nu)
+        except FactorizationError as exc:
+            raise ValueError("qw.psi must be positive definite") from exc
 
 
 class FlatWishartArm(WishartArm):
@@ -477,7 +480,7 @@ class FlatWishartArm(WishartArm):
         """q(W) from the inverse of K, whose Cholesky factor certifies K."""
         _require_n_above_d(n, k_mat.shape[0])
         psi, logdet = _scatter_inverse(k_mat, k_mat)
-        return QWWishart.with_logdet(-logdet, psi=psi, nu=n)
+        return QWWishart(psi=psi, nu=n, logdet_psi=-logdet)
 
     def w_prior(self, qw, prior):
         return float(-0.5 * (qw.dim + 1) * qw.mean_logdet)

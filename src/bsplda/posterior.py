@@ -1,7 +1,10 @@
 """Variational posterior factors and their moments.
 
-All factor types are immutable values; derived moments are cached lazily and
-rebuilt whenever a new value is constructed, so caches can never go stale.
+All factor types are immutable values. The Gaussian factors and the Wishart
+hold the inverses and log-determinants that the step forming them computes;
+only `QVtilde.from_precisions` and `QWWishart.from_psi`, which build a factor
+from stored numbers, factorize. Moments derived from those fields are cached
+lazily, and a new value starts with no cache, so caches can never go stale.
 """
 
 import math
@@ -10,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import FactorizationError, spd_inverse_logdet, spd_logdet, sym
+from .linalg import spd_inverse_logdet, spd_logdet, sym
 from .numerics import LOG2, digamma, gamma_neg_entropy, wishart_digamma_sum, wishart_log_B
 
 __all__ = [
@@ -75,10 +78,10 @@ class QY:
     group: np.ndarray         # (M,) index into cov
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        logdets = np.asarray(self.prec_logdets, dtype=float)
-        group = np.asarray(self.group, dtype=np.intp)
+        for name in ("mean", "cov", "prec_logdets"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "group", np.asarray(self.group, dtype=np.intp))
+        mean, cov, logdets, group = self.mean, self.cov, self.prec_logdets, self.group
         if mean.ndim != 2 or cov.shape[1:] != (mean.shape[1],) * 2 or logdets.shape != cov.shape[:1]:
             raise ValueError(f"inconsistent shapes mean {mean.shape}, cov {cov.shape}, "
                              f"prec_logdets {logdets.shape}")
@@ -86,10 +89,6 @@ class QY:
             raise ValueError(f"group has shape {group.shape}, expected ({mean.shape[0]},)")
         if group.size and (group.min() < 0 or group.max() >= cov.shape[0]):
             raise ValueError(f"group indices must lie in [0, {cov.shape[0]})")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "prec_logdets", logdets)
-        object.__setattr__(self, "group", group)
 
     @property
     def n_speakers(self):
@@ -119,48 +118,40 @@ class QY:
 
 @dataclass(frozen=True)
 class QVtilde:
-    """Independent Gaussian factors over the rows of the augmented loading [V mu],
-    held by the precisions that the model file stores and the adaptation prior
-    reads. Their covariances and log-determinants are factorized when first
-    read, unless `with_inverse` gave them."""
+    """Independent Gaussian factors over the rows of the augmented loading [V mu]:
+    row r has mean `mean[r]`, precision `prec[r]`, covariance `cov[r]` and
+    precision log-determinant `prec_logdets[r]`. The precisions are what the
+    model file stores and the adaptation prior reads; the step that forms the
+    factor sets all four fields."""
 
-    mean: np.ndarray  # (d, n_y+1); row r is the posterior mean of row r of [V mu]
-    prec: np.ndarray  # (d, n_y+1, n_y+1)
+    mean: np.ndarray          # (d, n_y+1); row r is the posterior mean of row r of [V mu]
+    prec: np.ndarray          # (d, n_y+1, n_y+1)
+    cov: np.ndarray           # (d, n_y+1, n_y+1)
+    prec_logdets: np.ndarray  # (d,)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        prec = np.asarray(self.prec, dtype=float)
-        if mean.ndim != 2 or prec.shape != (mean.shape[0],) + (mean.shape[1],) * 2:
-            raise ValueError(f"inconsistent shapes mean {mean.shape}, prec {prec.shape}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "prec", prec)
+        for name in ("mean", "prec", "cov", "prec_logdets"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        mean, prec, cov, logdets = self.mean, self.prec, self.cov, self.prec_logdets
+        rows = mean.shape[:1] + mean.shape[1:] * 2  # (d, k, k) for a (d, k) mean
+        if mean.ndim != 2 or prec.shape != rows or cov.shape != rows or logdets.shape != rows[:1]:
+            raise ValueError(f"inconsistent shapes mean {mean.shape}, prec {prec.shape}, "
+                             f"cov {cov.shape}, prec_logdets {logdets.shape}")
 
     @classmethod
-    def with_inverse(cls, cov, logdets, **fields):
-        """The factor of `fields` with its covariances and precision log-determinants cached."""
-        factor = cls(**fields)
-        object.__setattr__(factor, "_cov_logdet", (cov, logdets))
-        return factor
-
-    @cached_property
-    def _cov_logdet(self):
-        return spd_inverse_logdet(self.prec)
-
-    @property
-    def cov(self):
-        return self._cov_logdet[0]
-
-    @property
-    def prec_logdets(self):
-        return self._cov_logdet[1]
+    def from_precisions(cls, mean, prec):
+        """The factor of stored means and row precisions, inverted by one batched
+        Cholesky factorization; FactorizationError if a precision is not
+        positive definite."""
+        cov, logdets = spd_inverse_logdet(prec)
+        return cls(mean=mean, prec=prec, cov=cov, prec_logdets=logdets)
 
     def anneal(self, kappa):
-        """The factor to the power kappa, renormalized; carries cov / kappa, ln|P| + k ln kappa."""
+        """The factor to the power kappa, renormalized: kappa P, cov / kappa, ln|P| + k ln kappa."""
         if _is_identity_temperature(kappa):
             return self
-        cov, logdets = self._cov_logdet
-        logdets = logdets + self.prec.shape[-1] * math.log(kappa)
-        return self.with_inverse(cov / kappa, logdets, mean=self.mean, prec=kappa * self.prec)
+        logdets = self.prec_logdets + self.prec.shape[-1] * math.log(kappa)
+        return replace(self, prec=kappa * self.prec, cov=self.cov / kappa, prec_logdets=logdets)
 
     @property
     def dim(self):
@@ -204,11 +195,12 @@ class QAlpha(_Gamma):
 
 @dataclass(frozen=True)
 class QWWishart:
-    """Wishart factor over the full precision W. psi is taken as given: every
-    q(W) update, temper, start and model file makes it exactly symmetric."""
+    """Wishart factor over the full precision W and ln|psi|, as the step that forms psi
+    gives it. psi is taken as given: every step and model file makes it exactly symmetric."""
 
     psi: np.ndarray
     nu: float
+    logdet_psi: float
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float)
@@ -220,11 +212,10 @@ class QWWishart:
         object.__setattr__(self, "psi", psi)
 
     @classmethod
-    def with_logdet(cls, logdet_psi, **fields):
-        """The factor of `fields` with ln|psi| cached, as the update's factorization gave it."""
-        factor = cls(**fields)
-        object.__setattr__(factor, "logdet_psi", logdet_psi)
-        return factor
+    def from_psi(cls, psi, nu):
+        """The factor of a stored scale matrix, whose ln|psi| comes from its
+        Cholesky factor; FactorizationError if psi is not positive definite."""
+        return cls(psi=psi, nu=nu, logdet_psi=spd_logdet(psi))
 
     @property
     def dim(self):
@@ -233,14 +224,6 @@ class QWWishart:
     @cached_property
     def mean(self):
         return self.nu * self.psi
-
-    @cached_property
-    def logdet_psi(self):
-        """ln|psi| from its Cholesky factor unless the update cached it; both bound terms use it."""
-        try:
-            return spd_logdet(self.psi)
-        except FactorizationError as exc:
-            raise ValueError("psi is not positive definite") from exc
 
     @cached_property
     def mean_logdet(self):
@@ -269,10 +252,10 @@ class QWWishart:
             raise ValueError(
                 f"annealed Wishart dof condition violated (kappa={kappa}, nu={self.nu}, d={d})"
             )
-        return QWWishart.with_logdet(
-            self.logdet_psi - d * math.log(kappa),
+        return QWWishart(
             psi=self.psi / kappa,
             nu=kappa * (self.nu - d - 1.0) + d + 1.0,
+            logdet_psi=self.logdet_psi - d * math.log(kappa),
         )
 
 

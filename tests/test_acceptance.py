@@ -126,7 +126,7 @@ def test_criterion_02_conjugacy_oracle():
             counts=np.array(counts), spk_sums=np.array(sums), scatter_total=sum(scatters)
         )
         k = ny + 1
-        qv = QVtilde(
+        qv = QVtilde.from_precisions(
             mean=np.column_stack([params.V, params.mu]),
             prec=np.tile(1e30 * np.eye(k), (d, 1, 1)),
         )
@@ -264,14 +264,14 @@ def test_criterion_05_kl_zero_suite():
             assert abs((v_p + mu_p) - v_e - closed) < 1e-9
             checked.append((variant, "v-hierarchical"))
         else:
-            qv = QVtilde(mean=prior.v_row_means, prec=prior.v_row_precisions)
+            qv = QVtilde.from_precisions(mean=prior.v_row_means, prec=prior.v_row_precisions)
             v_p, a_p, a_e, mu_p, v_e = elbo_v_alpha_mu_terms(qv, None, prior)
             assert abs(v_p - v_e) < 1e-9
             checked.append((variant, "v-rows"))
         if arm is mdl.FLAT_WISHART:
             pass  # improper prior: no KL-zero pair exists
         elif arm is mdl.WISHART:
-            qw = QWWishart(psi=prior.psi0, nu=prior.nu_d)
+            qw = QWWishart.from_psi(psi=prior.psi0, nu=prior.nu_d)
             w_p, w_e = elbo_w_terms(qw, prior)
             assert abs(w_p - w_e) < 1e-9
             checked.append((variant, "w-wishart"))

@@ -30,7 +30,7 @@ class TestEntropyTermsAgainstScipy:
             d = int(rng.integers(1, 5))
             psi = random_spd(rng, d, 0.4)
             nu = d + rng.uniform(0.5, 8.0)
-            qw = QWWishart(psi=psi, nu=nu)
+            qw = QWWishart.from_psi(psi=psi, nu=nu)
             prior = PriorConfig(
                 variant=mdl.V1_WISHART_INFORMATIVE, mu0=0.0, beta=1.0,
                 a_alpha=1.0, b_alpha=1.0, psi0=np.eye(d), nu_d=d + 2.0,
@@ -142,14 +142,14 @@ def test_fixed_point_is_per_factor_optimal(variant):
         qy = replace(state.qy, cov=state.qy.cov / scale,
                      prec_logdets=state.qy.prec_logdets + state.qy.rank * math.log(scale))
         check(replace(state, qy=qy))
-        qv = QVtilde(mean=state.qv.mean + eps * rng.normal(size=state.qv.mean.shape), prec=state.qv.prec)
+        qv = QVtilde.from_precisions(mean=state.qv.mean + eps * rng.normal(size=state.qv.mean.shape), prec=state.qv.prec)
         check(replace(state, qv=qv))
-        qv = QVtilde(mean=state.qv.mean, prec=state.qv.prec * (1.0 + eps * rng.uniform(-1, 1)))
+        qv = QVtilde.from_precisions(mean=state.qv.mean, prec=state.qv.prec * (1.0 + eps * rng.uniform(-1, 1)))
         check(replace(state, qv=qv))
         if isinstance(state.qw, QWWishart):
-            qw = QWWishart(psi=state.qw.psi * (1.0 + eps * rng.uniform(-1, 1)), nu=state.qw.nu)
+            qw = QWWishart.from_psi(psi=state.qw.psi * (1.0 + eps * rng.uniform(-1, 1)), nu=state.qw.nu)
             check(replace(state, qw=qw))
-            qw = QWWishart(psi=state.qw.psi, nu=state.qw.nu * (1.0 + eps * rng.uniform(-1, 1)))
+            qw = QWWishart.from_psi(psi=state.qw.psi, nu=state.qw.nu * (1.0 + eps * rng.uniform(-1, 1)))
             check(replace(state, qw=qw))
         else:
             qw = replace(state.qw, a=state.qw.a * (1.0 + eps * rng.uniform(-1, 1)))

@@ -90,7 +90,7 @@ def v1_prior_state(d, ny, prior):
     for r in range(d):
         prec[r] = np.diag(np.append(qalpha.mean, prior.beta[r]))
         mean[r, -1] = prior.mu0[r]
-    return QVtilde(mean=mean, prec=prec), qalpha
+    return QVtilde.from_precisions(mean=mean, prec=prec), qalpha
 
 
 def test_alpha_pair_is_zero_at_prior():
@@ -151,7 +151,7 @@ def test_v3_row_pair_is_zero_at_prior():
         variant=mdl.V3_GAUSSV_WISHART, v_row_means=means, v_row_precisions=precs,
         psi0=np.eye(d), nu_d=d + 2.0,
     ).validate(d, ny)
-    qv = QVtilde(mean=means, prec=precs)
+    qv = QVtilde.from_precisions(mean=means, prec=precs)
     v_prior, a_p, a_e, mu_p, v_entropy_neg = elbo_v_alpha_mu_terms(qv, None, prior)
     assert (a_p, a_e, mu_p) == (0.0, 0.0, 0.0)
     assert v_prior - v_entropy_neg == pytest.approx(0.0, abs=1e-9)
@@ -185,7 +185,7 @@ def test_w_pairs_zero_at_prior():
         variant=mdl.V1_WISHART_INFORMATIVE, mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0,
         psi0=psi0, nu_d=d + 3.5,
     ).validate(d, 2)
-    qw = QWWishart(psi=psi0, nu=d + 3.5)
+    qw = QWWishart.from_psi(psi=psi0, nu=d + 3.5)
     w_prior, w_entropy_neg = elbo_w_terms(qw, prior_w)
     assert w_prior - w_entropy_neg == pytest.approx(0.0, abs=1e-9)
 
@@ -215,7 +215,7 @@ def test_w_terms_wishart_gamma_reparametrization():
             variant=mdl.V1_WISHART_INFORMATIVE, mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0,
             psi0=np.array([[psi0]]), nu_d=nu0,
         ).validate(1, 1)
-        qw_w = QWWishart(psi=np.array([[psi]]), nu=nu)
+        qw_w = QWWishart.from_psi(psi=np.array([[psi]]), nu=nu)
         wp_w, we_w = elbo_w_terms(qw_w, prior_w)
         prior_g = PriorConfig(
             variant=mdl.V4_GAUSSV_GAMMA_ISOTROPIC,
@@ -229,7 +229,7 @@ def test_w_terms_wishart_gamma_reparametrization():
 
 
 def test_noninformative_w_prior_term():
-    qw = QWWishart(psi=np.eye(2) * 0.4, nu=7.0)
+    qw = QWWishart.from_psi(psi=np.eye(2) * 0.4, nu=7.0)
     w_prior, _ = elbo_w_terms(qw, PriorConfig(variant=mdl.V1_WISHART_NONINFORMATIVE,
                                               mu0=0.0, beta=1.0, a_alpha=1.0, b_alpha=1.0).validate(2, 1))
     assert w_prior == pytest.approx(-1.5 * qw.mean_logdet, rel=1e-12)
@@ -257,7 +257,7 @@ def test_data_term_degenerate_equals_augmented_loglik():
     ybars = rng.normal(size=(m, ny))
     qy = qy_from_precisions(ybars, np.tile(1e14 * np.eye(ny), (m, 1, 1)), np.arange(m))
     vt = rng.normal(size=(d, k))
-    qv = QVtilde(mean=vt, prec=np.tile(1e14 * np.eye(k), (d, 1, 1)))
+    qv = QVtilde.from_precisions(mean=vt, prec=np.tile(1e14 * np.eye(k), (d, 1, 1)))
     w = random_spd(rng, d, 0.5)
     qw = PointW(w=w)
     aggs = y_aggregates(qy, stats)
@@ -296,7 +296,7 @@ def test_data_term_matches_quadrature_oracle():
         scatter_total=phi.T @ phi,
     )
     qy = qy_from_precisions(np.array([[0.3]]), np.array([[[2.0]]]), np.arange(1))
-    qv = QVtilde(mean=np.array([[0.8, -0.2]]), prec=random_spd(rng, 2, 2.0)[None])
+    qv = QVtilde.from_precisions(mean=np.array([[0.8, -0.2]]), prec=random_spd(rng, 2, 2.0)[None])
     qw = QWGamma(a=3.0, b=2.0, dim=1)
     aggs = y_aggregates(qy, stats)
     got = elbo_data_term(stats, aggs, qv, qw)
@@ -327,7 +327,7 @@ def make_full_state(rng, variant, d=3, ny=2, m=4):
     qv = random_qv(rng, d, ny)
     loading, arm = mdl.SCHEMES[variant]
     if isinstance(arm, mdl.WishartArm):
-        qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 4.0)
+        qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.2), nu=d + 4.0)
     elif arm is mdl.GAMMA_ISOTROPIC:
         qw = QWGamma(a=2.0, b=1.5, dim=d)
     else:
@@ -385,8 +385,8 @@ def test_total_increases_after_one_qy_update():
     from tests.test_elbo import v1_prior_state as _prior_state
 
     qv, qalpha = _prior_state(d, ny, prior)
-    qv = QVtilde(mean=qv.mean + 0.5 * rng.standard_normal(qv.mean.shape), prec=qv.prec)
-    qw = QWWishart(psi=prior.psi0, nu=prior.nu_d)
+    qv = QVtilde.from_precisions(mean=qv.mean + 0.5 * rng.standard_normal(qv.mean.shape), prec=qv.prec)
+    qw = QWWishart.from_psi(psi=prior.psi0, nu=prior.nu_d)
     qy0 = qy_from_precisions(np.zeros((m, ny)), np.tile(np.eye(ny), (m, 1, 1)), np.arange(m))
     stats = stats_for(rng, m, d)
     before = elbo_total(stats, qy0, qv, qw, qalpha, prior).total

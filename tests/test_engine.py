@@ -37,7 +37,7 @@ from tests.test_posterior import qy_from_precisions, random_qv, random_qy, rando
 
 def point_qv(vt):
     d, k = vt.shape
-    return QVtilde(mean=vt, prec=np.tile(1e14 * np.eye(k), (d, 1, 1)))
+    return QVtilde.from_precisions(mean=vt, prec=np.tile(1e14 * np.eye(k), (d, 1, 1)))
 
 
 def v1_prior(d, variant=mdl.V1_WISHART_NONINFORMATIVE, **overrides):
@@ -144,7 +144,7 @@ def test_grouped_qy_matches_per_speaker_reference(mix):
     dataset = Dataset(vectors=vectors, ids=tuple(range(vectors.shape[0])))
     stats = accumulate(dataset, SpeakerPartition(assignment=assignment, n_speakers=counts.size))
     qv = random_qv(rng, d, ny)
-    qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 4.0)
+    qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.05), nu=d + 4.0)
 
     qy = update_qy(stats, qv, qw)
     aggs = y_aggregates(qy, stats)
@@ -193,8 +193,8 @@ def test_qy_with_rank_deficient_quadratic_matches_per_speaker_reference(monkeypa
     cov[:, 1, :] = cov[:, :, 1] = 0.0
     mean = rng.normal(size=(d, ny + 1))
     mean[:, 1] = 0.0
-    qv = QVtilde.with_inverse(cov, np.zeros(d), mean=mean, prec=np.tile(np.eye(ny + 1), (d, 1, 1)))
-    qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 4.0)
+    qv = QVtilde(mean=mean, prec=np.tile(np.eye(ny + 1), (d, 1, 1)), cov=cov, prec_logdets=np.zeros(d))
+    qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.05), nu=d + 4.0)
     evtwv = posterior.expected_vtw_quadratic(qv, qw.mean)[:ny, :ny]
     assert not evtwv[1].any() and not evtwv[:, 1].any()
 
@@ -253,7 +253,7 @@ class TestUpdateQVtilde:
 
         aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)))
         qv0 = random_qv(np.random.default_rng(3), d, ny)
-        qw = QWWishart(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
+        qw = QWWishart.from_psi(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
         qv = update_qvtilde(aggs, qv0, qw, prior, qalpha)
         for r in range(d):
             np.testing.assert_allclose(qv.mean[r], np.append(np.zeros(ny), prior.mu0[r]), atol=1e-12)
@@ -270,7 +270,7 @@ class TestUpdateQVtilde:
         from bsplda.posterior import YAggregates
 
         aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)))
-        qv = update_qvtilde(aggs, random_qv(rng, d, ny), QWWishart(psi=np.eye(d), nu=d + 2.0), prior, None)
+        qv = update_qvtilde(aggs, random_qv(rng, d, ny), QWWishart.from_psi(psi=np.eye(d), nu=d + 2.0), prior, None)
         np.testing.assert_allclose(qv.mean, means, atol=1e-10)
         np.testing.assert_allclose(qv.prec, precs, atol=1e-10)
 
@@ -319,7 +319,7 @@ class TestUpdateQVtilde:
         qy = random_qy(rng, 4, ny)
         aggs = y_aggregates(qy, stats)
         qv0 = random_qv(rng, d, ny)
-        qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 5.0)
+        qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.2), nu=d + 5.0)
         qalpha = QAlpha(a=2.0, b=rng.uniform(0.5, 2.0, size=ny))
         beta = rng.uniform(0.5, 2.0, size=d)
         prior1 = v1_prior(d, mdl.V1_WISHART_INFORMATIVE, mu0=0.0, beta=beta).validate(d, ny)
@@ -338,7 +338,7 @@ class TestUpdateQVtilde:
         stats = stats_for(rng, 3, d)
         prior = v1_prior(d, mdl.V1_WISHART_INFORMATIVE).validate(d, ny)
         qalpha = QAlpha(a=1.0, b=np.ones(ny))
-        qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 4.0)
+        qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.2), nu=d + 4.0)
         qy = random_qy(rng, 3, ny)
         qv0 = random_qv(rng, d, ny)
         before = elbo_total(stats, qy, qv0, qw, qalpha, prior).total
@@ -388,7 +388,7 @@ def row_update_problem(variant, rng, d=12, ny=3):
     qv0 = random_qv(rng, d, ny)
     qalpha = QAlpha(a=2.0, b=np.array([2e-10, 0.5, 1.0]))  # E[alpha] = 1e10, 4, 2
     if mdl.SCHEMES[variant][1].coupled_rows:  # the Wishart arms
-        qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
+        qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
         arm_prior = dict(psi0=np.eye(d), nu_d=d + 2.0)
     else:
         qw = QWGamma(a=50.0, b=rng.uniform(10.0, 100.0, size=d), dim=d)
@@ -438,7 +438,7 @@ def test_row_update_rejects_indefinite_precision(variant):
     aggs = YAggregates(C=rng.normal(size=(d, ny + 1)), R=np.diag([1.0, -50.0, 1.0]))
     qalpha = QAlpha(a=2.0, b=np.ones(ny))
     if variant == mdl.V1_WISHART_INFORMATIVE:
-        qw = QWWishart(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
+        qw = QWWishart.from_psi(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
     else:
         qw = QWGamma(a=2.0, b=np.full(d, 2.0), dim=d)
     prior = v1_prior(d, variant).validate(d, ny)
@@ -456,7 +456,7 @@ def ard_row_problem(variant, rng, d=40):
     beta = 10.0 ** rng.uniform(-2.0, 3.0, size=d)
     beta[:3] = (1e-2, 1e3, 1.0)
     if mdl.SCHEMES[variant][1].coupled_rows:
-        qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
+        qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
     else:
         qw = QWGamma(a=50.0, b=rng.uniform(10.0, 100.0, size=d), dim=d)
     prior = v1_prior(d, variant, beta=beta).validate(d, ny)
@@ -491,7 +491,7 @@ def test_ard_row_inverses_reject_an_indefinite_rank_one_correction(variant):
     aggs = YAggregates(C=rng.normal(size=(d, ny + 1)), R=np.diag([1.0, 1.0, -0.5]))
     qalpha = QAlpha(a=2.0, b=np.ones(ny))
     if variant == mdl.V1_WISHART_INFORMATIVE:
-        qw = QWWishart(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
+        qw = QWWishart.from_psi(psi=np.eye(d) / (d + 2.0), nu=d + 2.0)
     else:
         qw = QWGamma(a=2.0, b=np.full(d, 2.0), dim=d)
     prior = v1_prior(d, variant, beta=np.array([0.01, 100.0])).validate(d, ny)
@@ -526,7 +526,7 @@ def test_qy_precisions_are_identity_plus_count_times_quadratic():
     stats = SuffStats(counts=counts, spk_sums=rng.normal(size=(counts.size, d)),
                       scatter_total=random_spd(rng, d))
     qv = random_qv(rng, d, ny)
-    qw = QWWishart(psi=random_spd(rng, d, 0.05), nu=d + 4.0)
+    qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.05), nu=d + 4.0)
     qy = update_qy(stats, qv, qw)
     quad = posterior.vtw_moments(qv, qw)[1][:ny, :ny]
     want = np.stack([np.eye(ny) + n * quad for n in counts])
@@ -728,7 +728,7 @@ class TestAnnealing:
         return dict(
             qy=random_qy(rng, m, ny),
             qv=random_qv(rng, d, ny),
-            qw=QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 3.0),
+            qw=QWWishart.from_psi(psi=random_spd(rng, d, 0.2), nu=d + 3.0),
             qalpha=QAlpha(a=2.0, b=rng.uniform(0.5, 2.0, size=ny)),
         )
 
@@ -754,7 +754,6 @@ class TestAnnealing:
 
     def test_annealing_carries_the_inverse(self, monkeypatch):
         f = self.factors(np.random.default_rng(16))
-        f["qv"].cov  # fill the cache, as the update does; q(Y) holds its covariances
         precisions = {"qy": linalg.spd_inverse_logdet(f["qy"].cov)[0], "qv": f["qv"].prec}
         for name in ("qy", "qv"):
             calls = counted_cholesky(monkeypatch)
@@ -776,7 +775,7 @@ class TestAnnealing:
 
     def test_wishart_dof_formula(self):
         d = 3
-        out = QWWishart(psi=np.eye(d), nu=d + 3.0).anneal(0.5)
+        out = QWWishart.from_psi(psi=np.eye(d), nu=d + 3.0).anneal(0.5)
         assert out.nu == pytest.approx(d + 2.0)
         np.testing.assert_allclose(out.psi, 2.0 * np.eye(d))
 
@@ -794,7 +793,7 @@ class TestAnnealing:
             np.testing.assert_allclose(out.b, 0.25 * np.asarray(f.b))
 
     def test_dof_condition_violation(self):
-        qw = QWWishart(psi=np.eye(3), nu=2.5)
+        qw = QWWishart.from_psi(psi=np.eye(3), nu=2.5)
         # kappa (nu - d - 1) + 1 = kappa (-1.5) + 1 <= 0 for kappa >= 2/3
         with pytest.raises(ValueError):
             qw.anneal(0.9)
@@ -858,12 +857,24 @@ class TestMinimumDivergence:
             assert np.abs(qy2.prec_logdets - logdets).max() <= 1e-12 * max(np.abs(logdets).max(), 1.0)
             np.testing.assert_array_equal(qy2.group, qy.group)
 
+    @pytest.mark.parametrize("d", [40, 300])
+    def test_transformed_qv_inverts_the_transformed_precisions(self, d):
+        # q(Vtilde') is formed from the covariances: J^T cov_r J and
+        # ln|P_r| - 2 ln|L|, the inverse of the transformed precision G^T P_r G
+        rng = np.random.default_rng(d)
+        ny = 15
+        _, qv2, _ = minimum_divergence(random_qy(rng, 50, ny), random_qv(rng, d, ny))
+        ref = QVtilde.from_precisions(qv2.mean, qv2.prec)
+        np.testing.assert_array_equal(qv2.cov, np.swapaxes(qv2.cov, 1, 2))
+        assert np.abs(qv2.cov - ref.cov).max() <= 1e-12 * np.abs(ref.cov).max()
+        assert np.abs(qv2.prec_logdets - ref.prec_logdets).max() <= 1e-12 * np.abs(ref.prec_logdets).max()
+
     def test_data_term_invariant(self):
         rng = np.random.default_rng(20)
         m, ny, d = 6, 2, 4
         qy, qv = self.make_pair(rng, m=m, ny=ny, d=d)
         stats = stats_for(rng, m, d)
-        qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 4.0)
+        qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.2), nu=d + 4.0)
         before = elbo_data_term(stats, y_aggregates(qy, stats), qv, qw)
         qy2, qv2, _ = minimum_divergence(qy, qv)
         after = elbo_data_term(stats, y_aggregates(qy2, stats), qv2, qw)
@@ -1047,7 +1058,7 @@ class TestFit:
         stats_held = accumulate(held_ds, held_part)
         good = heldout_bound(state.qv, state.qw, stats_held)
         # a clearly wrong mean should score worse
-        bad_qv = QVtilde(mean=state.qv.mean + np.append(np.zeros(1), 25.0)[None, :], prec=state.qv.prec)
+        bad_qv = QVtilde.from_precisions(mean=state.qv.mean + np.append(np.zeros(1), 25.0)[None, :], prec=state.qv.prec)
         bad = heldout_bound(bad_qv, state.qw, stats_held)
         assert good > bad
 
@@ -1096,8 +1107,10 @@ def two_refresh_reference(stats, prior, config, n_y):
                 qy_new, qv_new, _ = minimum_divergence(state.qy, state.qv)
                 state = replace(state, qy=qy_new, qv=qv_new)
     if trace and state.kappa == 1.0:
-        qv = QVtilde(mean=state.qv.mean, prec=state.qv.prec)
-        qw = replace(state.qw)  # a new value holds none of the old one's cached moments
+        qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec)
+        qw = state.qw
+        if isinstance(qw, QWWishart):
+            qw = QWWishart.from_psi(qw.psi, qw.nu)
         trace[-1] = elbo_total(stats, update_qy(stats, qv, qw), qv, qw, state.qalpha, prior).total
     return state, trace, kappa_log
 
@@ -1156,6 +1169,19 @@ def test_fit_factorizes_no_known_inverse(variant, fixed, monkeypatch):
     assert sorted(set(calls)) == [(4, 3, 3), (4, 4)]
     assert calls.count((4, 4)) == sweeps + fixed
     assert calls.count((4, 3, 3)) == 1
+
+
+def test_minimum_divergence_factorizes_no_row_stack(monkeypatch):
+    # each event carries the row covariances and log-determinants through its
+    # transform, so a fit with three events factorizes the (d, k, k) row stack
+    # once: the stored bound's
+    ds, part, _ = synthetic_problem(63, d=5, m=40, per=5)
+    stats = accumulate(ds, part)
+    config = FitConfig(max_iterations=20, elbo_rel_tol=1e-300, mindiv_every=5, seed=1)
+    calls = counted_cholesky(monkeypatch)
+    _, _, report = fit_stats(stats, v1_prior(5, mdl.V1_WISHART_INFORMATIVE), config, 2)
+    assert report.iterations == 20 and not report.converged
+    assert calls.count((5, 3, 3)) == 1
 
 
 def test_fit_forms_each_pair_moments_once_and_groups_counts_once(monkeypatch):

@@ -79,7 +79,7 @@ def qv_with_mu_block(mu_mean, mu_var, ny=2):
     mean[:, -1] = mu_mean
     prec = np.tile(np.eye(k), (d, 1, 1))
     prec[:, -1, -1] = 1.0 / mu_var
-    return QVtilde(mean=mean, prec=prec)
+    return QVtilde.from_precisions(mean=mean, prec=prec)
 
 
 def test_mu_prior_unit_variances():

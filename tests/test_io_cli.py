@@ -431,7 +431,7 @@ def saved_model_for(variant, rng):
             kwargs.update(a_w=0.5, b_w=0.5)
     prior = PriorConfig(variant=variant, **kwargs).validate(d, ny)
     if variant in (mdl.V1_WISHART_INFORMATIVE, mdl.V1_WISHART_NONINFORMATIVE, mdl.V3_GAUSSV_WISHART):
-        qw = QWWishart(psi=random_spd(rng, d, 0.2), nu=d + 5.0)
+        qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.2), nu=d + 5.0)
     elif variant in (mdl.V2_GAMMA_ISOTROPIC, mdl.V4_GAUSSV_GAMMA_ISOTROPIC):
         qw = QWGamma(a=2.0, b=1.1, dim=d)
     else:
@@ -544,7 +544,7 @@ def test_model_file_with_nan_wishart_scale_is_input_error(tmp_path, capsys, bloc
     if block == "qw":
         psi = saved.qw.psi.copy()
         psi[0, 0] = np.nan
-        saved = replace(saved, qw=QWWishart(psi=psi, nu=saved.qw.nu))
+        saved = replace(saved, qw=replace(saved.qw, psi=psi))
     else:
         psi0 = saved.prior.psi0.copy()
         psi0[1, 1] = np.nan
@@ -579,11 +579,11 @@ def test_adapt_from_a_model_file_with_an_asymmetric_precision_is_input_error(
     if block == "qv.prec":
         prec = saved.qv.prec.copy()
         prec[1, 0, 2] += 1.5
-        saved = replace(saved, qv=QVtilde(mean=saved.qv.mean, prec=prec))
+        saved = replace(saved, qv=QVtilde.from_precisions(mean=saved.qv.mean, prec=prec))
     else:
         psi = saved.qw.psi.copy()
         psi[0, 1] += 1.5
-        saved = replace(saved, qw=QWWishart(psi=psi, nu=saved.qw.nu))
+        saved = replace(saved, qw=QWWishart.from_psi(psi=psi, nu=saved.qw.nu))
     path = tmp_path / "asym.model"
     mio.write_model_file(path, saved)
     with pytest.raises(ValueError, match=f"{block} must be symmetric"):
@@ -601,7 +601,7 @@ def test_model_file_with_zero_rank_header_is_input_error(tmp_path, capsys):
     # a file consistent with its header n_y = 0: no loading column, one-column q(Vtilde) rows
     d = 3
     rng = np.random.default_rng(0)
-    qv = QVtilde(mean=rng.normal(size=(d, 1)), prec=np.tile(np.eye(1), (d, 1, 1)))
+    qv = QVtilde.from_precisions(mean=rng.normal(size=(d, 1)), prec=np.tile(np.eye(1), (d, 1, 1)))
     prior = PriorConfig(variant=mdl.V4_GAUSSV_GAMMA_ISOTROPIC, v_row_means=qv.mean,
                         v_row_precisions=qv.prec, a_w=0.5, b_w=0.5).validate(d, 0)
     qw = QWGamma(a=2.0, b=1.1, dim=d)

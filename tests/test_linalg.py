@@ -4,8 +4,10 @@ import scipy.linalg
 
 import bsplda.linalg as linalg
 import bsplda.model as mdl
+import bsplda.posterior as posterior
 from bsplda.linalg import FactorizationError, spd_inverse_logdet
 from bsplda.model import PriorConfig
+from bsplda.posterior import QWWishart
 
 
 def spd_stack(rng, n, batch=()):
@@ -156,14 +158,17 @@ def test_schur_inverse_rejects_non_finite_entries():
         spd_inverse_logdet(a)
 
 
-def test_update_qw_carries_logdet_psi():
+def test_update_qw_carries_logdet_psi(monkeypatch):
     d = 300
     rng = np.random.default_rng(d)
     x = rng.normal(size=(d, 2 * d))
     psi0 = spd_stack(rng, d) / d
     prior = PriorConfig(variant=mdl.V1_WISHART_INFORMATIVE, psi0=psi0, nu_d=d + 2.0)
+    # ln|psi| comes from the update's own factorization, never from QWWishart.from_psi
+    monkeypatch.setattr(posterior, "spd_logdet", lambda a: pytest.fail("psi was refactorized"))
     qw = mdl.WISHART.update_qw(prior, x @ x.T, 1000.0)
-    assert "logdet_psi" in vars(qw)  # cached by the update, not refactorized
+    monkeypatch.undo()
+    assert qw.logdet_psi == pytest.approx(QWWishart.from_psi(qw.psi, qw.nu).logdet_psi, rel=1e-12)
     assert qw.logdet_psi == pytest.approx(np.linalg.slogdet(qw.psi)[1], rel=1e-12)
 
 

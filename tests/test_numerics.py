@@ -129,7 +129,7 @@ def test_wishart_constants_once_per_dof_and_dim():
     wishart_digamma_sum.cache_clear()
     log_multivariate_gamma.cache_clear()
     for scale in (1.0, 2.0, 3.0):
-        qw = QWWishart(psi=scale * np.eye(d), nu=nu)
+        qw = QWWishart.from_psi(psi=scale * np.eye(d), nu=nu)
         direct = float(np.sum(digamma(0.5 * (nu + 1 - np.arange(1, d + 1)))))
         assert qw.mean_logdet == float(direct + d * math.log(2.0) + qw.logdet_psi)
         qw.neg_entropy

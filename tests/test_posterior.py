@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from bsplda.data import SuffStats
-from bsplda.linalg import spd_inverse_logdet
+from bsplda.linalg import FactorizationError, spd_inverse_logdet, spd_logdet
 from bsplda.posterior import (
     QY,
     QAlpha,
@@ -27,7 +27,7 @@ def random_spd(rng, d, scale=1.0):
 
 def random_qv(rng, d, ny):
     k = ny + 1
-    return QVtilde(
+    return QVtilde.from_precisions(
         mean=rng.normal(size=(d, k)),
         prec=np.stack([random_spd(rng, k) for _ in range(d)]),
     )
@@ -114,7 +114,7 @@ def test_aggregates_monte_carlo_oracle():
 
 
 def test_expected_w_wishart_scalar_reduction():
-    qw = QWWishart(psi=np.array([[0.5]]), nu=2.0)
+    qw = QWWishart.from_psi(psi=np.array([[0.5]]), nu=2.0)
     wbar, logdet = qw.mean, qw.mean_logdet
     np.testing.assert_allclose(wbar, [[1.0]])
     assert logdet == pytest.approx(-EULER_GAMMA, rel=1e-10)
@@ -132,7 +132,7 @@ def test_expected_w_gamma_iso():
 def test_expected_w_jensen_inequality():
     rng = np.random.default_rng(5)
     arms = [
-        QWWishart(psi=random_spd(rng, 3, 0.2), nu=7.5),
+        QWWishart.from_psi(psi=random_spd(rng, 3, 0.2), nu=7.5),
         QWGamma(a=3.0, b=rng.uniform(0.5, 2.0, size=4), dim=4),
         QWGamma(a=1.5, b=0.7, dim=2),
     ]
@@ -147,7 +147,7 @@ def test_expected_w_wishart_monte_carlo():
     rng = np.random.default_rng(11)
     psi = random_spd(rng, 2, 0.3)
     nu = 6.0
-    qw = QWWishart(psi=psi, nu=nu)
+    qw = QWWishart.from_psi(psi=psi, nu=nu)
     draws = scipy_wishart_draws(rng, psi, nu, 100_000)
     wbar, logdet = qw.mean, qw.mean_logdet
     assert np.abs(draws.mean(axis=0) - wbar).max() / np.abs(wbar).max() < 0.02
@@ -181,7 +181,7 @@ def test_quadratics_point_estimate_degenerate():
     d, ny = 3, 2
     k = ny + 1
     vt = rng.normal(size=(d, k))
-    qv = QVtilde(mean=vt, prec=np.tile(1e14 * np.eye(k), (d, 1, 1)))
+    qv = QVtilde.from_precisions(mean=vt, prec=np.tile(1e14 * np.eye(k), (d, 1, 1)))
     wbar = random_spd(rng, d)
     r = random_spd(rng, k)
     full = vt.T @ wbar @ vt
@@ -192,7 +192,7 @@ def test_quadratics_point_estimate_degenerate():
 
 def test_quadratics_hadamard_hand_example():
     # d=1, ny=1, cov = I2, R = diag(2,3), Vt = 0: E[Vt R Vt^T] = [5]
-    qv = QVtilde(mean=np.zeros((1, 2)), prec=np.eye(2)[None])
+    qv = QVtilde.from_precisions(mean=np.zeros((1, 2)), prec=np.eye(2)[None])
     r = np.diag([2.0, 3.0])
     np.testing.assert_allclose(expected_vrv(qv, r), [[5.0]])
 
@@ -241,18 +241,34 @@ def test_rho_nonnegative_for_psd_inputs():
         qv = random_qv(rng, d, ny)
         r = random_spd(rng, ny + 1)
         # at zero means E[Vt R Vt^T] is diag(rho), rho_r = sum_ab (R o cov_r)_ab
-        zero_mean = QVtilde(mean=np.zeros_like(qv.mean), prec=qv.prec)
+        zero_mean = QVtilde.from_precisions(mean=np.zeros_like(qv.mean), prec=qv.prec)
         rho = np.diag(expected_vrv(zero_mean, r))
         assert np.all(rho >= -1e-12)
 
 
-def test_moment_caches_track_replacement():
+def test_only_the_stored_number_constructors_factorize(monkeypatch):
+    # from_precisions inverts the row stack by one batched Cholesky and from_psi
+    # takes ln|psi| from one; a value built from its fields, replaced or
+    # tempered factorizes nothing
     rng = np.random.default_rng(23)
-    qv = random_qv(rng, 2, 1)
-    cov_before = qv.cov.copy()
-    bumped = replace(qv, prec=2.0 * qv.prec)
-    np.testing.assert_allclose(bumped.cov, cov_before / 2.0, rtol=1e-10)
-    np.testing.assert_allclose(qv.cov, cov_before)  # original cache untouched
+    mean, prec = rng.normal(size=(4, 3)), np.stack([random_spd(rng, 3) for _ in range(4)])
+    psi = random_spd(rng, 5, 0.3)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(np.shape(a)) or cholesky(a))
+    qv = QVtilde.from_precisions(mean, prec)
+    qw = QWWishart.from_psi(psi, 9.0)
+    assert calls == [(4, 3, 3), (5, 5)]
+    replace(qv, mean=2.0 * mean).anneal(0.5), replace(qw, nu=8.0).anneal(0.5)
+    QVtilde(mean=mean, prec=prec, cov=qv.cov, prec_logdets=qv.prec_logdets)
+    assert calls == [(4, 3, 3), (5, 5)]
+    monkeypatch.undo()
+    cov, logdets = spd_inverse_logdet(prec)
+    np.testing.assert_array_equal(qv.mean, mean)
+    np.testing.assert_array_equal(qv.prec, prec)
+    np.testing.assert_array_equal(qv.cov, cov)
+    np.testing.assert_array_equal(qv.prec_logdets, logdets)
+    assert qw.logdet_psi == spd_logdet(psi)
     qa = QAlpha(a=2.0, b=np.array([4.0]))
     assert qa.mean[0] == pytest.approx(0.5)
     qa2 = replace(qa, b=np.array([1.0]))
@@ -263,7 +279,7 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         QAlpha(a=-1.0, b=np.ones(2))
     with pytest.raises(ValueError):
-        QWWishart(psi=np.eye(2), nu=0.5)
+        QWWishart.from_psi(psi=np.eye(2), nu=0.5)
     with pytest.raises(ValueError):
         QWGamma(a=1.0, b=np.array([1.0, -2.0]), dim=2)
     with pytest.raises(ValueError, match="rates or one"):
@@ -272,21 +288,21 @@ def test_invalid_parameters_rejected():
         QY(mean=np.zeros((2, 2)), cov=np.zeros((2, 3, 3)), prec_logdets=np.zeros(2), group=np.arange(2))
     with pytest.raises(ValueError, match="inconsistent shapes"):
         QY(mean=np.zeros((2, 2)), cov=np.zeros((2, 2, 2)), prec_logdets=np.zeros(3), group=np.arange(2))
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        QVtilde(mean=np.zeros((2, 2)), prec=np.zeros((2, 2, 2)), cov=np.zeros((2, 3, 3)),
+                prec_logdets=np.zeros(2))
 
 
 @pytest.mark.parametrize("psi", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]])
 def test_wishart_scale_not_positive_definite(psi):
     # ln|psi| comes from one Cholesky factorization that both bound terms read;
     # -I has a positive determinant but no Cholesky factor
-    qw = QWWishart(psi=np.array(psi), nu=5.0)
-    with pytest.raises(ValueError, match="not positive definite"):
-        qw.mean_logdet
-    with pytest.raises(ValueError, match="not positive definite"):
-        qw.neg_entropy
+    with pytest.raises(FactorizationError, match="not positive definite"):
+        QWWishart.from_psi(np.array(psi), 5.0)
 
 
 def test_wishart_logdet_matches_slogdet():
     rng = np.random.default_rng(29)
     psi = random_spd(rng, 5, 0.3)
-    qw = QWWishart(psi=psi, nu=9.0)
+    qw = QWWishart.from_psi(psi=psi, nu=9.0)
     assert qw.logdet_psi == pytest.approx(np.linalg.slogdet(qw.psi)[1], rel=1e-13)
