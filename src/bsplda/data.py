@@ -153,7 +153,7 @@ def accumulate(dataset, partition):
     sums = _start(partial(_add_rows, None, x, partition.assignment, partition.n_speakers), x[:BLOCK_ROWS])
     scatter = _scatter(x[i:i + BLOCK_ROWS] for i in range(0, dataset.n, BLOCK_ROWS))
     counts = np.bincount(partition.assignment, minlength=partition.n_speakers)
-    return SuffStats(counts=counts, spk_sums=sums(), scatter_total=scatter)
+    return _finite(SuffStats(counts=counts, spk_sums=sums(), scatter_total=scatter))
 
 
 def accumulate_blocks(blocks, partition):
@@ -189,7 +189,19 @@ def accumulate_blocks(blocks, partition):
 
     scatter = _scatter(summed())
     counts = np.bincount(assignment, minlength=partition.n_speakers)
-    return SuffStats(counts=counts, spk_sums=sums, scatter_total=scatter)
+    return _finite(SuffStats(counts=counts, spk_sums=sums, scatter_total=scatter))
+
+
+def _finite(stats):
+    """`stats`, unless finite data overflowed its scatter or its sums: a ValueError.
+
+    A non-finite speaker sum makes its column of the total non-finite, so the
+    (d,) total stands for the (M, d) sums."""
+    for name, value in (("scatter", stats.scatter_total), ("sum", stats.sum_total)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"the sufficient statistics overflow: the data's {name} has "
+                             f"non-finite entries")
+    return stats
 
 
 def _start(task, block):

@@ -142,9 +142,10 @@ def test_fixed_point_is_per_factor_optimal(variant):
         qy = replace(state.qy, cov=state.qy.cov / scale,
                      prec_logdets=state.qy.prec_logdets + state.qy.rank * math.log(scale))
         check(replace(state, qy=qy))
-        qv = QVtilde.from_precisions(mean=state.qv.mean + eps * rng.normal(size=state.qv.mean.shape), prec=state.qv.prec)
+        qv = QVtilde.from_precisions(state.qv.mean + eps * rng.normal(size=state.qv.mean.shape),
+                                     state.qv.prec)
         check(replace(state, qv=qv))
-        qv = QVtilde.from_precisions(mean=state.qv.mean, prec=state.qv.prec * (1.0 + eps * rng.uniform(-1, 1)))
+        qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec * (1.0 + eps * rng.uniform(-1, 1)))
         check(replace(state, qv=qv))
         if isinstance(state.qw, QWWishart):
             qw = QWWishart.from_psi(psi=state.qw.psi * (1.0 + eps * rng.uniform(-1, 1)), nu=state.qw.nu)

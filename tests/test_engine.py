@@ -270,7 +270,8 @@ class TestUpdateQVtilde:
         from bsplda.posterior import YAggregates
 
         aggs = YAggregates(C=np.zeros((d, k)), R=np.zeros((k, k)))
-        qv = update_qvtilde(aggs, random_qv(rng, d, ny), QWWishart.from_psi(psi=np.eye(d), nu=d + 2.0), prior, None)
+        qw = QWWishart.from_psi(np.eye(d), d + 2.0)
+        qv = update_qvtilde(aggs, random_qv(rng, d, ny), qw, prior, None)
         np.testing.assert_allclose(qv.mean, means, atol=1e-10)
         np.testing.assert_allclose(qv.prec, precs, atol=1e-10)
 
@@ -867,7 +868,8 @@ class TestMinimumDivergence:
         ref = QVtilde.from_precisions(qv2.mean, qv2.prec)
         np.testing.assert_array_equal(qv2.cov, np.swapaxes(qv2.cov, 1, 2))
         assert np.abs(qv2.cov - ref.cov).max() <= 1e-12 * np.abs(ref.cov).max()
-        assert np.abs(qv2.prec_logdets - ref.prec_logdets).max() <= 1e-12 * np.abs(ref.prec_logdets).max()
+        logdets = ref.prec_logdets
+        assert np.abs(qv2.prec_logdets - logdets).max() <= 1e-12 * np.abs(logdets).max()
 
     def test_data_term_invariant(self):
         rng = np.random.default_rng(20)
@@ -947,6 +949,30 @@ def test_rank_deficient_data_stops_the_flat_wishart_fit_at_its_qw_step(monkeypat
         fit(ds, part, v1_prior(6), FitConfig(max_iterations=50, seed=1), n_y=2)
     assert any(entry.name == "spd_inverse_logdet" for entry in info.traceback)
     assert len(calls) < 50
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e-6])
+@pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V1_WISHART_NONINFORMATIVE,
+                                     mdl.V2_GAMMA_DIAGONAL, mdl.V2_GAMMA_ISOTROPIC])
+def test_fit_of_scaled_data_converges_with_an_ascending_bound(variant, scale):
+    # data scaled by 1e6 or 1e-6: every bound term stays finite, no sweep
+    # without an event before it lowers the bound beyond rounding, and the fit
+    # converges within its budget
+    ds, part, _ = synthetic_problem(71, d=20, ny=5, m=200, per=6)
+    ds = replace(ds, vectors=scale * ds.vectors)
+    mindiv_every = 10
+    config = FitConfig(max_iterations=200, elbo_rel_tol=1e-9, mindiv_every=mindiv_every, seed=2)
+    _, _, report = fit(ds, part, v1_prior(20, variant), config, n_y=5)
+    assert all(math.isfinite(v) for bd in report.breakdown_trace for v in bd.as_dict().values())
+    trace = report.elbo_trace
+    for sweep in range(1, len(trace)):  # sweep and sweep + 1, 1-based
+        if sweep % mindiv_every:
+            assert trace[sweep - 1] - trace[sweep] <= 1e-12 * abs(trace[sweep - 1])
+    if variant == mdl.V1_WISHART_NONINFORMATIVE and scale == 1e-6:
+        # still rising ~0.1 nats per sweep after 200 sweeps; without MD events
+        # it converges at sweep 391, and at scale 1 neither fit converges in 800
+        pytest.xfail("slow coordinate ascent: the bound still rises when the budget ends")
+    assert report.converged
 
 
 class TestFit:
@@ -1058,7 +1084,8 @@ class TestFit:
         stats_held = accumulate(held_ds, held_part)
         good = heldout_bound(state.qv, state.qw, stats_held)
         # a clearly wrong mean should score worse
-        bad_qv = QVtilde.from_precisions(mean=state.qv.mean + np.append(np.zeros(1), 25.0)[None, :], prec=state.qv.prec)
+        bad_qv = QVtilde.from_precisions(state.qv.mean + np.append(np.zeros(1), 25.0)[None, :],
+                                         state.qv.prec)
         bad = heldout_bound(bad_qv, state.qw, stats_held)
         assert good > bad
 

@@ -597,6 +597,61 @@ def test_adapt_from_a_model_file_with_an_asymmetric_precision_is_input_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block", ["qv.prec", "qw.psi"])
+def test_a_model_file_with_an_indefinite_precision_is_input_error_for_every_command(
+        tmp_path, capsys, block):
+    # the reader factorizes the stored precisions, so elbo, adapt and simulate
+    # --model all refuse them, as they refuse a non-symmetric one
+    saved = saved_model_for(mdl.V1_WISHART_INFORMATIVE, np.random.default_rng(3))
+    if block == "qv.prec":
+        prec = saved.qv.prec.copy()
+        prec[1] = -prec[1]
+        saved = replace(saved, qv=replace(saved.qv, prec=prec))
+    else:
+        saved = replace(saved, qw=replace(saved.qw, psi=-saved.qw.psi))
+    path = tmp_path / "indefinite.model"
+    mio.write_model_file(path, saved)
+    with pytest.raises(ValueError, match=f"{block} must be positive definite"):
+        mio.read_model_file(path)
+    data, labels = write_sim_files(tmp_path, d=saved.dim)
+    corpus = ["--data", str(data), "--labels", str(labels)]
+    out = tmp_path / "out"
+    for argv in (["elbo", "--model", str(path), *corpus],
+                 ["adapt", "--prior", str(path), *corpus, "--out", f"{out}.model", "--iters", "5"],
+                 ["simulate", "--model", str(path), "--speakers", "3", "--per-speaker", "2",
+                  "--seed", "1", "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        assert f"{block} must be positive definite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_overflowing_statistics_are_an_input_error(tmp_path, capsys):
+    # finite vectors near 1e200 overflow the scatter, which is refused where
+    # it is formed, before a fit step factorizes anything built from it
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("d = 5\nny = 2\nv_scale = 1e200\n")
+    sim = tmp_path / "big"
+    assert main(["simulate", "--spec", str(spec), "--speakers", "10", "--per-speaker", "4",
+                 "--seed", "1", "--out", str(sim)]) == 0
+    partition = mio.read_labels_file(f"{sim}.labels")
+    vectors = np.concatenate(list(mio.read_data_blocks(f"{sim}.data", partition.assignment.size)))
+    assert np.isfinite(vectors).all()
+    dataset = Dataset(vectors=vectors, ids=tuple(range(vectors.shape[0])))
+    match = "statistics overflow: the data's scatter has non-finite entries"
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=match):
+            accumulate(dataset, partition)
+        with pytest.raises(ValueError, match=match):
+            accumulate_blocks(iter([vectors]), partition)
+        model, trace = tmp_path / "m.model", tmp_path / "t.csv"
+        capsys.readouterr()
+        assert main(["train", "--data", f"{sim}.data", "--labels", f"{sim}.labels",
+                     "--out", str(model), "--trace", str(trace), "--ny", "2"]) == 2
+    assert match in capsys.readouterr().err
+    assert not model.exists() and not trace.exists()
+
+
 def test_model_file_with_zero_rank_header_is_input_error(tmp_path, capsys):
     # a file consistent with its header n_y = 0: no loading column, one-column q(Vtilde) rows
     d = 3
