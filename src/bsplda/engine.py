@@ -9,7 +9,7 @@ from . import model as mdl
 from .data import accumulate, rotate
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
 from .linalg import FactorizationError, pencil_inverses, spd_cholesky, spd_inverse_logdet, sym
-from .posterior import QY, QAlpha, QVtilde, QWWishart, vtw_moments, y_aggregates
+from .posterior import QY, QAlpha, QVtilde, vtw_moments, y_aggregates
 from .synth import CounterRng
 
 __all__ = [
@@ -131,36 +131,15 @@ def update_qy(stats, qv, qw, moments=None):
 
 
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
-    """Row posteriors of the augmented loading, for a validated `prior`.
-
-    The loading prior's `row_posteriors` assembles the d row precisions
-    "prior part + E[W]_rr R" and the prior parts of their right-hand sides,
-    and inverts the precisions once; the factor holds the covariances and
-    log-determinants. What is left here is the mean sweep. Full-covariance W couples the
-    row means: they are refreshed in ascending index order, each seeing the
-    newest means of every other row (one Gauss-Seidel sweep, an exact
-    coordinate maximizer per row). The sweep is a forward substitution: the
-    part that the old means and C give is solved for every row at once, and
-    row r then subtracts (W_r,:r V_:r) R cov_r for the rows already
-    refreshed. Diagonal W decouples them.
-    """
-    d = qv.dim
+    """Row posteriors of the augmented loading, for a validated `prior`: the
+    loading prior's `row_posteriors` (the d row precisions "prior part +
+    E[W]_rr R", inverted once, and the prior parts of their right-hand sides)
+    and the precision arm's `row_means` sweep over them."""
     loading, arm = mdl.SCHEMES[prior.variant]
     wbar = qw.mean
-    wdiag = np.diagonal(wbar)
     c, r_yt = aggregates.C, aggregates.R
-    prec, prior_rhs, cov, logdets = loading.row_posteriors(prior, qalpha, wdiag, r_yt)
-    if arm.coupled_rows:
-        # row r sees W_rr C_r + sum_{s != r} W_rs (C_s - v_s R), with v_s new for
-        # s < r: everything but the new rows is known before the sweep
-        rhs = prior_rhs + wbar @ c - (np.triu(wbar, 1) @ qv.mean) @ r_yt
-        mean = (rhs[:, None, :] @ cov)[:, 0, :]
-        gain = r_yt @ cov  # row r: R cov_r
-        for row in range(1, d):  # np.dot dispatches these small products faster than @
-            mean[row] -= np.dot(np.dot(wbar[row, :row], mean[:row]), gain[row])
-    else:
-        rhs = prior_rhs + wdiag[:, None] * c
-        mean = (rhs[:, None, :] @ cov)[:, 0, :]
+    prec, prior_rhs, cov, logdets = loading.row_posteriors(prior, qalpha, np.diagonal(wbar), r_yt)
+    mean = arm.row_means(wbar, c, r_yt, prior_rhs, cov, qv.mean)
     return QVtilde(mean=mean, prec=prec, cov=cov, prec_logdets=logdets)
 
 
@@ -403,7 +382,10 @@ def fit_stats(stats, prior, config, n_y):
 
     if trace and state.kappa == 1.0:
         qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec)
-        qw = QWWishart.from_psi(state.qw.psi, state.qw.nu) if isinstance(state.qw, QWWishart) else state.qw
+        arm = mdl.SCHEMES[variant][1]  # q(W) as the model reader builds it from the written numbers
+        numbers = []
+        arm.write_qw(state.qw, numbers.append)
+        qw = arm.read_qw(lambda shape: numbers.pop(0), qv.dim)
         breakdown = stored_bound(stats, qv, qw, state.qalpha, prior)
         trace[-1] = breakdown.total
         breakdowns[-1] = breakdown
@@ -427,7 +409,7 @@ def fit_stats(stats, prior, config, n_y):
 def stored_bound(stats, qv, qw, qalpha, prior):
     """The bound of a stored model on `stats`, as `elbo` evaluates it and as the
     last entry of a fit's trace records it: q(Vtilde) and q(W) as
-    `QVtilde.from_precisions` and `QWWishart.from_psi` build them from their
+    `QVtilde.from_precisions` and the arm's `read_qw` build them from their
     stored numbers, and q(Y) at its closed-form optimum given them."""
     moments = vtw_moments(qv, qw)
     qy = update_qy(stats, qv, qw, moments)

@@ -7,7 +7,9 @@ run's posterior. The precision arm is a Wishart, its flat limit, or Gammas on
 diag(W): one GammaArm class, whose two instances give each diagonal entry its
 own rate or let one rate cover them all (an isotropic W = w I). SCHEMES maps
 each variant name to its pair; every decision that depends on the variant is a
-method or an attribute of these objects.
+method or an attribute of these objects. The loading prior assembles the
+q(Vtilde) row precisions (`row_posteriors`) and the precision arm sweeps the
+row means (`row_means`): a full W couples them, a diagonal W does not.
 """
 
 import math
@@ -397,7 +399,7 @@ class WishartArm:
     """Wishart(psi0, nu_d) prior on the full within-class precision."""
 
     tag = 1  # model-container tag of the q(W) block
-    coupled_rows = True  # full-covariance W couples the loading rows: Gauss-Seidel sweep
+    coupled_rows = True  # a full W: whitening, which assumes a diagonal W, does not apply
     adapted_variant = V3_GAUSSV_WISHART
 
     def validate(self, prior, d, per_row):
@@ -430,6 +432,21 @@ class WishartArm:
         if not np.sum(psi0_inv * psi) <= 0.5:
             check_psd(k_mat, "residual scatter")
         return QWWishart(psi=psi, nu=prior.nu_d + n, logdet_psi=-logdet)
+
+    def row_means(self, wbar, c, r_yt, prior_rhs, cov, old_mean):
+        """The q(Vtilde) row means given E[W] = `wbar`, the row covariances and
+        the prior parts of the right-hand sides. A full W couples the rows: one
+        Gauss-Seidel sweep refreshes them in ascending order, each seeing the
+        newest means of the others (an exact coordinate maximizer per row). Row
+        r's right-hand side holds W_rr C_r + sum_{s != r} W_rs (C_s - v_s R),
+        v_s new for s < r: `old_mean` and C give every row's part at once, and
+        forward substitution subtracts (W_r,:r V_:r) R cov_r from row r."""
+        rhs = prior_rhs + wbar @ c - (np.triu(wbar, 1) @ old_mean) @ r_yt
+        mean = (rhs[:, None, :] @ cov)[:, 0, :]
+        gain = r_yt @ cov  # row r: R cov_r
+        for row in range(1, len(mean)):  # np.dot dispatches these small products faster than @
+            mean[row] -= np.dot(np.dot(wbar[row, :row], mean[:row]), gain[row])
+        return mean
 
     def w_prior(self, qw, prior):
         """E[ln P(W)]."""
@@ -498,7 +515,7 @@ class GammaArm:
     the prior may hold; everything else is one code path.
     """
 
-    coupled_rows = False
+    coupled_rows = False  # a diagonal W: whitening applies
 
     def __init__(self, tag, adapted_variant, shared):
         self.tag = tag  # model-container tag of the q(W) block
@@ -545,6 +562,11 @@ class GammaArm:
             b=prior.b_w + 0.5 * self._pooled(np.diag(k_mat), np.sum),
             dim=d,
         )
+
+    def row_means(self, wbar, c, r_yt, prior_rhs, cov, old_mean):
+        """The q(Vtilde) row means: a diagonal W decouples the rows; `old_mean` is not read."""
+        rhs = prior_rhs + np.diagonal(wbar)[:, None] * c
+        return (rhs[:, None, :] @ cov)[:, 0, :]
 
     def w_prior(self, qw, prior):
         return expected_log_gamma_pdf(prior.a_w, prior.b_w, qw.mean_log, qw.factor_mean)

@@ -345,14 +345,9 @@ def expected_vtw_quadratic(qv, wbar, wvt=None):
 
 def vtw_moments(qv, qw):
     """(Wbar Vtbar, E[Vt^T W Vt]): the moments of one (q(Vtilde), q(W)) pair
-    that the q(Y) update and the data term of the bound both read.
-
-    A Gamma factor's Wbar is diagonal, so its product scales the rows of
-    Vtbar: every off-diagonal term of the GEMM is an exact zero, so the bits
-    are those of `Wbar @ Vtbar`.
+    that the q(Y) update and the data term of the bound both read. A Gamma
+    factor's diagonal Wbar goes through the same GEMM: its off-diagonal terms
+    are exact zeros, so the bits are those of scaling the rows of Vtbar.
     """
-    if isinstance(qw, QWGamma):
-        wvt = qw.mean_diag[:, None] * qv.mean
-    else:
-        wvt = qw.mean @ qv.mean
+    wvt = qw.mean @ qv.mean
     return wvt, expected_vtw_quadratic(qv, qw.mean, wvt)

@@ -388,7 +388,7 @@ def row_update_problem(variant, rng, d=12, ny=3):
     aggs = y_aggregates(random_qy(rng, 20, ny), stats_for(rng, 20, d))
     qv0 = random_qv(rng, d, ny)
     qalpha = QAlpha(a=2.0, b=np.array([2e-10, 0.5, 1.0]))  # E[alpha] = 1e10, 4, 2
-    if mdl.SCHEMES[variant][1].coupled_rows:  # the Wishart arms
+    if isinstance(mdl.SCHEMES[variant][1], mdl.WishartArm):
         qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
         arm_prior = dict(psi0=np.eye(d), nu_d=d + 2.0)
     else:
@@ -429,6 +429,24 @@ def test_row_update_matches_per_row_solve(variant, d, monkeypatch):
     assert np.max(qv.prec) > 1e9
 
 
+@pytest.mark.parametrize("d", [2, 5, 60])
+def test_arm_row_means_agree_bit_for_bit_on_a_diagonal_w(d):
+    # the Gauss-Seidel sweep of the Wishart arms meets only exact zeros off the
+    # diagonal of E[W], so it returns the decoupled solve's bits
+    rng = np.random.default_rng(d)
+    k = 4
+    wbar = np.diag(rng.uniform(0.1, 10.0, size=d))
+    cov = np.stack([np.linalg.inv(random_spd(rng, k)) for _ in range(d)])
+    args = (wbar, rng.normal(size=(d, k)), random_spd(rng, k), rng.normal(size=(d, k)), cov,
+            rng.normal(size=(d, k)))
+    want = mdl.GAMMA_DIAGONAL.row_means(*args)
+    for arm in (mdl.WISHART, mdl.FLAT_WISHART, mdl.GAMMA_ISOTROPIC):
+        np.testing.assert_array_equal(arm.row_means(*args), want)
+    dense = wbar + 1e-3 * random_spd(rng, d)  # a full W couples the rows
+    args = (dense,) + args[1:]
+    assert not np.array_equal(mdl.WISHART.row_means(*args), mdl.GAMMA_DIAGONAL.row_means(*args))
+
+
 @pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL],
                          ids=["coupled", "decoupled"])
 def test_row_update_rejects_indefinite_precision(variant):
@@ -456,7 +474,7 @@ def ard_row_problem(variant, rng, d=40):
     qalpha = QAlpha(a=2.0, b=2.0 / e_alpha)
     beta = 10.0 ** rng.uniform(-2.0, 3.0, size=d)
     beta[:3] = (1e-2, 1e3, 1.0)
-    if mdl.SCHEMES[variant][1].coupled_rows:
+    if isinstance(mdl.SCHEMES[variant][1], mdl.WishartArm):
         qw = QWWishart.from_psi(psi=random_spd(rng, d, 0.05), nu=d + 5.0)
     else:
         qw = QWGamma(a=50.0, b=rng.uniform(10.0, 100.0, size=d), dim=d)
@@ -926,6 +944,44 @@ def synthetic_problem(rng_seed, d=4, ny=2, m=12, per=3, noise=1.0):
     rng = np.random.default_rng(rng_seed)
     params = ModelParams(mu=rng.normal(size=d), V=rng.normal(size=(d, ny)), W=noise * np.eye(d))
     return sample(GenSpec(params=params, counts=(per,) * m, seed=rng_seed))
+
+
+@pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V1_WISHART_NONINFORMATIVE,
+                                     mdl.V2_GAMMA_DIAGONAL, mdl.V2_GAMMA_ISOTROPIC])
+def test_fit_rebuilds_qw_as_the_model_reader_does(variant, tmp_path, monkeypatch):
+    # the last bound of a fit reads the q(W) that read_qw builds from write_qw's
+    # numbers, which is what `elbo` on the model file reads
+    import bsplda.io as mio
+    from functools import partial
+
+    ds, part, _ = synthetic_problem(17, d=5, ny=2, m=30, per=4)
+    stats = accumulate(ds, part)
+    seen = []
+    real = engine.stored_bound
+    monkeypatch.setattr(engine, "stored_bound",
+                        lambda stats, qv, qw, *rest: seen.append(qw) or real(stats, qv, qw, *rest))
+    arm = mdl.SCHEMES[variant][1]
+    if isinstance(arm, mdl.WishartArm):
+        # a carried ln|psi| off in its last bits, which only a rebuild from psi corrects
+        update = type(arm).update_qw
+
+        def nudged(self, *args):
+            qw = update(self, *args)
+            return replace(qw, logdet_psi=qw.logdet_psi * (1.0 + 1e-14))
+
+        monkeypatch.setattr(type(arm), "update_qw", nudged)
+    state, _, report = fit_stats(stats, v1_prior(5, variant), FitConfig(max_iterations=6), 2)
+    path = tmp_path / "qw.bin"
+    with open(path, "wb") as f:
+        arm.write_qw(state.qw, partial(mio._write_f64, f))
+    with open(path, "rb") as f:
+        want = arm.read_qw(partial(mio._read_finite, f), stats.dim)
+    (got,) = seen
+    assert type(got) is type(want)
+    for field in ("psi", "nu", "logdet_psi") if isinstance(want, QWWishart) else ("a", "b", "dim"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec)
+    assert report.elbo_trace[-1] == real(stats, qv, want, state.qalpha, report.final_prior).total
 
 
 def duplicated_dimension_problem():

@@ -14,6 +14,7 @@ from bsplda.posterior import (
     QWWishart,
     YAggregates,
     expected_vtw_quadratic,
+    vtw_moments,
     y_aggregates,
 )
 
@@ -232,6 +233,18 @@ def test_quadratics_monte_carlo_oracle():
         _mc_check(
             qv.col_sq_norms, np.einsum("nrq,nrq->nq", rows[:, :, :ny], rows[:, :, :ny]), n_samp, 4.0
         )
+
+
+@pytest.mark.parametrize("d", [5, 60, 300])
+@pytest.mark.parametrize("rates", ["diagonal", "isotropic"])
+def test_gamma_vtw_product_is_the_row_scaling(d, rates):
+    # the GEMM with a diagonal E[W] adds only exact zeros to each row's one product
+    rng = np.random.default_rng(d)
+    qw = QWGamma(a=3.0, b=rng.uniform(0.5, 2.0, size=d if rates == "diagonal" else 1), dim=d)
+    qv = random_qv(rng, d, 15)
+    wvt, quad = vtw_moments(qv, qw)
+    np.testing.assert_array_equal(wvt, qw.mean_diag[:, None] * qv.mean)
+    np.testing.assert_array_equal(quad, expected_vtw_quadratic(qv, qw.mean, wvt))
 
 
 def test_rho_nonnegative_for_psd_inputs():
