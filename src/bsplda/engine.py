@@ -300,10 +300,11 @@ def fit_stats(stats, prior, config, n_y):
     changes, and after a re-standardization. Each (q(Vtilde), q(W)) pair's
     `vtw_moments` are formed once, for its q(Y) update and its bound. Stops
     when the relative bound change drops below tolerance at kappa = 1 with no
-    hyperparameter or re-standardization event in the iteration. When the last sweep ran at
-    kappa = 1 its bound is evaluated once more by `stored_bound`, on q(Vtilde)
-    and q(W) built from their stored numbers as `io.read_model_file` builds
-    them, so `elbo` on the fitted data reproduces the trace exactly.
+    hyperparameter or re-standardization event in the iteration. The last
+    sweep, which `FitConfig` keeps at kappa = 1, has its bound evaluated once
+    more by `stored_bound`, on q(Vtilde) and q(W) built from their stored
+    numbers as `io.read_model_file` builds them, so `elbo` on the fitted data
+    reproduces the trace exactly.
     """
     if n_y < 1:
         raise ValueError("latent rank must be at least 1")
@@ -325,7 +326,6 @@ def fit_stats(stats, prior, config, n_y):
     breakdown = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior, None, moments)
     initial_elbo = breakdown.total
 
-    trace = []
     breakdowns = []
     kappa_log = []
     converged = False
@@ -349,7 +349,6 @@ def fit_stats(stats, prior, config, n_y):
         breakdown = elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates, moments)
         if not math.isfinite(breakdown.total):
             raise NonFiniteElboError(f"lower bound diverged at iteration {iteration}")
-        trace.append(breakdown.total)
         breakdowns.append(breakdown)
         kappa_log.append(kappa)
 
@@ -380,19 +379,18 @@ def fit_stats(stats, prior, config, n_y):
                 event = True
         baseline = None if (event or kappa != 1.0) else breakdown.total
 
-    if trace and state.kappa == 1.0:
+    if breakdowns:
         qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec)
         arm = mdl.SCHEMES[variant][1]  # q(W) as the model reader builds it from the written numbers
         numbers = []
         arm.write_qw(state.qw, numbers.append)
         qw = arm.read_qw(lambda shape: numbers.pop(0), qv.dim)
         breakdown = stored_bound(stats, qv, qw, state.qalpha, prior)
-        trace[-1] = breakdown.total
         breakdowns[-1] = breakdown
 
     params = mdl.ModelParams(mu=state.qv.mu, V=state.qv.V, W=state.qw.mean)
     report = FitReport(
-        elbo_trace=tuple(trace),
+        elbo_trace=tuple(b.total for b in breakdowns),
         breakdown_trace=tuple(breakdowns),
         initial_elbo=initial_elbo,
         final_breakdown=breakdown,

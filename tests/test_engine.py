@@ -482,11 +482,30 @@ def ard_row_problem(variant, rng, d=40):
     return aggs, random_qv(rng, d, ny), qw, prior, qalpha
 
 
-@pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL],
-                         ids=["coupled", "decoupled"])
-def test_ard_row_inverses_match_batched_cholesky(variant):
+# pencil_inverses scales by D = diag(E[alpha], b): its error grows about as
+# eps w N / min(D), so a beta that is small against w N, or per-row betas that
+# span many decades, give covariances far from the batched Cholesky's
+PENCIL_LIMIT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="FOUND in CHANGES.md: the ARD row covariances lose accuracy silently for "
+           "beta small against w N or spanning many decades")
+VAGUE_BETA = np.full(40, 1e-12)
+MIXED_BETA = np.append(1e160, np.ones(39))
+
+
+@pytest.mark.parametrize("variant, beta", [
+    pytest.param(mdl.V1_WISHART_INFORMATIVE, None, id="coupled"),
+    pytest.param(mdl.V2_GAMMA_DIAGONAL, None, id="decoupled"),
+    pytest.param(mdl.V1_WISHART_INFORMATIVE, VAGUE_BETA, id="coupled-vague-beta", marks=PENCIL_LIMIT),
+    pytest.param(mdl.V2_GAMMA_DIAGONAL, VAGUE_BETA, id="decoupled-vague-beta", marks=PENCIL_LIMIT),
+    pytest.param(mdl.V1_WISHART_INFORMATIVE, MIXED_BETA, id="coupled-mixed-beta", marks=PENCIL_LIMIT),
+    pytest.param(mdl.V2_GAMMA_DIAGONAL, MIXED_BETA, id="decoupled-mixed-beta", marks=PENCIL_LIMIT),
+])
+def test_ard_row_inverses_match_batched_cholesky(variant, beta):
     rng = np.random.default_rng(mdl.VARIANTS.index(variant) + 20)
     aggs, qv0, qw, prior, qalpha = ard_row_problem(variant, rng)
+    if beta is not None:
+        prior = replace(prior, beta=beta)
     qv = update_qvtilde(aggs, qv0, qw, prior, qalpha)
     ref_cov, ref_logdets = linalg.spd_inverse_logdet(qv.prec)
     for cov, ref in zip(qv.cov, ref_cov):
