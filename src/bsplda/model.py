@@ -243,14 +243,13 @@ class ArdColumns:
         log-determinants) of the rows: prec_r = diag(E[alpha], beta_r) + w_r R,
         whose prior part of the right-hand side is (0, beta_r mu0_r).
 
-        The stack is w_r R with E[alpha] and beta_r added to its diagonals in
-        place. `pencil_inverses` gives the covariances G_r of D + w_r R with
-        D = diag(E[alpha], b), b the geometric mean of the extreme beta_r. A row
-        whose beta_r is not b adds s_r = beta_r - b to its last diagonal entry,
-        and Sherman-Morrison subtracts s_r g g^T / (1 + s_r g_k) from G_r,
-        g = G_r e_k. A denominator 1 + s_r g_k that is not positive means a
-        precision that is not positive definite: FactorizationError, as its
-        Cholesky factorization would raise.
+        The loading block A_r = diag(E[alpha]) + w_r R_yy goes through
+        `pencil_inverses`; the mean coordinate is its Schur complement
+        s_r = beta_r + w_r (N - r^T g_r), g_r = w_r A_r^-1 r, with (r, N) the last
+        column of R. So cov_r = [[A_r^-1 + g g^T / s_r, -g / s_r], [-g^T / s_r,
+        1 / s_r]] and ln|prec_r| = ln|A_r| + ln s_r: beta_r only adds to s_r.
+        An s_r that is not positive means a precision that is not positive
+        definite: FactorizationError, as its Cholesky factorization would raise.
         """
         name = "q(Vtilde) row precision"
         beta = prior.beta
@@ -260,18 +259,16 @@ class ArdColumns:
         diagonals[:, -1] += beta
         rhs = np.zeros(prec.shape[:2])
         rhs[:, -1] = beta * prior.mu0
-        ref = math.sqrt(beta.min() * beta.max())  # b when every beta_r is b
-        diag = np.append(qalpha.mean, ref)
-        basis, factors, cov, logdets = pencil_inverses(diag, r_yt, wdiag, name)
-        shift = beta - ref
-        if np.any(shift):
-            last = (basis[-1] / factors) @ basis.T  # g of every row
-            denom = 1.0 + shift * last[:, -1]
-            if not np.all(denom > 0.0):
-                raise FactorizationError(f"a {name} is not positive definite")
-            cov -= (shift / denom)[:, None, None] * (last[:, :, None] * last[:, None, :])
-            logdets += np.log(denom)
-        return prec, rhs, cov, logdets
+        r, count = r_yt[:-1, -1], r_yt[-1, -1]
+        basis, factors, block, logdets = pencil_inverses(qalpha.mean, r_yt[:-1, :-1], wdiag, name)
+        g = (wdiag[:, None] * (basis.T @ r) / factors) @ basis.T  # w_r A_r^-1 r of every row
+        s = beta + wdiag * (count - g @ r)
+        if not np.all(s > 0.0):
+            raise FactorizationError(f"a {name} is not positive definite")
+        h = np.column_stack([g, -np.ones_like(s)]) / np.sqrt(s)[:, None]
+        cov = h[:, :, None] * h[:, None, :]  # [[g g^T, -g], [-g^T, 1]] / s_r, exactly symmetric
+        cov[:, :-1, :-1] += block
+        return prec, rhs, cov, logdets + np.log(s)
 
     def init_qalpha(self, prior, n_y):
         return QAlpha(a=prior.a_alpha, b=np.full(n_y, prior.b_alpha))

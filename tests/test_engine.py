@@ -467,7 +467,8 @@ def test_row_update_rejects_indefinite_precision(variant):
 
 def ard_row_problem(variant, rng, d=40):
     """(aggregates, qv0, qw, prior, qalpha): E[alpha] spans e^-3 to 1e10 and
-    every row has its own beta, so the rows need the rank-one correction."""
+    every row has its own beta, from 1e-2 to 1e3, so the mean coordinates'
+    Schur complements differ from row to row."""
     ny = 6
     aggs = y_aggregates(random_qy(rng, 30, ny), stats_for(rng, 30, d))
     e_alpha = np.array([math.exp(-3.0), 1.0, 10.0, 1e3, 1e6, 1e10])
@@ -482,30 +483,33 @@ def ard_row_problem(variant, rng, d=40):
     return aggs, random_qv(rng, d, ny), qw, prior, qalpha
 
 
-# pencil_inverses scales by D = diag(E[alpha], b): its error grows about as
-# eps w N / min(D), so a beta that is small against w N, or per-row betas that
-# span many decades, give covariances far from the batched Cholesky's
-PENCIL_LIMIT = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="FOUND in CHANGES.md: the ARD row covariances lose accuracy silently for "
-           "beta small against w N or spanning many decades")
+# betas that are small against w N or span many decades, and an E[alpha] far
+# below w R: the pencil sees only the loading block, beta only the Schur complement
 VAGUE_BETA = np.full(40, 1e-12)
 MIXED_BETA = np.append(1e160, np.ones(39))
+TINY_MIXED_BETA = np.append(1e-200, np.ones(39))
+VAGUE_ALPHA = np.array([1e-12, 1.0, 10.0, 1e3, 1e6, 1e10])
 
 
-@pytest.mark.parametrize("variant, beta", [
-    pytest.param(mdl.V1_WISHART_INFORMATIVE, None, id="coupled"),
-    pytest.param(mdl.V2_GAMMA_DIAGONAL, None, id="decoupled"),
-    pytest.param(mdl.V1_WISHART_INFORMATIVE, VAGUE_BETA, id="coupled-vague-beta", marks=PENCIL_LIMIT),
-    pytest.param(mdl.V2_GAMMA_DIAGONAL, VAGUE_BETA, id="decoupled-vague-beta", marks=PENCIL_LIMIT),
-    pytest.param(mdl.V1_WISHART_INFORMATIVE, MIXED_BETA, id="coupled-mixed-beta", marks=PENCIL_LIMIT),
-    pytest.param(mdl.V2_GAMMA_DIAGONAL, MIXED_BETA, id="decoupled-mixed-beta", marks=PENCIL_LIMIT),
+@pytest.mark.parametrize("variant, beta, e_alpha", [
+    pytest.param(mdl.V1_WISHART_INFORMATIVE, None, None, id="coupled"),
+    pytest.param(mdl.V2_GAMMA_DIAGONAL, None, None, id="decoupled"),
+    pytest.param(mdl.V1_WISHART_INFORMATIVE, VAGUE_BETA, None, id="coupled-vague-beta"),
+    pytest.param(mdl.V2_GAMMA_DIAGONAL, VAGUE_BETA, None, id="decoupled-vague-beta"),
+    pytest.param(mdl.V1_WISHART_INFORMATIVE, MIXED_BETA, None, id="coupled-mixed-beta"),
+    pytest.param(mdl.V2_GAMMA_DIAGONAL, MIXED_BETA, None, id="decoupled-mixed-beta"),
+    pytest.param(mdl.V1_WISHART_INFORMATIVE, TINY_MIXED_BETA, None, id="coupled-tiny-mixed-beta"),
+    pytest.param(mdl.V2_GAMMA_DIAGONAL, TINY_MIXED_BETA, None, id="decoupled-tiny-mixed-beta"),
+    pytest.param(mdl.V1_WISHART_INFORMATIVE, None, VAGUE_ALPHA, id="coupled-vague-alpha"),
+    pytest.param(mdl.V2_GAMMA_DIAGONAL, None, VAGUE_ALPHA, id="decoupled-vague-alpha"),
 ])
-def test_ard_row_inverses_match_batched_cholesky(variant, beta):
+def test_ard_row_inverses_match_batched_cholesky(variant, beta, e_alpha):
     rng = np.random.default_rng(mdl.VARIANTS.index(variant) + 20)
     aggs, qv0, qw, prior, qalpha = ard_row_problem(variant, rng)
     if beta is not None:
         prior = replace(prior, beta=beta)
+    if e_alpha is not None:
+        qalpha = QAlpha(a=2.0, b=2.0 / e_alpha)
     qv = update_qvtilde(aggs, qv0, qw, prior, qalpha)
     ref_cov, ref_logdets = linalg.spd_inverse_logdet(qv.prec)
     for cov, ref in zip(qv.cov, ref_cov):
@@ -518,12 +522,11 @@ def test_ard_row_inverses_match_batched_cholesky(variant, beta):
 
 @pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL],
                          ids=["coupled", "decoupled"])
-def test_ard_row_inverses_reject_an_indefinite_rank_one_correction(variant):
-    # E[W] = I and R = diag(1, 1, -0.5): the last diagonal entry of row r's
-    # precision is beta_r - 0.5. The shared eigendecomposition is positive
-    # definite for a reference beta above 0.5 (the geometric mean of the betas
-    # here is 1), so only the rank-one correction to beta_0 = 0.01 finds row 0
-    # indefinite.
+def test_ard_row_inverses_reject_an_indefinite_mean_schur_complement(variant):
+    # E[W] = I, E[alpha] = 2 and R = diag(1, 1, -0.5): every loading block
+    # 2 I + R_yy is positive definite, and the mean coordinate's Schur complement
+    # is s_r = beta_r - 0.5. It is positive for beta = (1, 100), so those rows
+    # pass, and negative for beta_0 = 0.01, so only s_0 finds row 0 indefinite.
     d, ny = 2, 2
     rng = np.random.default_rng(mdl.VARIANTS.index(variant))
     aggs = YAggregates(C=rng.normal(size=(d, ny + 1)), R=np.diag([1.0, 1.0, -0.5]))
@@ -533,6 +536,7 @@ def test_ard_row_inverses_reject_an_indefinite_rank_one_correction(variant):
     else:
         qw = QWGamma(a=2.0, b=np.full(d, 2.0), dim=d)
     prior = v1_prior(d, variant, beta=np.array([0.01, 100.0])).validate(d, ny)
+    assert np.linalg.eigvalsh(np.diag([2.0, 2.0]) + aggs.R[:-1, :-1]).min() > 0.0
     assert np.linalg.eigvalsh(np.diag([2.0, 2.0, 0.01]) + aggs.R).min() < 0.0
     update_qvtilde(aggs, random_qv(rng, d, ny), qw, replace(prior, beta=np.array([1.0, 100.0])), qalpha)
     with pytest.raises(FactorizationError):
