@@ -652,6 +652,51 @@ def test_overflowing_statistics_are_an_input_error(tmp_path, capsys):
     assert not model.exists() and not trace.exists()
 
 
+def spec_corpus(tmp_path, scale=1.0):
+    """(data, labels) of the `simulate --spec` corpus d = 5, n_y = 2, 40
+    speakers x 4, seed 1, its vectors multiplied by `scale`."""
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("d = 5\nny = 2\n")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--spec", str(spec), "--speakers", "40", "--per-speaker", "4",
+                 "--seed", "1", "--out", str(sim)]) == 0
+    data, labels = Path(f"{sim}.data"), Path(f"{sim}.labels")
+    if scale != 1.0:
+        n = mio.read_labels_file(labels).assignment.size
+        mio.write_data_file(data, scale * np.concatenate(list(mio.read_data_blocks(data, n))))
+    return data, labels
+
+
+def train_then_elbo(tmp_path, capsys, data, labels, argv):
+    """Train with `argv`, then check that `elbo` prints the trace's last total, digit for digit."""
+    model, trace = tmp_path / "m.model", tmp_path / "t.csv"
+    assert main(["train", "--data", str(data), "--labels", str(labels), "--out", str(model),
+                 "--trace", str(trace), *argv]) == 0
+    last = trace.read_text().splitlines()[-1].split(",")[1]
+    capsys.readouterr()
+    assert main(["elbo", "--model", str(model), "--data", str(data), "--labels", str(labels)]) == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert printed["total"] == last
+
+
+@pytest.mark.parametrize("beta", ["1e160", "1e160,1,1,1,1", "1e-12", "1e-200,1,1,1,1"])
+def test_ard_fit_takes_any_positive_beta(tmp_path, capsys, beta):
+    # beta only adds to the Schur complement of each row's mean coordinate, so
+    # no beta overflows, cancels or is refused as indefinite
+    data, labels = spec_corpus(tmp_path)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"variant = {mdl.V1_WISHART_INFORMATIVE}\nbeta = {beta}\n")
+    train_then_elbo(tmp_path, capsys, data, labels,
+                    ["--config", str(cfg), "--ny", "2", "--iters", "50"])
+
+
+def test_ard_fit_of_data_scaled_by_1e_minus_12(tmp_path, capsys):
+    data, labels = spec_corpus(tmp_path, scale=1e-12)
+    train_then_elbo(tmp_path, capsys, data, labels,
+                    ["--variant", mdl.V1_WISHART_NONINFORMATIVE, "--ny", "2",
+                     "--mindiv-every", "10", "--iters", "200"])
+
+
 def test_model_file_with_zero_rank_header_is_input_error(tmp_path, capsys):
     # a file consistent with its header n_y = 0: no loading column, one-column q(Vtilde) rows
     d = 3
