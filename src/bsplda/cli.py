@@ -105,7 +105,7 @@ def _save_fit(args, state, params, report, rotation):
         qw=state.qw,
         # hyperopt may have refreshed the hyperparameters; persist the ones in effect
         prior=report.final_prior,
-        elbo=report.elbo_trace[-1] if report.elbo_trace else report.initial_elbo,
+        elbo=report.final_breakdown.total,
         qalpha=state.qalpha,
         rotation=rotation,
     )

@@ -95,10 +95,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
+    """One bound per sweep, and the `stored_bound` every fit, zero sweeps included, ends in."""
+
     elbo_trace: tuple           # one total per sweep
     breakdown_trace: tuple      # one ElboBreakdown per sweep
-    initial_elbo: float
-    final_breakdown: object
+    final_breakdown: object     # stored_bound of the returned state; the last trace entry if any
     converged: bool
     iterations: int
     kappa_log: tuple
@@ -300,11 +301,11 @@ def fit_stats(stats, prior, config, n_y):
     changes, and after a re-standardization. Each (q(Vtilde), q(W)) pair's
     `vtw_moments` are formed once, for its q(Y) update and its bound. Stops
     when the relative bound change drops below tolerance at kappa = 1 with no
-    hyperparameter or re-standardization event in the iteration. The last
-    sweep, which `FitConfig` keeps at kappa = 1, has its bound evaluated once
-    more by `stored_bound`, on q(Vtilde) and q(W) built from their stored
-    numbers as `io.read_model_file` builds them, so `elbo` on the fitted data
-    reproduces the trace exactly.
+    hyperparameter or re-standardization event in the iteration. No bound is
+    evaluated before the first sweep. Every fit, zero sweeps included, ends in
+    one `stored_bound`, on q(Vtilde) and q(W) built from their stored numbers
+    as `io.read_model_file` builds them: the report's `final_breakdown` and,
+    after a sweep, the last trace entry, so `elbo` on the fitted data reproduces both.
     """
     if n_y < 1:
         raise ValueError("latent rank must be at least 1")
@@ -322,15 +323,12 @@ def fit_stats(stats, prior, config, n_y):
         stats = rotate(stats, rotation)
 
     state = _init_state(stats, prior, n_y, config.seed)
-    moments = vtw_moments(state.qv, state.qw)  # of state.qv, state.qw; None if stale
-    breakdown = elbo_total(stats, state.qy, state.qv, state.qw, state.qalpha, prior, None, moments)
-    initial_elbo = breakdown.total
-
     breakdowns = []
     kappa_log = []
     converged = False
     baseline = None  # last bound value comparable under an unchanged objective
     aggregates = None  # of the q(Y) update of state.qv, state.qw at state.kappa; None if stale
+    moments = None  # of state.qv, state.qw; None if stale
     for iteration in range(1, config.max_iterations + 1):
         kappa = config.kappa_for(iteration)
         if aggregates is None or kappa != state.kappa:
@@ -379,20 +377,19 @@ def fit_stats(stats, prior, config, n_y):
                 event = True
         baseline = None if (event or kappa != 1.0) else breakdown.total
 
+    qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec)
+    arm = mdl.SCHEMES[variant][1]  # q(W) as the model reader builds it from the written numbers
+    numbers = []
+    arm.write_qw(state.qw, numbers.append)
+    qw = arm.read_qw(lambda shape: numbers.pop(0), qv.dim)
+    breakdown = stored_bound(stats, qv, qw, state.qalpha, prior)
     if breakdowns:
-        qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec)
-        arm = mdl.SCHEMES[variant][1]  # q(W) as the model reader builds it from the written numbers
-        numbers = []
-        arm.write_qw(state.qw, numbers.append)
-        qw = arm.read_qw(lambda shape: numbers.pop(0), qv.dim)
-        breakdown = stored_bound(stats, qv, qw, state.qalpha, prior)
         breakdowns[-1] = breakdown
 
     params = mdl.ModelParams(mu=state.qv.mu, V=state.qv.V, W=state.qw.mean)
     report = FitReport(
         elbo_trace=tuple(b.total for b in breakdowns),
         breakdown_trace=tuple(breakdowns),
-        initial_elbo=initial_elbo,
         final_breakdown=breakdown,
         converged=converged,
         iterations=state.iteration,
@@ -405,8 +402,8 @@ def fit_stats(stats, prior, config, n_y):
 
 
 def stored_bound(stats, qv, qw, qalpha, prior):
-    """The bound of a stored model on `stats`, as `elbo` evaluates it and as the
-    last entry of a fit's trace records it: q(Vtilde) and q(W) as
+    """The bound of a stored model on `stats`, as `elbo` evaluates it and as
+    every fit ends with it: q(Vtilde) and q(W) as
     `QVtilde.from_precisions` and the arm's `read_qw` build them from their
     stored numbers, and q(Y) at its closed-form optimum given them."""
     moments = vtw_moments(qv, qw)

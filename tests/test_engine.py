@@ -1055,14 +1055,22 @@ def test_fit_of_scaled_data_converges_with_an_ascending_bound(variant, scale):
 
 
 class TestFit:
-    def test_zero_iterations_returns_init(self):
+    def test_zero_iterations_returns_init(self, monkeypatch):
+        # a zero-sweep fit evaluates one bound: the stored_bound of its start,
+        # on q(Vtilde) and q(W) rebuilt from the numbers a model file stores
         ds, part, _ = synthetic_problem(31)
         prior = v1_prior(4)
+        bounds = []
+        real = engine.elbo_total
+        monkeypatch.setattr(engine, "elbo_total", lambda *args: bounds.append(args) or real(*args))
         state, params, report = fit(ds, part, prior, FitConfig(max_iterations=0, seed=1), n_y=2)
         assert report.iterations == 0
         assert report.elbo_trace == ()
-        assert math.isfinite(report.initial_elbo)
-        assert report.final_breakdown.total == pytest.approx(report.initial_elbo)
+        assert len(bounds) == 1
+        qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec)
+        qw = QWWishart.from_psi(state.qw.psi, state.qw.nu)
+        stored = engine.stored_bound(accumulate(ds, part), qv, qw, state.qalpha, report.final_prior)
+        assert report.final_breakdown == stored
 
     def test_fit_leaves_its_prior_unchanged(self):
         # validate broadcasts mu0 and beta onto a copy, so one prior serves fits at any d
