@@ -61,19 +61,19 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if not self.elbo_rel_tol > 0:  # also rejects NaN
-            raise ValueError(f"elbo_rel_tol must be positive, got {self.elbo_rel_tol}")
+        if not 0 < self.elbo_rel_tol < math.inf:  # also rejects NaN
+            raise ValueError(f"elbo_rel_tol must be positive and finite, got {self.elbo_rel_tol}")
         for name in ("hyperopt_every", "mindiv_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0 (0 = off), got {getattr(self, name)}")
         schedule = tuple((float(k), int(span)) for k, span in self.anneal_schedule)
         for kappa, span in schedule:
             if not 0.0 < kappa <= 1.0:
-                raise ValueError(f"annealing kappa must lie in (0, 1], got {kappa}")
+                raise ValueError(f"anneal_schedule: kappa must lie in (0, 1], got {kappa}")
             if span < 1:
-                raise ValueError("annealing spans must be positive")
+                raise ValueError(f"anneal_schedule: spans must be positive, got {span}")
         if schedule and schedule[-1][0] != 1.0:
-            raise ValueError("annealing schedule must end at kappa = 1")
+            raise ValueError("anneal_schedule must end at kappa = 1")
         # a fit must not stop tempered: its factors and bound would not be the model's
         tempered = sum(span for _, span in schedule[:-1])
         if 1 <= self.max_iterations <= tempered:

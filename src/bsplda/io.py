@@ -131,11 +131,14 @@ def read_data_blocks(path, n_rows):
             raise FormatError(f"{path}: {n_rows} label lines for {n} data rows")
         _check_payload_size(f, 8 * n * d)
         rows = min(n, BLOCK_ROWS)
-        buffers = [np.empty((rows, d), dtype="<f8") for _ in range(1 if n == rows else 2)]
+        # the first block is read in bounded chunks, so a pipe whose header
+        # declares more than it carries never allocates a block of that size
+        first = _read_f64(f, (rows, d))
+        buffers = [first] if n == rows else [first, np.empty_like(first)]
         for k, start in enumerate(range(0, n, rows)):
             block = buffers[k % len(buffers)][:min(rows, n - start)]
             view = memoryview(block).cast("B")
-            filled = 0
+            filled = 0 if k else view.nbytes  # the first block is read already
             while filled < view.nbytes:  # a pipe may return less than asked
                 got = f.readinto(view[filled:])
                 if not got:
