@@ -940,13 +940,21 @@ class TestMinimumDivergence:
         dict(elbo_rel_tol=math.nan),
         dict(elbo_rel_tol=0.0),
         dict(elbo_rel_tol=-1e-7),
+        dict(elbo_rel_tol=math.inf),
         dict(hyperopt_every=-1),
         dict(mindiv_every=-1),
+        dict(max_iterations=-1),
+        dict(anneal_schedule=((1.5, 2), (1.0, 1))),
+        dict(anneal_schedule=((0.0, 2), (1.0, 1))),
+        dict(anneal_schedule=((0.5, 0), (1.0, 1))),
+        dict(anneal_schedule=((0.5, 2), (0.8, 1))),
     ],
-    ids=["tol-nan", "tol-zero", "tol-negative", "hyperopt-negative", "mindiv-negative"],
+    ids=["tol-nan", "tol-zero", "tol-negative", "tol-inf", "hyperopt-negative", "mindiv-negative",
+         "iterations-negative", "kappa-above-1", "kappa-zero", "span-zero", "schedule-ends-below-1"],
 )
 def test_fit_config_rejects_invalid_values(bad):
-    # a NaN tolerance never converges; a negative period fires every sweep
+    # a NaN tolerance never converges and an infinite one stops after two
+    # sweeps at any change; a negative period fires every sweep
     with pytest.raises(ValueError, match=next(iter(bad))):
         FitConfig(**bad)
 

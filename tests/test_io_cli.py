@@ -66,6 +66,10 @@ def test_data_file_rejects_corruption(tmp_path):
     trailing.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(mio.FormatError, match="trailing"):
         read_vectors(trailing, 3)
+    version = tmp_path / "v2.data"
+    version.write_bytes(mio.MAGIC_DATA + struct.pack("<H", 2) + path.read_bytes()[14:])
+    with pytest.raises(mio.FormatError, match="unsupported data format version 2"):
+        read_vectors(version, 3)
     for d, n in ((0, 3), (2, 0)):
         empty = tmp_path / "empty.data"
         empty.write_bytes(mio.MAGIC_DATA + struct.pack("<HIQ", 1, d, n))
@@ -101,13 +105,15 @@ def header_pipe(n, d=4):
     return read_end, thread
 
 
-def test_data_stream_shorter_than_header_is_format_error():
-    # a pipe has no size to check the header against: it is read a block at a time
-    read_end, thread = header_pipe(1 << 40)
+@pytest.mark.parametrize("n, d", [(2**40, 4), (4, 2**31)], ids=["many-rows", "wide-rows"])
+def test_data_stream_shorter_than_header_is_format_error(n, d):
+    # a pipe has no size to check the header against: its first block is read
+    # in bounded chunks, so not even one block of the declared size is allocated
+    read_end, thread = header_pipe(n, d)
     tracemalloc.start()
     try:
         with pytest.raises(mio.FormatError, match="truncated"):
-            read_vectors(f"/dev/fd/{read_end}", 1 << 40)
+            read_vectors(f"/dev/fd/{read_end}", n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -512,6 +518,50 @@ def test_model_file_rejects_inconsistent_tags(tmp_path, capsys, variant, drop_qa
     assert "variant" in capsys.readouterr().err
 
 
+def _damage_model_header(data, edit):
+    """`data`, a model file's bytes, with one header field broken as `edit` names."""
+    at = len(mio.MAGIC_MODEL)
+    if edit == "magic":
+        data[0] ^= 0xFF
+    elif edit == "version":
+        data[at:at + 2] = struct.pack("<H", 2)
+    elif edit == "variant-tag-0":
+        data[at + 2] = 0
+    elif edit == "variant-tag-past-last":
+        data[at + 2] = len(mdl.VARIANTS) + 1
+    else:
+        data += b"\x00"
+    return bytes(data)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("magic", "bad model magic"),
+    ("version", "unsupported model format version 2"),
+    ("variant-tag-0", "unknown variant tag 0"),
+    ("variant-tag-past-last", f"unknown variant tag {len(mdl.VARIANTS) + 1}"),
+    ("trailing-byte", "trailing bytes after payload"),
+])
+def test_a_damaged_model_container_is_input_error_for_every_command(
+        tmp_path, capsys, edit, message):
+    path = tmp_path / "damaged.model"
+    mio.write_model_file(path, saved_model_for(mdl.V1_WISHART_INFORMATIVE,
+                                               np.random.default_rng(4)))
+    path.write_bytes(_damage_model_header(bytearray(path.read_bytes()), edit))
+    with pytest.raises(mio.FormatError, match=message):
+        mio.read_model_file(path)
+    data, labels = write_sim_files(tmp_path, d=3)
+    corpus = ["--data", str(data), "--labels", str(labels)]
+    out = tmp_path / "out"
+    for argv in (["elbo", "--model", str(path), *corpus],
+                 ["adapt", "--prior", str(path), *corpus, "--out", f"{out}.model", "--iters", "5"],
+                 ["simulate", "--model", str(path), "--speakers", "3", "--per-speaker", "2",
+                  "--seed", "1", "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 def elbo_exit_code(tmp_path, saved):
     path = tmp_path / "m.model"
     mio.write_model_file(path, saved)
@@ -695,6 +745,35 @@ def test_ard_fit_of_data_scaled_by_1e_minus_12(tmp_path, capsys):
     train_then_elbo(tmp_path, capsys, data, labels,
                     ["--variant", mdl.V1_WISHART_NONINFORMATIVE, "--ny", "2",
                      "--mindiv-every", "10", "--iters", "200"])
+
+
+@pytest.mark.parametrize("variant, adapt", [
+    (mdl.V1_WISHART_INFORMATIVE, False),
+    (mdl.V1_WISHART_NONINFORMATIVE, False),
+    (mdl.V2_GAMMA_DIAGONAL, False),
+    (mdl.V2_GAMMA_ISOTROPIC, False),
+    (mdl.V2_GAMMA_ISOTROPIC, True),
+], ids=["V1-Wishart-informative", "V1-Wishart-noninformative", "V2-Gamma-diagonal",
+        "V2-Gamma-isotropic", "V4-adapt-of-V2-Gamma-isotropic"])
+def test_zero_sweep_model_stores_the_bound_elbo_prints(tmp_path, capsys, variant, adapt):
+    # a fit with no sweep ends, like every fit, in the stored_bound that `elbo`
+    # evaluates, and its trace holds no sweep
+    data, labels = spec_corpus(tmp_path)
+    corpus = ["--data", str(data), "--labels", str(labels)]
+    model, trace = tmp_path / "m.model", tmp_path / "t.csv"
+    assert main(["train", *corpus, "--variant", variant, "--ny", "2", "--out", str(model),
+                 "--trace", str(trace), "--iters", "20" if adapt else "0"]) == 0
+    if adapt:
+        adapted = tmp_path / "adapted.model"
+        assert main(["adapt", "--prior", str(model), *corpus, "--out", str(adapted),
+                     "--trace", str(trace), "--iters", "0"]) == 0
+        model = adapted
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("iteration,total,")
+    capsys.readouterr()
+    assert main(["elbo", "--model", str(model), *corpus]) == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert f"{mio.read_model_file(model).elbo:.17g}" == printed["total"]
 
 
 def test_model_file_with_zero_rank_header_is_input_error(tmp_path, capsys):
@@ -940,6 +1019,11 @@ class TestCli:
             ("--hyperopt-every", "-1", "hyperopt_every"),
             ("--mindiv-every", "-1", "mindiv_every"),
             ("--tol", "nan", "elbo_rel_tol"),
+            ("--tol", "inf", "elbo_rel_tol"),
+            ("--tol", "1e400", "elbo_rel_tol"),
+            ("--iters", "-1", "max_iterations"),
+            ("--anneal", "0.5:2,0.8:1", "anneal_schedule must end at kappa = 1"),
+            ("--ny", "0", "latent rank must be at least 1"),
         ]:
             rc = main([
                 "train", "--data", str(data), "--labels", str(labels), "--out", str(model),
@@ -1067,6 +1151,16 @@ class TestCli:
         assert rc == 3
         assert "not positive definite" in capsys.readouterr().err
         assert not model.exists() and not trace.exists()
+
+    def test_train_config_rejects_an_unknown_variant(self, tmp_path, capsys):
+        data, labels = write_sim_files(tmp_path)
+        cfg, model = tmp_path / "t.cfg", tmp_path / "m.model"
+        cfg.write_text("variant = V5-Gamma-full\n")
+        rc = main(["train", "--data", str(data), "--labels", str(labels), "--config", str(cfg),
+                   "--out", str(model), "--iters", "3"])
+        assert rc == 2
+        assert "unknown variant 'V5-Gamma-full'" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_train_rejects_adaptation_variants(self, tmp_path):
         data, labels = write_sim_files(tmp_path)
@@ -1203,17 +1297,27 @@ class TestCli:
                 last_total = fit_trace.read_text().splitlines()[-1].split(",")[1]
                 assert printed["total"] == last_total, (variant, fitted.name)
 
-    def test_simulate_from_model_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("variant, whiten", [(mdl.V1_WISHART_INFORMATIVE, False),
+                                                 (mdl.V2_GAMMA_DIAGONAL, True)])
+    def test_simulate_from_model_round_trip(self, tmp_path, variant, whiten):
+        # a whitened model is stored in rotated coordinates; simulate rotates
+        # mu, V and W back by R = the stored rotation: R mu, R V, R W R^T
         data, labels = write_sim_files(tmp_path)
-        model = tmp_path / "m.model"
-        main([
-            "train", "--data", str(data), "--labels", str(labels), "--out", str(model),
-            "--variant", "V1-Wishart-informative", "--ny", "2", "--iters", "20",
-        ])
+        cfg, model = tmp_path / "t.cfg", tmp_path / "m.model"
+        cfg.write_text(f"whiten = {str(whiten).lower()}\n")
+        assert main([
+            "train", "--data", str(data), "--labels", str(labels), "--config", str(cfg),
+            "--out", str(model), "--variant", variant, "--ny", "2", "--iters", "20",
+        ]) == 0
         rc = main([
             "simulate", "--model", str(model), "--speakers", "4", "--per-speaker", "3",
             "--seed", "13", "--out", str(tmp_path / "resim"),
         ])
         assert rc == 0
         vectors = read_vectors(tmp_path / "resim.data", 12)
-        assert vectors.shape == (12, 4)
+        saved = mio.read_model_file(model)
+        assert (saved.rotation is not None) == whiten
+        r = np.eye(4) if saved.rotation is None else saved.rotation
+        params = ModelParams(mu=r @ saved.mu, V=r @ saved.V, W=r @ saved.W @ r.T)
+        expected, _, _ = sample(GenSpec(params=params, counts=(3,) * 4, seed=13))
+        assert np.array_equal(vectors, expected.vectors)

@@ -10,12 +10,17 @@ V2-Gamma-diagonal and V2-Gamma-isotropic on two corpora at d = 40: there q(W)
 inverts matrices through several levels of the triangular inverse's block
 recursion, and the Gamma arms' pooled sums run over enough entries for numpy's
 pairwise summation.
-Last it trains and adapts V1-Wishart-informative at d = 37, an odd order, so
+Then it trains and adapts V1-Wishart-informative at d = 37, an odd order, so
 the triangular inverse splits its blocks unequally and pads the leading one.
+Last it trains V1-Wishart-informative and V2-Gamma-diagonal on the first d = 5
+corpus with `--iters 0`, adapts each with `--iters 0` and runs `elbo` on each
+of these models, which no sweep has touched.
 It prints each command's exit code, one line per model file, trace CSV and
-`elbo` output, and one `elbo == trace` line per model: `elbo` on the corpus a
-model was fitted to must print the last total of that fit's trace exactly. A
-change that must keep behaviour prints the same lines before and after:
+`elbo` output, one `elbo == trace` line per model whose fit ran a sweep and
+one `elbo == stored` line per model: `elbo` on the corpus a model was fitted
+to must print the last total of that fit's trace and the `elbo` the model's
+header stores, exactly. A change that must keep behaviour prints the same
+lines before and after:
 
     python3 tools/variant_digests.py > before.txt   # on the old commit
     python3 tools/variant_digests.py > after.txt
@@ -25,9 +30,9 @@ Everything is written to a temporary directory that is removed on exit, or,
 with `--keep DIR`, to DIR, which is kept; `tools/variant_drift.py` compares
 two kept directories number by number.
 
-Every command is expected to exit 0 and every `elbo == trace` line to read
-`==`; the script exits with status 1 if either fails, after printing every
-line.
+Every command is expected to exit 0 and every `elbo == trace` and
+`elbo == stored` line to read `==`; the script exits with status 1 if any
+fails, after printing every line.
 """
 
 import os
@@ -48,6 +53,7 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bsplda.cli import main  # noqa: E402
+from bsplda.io import read_model_file  # noqa: E402
 
 SPEC = "ny = 2\nmu = 0.5\nv_scale = 1.5\nw_scale = 2.0\n"
 # Every key an arm or the loading prior reads, away from its default; nu_d follows.
@@ -79,6 +85,9 @@ MULTI_BLOCK_RUNS = (("v2-diagonal-blocks", "V2-Gamma-diagonal", False),)
 # 4 rows and adapt speakers 3
 CORPORA = (("", 5, 9, 40, 10, TRAIN_RUNS), ("-d40", 40, 45, 60, 20, HIGH_DIM_RUNS),
            ("-d37", 37, 42, 60, 20, ODD_DIM_RUNS), ("-blocks", 5, 9, 1600, 2100, MULTI_BLOCK_RUNS))
+# trained and adapted with `--iters 0` on the first corpus, after every other run
+ZERO_SWEEP_RUNS = (("v1-informative-0-sweeps", "V1-Wishart-informative", False),
+                   ("v2-diagonal-0-sweeps", "V2-Gamma-diagonal", False))
 
 
 def sha256(data):
@@ -103,31 +112,37 @@ def digest_files(*paths):
         print(f"{text}  {path.name}")
 
 
-def elbo(work, name, corpus, failed):
+def elbo(work, name, corpus, failed, swept):
     """Run `elbo` on a model; keep its output as NAME.elbo and print the digest.
 
     Then print whether the printed total equals, digit for digit, the last total
-    of the trace CSV that the model's own fit wrote on the same corpus; a
-    mismatch is added to `failed`.
+    of the trace CSV that the model's own fit wrote on the same corpus, when
+    that fit `swept`, and the `elbo` in the model's header; a mismatch is added
+    to `failed`.
     """
-    path = work / f"{name}.elbo"
-    printed = run(f"elbo {name}", ["elbo", "--model", str(work / f"{name}.model"), *corpus],
-                  failed)
+    path, model = work / f"{name}.elbo", work / f"{name}.model"
+    printed = run(f"elbo {name}", ["elbo", "--model", str(model), *corpus], failed)
     path.write_text(printed)
     digest_files(path)
     total = dict(line.split("=", 1) for line in printed.splitlines()).get("total")
     trace = work / f"{name}.csv"
-    last = trace.read_text().splitlines()[-1].split(",")[1] if trace.exists() else None
-    equal = total is not None and total == last
-    print(f"elbo {'==' if equal else '!='} trace  {name}")
-    if not equal:
-        failed.append(f"elbo != trace {name}")
+    expected = {}
+    if swept:
+        expected["trace"] = (trace.read_text().splitlines()[-1].split(",")[1]
+                             if trace.exists() else None)
+    expected["stored"] = f"{read_model_file(model).elbo:.17g}" if model.exists() else None
+    for source, value in expected.items():
+        equal = total is not None and total == value
+        print(f"elbo {'==' if equal else '!='} {source}  {name}")
+        if not equal:
+            failed.append(f"elbo != {source} {name}")
 
 
 def main_digests(work):
     """Print every line; return the labels of the commands that exited non-zero
     and of the models whose `elbo` missed their trace."""
     failed = []
+    corpora = {}
     for suffix, d, nu_d, train_speakers, adapt_speakers, runs in CORPORA:
         spec = work / f"sim{suffix}.cfg"
         spec.write_text(f"d = {d}\n" + SPEC)
@@ -139,26 +154,32 @@ def main_digests(work):
                                              "--speakers", str(speakers), "--per-speaker", str(per),
                                              "--seed", str(seed), "--out", str(out)], failed)
             corpus[name] = ["--data", f"{out}.data", "--labels", f"{out}.labels"]
+        corpora[suffix] = nu_d, corpus
         for name, variant, whiten in runs:
             train_and_adapt(work, name, variant, whiten, nu_d, corpus, failed)
+    for name, variant, whiten in ZERO_SWEEP_RUNS:
+        train_and_adapt(work, name, variant, whiten, *corpora[""], failed, sweeps=0)
     return failed
 
 
-def train_and_adapt(work, name, variant, whiten, nu_d, corpus, failed):
+def train_and_adapt(work, name, variant, whiten, nu_d, corpus, failed, sweeps=None):
+    """Train and adapt with the flags above, or with at most `sweeps` sweeps
+    each when it is given."""
+    budget = [] if sweeps is None else ["--iters", str(sweeps)]  # the later flag wins
     config = work / f"{name}.cfg"
     config.write_text(TRAIN_CONFIG + f"nu_d = {nu_d}\n" + ("whiten = true\n" if whiten else ""))
     model, trace = work / f"{name}.model", work / f"{name}.csv"
     run(f"train {name}", ["train", *corpus["train"], "--config", str(config),
                           "--variant", variant, "--out", str(model), "--trace", str(trace),
-                          *TRAIN_FLAGS], failed)
+                          *TRAIN_FLAGS, *budget], failed)
     digest_files(model, trace)
-    elbo(work, name, corpus["train"], failed)
+    elbo(work, name, corpus["train"], failed, swept=sweeps != 0)
 
     adapted, adapted_trace = work / f"{name}-adapted.model", work / f"{name}-adapted.csv"
     run(f"adapt {name}", ["adapt", "--prior", str(model), *corpus["adapt"], "--out", str(adapted),
-                          "--trace", str(adapted_trace), *ADAPT_FLAGS], failed)
+                          "--trace", str(adapted_trace), *ADAPT_FLAGS, *budget], failed)
     digest_files(adapted, adapted_trace)
-    elbo(work, f"{name}-adapted", corpus["adapt"], failed)
+    elbo(work, f"{name}-adapted", corpus["adapt"], failed, swept=sweeps != 0)
 
 
 if __name__ == "__main__":
