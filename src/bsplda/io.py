@@ -68,7 +68,7 @@ def _read_f64(f, shape):
     while len(buf) < size:
         chunk = f.read(min(size - len(buf), _READ_CHUNK))
         if not chunk:
-            raise FormatError("truncated file")
+            raise FormatError(f"{f.name}: truncated file")
         buf += chunk
     arr = np.frombuffer(buf, dtype="<f8")
     return arr.reshape(shape) if shape else float(arr[0])
@@ -90,7 +90,7 @@ def _read_scalar(f, fmt):
     size = struct.calcsize(fmt)
     buf = f.read(size)
     if len(buf) != size:
-        raise FormatError("truncated file")
+        raise FormatError(f"{f.name}: truncated file")
     return struct.unpack(fmt, buf)[0]
 
 

@@ -66,6 +66,10 @@ def test_data_file_rejects_corruption(tmp_path):
     trailing.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(mio.FormatError, match="trailing"):
         read_vectors(trailing, 3)
+    cut = tmp_path / "cut.data"
+    cut.write_bytes(path.read_bytes()[:14])  # magic and version, no d
+    with pytest.raises(mio.FormatError, match="cut.data: truncated file"):
+        read_vectors(cut, 3)
     version = tmp_path / "v2.data"
     version.write_bytes(mio.MAGIC_DATA + struct.pack("<H", 2) + path.read_bytes()[14:])
     with pytest.raises(mio.FormatError, match="unsupported data format version 2"):

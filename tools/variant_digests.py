@@ -125,9 +125,9 @@ def elbo(work, name, corpus, failed, swept):
     path.write_text(printed)
     digest_files(path)
     total = dict(line.split("=", 1) for line in printed.splitlines()).get("total")
-    trace = work / f"{name}.csv"
     expected = {}
     if swept:
+        trace = work / f"{name}.csv"
         expected["trace"] = (trace.read_text().splitlines()[-1].split(",")[1]
                              if trace.exists() else None)
     expected["stored"] = f"{read_model_file(model).elbo:.17g}" if model.exists() else None
@@ -140,7 +140,7 @@ def elbo(work, name, corpus, failed, swept):
 
 def main_digests(work):
     """Print every line; return the labels of the commands that exited non-zero
-    and of the models whose `elbo` missed their trace."""
+    and of the models whose `elbo` missed their trace or their header."""
     failed = []
     corpora = {}
     for suffix, d, nu_d, train_speakers, adapt_speakers, runs in CORPORA:
@@ -158,14 +158,13 @@ def main_digests(work):
         for name, variant, whiten in runs:
             train_and_adapt(work, name, variant, whiten, nu_d, corpus, failed)
     for name, variant, whiten in ZERO_SWEEP_RUNS:
-        train_and_adapt(work, name, variant, whiten, *corpora[""], failed, sweeps=0)
+        train_and_adapt(work, name, variant, whiten, *corpora[""], failed, swept=False)
     return failed
 
 
-def train_and_adapt(work, name, variant, whiten, nu_d, corpus, failed, sweeps=None):
-    """Train and adapt with the flags above, or with at most `sweeps` sweeps
-    each when it is given."""
-    budget = [] if sweeps is None else ["--iters", str(sweeps)]  # the later flag wins
+def train_and_adapt(work, name, variant, whiten, nu_d, corpus, failed, swept=True):
+    """Train and adapt with the flags above; unless `swept`, with `--iters 0`."""
+    budget = [] if swept else ["--iters", "0"]  # the later flag wins
     config = work / f"{name}.cfg"
     config.write_text(TRAIN_CONFIG + f"nu_d = {nu_d}\n" + ("whiten = true\n" if whiten else ""))
     model, trace = work / f"{name}.model", work / f"{name}.csv"
@@ -173,13 +172,13 @@ def train_and_adapt(work, name, variant, whiten, nu_d, corpus, failed, sweeps=No
                           "--variant", variant, "--out", str(model), "--trace", str(trace),
                           *TRAIN_FLAGS, *budget], failed)
     digest_files(model, trace)
-    elbo(work, name, corpus["train"], failed, swept=sweeps != 0)
+    elbo(work, name, corpus["train"], failed, swept)
 
     adapted, adapted_trace = work / f"{name}-adapted.model", work / f"{name}-adapted.csv"
     run(f"adapt {name}", ["adapt", "--prior", str(model), *corpus["adapt"], "--out", str(adapted),
                           "--trace", str(adapted_trace), *ADAPT_FLAGS, *budget], failed)
     digest_files(adapted, adapted_trace)
-    elbo(work, f"{name}-adapted", corpus["adapt"], failed, swept=sweeps != 0)
+    elbo(work, f"{name}-adapted", corpus["adapt"], failed, swept)
 
 
 if __name__ == "__main__":
