@@ -66,6 +66,22 @@ _FIT_SETTINGS = (
     ("seed", "seed", int),
 )
 
+# The keys a config file may set: train and adapt read the training keys,
+# simulate --spec the simulation keys. Any other key is an input error.
+_TRAIN_KEYS = ("variant", "ny", *(key for _, key, _ in _FIT_SETTINGS), "whiten",
+               "a_alpha", "b_alpha", "mu0", "beta", "a_w", "b_w", "psi0_scale", "nu_d")
+_SPEC_KEYS = ("d", "ny", "mu", "v_scale", "w_scale")
+
+
+def _read_config(path, keys):
+    """The settings of the config file at `path`, none without one; a key
+    outside `keys` is an input error."""
+    config = mio.parse_config(path) if path else {}
+    unknown = [key for key in config if key not in keys]
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {unknown}; the keys are {', '.join(keys)}")
+    return config
+
 
 # a yes/no config value, in any case; anything else is an input error
 _SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -127,8 +143,8 @@ def _load_stats(args, saved=None):
 
 
 def cmd_train(args):
+    config = _read_config(args.config, _TRAIN_KEYS)
     stats = _load_stats(args)
-    config = mio.parse_config(args.config) if args.config else {}
     variant = args.variant or config.get("variant", mdl.V1_WISHART_NONINFORMATIVE)
     if variant not in mdl.VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -141,6 +157,7 @@ def cmd_train(args):
 
 
 def cmd_adapt(args):
+    config = _read_config(args.config, _TRAIN_KEYS)
     saved = mio.read_model_file(args.prior)
     stats = _load_stats(args, saved)
     arm = mdl.SCHEMES[saved.variant][1]
@@ -155,7 +172,6 @@ def cmd_adapt(args):
         v_row_precisions=saved.qv.prec,
         **arm.adaptation_prior(saved.qw),
     )
-    config = mio.parse_config(args.config) if args.config else {}
     fit_config = _build_fit_config(config, args)
     state, params, report = fit_stats(stats, prior, fit_config, saved.rank)
     _save_fit(args, state, params, report, saved.rotation)
@@ -200,7 +216,7 @@ def cmd_simulate(args):
             mu, v, w = r @ mu, r @ v, r @ w @ r.T
         params = ModelParams(mu=mu, V=v, W=w)
     else:
-        params = _params_from_spec_config(mio.parse_config(args.spec), args.seed)
+        params = _params_from_spec_config(_read_config(args.spec, _SPEC_KEYS), args.seed)
     counts = (args.per_speaker,) * args.speakers
     dataset, partition, _ = sample(GenSpec(params=params, counts=counts, seed=args.seed))
     mio.write_data_file(args.out + ".data", dataset.vectors)

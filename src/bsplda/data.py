@@ -20,16 +20,17 @@ __all__ = [
 ]
 
 
-# Rows per block of the statistics. The scatter is the sum, in block order, of
-# X_b^T X_b over blocks of this many rows, in `accumulate` and in a container
-# read by `io.read_data_blocks` alike. Blocks of 1024 rows or more add their
-# scatters as fast as one X^T X; the README gives the measured table.
+# Rows per piece of the statistics and per block of a container: the scatter
+# is the sum, in order, of X_b^T X_b over pieces of this many rows. Pieces of
+# 1024 rows or more add their scatters as fast as one X^T X; the README gives
+# the measured table.
 BLOCK_ROWS = 2048
 
-# A block product X_b^T X_b of at least this many multiply-adds (rows d^2, a
-# full block at d = 128) is formed on a worker while the calling thread goes
-# on. The README gives the measurements behind the value: the statistics alone
-# gained from d = 80, a whole training job at d = 300 but not at d = 100.
+# A piece's product X_b^T X_b of at least this many multiply-adds (rows d^2,
+# a full piece at d = 128), and a block's sum task when its first piece's
+# product is, run on a worker while the calling thread goes on. The README
+# gives the measurements behind the value: the statistics alone gained from
+# d = 80, a whole training job at d = 300 but not at d = 100.
 POOL_MIN_BLOCK_WORK = 1 << 25
 
 # Dataset checks finiteness over row blocks of about this many entries, so no
@@ -87,12 +88,6 @@ class SpeakerPartition:
             raise ValueError(f"speaker {missing} has no vectors")
         object.__setattr__(self, "assignment", assignment)
 
-    def check_compatible(self, dataset):
-        if self.assignment.size != dataset.n:
-            raise ValueError(
-                f"partition covers {self.assignment.size} rows, dataset has {dataset.n}"
-            )
-
 
 @dataclass(frozen=True)
 class SuffStats:
@@ -141,55 +136,54 @@ class SuffStats:
 
 
 def accumulate(dataset, partition):
-    """Sufficient statistics of a dataset under a speaker partition, bit for bit
-    `accumulate_blocks` on its rows in blocks of BLOCK_ROWS, as a container is read.
-
-    The speaker sums are added over the whole array in one pass, which gives the
-    bits of the block-by-block pass at less cost. When the block products go to
-    the workers, so does that pass, and this thread adds the products.
-    """
-    partition.check_compatible(dataset)
-    x = dataset.vectors
-    sums = _start(partial(_add_rows, None, x, partition.assignment, partition.n_speakers), x[:BLOCK_ROWS])
-    scatter = _scatter(x[i:i + BLOCK_ROWS] for i in range(0, dataset.n, BLOCK_ROWS))
-    counts = np.bincount(partition.assignment, minlength=partition.n_speakers)
-    return _finite(SuffStats(counts=counts, spk_sums=sums(), scatter_total=scatter))
+    """Sufficient statistics of a dataset under a speaker partition: those of
+    `accumulate_blocks` on its rows as one block."""
+    return accumulate_blocks((dataset.vectors,), partition)
 
 
 def accumulate_blocks(blocks, partition):
     """Sufficient statistics of consecutive row blocks that together hold the
     partition's rows in order.
 
-    Each block adds its rows to the speaker sums and its X_b^T X_b to the
-    scatter, in block order, so memory is the M x d sums, the d x d scatter,
-    two block products and the blocks. Each speaker's sum adds its rows one at
-    a time in ascending row order, across blocks too, bit for bit a sequential
-    loop. The scatter's bits are fixed by the blocking: blocks of BLOCK_ROWS
-    rows give those of `accumulate`.
+    Each block adds its rows to the speaker sums as one task, and the products
+    X_b^T X_b of its BLOCK_ROWS-row pieces to the scatter, in order. Each
+    speaker's sum adds its rows one at a time in ascending row order, across
+    blocks too, bit for bit a sequential loop. The scatter's bits are fixed by
+    the pieces: blocks of a multiple of BLOCK_ROWS rows, the last excepted,
+    give those of `accumulate`; no bit depends on the thread that runs a task.
 
-    A block's product starts before this thread adds the block's rows and
-    draws the next block, and it is added before the block after next is
-    drawn, so a block must stay unchanged until then.
+    A block's sum task starts before its products and finishes before the next
+    block's starts. A product is added before the piece after next is reached,
+    so memory is the M x d sums, the d x d scatter, two products and the
+    blocks. Every task has finished when this returns or raises.
     """
     assignment = partition.assignment
-    sums = None
-
-    def summed():
-        nonlocal sums
-        start = 0
+    sums = lambda: None  # the speaker sums so far, once the last block's task has run
+    scatter = product = None  # the products added so far; the last one started
+    stop = 0
+    try:
         for x in blocks:
-            stop = start + x.shape[0]
+            start, stop = stop, stop + x.shape[0]
             if stop > assignment.size:
                 raise ValueError(f"blocks hold more than the partition's {assignment.size} rows")
-            yield x
-            sums = _add_rows(sums, x, assignment[start:stop], partition.n_speakers)
-            start = stop
-        if start != assignment.size:
-            raise ValueError(f"blocks hold {start} rows, the partition covers {assignment.size}")
-
-    scatter = _scatter(summed())
+            task = partial(_add_rows, sums(), x, assignment[start:stop], partition.n_speakers)
+            sums = _start(task, x[:BLOCK_ROWS])
+            for piece in (x[i:i + BLOCK_ROWS] for i in range(0, x.shape[0], BLOCK_ROWS)):
+                started = _start(partial(np.matmul, piece.T, piece), piece)
+                if product is not None:
+                    scatter = _added(scatter, product())
+                product = started
+        if stop != assignment.size:
+            raise ValueError(f"blocks hold {stop} rows, the partition covers {assignment.size}")
+        scatter, spk_sums = _added(scatter, product()), sums()
+    except BaseException:
+        for task in (product, sums):  # no worker reads a block after the error leaves
+            if task is not None:
+                with contextlib.suppress(Exception):
+                    task()
+        raise
     counts = np.bincount(assignment, minlength=partition.n_speakers)
-    return _finite(SuffStats(counts=counts, spk_sums=sums, scatter_total=scatter))
+    return _finite(SuffStats(counts=counts, spk_sums=spk_sums, scatter_total=scatter))
 
 
 def _finite(stats):
@@ -212,28 +206,6 @@ def _start(task, block):
         return workers.start(task)
     result = task()
     return lambda: result
-
-
-def _scatter(blocks):
-    """The sum of X_b^T X_b over the blocks, added in block order.
-
-    Each product starts when its block is drawn and is added before the block
-    after next is drawn, so at most two are alive, and it is the same SYRK on
-    any thread: no bit depends on the worker count.
-    """
-    scatter = pending = None
-    try:
-        for x in blocks:
-            product = _start(partial(np.matmul, x.T, x), x)
-            if pending is not None:
-                scatter = _added(scatter, pending())
-            pending = product
-    except BaseException:
-        if pending is not None:  # no worker reads a block after the error leaves
-            with contextlib.suppress(Exception):
-                pending()
-        raise
-    return _added(scatter, pending())
 
 
 def _added(scatter, product):

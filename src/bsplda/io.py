@@ -7,6 +7,7 @@ are bit-exact and outputs are byte-identical across platforms.
 import array
 import math
 import os
+import re
 import stat
 import struct
 from dataclasses import dataclass, fields
@@ -38,7 +39,7 @@ __all__ = [
 MAGIC_DATA = b"BSPLDA-DATA\x00"
 MAGIC_MODEL = b"BSPLDA-MODEL\x00"
 FORMAT_VERSION = 1
-_READ_CHUNK = 1 << 18  # bytes per read of a model payload
+_READ_CHUNK = 1 << 18  # bytes per read of a payload from a pipe
 
 
 class FormatError(ValueError):
@@ -50,27 +51,36 @@ def _write_f64(f, arr):
 
 
 def _check_payload_size(f, size):
-    """A header's payload size (a Python int, so its dimensions cannot wrap it
-    around) must fit in the rest of a regular file; a pipe has no size to check."""
+    """Whether `f` is a regular file, whose rest must then hold a header's
+    payload size (a Python int, so its dimensions cannot wrap it around); a
+    pipe has no size to check."""
     info = os.fstat(f.fileno())
-    if stat.S_ISREG(info.st_mode) and size > info.st_size - f.tell():
-        raise FormatError(
-            f"header declares {size} payload bytes, the file has {info.st_size - f.tell()} left"
-        )
+    if not stat.S_ISREG(info.st_mode):
+        return False
+    if size > info.st_size - f.tell():
+        raise FormatError(f"header declares {size} payload bytes, the file has "
+                          f"{info.st_size - f.tell()} left")
+    return True
 
 
 def _read_f64(f, shape):
-    # A pipe is read in bounded chunks, so a header larger than the stream
-    # never allocates its size.
-    size = 8 * math.prod(shape)
-    _check_payload_size(f, size)
-    buf = bytearray()
-    while len(buf) < size:
-        chunk = f.read(min(size - len(buf), _READ_CHUNK))
-        if not chunk:
+    """A fresh array of `shape` (a float for shape ()) read from `f`: at once from
+    a regular file, which holds the payload; in bounded chunks from a pipe, so a
+    header larger than the stream never allocates its size."""
+    count = math.prod(shape)
+    size = 8 * count
+    if _check_payload_size(f, size):
+        arr = np.empty(count, dtype="<f8")
+        if f.readinto(arr) != size:
             raise FormatError(f"{f.name}: truncated file")
-        buf += chunk
-    arr = np.frombuffer(buf, dtype="<f8")
+    else:
+        buf = bytearray()
+        while len(buf) < size:
+            chunk = f.read(min(size - len(buf), _READ_CHUNK))
+            if not chunk:
+                raise FormatError(f"{f.name}: truncated file")
+            buf += chunk
+        arr = np.frombuffer(buf, dtype="<f8")
     return arr.reshape(shape) if shape else float(arr[0])
 
 
@@ -106,15 +116,13 @@ def write_data_file(path, vectors):
 
 
 def read_data_blocks(path, n_rows):
-    """The payload of a data container, as consecutive blocks of at most BLOCK_ROWS rows.
+    """The payload of a data container, as consecutive fresh arrays of at most
+    BLOCK_ROWS rows.
 
     The header is checked before any payload is read: magic, version, d >= 1,
     N >= 1, N equal to `n_rows` (the label count), and, for a regular file,
     a payload that fits in it. A block with a non-finite entry, a payload
     shorter than its header declares and bytes after it are format errors.
-    The blocks are views of two buffers used in turn, so a block stays
-    unchanged until the block after next is read (`accumulate_blocks` forms a
-    block's product on a worker meanwhile).
     """
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC_DATA))
@@ -130,20 +138,8 @@ def read_data_blocks(path, n_rows):
         if n != n_rows:
             raise FormatError(f"{path}: {n_rows} label lines for {n} data rows")
         _check_payload_size(f, 8 * n * d)
-        rows = min(n, BLOCK_ROWS)
-        # the first block is read in bounded chunks, so a pipe whose header
-        # declares more than it carries never allocates a block of that size
-        first = _read_f64(f, (rows, d))
-        buffers = [first] if n == rows else [first, np.empty_like(first)]
-        for k, start in enumerate(range(0, n, rows)):
-            block = buffers[k % len(buffers)][:min(rows, n - start)]
-            view = memoryview(block).cast("B")
-            filled = 0 if k else view.nbytes  # the first block is read already
-            while filled < view.nbytes:  # a pipe may return less than asked
-                got = f.readinto(view[filled:])
-                if not got:
-                    raise FormatError(f"{path}: truncated file")
-                filled += got
+        for start in range(0, n, BLOCK_ROWS):
+            block = _read_f64(f, (min(BLOCK_ROWS, n - start), d))
             if not np.isfinite(block).all():
                 raise FormatError(
                     f"{path}: rows {start}..{start + block.shape[0] - 1} hold non-finite values"
@@ -154,11 +150,19 @@ def read_data_blocks(path, n_rows):
 
 
 def write_labels_file(path, ids, speaker_names):
+    """One '<record_id> <speaker_id>' line per row. A record id or speaker name
+    that is empty or holds whitespace would not read back: a ValueError naming
+    its row, before the file is created."""
     if len(ids) != len(speaker_names):
         raise ValueError("ids and speaker names differ in length")
+    text = "".join([f"{rec} {spk}\n" for rec, spk in zip(ids, speaker_names)])
+    if not re.fullmatch(r"(?:\S+ \S+\n)*", text):  # lines that read back as the names they hold
+        row = next(row for row, names in enumerate(zip(ids, speaker_names))
+                   if any(str(name).split() != [str(name)] for name in names))
+        raise ValueError(f"row {row}: record id {ids[row]!r} or speaker {speaker_names[row]!r} "
+                         f"is empty or holds whitespace")
     with open(path, "w", encoding="utf-8") as f:
-        for rec, spk in zip(ids, speaker_names):
-            f.write(f"{rec} {spk}\n")
+        f.write(text)
 
 
 def read_labels_file(path):
@@ -337,8 +341,9 @@ def read_model_file(path):
 
 
 def parse_config(path):
-    """Line-oriented 'key = value' text; '#' starts a comment."""
-    values = {}
+    """Line-oriented 'key = value' text; '#' starts a comment. A key set twice
+    is a format error."""
+    values, lines = {}, {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -347,7 +352,10 @@ def parse_config(path):
             if "=" not in line:
                 raise FormatError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise FormatError(f"{path}: key {key!r} is set on lines {lines[key]} and {lineno}")
+            values[key], lines[key] = value.strip(), lineno
     return values
 
 

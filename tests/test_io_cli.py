@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import bsplda.model as mdl
-from bsplda import io as mio, workers
+from bsplda import cli, io as mio, workers
 from bsplda.cli import _build_fit_config, _load_stats, build_parser, main
 from bsplda.data import Dataset, SpeakerPartition, accumulate, accumulate_blocks
 from bsplda.engine import FitConfig
@@ -31,8 +32,8 @@ def file_digest(path):
 
 
 def read_vectors(path, n_rows):
-    """The whole payload of a data container, copied out of the reader's reused block."""
-    return np.concatenate([block.copy() for block in mio.read_data_blocks(path, n_rows)])
+    """The whole payload of a data container."""
+    return np.concatenate(list(mio.read_data_blocks(path, n_rows)))
 
 
 def test_data_file_round_trip(tmp_path):
@@ -239,6 +240,54 @@ def test_accumulate_equals_the_streamed_statistics(tmp_path, case):
         assert np.array_equal(getattr(stats, name), getattr(full, name)), name
 
 
+def test_every_block_keeps_its_rows_after_later_blocks_are_read(tmp_path):
+    # each block is an array of its own, not a view of a buffer the reader reuses
+    rng = np.random.default_rng(29)
+    b = mio.BLOCK_ROWS
+    vectors = rng.normal(size=(2 * b + 5, 3))
+    data, _ = write_corpus(tmp_path, vectors, np.arange(vectors.shape[0]) % 4)
+    blocks = list(mio.read_data_blocks(data, vectors.shape[0]))
+    assert [block.shape[0] for block in blocks] == [b, b, 5]
+    for start, block in zip(range(0, vectors.shape[0], b), blocks):
+        assert np.array_equal(block, vectors[start:start + b])
+
+
+def file_pipe(path):
+    """(read end, writer thread) of a pipe that carries the bytes of a file."""
+    read_end, write_end = os.pipe()
+
+    def writer():
+        with os.fdopen(write_end, "wb") as f:
+            f.write(path.read_bytes())
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    return read_end, thread
+
+
+def test_a_container_read_through_a_pipe_gives_the_files_vectors_and_statistics(tmp_path):
+    # a 2048-row block of 20 doubles is more than one 256 KiB chunk of a pipe
+    rng = np.random.default_rng(30)
+    vectors = rng.normal(size=(2 * mio.BLOCK_ROWS + 5, 20))
+    data, labels = write_corpus(tmp_path, vectors, rng.integers(0, 60, size=vectors.shape[0]))
+    read_end, thread = file_pipe(data)
+    try:
+        assert np.array_equal(read_vectors(f"/dev/fd/{read_end}", vectors.shape[0]), vectors)
+    finally:
+        os.close(read_end)  # a writer the reader left behind fails, so the join returns
+        thread.join(60)
+    read_end, writer = file_pipe(data)
+    try:
+        piped = streamed_stats(f"/dev/fd/{read_end}", labels)
+    finally:
+        os.close(read_end)
+        writer.join(60)
+    assert not thread.is_alive() and not writer.is_alive()
+    stats = streamed_stats(data, labels)
+    for name in ("counts", "spk_sums", "scatter_total"):
+        assert np.array_equal(getattr(piped, name), getattr(stats, name)), name
+
+
 @pytest.fixture(params=[1, 2], ids=["one-worker", "two-workers"])
 def worker_threads(request, monkeypatch):
     """Force the worker count; returns it and the names of the threads that ran
@@ -283,22 +332,50 @@ def test_statistics_do_not_depend_on_the_worker_count(tmp_path, worker_threads):
         assert np.array_equal(stats.scatter_total, scatter)
         assert np.array_equal(stats.spk_sums, sums)
     pooled = [name.startswith("bsplda-worker") for name in threads]
-    # the library's sums pass and two full blocks from each source
-    assert len(pooled) == 5 and all(pooled) == (count > 1)
+    # the products of the two full pieces from each source, the library's one
+    # block's sum task and the sum tasks of the two full streamed blocks
+    assert len(pooled) == 7 and all(pooled) == (count > 1)
 
 
-def test_a_failing_block_source_leaves_no_product_running(monkeypatch):
-    # the source fails after two blocks, the second product still forming:
-    # the error leaves accumulate_blocks only once no worker reads a block
+def test_blocks_of_several_pieces_give_the_statistics_of_accumulate(worker_threads):
+    # blocks of 2 BLOCK_ROWS, BLOCK_ROWS and 5 rows at d = 130, where every
+    # full piece's product and every full block's sum task is worth a worker;
+    # speaker 0 has rows in every block
+    count, threads = worker_threads
+    rng = np.random.default_rng(47)
+    b = mio.BLOCK_ROWS
+    n = 3 * b + 5
+    assignment = np.r_[np.arange(30), rng.integers(0, 30, size=n - 30)]
+    assignment[::b] = 0
+    vectors = rng.normal(size=(n, 130)) + rng.normal(size=130)
+    dataset, partition = in_label_order(vectors, assignment)
+    blocks = accumulate_blocks((vectors[:2 * b], vectors[2 * b:3 * b], vectors[3 * b:]), partition)
+    whole = accumulate(dataset, partition)
+    for name in ("counts", "spk_sums", "scatter_total", "sum_total"):
+        assert np.array_equal(getattr(blocks, name), getattr(whole, name)), name
+    # three products and two sum tasks from the blocks, three products and one
+    # sum task from the whole array
+    assert len(threads) == 9
+
+
+@pytest.mark.parametrize("slow", ["sums", "product"])
+def test_a_failing_block_source_leaves_no_product_running(monkeypatch, slow):
+    # the source fails after two blocks while the second block's sum task and
+    # product still run, the `slow` one longest: the error leaves
+    # accumulate_blocks only once every task it started has finished
     monkeypatch.setattr(workers, "count", lambda: 2)
-    start, started, finished = workers.start, [], []
+    start, started, finished, failing = workers.start, [], [], threading.Event()
 
     def recorded(task):
         def run():
+            if second_block:
+                assert failing.wait(10)
+                time.sleep(0.2 if (task.func is np.matmul) == (slow == "product") else 0)
             result = task()
             finished.append(1)
             return result
 
+        second_block = len(started) >= 2
         started.append(1)
         return start(run)
 
@@ -308,12 +385,13 @@ def test_a_failing_block_source_leaves_no_product_running(monkeypatch):
     def blocks():
         yield x
         yield x
+        failing.set()
         raise mio.FormatError("bad block")
 
     partition = SpeakerPartition(assignment=np.arange(4 * mio.BLOCK_ROWS) % 3, n_speakers=3)
     with pytest.raises(mio.FormatError, match="bad block"):
         accumulate_blocks(blocks(), partition)
-    assert len(started) == 2 and len(finished) == 2
+    assert len(started) == 4 and len(finished) == 4
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -799,8 +877,8 @@ def test_model_file_with_zero_rank_header_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec_text, message", [
-    pytest.param("d = 3\nny = 2\nd = 0\n", "spec key d must be at least 1", id="d"),
-    pytest.param("d = 3\nny = 2\nny = 0\n", "spec key ny must be at least 1", id="ny"),
+    pytest.param("ny = 2\nd = 0\n", "spec key d must be at least 1", id="d"),
+    pytest.param("d = 3\nny = 0\n", "spec key ny must be at least 1", id="ny"),
     pytest.param("ny = 2\n", "spec must set d\n", id="d-missing"),
     pytest.param("d = 3\n", "spec must set ny\n", id="ny-missing"),
     pytest.param("mu = 0.5\n", "spec must set d and ny\n", id="both-missing"),
@@ -910,6 +988,80 @@ def test_parse_config(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(mio.FormatError):
         mio.parse_config(bad)
+
+
+def test_parse_config_refuses_a_key_set_twice(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("ny = 3\n# ny = 4\niters = 5\n  ny=2\n")
+    with pytest.raises(mio.FormatError, match="key 'ny' is set on lines 1 and 4"):
+        mio.parse_config(cfg)
+
+
+def test_train_and_adapt_accept_every_training_key_readme_lists(tmp_path, capsys):
+    # README's block of training keys verbatim, the budget cut to no sweep
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Training keys (all optional):", 1)[1].split("```")[1]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(block)
+    assert sorted(mio.parse_config(cfg)) == sorted(cli._TRAIN_KEYS)
+    data, labels = spec_corpus(tmp_path)
+    corpus = ["--data", str(data), "--labels", str(labels), "--config", str(cfg), "--iters", "0"]
+    model = tmp_path / "m.model"
+    assert main(["train", *corpus, "--ny", "2", "--out", str(model)]) == 0
+    assert main(["adapt", "--prior", str(model), *corpus, "--out", str(tmp_path / "a.model")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["train", "adapt", "simulate"])
+@pytest.mark.parametrize("text, message", [
+    pytest.param("iter = 3\n", "unknown keys ['iter']", id="iter"),
+    pytest.param("hyperopt-every = 2\n", "unknown keys ['hyperopt-every']", id="dashed-key"),
+    pytest.param("speakers = 3\nseeds = 1\n", "unknown keys ['speakers', 'seeds']", id="two-keys"),
+    pytest.param("ny = 2\nny = 3\n", "key 'ny' is set on lines 1 and 2", id="ny-twice"),
+])
+def test_a_config_key_no_command_reads_or_set_twice_exits_2(tmp_path, capsys, command, text, message):
+    # before, the last duplicate won and an unknown key was ignored
+    data, labels = spec_corpus(tmp_path)
+    corpus = ["--data", str(data), "--labels", str(labels)]
+    model = tmp_path / "m.model"
+    assert main(["train", *corpus, "--ny", "2", "--iters", "3", "--out", str(model)]) == 0
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "out"
+    if command == "simulate":
+        cfg.write_text(text + "d = 3\n")
+        argv = ["simulate", "--spec", str(cfg), "--speakers", "4", "--per-speaker", "2",
+                "--seed", "0", "--out", str(out)]
+    else:
+        cfg.write_text(text)
+        argv = [command, *corpus, "--config", str(cfg), "--out", str(out), "--trace", str(out) + ".csv"]
+        argv += ["--prior", str(model)] if command == "adapt" else []
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "m.model", "sim.data", "sim.labels",
+                                                          "spec.cfg"]
+
+
+@pytest.mark.parametrize("ids, speakers, message", [
+    pytest.param(["a b", "c"], ["s", "t"], "row 0: record id 'a b' or speaker 's'", id="id-with-a-space"),
+    pytest.param(["a", "b\nc"], ["s", "t"], "row 1: record id 'b\\nc' or speaker 't'",
+                 id="id-with-a-newline"),
+    pytest.param(["a", ""], ["s", "t"], "row 1: record id '' or speaker 't'", id="empty-id"),
+    pytest.param(["a", "b"], ["s 1", "t"], "row 0: record id 'a' or speaker 's 1'",
+                 id="speaker-with-a-space"),
+    pytest.param(["a", "b"], ["s", "t\u00a0u"], "row 1: record id 'b' or speaker 't\\xa0u'",
+                 id="speaker-with-nbsp"),
+])
+def test_labels_that_would_not_read_back_are_refused_before_the_file_exists(
+        tmp_path, ids, speakers, message):
+    # written as they are, each of these files fails read_labels_file
+    path = tmp_path / "x.labels"
+    with pytest.raises(ValueError, match=re.escape(message) + " is empty or holds whitespace"):
+        mio.write_labels_file(path, ids, speakers)
+    assert not path.exists()
+    path.write_text("".join(f"{rec} {spk}\n" for rec, spk in zip(ids, speakers)), encoding="utf-8")
+    with pytest.raises(mio.FormatError, match="expected '<record_id> <speaker_id>'"):
+        mio.read_labels_file(path)
 
 
 def write_sim_files(tmp_path, seed=5, speakers=18, per=3, d=4):
