@@ -1,6 +1,7 @@
 """Coordinate-ascent updates, deterministic annealing, minimum divergence, and fit."""
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,12 +42,6 @@ class VariationalState:
     iteration: int = 0
     kappa: float = 1.0
 
-    def __post_init__(self):
-        if mdl.SCHEMES[self.variant][0].has_alpha != (self.qalpha is not None):
-            raise ValueError(f"q(alpha) arm inconsistent with variant {self.variant}")
-        if not 0.0 < self.kappa <= 1.0:
-            raise ValueError(f"kappa must lie in (0, 1], got {self.kappa}")
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -59,19 +54,20 @@ class FitConfig:
     whiten: bool = False          # V2 rotation preprocessing
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        for name in ("max_iterations", "hyperopt_every", "mindiv_every", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):  # numpy integers included
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0 and name != "seed":
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if not 0 < self.elbo_rel_tol < math.inf:  # also rejects NaN
             raise ValueError(f"elbo_rel_tol must be positive and finite, got {self.elbo_rel_tol}")
-        for name in ("hyperopt_every", "mindiv_every"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0 (0 = off), got {getattr(self, name)}")
-        schedule = tuple((float(k), int(span)) for k, span in self.anneal_schedule)
+        schedule = tuple((float(k), span) for k, span in self.anneal_schedule)
         for kappa, span in schedule:
             if not 0.0 < kappa <= 1.0:
                 raise ValueError(f"anneal_schedule: kappa must lie in (0, 1], got {kappa}")
-            if span < 1:
-                raise ValueError(f"anneal_schedule: spans must be positive, got {span}")
+            if not isinstance(span, numbers.Integral) or span < 1:
+                raise ValueError(f"anneal_schedule: spans must be positive integers, got {span!r}")
         if schedule and schedule[-1][0] != 1.0:
             raise ValueError("anneal_schedule must end at kappa = 1")
         # a fit must not stop tempered: its factors and bound would not be the model's
@@ -269,18 +265,27 @@ def _init_state(stats, prior, n_y, seed):
     return VariationalState(variant=prior.variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha)
 
 
-def _run_hyperopt(prior, state):
-    """Empirical-Bayes refresh of the V1/V2 hyperparameters (adaptation priors stay fixed)."""
+def _hyperopt(state, prior, stats):
+    """Empirical-Bayes refresh of V1/V2 hyperparameters; `changed` when a value moves."""
     loading, arm = mdl.SCHEMES[prior.variant]
     updates = loading.refresh(prior, state.qv, state.qalpha)
     if updates is None:
-        return prior, False
+        return state, prior, False
     updates.update(arm.refresh(prior, state.qw))
     changed = any(
         not np.allclose(getattr(prior, name), value, rtol=1e-9, atol=0.0)
         for name, value in updates.items()
     )
-    return replace(prior, **updates), changed
+    return state, replace(prior, **updates), changed
+
+
+def _min_divergence(state, prior, stats):
+    """Re-standardization of q(Y) and q(Vtilde); one speaker has no pooled
+    covariance to fold, so a one-speaker fit is left as it is."""
+    if stats.n_speakers < 2:
+        return state, prior, False
+    qy, qv, _ = minimum_divergence(state.qy, state.qv)
+    return replace(state, qy=qy, qv=qv), prior, True
 
 
 def fit(dataset, partition, prior, config, n_y):
@@ -294,18 +299,19 @@ def fit_stats(stats, prior, config, n_y):
 
     Per iteration: q(Vtilde), q(W), q(alpha) where present, then q(Y), each an
     exact coordinate maximizer tempered by the iteration's kappa. The bound is
-    recorded after the q(Y) step, so it is a function of the persisted global
-    factors alone, and that q(Y)'s aggregates feed the next iteration's
-    q(Vtilde) step. q(Y) is recomputed from the global factors before q(Vtilde)
-    only where the carried one would differ: in the first iteration, when kappa
-    changes, and after a re-standardization. Each (q(Vtilde), q(W)) pair's
-    `vtw_moments` are formed once, for its q(Y) update and its bound. Stops
-    when the relative bound change drops below tolerance at kappa = 1 with no
-    hyperparameter or re-standardization event in the iteration. No bound is
-    evaluated before the first sweep. Every fit, zero sweeps included, ends in
-    one `stored_bound`, on q(Vtilde) and q(W) built from their stored numbers
-    as `io.read_model_file` builds them: the report's `final_breakdown` and,
-    after a sweep, the last trace entry, so `elbo` on the fitted data reproduces both.
+    recorded after the q(Y) step, whose aggregates and `vtw_moments` the next
+    q(Vtilde) step reuses while they belong to its state and kappa; a stale
+    q(Y) (first sweep, kappa change, an event's new state) is refreshed from
+    the global factors before q(Vtilde). Events follow the bound, never after
+    the final sweep: a hyperparameter refresh every `hyperopt_every` sweeps,
+    then a minimum-divergence re-standardization every `mindiv_every`, which
+    needs two speakers. The fit stops when the relative bound change drops
+    below tolerance; the baseline is dropped at kappa < 1 and by an event that
+    changes the objective, which a refresh does only when a value moves. Every
+    fit, zero sweeps included, ends in one `stored_bound`, on q(Vtilde) and
+    q(W) built from their stored numbers as `io.read_model_file` builds them:
+    the report's `final_breakdown` and, after a sweep, the last trace entry,
+    so `elbo` on the fitted data reproduces both.
     """
     if n_y < 1:
         raise ValueError("latent rank must be at least 1")
@@ -327,11 +333,12 @@ def fit_stats(stats, prior, config, n_y):
     kappa_log = []
     converged = False
     baseline = None  # last bound value comparable under an unchanged objective
-    aggregates = None  # of the q(Y) update of state.qv, state.qw at state.kappa; None if stale
-    moments = None  # of state.qv, state.qw; None if stale
+    swept = None  # the state whose q(Y) step formed the carried `aggregates` and `moments`
     for iteration in range(1, config.max_iterations + 1):
         kappa = config.kappa_for(iteration)
-        if aggregates is None or kappa != state.kappa:
+        if state is not swept:  # the start, or a state an event replaced
+            moments = vtw_moments(state.qv, state.qw)
+        if state is not swept or kappa != state.kappa:
             aggregates = y_aggregates(update_qy(stats, state.qv, state.qw, moments).anneal(kappa), stats)
         qv = update_qvtilde(aggregates, state.qv, state.qw, prior, state.qalpha).anneal(kappa)
         qw = update_qw(stats, aggregates, qv, prior).anneal(kappa)
@@ -341,7 +348,7 @@ def fit_stats(stats, prior, config, n_y):
         moments = vtw_moments(qv, qw)
         qy = update_qy(stats, qv, qw, moments).anneal(kappa)
         aggregates = y_aggregates(qy, stats)
-        state = VariationalState(
+        state = swept = VariationalState(
             variant=variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha, iteration=iteration, kappa=kappa
         )
         breakdown = elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates, moments)
@@ -350,8 +357,6 @@ def fit_stats(stats, prior, config, n_y):
         breakdowns.append(breakdown)
         kappa_log.append(kappa)
 
-        # The convergence comparison straddles no objective change: baseline is
-        # dropped on annealing, hyperparameter, or re-standardization events.
         if (
             baseline is not None
             and kappa == 1.0
@@ -359,23 +364,13 @@ def fit_stats(stats, prior, config, n_y):
         ):
             converged = True
             break
-        event = False
-        if iteration < config.max_iterations:
-            # events after the final sweep would leave the saved prior out of
-            # step with the recorded bound, so they only run mid-loop
-            if config.hyperopt_every and iteration % config.hyperopt_every == 0:
-                prior, changed = _run_hyperopt(prior, state)
-                event = event or changed
-            if (
-                config.mindiv_every
-                and iteration % config.mindiv_every == 0
-                and stats.n_speakers >= 2
-            ):
-                qy_new, qv_new, _ = minimum_divergence(state.qy, state.qv)
-                state = replace(state, qy=qy_new, qv=qv_new)
-                aggregates = moments = None
-                event = True
-        baseline = None if (event or kappa != 1.0) else breakdown.total
+        changed = kappa != 1.0
+        for every, event in ((config.hyperopt_every, _hyperopt), (config.mindiv_every, _min_divergence)):
+            # none after the final sweep: the saved prior is the recorded bound's
+            if every and iteration % every == 0 and iteration < config.max_iterations:
+                state, prior, moved = event(state, prior, stats)
+                changed = changed or moved
+        baseline = None if changed else breakdown.total
 
     qv = QVtilde.from_precisions(state.qv.mean, state.qv.prec)
     arm = mdl.SCHEMES[variant][1]  # q(W) as the model reader builds it from the written numbers

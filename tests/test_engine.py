@@ -14,8 +14,8 @@ from bsplda.elbo import elbo_data_term, elbo_total, elbo_y_terms
 from bsplda.engine import (
     FitConfig,
     VariationalState,
+    _hyperopt,
     _init_state,
-    _run_hyperopt,
     fit,
     fit_stats,
     heldout_bound,
@@ -948,13 +948,22 @@ class TestMinimumDivergence:
         dict(anneal_schedule=((0.0, 2), (1.0, 1))),
         dict(anneal_schedule=((0.5, 0), (1.0, 1))),
         dict(anneal_schedule=((0.5, 2), (0.8, 1))),
+        dict(max_iterations=10.0),
+        dict(max_iterations=math.nan),
+        dict(hyperopt_every=2.5),
+        dict(mindiv_every=0.5),
+        dict(seed=1.0),
+        dict(anneal_schedule=((0.5, 2.7), (1.0, 1))),
     ],
     ids=["tol-nan", "tol-zero", "tol-negative", "tol-inf", "hyperopt-negative", "mindiv-negative",
-         "iterations-negative", "kappa-above-1", "kappa-zero", "span-zero", "schedule-ends-below-1"],
+         "iterations-negative", "kappa-above-1", "kappa-zero", "span-zero", "schedule-ends-below-1",
+         "iterations-float", "iterations-nan", "hyperopt-fraction", "mindiv-fraction", "seed-float",
+         "span-fraction"],
 )
 def test_fit_config_rejects_invalid_values(bad):
     # a NaN tolerance never converges and an infinite one stops after two
-    # sweeps at any change; a negative period fires every sweep
+    # sweeps at any change; a negative period fires every sweep, and a
+    # fractional one at multiples of itself
     with pytest.raises(ValueError, match=next(iter(bad))):
         FitConfig(**bad)
 
@@ -1055,10 +1064,7 @@ def test_fit_of_scaled_data_converges_with_an_ascending_bound(variant, scale):
     for sweep in range(1, len(trace)):  # sweep and sweep + 1, 1-based
         if sweep % mindiv_every:
             assert trace[sweep - 1] - trace[sweep] <= 1e-12 * abs(trace[sweep - 1])
-    if variant == mdl.V1_WISHART_NONINFORMATIVE and scale == 1e-6:
-        # still rising ~0.1 nats per sweep after 200 sweeps; without MD events
-        # it converges at sweep 391, and at scale 1 neither fit converges in 800
-        pytest.xfail("slow coordinate ascent: the bound still rises when the budget ends")
+    # the slowest, V1-noninformative at 1e-6, converges at sweep 15 of 200
     assert report.converged
 
 
@@ -1224,7 +1230,7 @@ def two_refresh_reference(stats, prior, config, n_y):
         kappa_log.append(kappa)
         if iteration < config.max_iterations:
             if config.hyperopt_every and iteration % config.hyperopt_every == 0:
-                prior, _ = _run_hyperopt(prior, state)
+                _, prior, _ = _hyperopt(state, prior, stats)
             if config.mindiv_every and iteration % config.mindiv_every == 0:
                 qy_new, qv_new, _ = minimum_divergence(state.qy, state.qv)
                 state = replace(state, qy=qy_new, qv=qv_new)
@@ -1270,6 +1276,43 @@ def test_sweep_matches_two_refresh_reference(variant, monkeypatch):
     assert (kappa_changes, mindiv_events) == (2, 3)
     final_evaluation = 1  # the budget ends at kappa = 1
     assert len(calls) == sweeps + 1 + kappa_changes + mindiv_events + final_evaluation
+
+
+def test_a_refresh_of_an_adaptation_prior_keeps_the_baseline():
+    # an adaptation prior has no hyperparameters to refresh, so a refresh every
+    # sweep changes no objective: it neither moves the fit nor delays the stop
+    ds, part, _ = synthetic_problem(81, d=4, ny=2, m=40, per=5)
+    config = FitConfig(max_iterations=30, seed=1)
+    trained, _, _ = fit(ds, part, v1_prior(4, mdl.V2_GAMMA_DIAGONAL), config, n_y=2)
+    arm = mdl.SCHEMES[mdl.V2_GAMMA_DIAGONAL][1]
+    prior = PriorConfig(variant=arm.adapted_variant, v_row_means=trained.qv.mean,
+                        v_row_precisions=trained.qv.prec, **arm.adaptation_prior(trained.qw))
+    ads, apart, _ = synthetic_problem(82, d=4, ny=2, m=15, per=4)
+    report, hyperopt_report = (
+        fit(ads, apart, prior, FitConfig(max_iterations=200, elbo_rel_tol=1e-9, hyperopt_every=every, seed=2),
+            n_y=2)[2]
+        for every in (0, 1)
+    )
+    assert report.converged and report.iterations < 200
+    assert (hyperopt_report.elbo_trace, hyperopt_report.converged, hyperopt_report.iterations) == \
+        (report.elbo_trace, report.converged, report.iterations)
+
+
+@pytest.mark.parametrize("variant", [mdl.V1_WISHART_NONINFORMATIVE, mdl.V2_GAMMA_DIAGONAL])
+def test_minimum_divergence_skips_a_one_speaker_fit(variant):
+    # one speaker has no pooled latent covariance to fold into the loading, so
+    # re-standardization every sweep leaves the fit, and when it stops, as it is
+    ds, part, _ = synthetic_problem(83, d=3, ny=1, m=1, per=40)
+    (state, _, report), (md_state, _, md_report) = (
+        fit(ds, part, v1_prior(3, variant),
+            FitConfig(max_iterations=100, elbo_rel_tol=1e-7, mindiv_every=every, seed=3), n_y=2)
+        for every in (0, 1)
+    )
+    assert report.converged and report.iterations < 100
+    assert (md_report.elbo_trace, md_report.converged, md_report.iterations) == \
+        (report.elbo_trace, report.converged, report.iterations)
+    np.testing.assert_array_equal(md_state.qv.mean, state.qv.mean)
+    np.testing.assert_array_equal(md_state.qy.mean, state.qy.mean)
 
 
 @pytest.mark.parametrize("variant, fixed", [
