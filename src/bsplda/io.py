@@ -10,6 +10,7 @@ import os
 import re
 import stat
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -38,6 +39,7 @@ __all__ = [
 
 MAGIC_DATA = b"BSPLDA-DATA\x00"
 MAGIC_MODEL = b"BSPLDA-MODEL\x00"
+_MAGIC = {"data": MAGIC_DATA, "model": MAGIC_MODEL}
 FORMAT_VERSION = 1
 _READ_CHUNK = 1 << 18  # bytes per read of a payload from a pipe
 
@@ -104,12 +106,25 @@ def _read_scalar(f, fmt):
     return struct.unpack(fmt, buf)[0]
 
 
+def _write_header(f, kind):
+    f.write(_MAGIC[kind])
+    _write_scalar(f, "<H", FORMAT_VERSION)
+
+
+def _read_header(f, kind):
+    """Check the magic and format version of a `kind` ("data" or "model") container."""
+    if f.read(len(_MAGIC[kind])) != _MAGIC[kind]:
+        raise FormatError(f"{f.name}: bad {kind} magic")
+    version = _read_scalar(f, "<H")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{f.name}: unsupported {kind} format version {version}")
+
+
 def write_data_file(path, vectors):
     vectors = np.ascontiguousarray(vectors, dtype="<f8")
     n, d = vectors.shape
     with open(path, "wb") as f:
-        f.write(MAGIC_DATA)
-        _write_scalar(f, "<H", FORMAT_VERSION)
+        _write_header(f, "data")
         _write_scalar(f, "<I", d)
         _write_scalar(f, "<Q", n)
         f.write(memoryview(vectors))
@@ -125,12 +140,7 @@ def read_data_blocks(path, n_rows):
     shorter than its header declares and bytes after it are format errors.
     """
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC_DATA))
-        if magic != MAGIC_DATA:
-            raise FormatError(f"{path}: bad data magic")
-        version = _read_scalar(f, "<H")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported data format version {version}")
+        _read_header(f, "data")
         d = _read_scalar(f, "<I")
         n = _read_scalar(f, "<Q")
         if d < 1 or n < 1:
@@ -207,66 +217,68 @@ class SavedModel:
         return self.V.shape[1]
 
 
-def _write_optional(f, *values):
-    """A presence byte, then the values as doubles; absent when the first value is None."""
-    present = values[0] is not None
-    _write_scalar(f, "<B", int(present))
-    if present:
-        for value in values:
-            _write_f64(f, value)
+# The model container after its header, as (path, shape) pairs. A path names
+# a SavedModel attribute, dotted into its parts; a shape lists dimensions by
+# name, and "n" is a u32 length written before its vector. The fixed blocks
+# follow the header; the q(W) arm's block follows them.
+_BLOCKS = (("mu", "d"), ("V", "d ny"), ("W", "d d"), ("qv.mean", "d k"), ("qv.prec", "d k k"))
+# The optional groups after the q(W) block, in file order: one presence byte,
+# then every field of the group, present when its first field is not None.
+# "prior." paths are the echo of the hyperparameters in effect.
+_QALPHA = (("qalpha.a", ""), ("qalpha.b", "ny"))  # present exactly when the variant has q(alpha)
+_GROUPS = (
+    _QALPHA,
+    (("prior.mu0", "d"),),
+    (("prior.beta", "d"),),
+    (("prior.a_alpha", ""), ("prior.b_alpha", "")),
+    (("prior.a_w", ""),),
+    (("prior.b_w", "n"),),
+    (("prior.psi0", "d d"), ("prior.nu_d", "")),
+    (("prior.v_row_means", "d k"), ("prior.v_row_precisions", "d k k")),
+    (("rotation", "d d"),),
+)
 
 
-def _read_optional(f, *shapes):
-    """The values of an optional block, one per shape, or Nones when it is absent."""
-    if _read_scalar(f, "<B"):
-        return [_read_finite(f, shape) for shape in shapes]
-    return [None] * len(shapes)
+def _get(saved, path):
+    """The value at a dotted path of `saved`, None below a part that is None."""
+    for name in path.split("."):
+        saved = None if saved is None else getattr(saved, name)
+    return saved
+
+
+def _read_shape(f, spec, dims):
+    """The shape a spec names, reading the length of an "n" from `f`."""
+    return tuple(_read_scalar(f, "<I") if name == "n" else dims[name] for name in spec.split())
 
 
 def write_model_file(path, saved):
-    d, ny = saved.dim, saved.rank
-    prior = saved.prior
     with open(path, "wb") as f:
-        f.write(MAGIC_MODEL)
-        _write_scalar(f, "<H", FORMAT_VERSION)
+        _write_header(f, "model")
         _write_scalar(f, "<B", mdl.VARIANTS.index(saved.variant) + 1)
-        _write_scalar(f, "<I", d)
-        _write_scalar(f, "<I", ny)
+        _write_scalar(f, "<I", saved.dim)
+        _write_scalar(f, "<I", saved.rank)
         _write_scalar(f, "<d", float(saved.elbo))
-        _write_f64(f, saved.mu)
-        _write_f64(f, saved.V)
-        _write_f64(f, saved.W)
-        _write_f64(f, saved.qv.mean)
-        _write_f64(f, saved.qv.prec)
+        for name, _ in _BLOCKS:
+            _write_f64(f, _get(saved, name))
         arm = mdl.SCHEMES[saved.variant][1]
         _write_scalar(f, "<B", arm.tag)
         arm.write_qw(saved.qw, partial(_write_f64, f))
-        qalpha = saved.qalpha
-        _write_optional(f, *((None,) if qalpha is None else (qalpha.a, qalpha.b)))
-        _write_optional(f, prior.mu0)
-        _write_optional(f, prior.beta)
-        _write_optional(f, prior.a_alpha, prior.b_alpha)
-        _write_optional(f, prior.a_w)
-        if prior.b_w is None:
-            _write_scalar(f, "<B", 0)
-        else:
-            b_w = np.atleast_1d(np.asarray(prior.b_w, dtype=float))
-            _write_scalar(f, "<B", 1)
-            _write_scalar(f, "<I", b_w.size)
-            _write_f64(f, b_w)
-        _write_optional(f, prior.psi0, prior.nu_d)
-        _write_optional(f, prior.v_row_means, prior.v_row_precisions)
-        _write_optional(f, saved.rotation)
+        for group in _GROUPS:
+            values = [_get(saved, name) for name, _ in group]
+            _write_scalar(f, "<B", values[0] is not None)
+            if values[0] is None:
+                continue
+            for (_, spec), value in zip(group, values):
+                if spec == "n":
+                    value = np.atleast_1d(np.asarray(value, dtype=float))
+                    _write_scalar(f, "<I", value.size)
+                _write_f64(f, value)
 
 
 def read_model_file(path):
+    parts = defaultdict(dict)  # every value read, by the SavedModel part it belongs to
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC_MODEL))
-        if magic != MAGIC_MODEL:
-            raise FormatError(f"{path}: bad model magic")
-        version = _read_scalar(f, "<H")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported model format version {version}")
+        _read_header(f, "model")
         variant_idx = _read_scalar(f, "<B")
         if not 1 <= variant_idx <= len(mdl.VARIANTS):
             raise FormatError(f"{path}: unknown variant tag {variant_idx}")
@@ -276,68 +288,36 @@ def read_model_file(path):
         ny = _read_scalar(f, "<I")
         if d < 1 or ny < 1:
             raise FormatError(f"{path}: header declares d = {d}, n_y = {ny}; both must be at least 1")
-        k = ny + 1
+        dims = {"d": d, "ny": ny, "k": ny + 1}
         elbo = _read_scalar(f, "<d")
-        mu = _read_finite(f, (d,))
-        v = _read_finite(f, (d, ny))
-        w = _read_finite(f, (d, d))
-        qv_mean, qv_prec = _read_finite(f, (d, k)), _read_finite(f, (d, k, k))
-        require_symmetric(qv_prec, "qv.prec")
+        for name, spec in _BLOCKS:
+            owner, _, field = name.rpartition(".")
+            parts[owner][field] = _read_finite(f, _read_shape(f, spec, dims))
+        require_symmetric(parts["qv"]["prec"], "qv.prec")
         try:
-            qv = QVtilde.from_precisions(qv_mean, qv_prec)
+            qv = QVtilde.from_precisions(**parts["qv"])
         except FactorizationError as exc:
             raise ValueError("qv.prec must be positive definite") from exc
         tag = _read_scalar(f, "<B")
         if tag != arm.tag:
             raise FormatError(f"{path}: precision arm tag {tag} does not match variant {variant}")
         qw = arm.read_qw(partial(_read_finite, f), d)
-        has_alpha = bool(_read_scalar(f, "<B"))
-        if has_alpha != loading.has_alpha:
-            raise FormatError(
-                f"{path}: q(alpha) block {'present' if has_alpha else 'absent'}, "
-                f"inconsistent with variant {variant}"
-            )
-        qalpha = None
-        if has_alpha:
-            a = _read_finite(f, ())
-            qalpha = QAlpha(a=a, b=_read_finite(f, (ny,)))
-        (mu0,) = _read_optional(f, (d,))
-        (beta,) = _read_optional(f, (d,))
-        a_alpha, b_alpha = _read_optional(f, (), ())
-        (a_w,) = _read_optional(f, ())
-        b_w = None
-        if _read_scalar(f, "<B"):
-            b_w = _read_finite(f, (_read_scalar(f, "<I"),))
-        psi0, nu_d = _read_optional(f, (d, d), ())
-        v_row_means, v_row_precisions = _read_optional(f, (d, k), (d, k, k))
-        (rotation,) = _read_optional(f, (d, d))
+        for group in _GROUPS:
+            present = bool(_read_scalar(f, "<B"))
+            if group is _QALPHA and present != loading.has_alpha:
+                raise FormatError(
+                    f"{path}: q(alpha) block {'present' if present else 'absent'}, "
+                    f"inconsistent with variant {variant}"
+                )
+            for name, spec in group:
+                owner, _, field = name.rpartition(".")
+                parts[owner][field] = _read_finite(f, _read_shape(f, spec, dims)) if present else None
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    prior = mdl.PriorConfig(
-        variant=variant,
-        mu0=mu0,
-        beta=beta,
-        a_alpha=a_alpha,
-        b_alpha=b_alpha,
-        a_w=a_w,
-        b_w=b_w,
-        psi0=psi0,
-        nu_d=nu_d,
-        v_row_means=v_row_means,
-        v_row_precisions=v_row_precisions,
-    ).validate(d, ny)  # an echo that breaks its variant is an input error, like a bad header
-    return SavedModel(
-        variant=variant,
-        mu=mu,
-        V=v,
-        W=w,
-        qv=qv,
-        qw=qw,
-        prior=prior,
-        elbo=elbo,
-        qalpha=qalpha,
-        rotation=rotation,
-    )
+    # an echo that breaks its variant is an input error, like a bad header
+    prior = mdl.PriorConfig(variant=variant, **parts["prior"]).validate(d, ny)
+    qalpha = QAlpha(**parts["qalpha"]) if loading.has_alpha else None
+    return SavedModel(variant=variant, qv=qv, qw=qw, prior=prior, elbo=elbo, qalpha=qalpha, **parts[""])
 
 
 def parse_config(path):
