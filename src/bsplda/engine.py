@@ -29,6 +29,10 @@ __all__ = [
     "whitening_rotation",
 ]
 
+# Speaker sums per block of the within-class covariance's F_i F_i^T / N_i sum,
+# in numbers: 32 MiB, so the start never copies all M x d sums.
+WITHIN_BLOCK_ENTRIES = 1 << 22
+
 
 @dataclass(frozen=True)
 class VariationalState:
@@ -213,9 +217,19 @@ def minimum_divergence(qy, qv):
 
 
 def _within_class_covariance(stats):
-    """(S - sum_i F_i F_i^T / N_i) / N, skipping zero-count speakers."""
+    """(S - sum_i F_i F_i^T / N_i) / N, skipping zero-count speakers.
+
+    The sum runs over speaker blocks of at most WITHIN_BLOCK_ENTRIES numbers,
+    starting from the first block's product, so no M x d copy of the sums is
+    made; a corpus of at most that many numbers is one product.
+    """
     inv_counts = np.where(stats.counts > 0, 1.0 / np.maximum(stats.counts, 1.0), 0.0)
-    spk_means_scatter = (inv_counts[:, None] * stats.spk_sums).T @ stats.spk_sums
+    sums, step = stats.spk_sums, max(1, WITHIN_BLOCK_ENTRIES // stats.dim)
+    blocks = ((inv_counts[i:i + step, None] * sums[i:i + step]).T @ sums[i:i + step]
+              for i in range(0, stats.n_speakers, step))
+    spk_means_scatter = next(blocks)
+    for block in blocks:
+        spk_means_scatter += block
     return sym((stats.scatter_total - spk_means_scatter) / stats.n_total)
 
 

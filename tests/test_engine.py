@@ -1068,6 +1068,63 @@ def test_fit_of_scaled_data_converges_with_an_ascending_bound(variant, scale):
     assert report.converged
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: the default hyperpriors are absolute numbers, "
+                                       "so at 1e-6 or 1e6 the loading collapses to zero")
+@pytest.mark.parametrize("scale", [1e6, 1e-6])
+@pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V1_WISHART_NONINFORMATIVE,
+                                     mdl.V2_GAMMA_DIAGONAL, mdl.V2_GAMMA_ISOTROPIC])
+def test_fit_of_scaled_data_learns_the_loading_of_unscaled_data(variant, scale):
+    # the same corpus and config as the test above: in data units, the fitted
+    # loading's norm at 1e6 or 1e-6 lies within 10x of the unscaled fit's
+    ds, part, _ = synthetic_problem(71, d=20, ny=5, m=200, per=6)
+    config = FitConfig(max_iterations=200, elbo_rel_tol=1e-9, mindiv_every=10, seed=2)
+    norms = []
+    for c in (1.0, scale):
+        _, params, _ = fit(replace(ds, vectors=c * ds.vectors), part, v1_prior(20, variant), config, n_y=5)
+        norms.append(np.linalg.norm(params.V) / c)
+    assert 0.1 <= norms[1] / norms[0] <= 10.0
+
+
+def test_within_class_covariance_is_one_product_up_to_a_block():
+    # 4000 speakers at d = 300 fit one block: the bits of the whole product
+    rng = np.random.default_rng(5)
+    counts = rng.integers(1, 30, size=4000).astype(float)
+    sums = rng.normal(size=(4000, 300)) * counts[:, None]
+    stats = SuffStats(counts=counts, spk_sums=sums, scatter_total=sums.T @ sums)
+    inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
+    whole = (inv_counts[:, None] * sums).T @ sums
+    expected = linalg.sym((stats.scatter_total - whole) / stats.n_total)
+    assert np.array_equal(engine._within_class_covariance(stats), expected)
+
+
+def test_within_class_covariance_sums_its_blocks(monkeypatch):
+    # blocks of 7 speakers (and a short last one) add up to the whole product
+    rng = np.random.default_rng(6)
+    counts = np.concatenate([rng.integers(1, 9, size=60), [0.0]]).astype(float)
+    sums = rng.normal(size=(61, 4)) * counts[:, None]
+    stats = SuffStats(counts=counts, spk_sums=sums, scatter_total=4.0 * sums.T @ sums)
+    whole = engine._within_class_covariance(stats)
+    monkeypatch.setattr(engine, "WITHIN_BLOCK_ENTRIES", 28)
+    np.testing.assert_allclose(engine._within_class_covariance(stats), whole, rtol=1e-13, atol=0)
+
+
+def test_within_class_covariance_copies_no_speaker_sums():
+    # 2^24 numbers of sums (128 MiB): the start's product allocates one block
+    # of WITHIN_BLOCK_ENTRIES numbers, and the M-sized count vectors
+    import tracemalloc
+
+    m, d = 1 << 18, 64
+    stats = SuffStats(counts=np.full(m, 2.0), spk_sums=np.ones((m, d)), scatter_total=4.0 * m * np.eye(d))
+    tracemalloc.start()
+    try:
+        engine._within_class_covariance(stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * engine.WITHIN_BLOCK_ENTRIES + 8 * 4 * m + 8 * 4 * d * d
+    assert peak < 8 * m * d / 3
+
+
 class TestFit:
     def test_zero_iterations_returns_init(self, monkeypatch):
         # a zero-sweep fit evaluates one bound: the stored_bound of its start,
