@@ -29,8 +29,8 @@ __all__ = [
     "whitening_rotation",
 ]
 
-# Speaker sums per block of the within-class covariance's F_i F_i^T / N_i sum,
-# in numbers: 32 MiB, so the start never copies all M x d sums.
+# The within-class covariance sums F_i F_i^T / N_i over speaker blocks of at
+# most this many numbers (32 MiB), so the start holds no M x d copy of the sums.
 WITHIN_BLOCK_ENTRIES = 1 << 22
 
 
@@ -217,12 +217,8 @@ def minimum_divergence(qy, qv):
 
 
 def _within_class_covariance(stats):
-    """(S - sum_i F_i F_i^T / N_i) / N, skipping zero-count speakers.
-
-    The sum runs over speaker blocks of at most WITHIN_BLOCK_ENTRIES numbers,
-    starting from the first block's product, so no M x d copy of the sums is
-    made; a corpus of at most that many numbers is one product.
-    """
+    """(S - sum_i F_i F_i^T / N_i) / N, skipping zero-count speakers. The sum
+    starts from the first block's product: up to WITHIN_BLOCK_ENTRIES sums, one product."""
     inv_counts = np.where(stats.counts > 0, 1.0 / np.maximum(stats.counts, 1.0), 0.0)
     sums, step = stats.spk_sums, max(1, WITHIN_BLOCK_ENTRIES // stats.dim)
     blocks = ((inv_counts[i:i + step, None] * sums[i:i + step]).T @ sums[i:i + step]

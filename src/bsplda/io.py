@@ -302,6 +302,7 @@ def read_model_file(path):
         if tag != arm.tag:
             raise FormatError(f"{path}: precision arm tag {tag} does not match variant {variant}")
         qw = arm.read_qw(partial(_read_finite, f), d)
+        qalpha = None
         for group in _GROUPS:
             present = bool(_read_scalar(f, "<B"))
             if group is _QALPHA and present != loading.has_alpha:
@@ -312,11 +313,12 @@ def read_model_file(path):
             for name, spec in group:
                 owner, _, field = name.rpartition(".")
                 parts[owner][field] = _read_finite(f, _read_shape(f, spec, dims)) if present else None
+            if group is _QALPHA and present:
+                qalpha = QAlpha(**parts["qalpha"])  # its positivity is checked before the echo is read
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     # an echo that breaks its variant is an input error, like a bad header
     prior = mdl.PriorConfig(variant=variant, **parts["prior"]).validate(d, ny)
-    qalpha = QAlpha(**parts["qalpha"]) if loading.has_alpha else None
     return SavedModel(variant=variant, qv=qv, qw=qw, prior=prior, elbo=elbo, qalpha=qalpha, **parts[""])
 
 
