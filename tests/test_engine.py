@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1111,8 +1112,6 @@ def test_within_class_covariance_sums_its_blocks(monkeypatch):
 def test_within_class_covariance_copies_no_speaker_sums():
     # 2^24 numbers of sums (128 MiB): the start's product allocates one block
     # of WITHIN_BLOCK_ENTRIES numbers, and the M-sized count vectors
-    import tracemalloc
-
     m, d = 1 << 18, 64
     stats = SuffStats(counts=np.full(m, 2.0), spk_sums=np.ones((m, d)), scatter_total=4.0 * m * np.eye(d))
     tracemalloc.start()
@@ -1121,8 +1120,7 @@ def test_within_class_covariance_copies_no_speaker_sums():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * engine.WITHIN_BLOCK_ENTRIES + 8 * 4 * m + 8 * 4 * d * d
-    assert peak < 8 * m * d / 3
+    assert peak < 8 * engine.WITHIN_BLOCK_ENTRIES + 8 * 4 * m + 8 * 4 * d * d  # the sums: 8 m d
 
 
 class TestFit:
