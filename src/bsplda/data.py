@@ -154,8 +154,10 @@ def accumulate_blocks(blocks, partition):
 
     A block's sum task starts before its products and finishes before the next
     block's starts. A product is added before the piece after next is reached,
-    so memory is the M x d sums, the d x d scatter, two products and the
-    blocks. Every task has finished when this returns or raises.
+    and no block is held once the next is asked for, so memory is the M x d
+    sums, the d x d scatter, two products and the block being read, with what
+    a pool task still reads of the last one. Every task has finished when
+    this returns or raises.
     """
     assignment = partition.assignment
     sums = lambda: None  # the speaker sums so far, once the last block's task has run
@@ -173,6 +175,7 @@ def accumulate_blocks(blocks, partition):
                 if product is not None:
                     scatter = _added(scatter, product())
                 product = started
+            x = task = piece = None  # a block is freed before the next is read
         if stop != assignment.size:
             raise ValueError(f"blocks hold {stop} rows, the partition covers {assignment.size}")
         scatter, spk_sums = _added(scatter, product()), sums()
@@ -223,9 +226,10 @@ def _add_rows(sums, x, assignment, n_speakers):
     A stable sort lists each speaker's rows together, and the block's speakers
     are ranked by decreasing count. Their running sums are gathered once, step
     j adds the j-th row of every speaker that has one to a leading slice of
-    the ranked sums, and the sums are scattered back: max count vectorized
-    steps, and no temporary above the block's size. The M x d sums are made
-    after the steps, so one block holding every speaker peaks at 2 M d numbers.
+    the ranked sums, and the sums are scattered back. The ranked speakers are
+    taken BLOCK_ROWS at a time, each chunk in as many vectorized steps as its
+    first speaker has rows, so no temporary beyond the M x d sums exceeds
+    BLOCK_ROWS rows.
     """
     order = np.argsort(assignment, kind="stable")
     ordered = assignment[order]
@@ -235,12 +239,17 @@ def _add_rows(sums, x, assignment, n_speakers):
     speakers = ordered[starts[rank]]
     first = starts[rank]  # where each ranked speaker's rows start in order
     active = counts.size - np.cumsum(np.bincount(counts))[:-1]  # active[j]: speakers with more than j rows
-    ranked = np.zeros((speakers.size, x.shape[1])) if sums is None else sums[speakers]
-    for j in range(active.size):
-        ranked[:active[j]] += x[order[first[:active[j]] + j]]
     if sums is None:
         sums = np.zeros((n_speakers, x.shape[1]))
-    sums[speakers] = ranked
+    for lo in range(0, speakers.size, BLOCK_ROWS):
+        chunk = speakers[lo:lo + BLOCK_ROWS]
+        ranked = sums[chunk]
+        for j in range(active.size):
+            n = min(active[j], lo + chunk.size) - lo
+            if n <= 0:
+                break
+            ranked[:n] += x[order[first[lo:lo + n] + j]]
+        sums[chunk] = ranked
     return sums
 
 

@@ -46,14 +46,14 @@ class ElboBreakdown:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def elbo_data_term(stats, aggregates, qv, qw, moments=None):
-    """Expected data log-likelihood under the factored posterior; `moments` are
-    the pair's `vtw_moments`, formed here when not given."""
+def elbo_data_term(stats, aggregates, qw, moments):
+    """Expected data log-likelihood under the factored posterior, from the
+    q(Y) `aggregates` and the `vtw_moments` of the (q(Vtilde), q(W)) pair."""
     n, d = stats.n_total, stats.dim
     if n == 0:
         return 0.0
     wbar, mean_logdet = qw.mean, qw.mean_logdet
-    wvt, evtwvt = vtw_moments(qv, qw) if moments is None else moments
+    wvt, evtwvt = moments
     return float(
         0.5 * n * mean_logdet
         - 0.5 * n * d * LOG2PI
@@ -97,11 +97,14 @@ def elbo_w_terms(qw, prior):
 
 
 def elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates=None, moments=None):
-    """Assemble the full lower bound for the prior scheme of `prior.variant`;
-    `aggregates` and `moments` are formed here when not given."""
+    """Assemble the full lower bound for the prior scheme of `prior.variant`. The
+    `engine.qy_step` products `aggregates` and `moments` are formed here when not
+    given, for a caller that holds only the factors (`perfbench/record_reference.py`)."""
     if aggregates is None:
         aggregates = y_aggregates(qy, stats)
-    data_term = elbo_data_term(stats, aggregates, qv, qw, moments)
+    if moments is None:
+        moments = vtw_moments(qv, qw)
+    data_term = elbo_data_term(stats, aggregates, qw, moments)
     y_prior, y_entropy_neg = elbo_y_terms(qy)
     v_prior, alpha_prior, alpha_entropy_neg, mu_prior, v_entropy_neg = elbo_v_alpha_mu_terms(
         qv, qalpha, prior

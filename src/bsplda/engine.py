@@ -18,6 +18,7 @@ __all__ = [
     "FitReport",
     "VariationalState",
     "update_qy",
+    "qy_step",
     "update_qvtilde",
     "update_qalpha",
     "update_qw",
@@ -108,8 +109,9 @@ class FitReport:
     rotation: np.ndarray = None  # whitening rotation when preprocessing ran
 
 
-def update_qy(stats, qv, qw, moments=None):
-    """Closed-form q(Y) by its covariances; L = I + N A, A = E[V^T W V], is never formed.
+def update_qy(stats, moments):
+    """Closed-form q(Y) by its covariances, from the `vtw_moments` of one
+    (q(Vtilde), q(W)) pair; L = I + N A, A = E[V^T W V], is never formed.
 
     One eigendecomposition A = U diag(lam) U^T (`pencil_inverses` with D = I)
     gives every group's covariance U diag(1 / (1 + N lam)) U^T and
@@ -117,11 +119,10 @@ def update_qy(stats, qv, qw, moments=None):
     z_i = (P^T F_i - N_i U^T E[V^T W mu]) / (1 + N_i lam) and P = (E[W] V) U.
     The means are formed speaker-minor: one n_y x d by d x M product P^T F^T,
     scaled in place and mapped back by one n_y x n_y product, so `mean` is
-    the transpose of an (n_y, M) array. `moments` are the pair's
-    `vtw_moments`, formed here when not given.
+    the transpose of an (n_y, M) array.
     """
-    ny = qv.rank
-    wvt, quad = vtw_moments(qv, qw) if moments is None else moments
+    wvt, quad = moments
+    ny = quad.shape[0] - 1
     evtwv = quad[:-1, :-1]
     values, group = stats.count_values, stats.count_group
     vecs, factors, cov, logdets = pencil_inverses(np.ones(ny), evtwv, values, "q(Y) precision")
@@ -129,6 +130,15 @@ def update_qy(stats, qv, qw, moments=None):
     z -= np.outer(quad[:-1, -1] @ vecs, stats.counts)
     z /= factors.T[:, group]
     return QY(mean=(vecs @ z).T, cov=cov, prec_logdets=logdets, group=group)
+
+
+def qy_step(stats, qv, qw, kappa=1.0):
+    """The q(Y) side of one (q(Vtilde), q(W)) pair: q(Y) at its closed-form
+    optimum given the pair, tempered by kappa, its `y_aggregates` and the pair's
+    `vtw_moments`, which the q(Y) update and the bound's data term both read."""
+    moments = vtw_moments(qv, qw)
+    qy = update_qy(stats, moments).anneal(kappa)
+    return qy, y_aggregates(qy, stats), moments
 
 
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
@@ -308,20 +318,21 @@ def fit_stats(stats, prior, config, n_y):
     """Variational fit from sufficient statistics.
 
     Per iteration: q(Vtilde), q(W), q(alpha) where present, then q(Y), each an
-    exact coordinate maximizer tempered by the iteration's kappa. The bound is
-    recorded after the q(Y) step, whose aggregates and `vtw_moments` the next
-    q(Vtilde) step reuses while they belong to its state and kappa; a stale
-    q(Y) (first sweep, kappa change, an event's new state) is refreshed from
-    the global factors before q(Vtilde). Events follow the bound, never after
-    the final sweep: a hyperparameter refresh every `hyperopt_every` sweeps,
-    then a minimum-divergence re-standardization every `mindiv_every`, which
-    needs two speakers. The fit stops when the relative bound change drops
-    below tolerance; the baseline is dropped at kappa < 1 and by an event that
-    changes the objective, which a refresh does only when a value moves. Every
-    fit, zero sweeps included, ends in one `stored_bound`, on q(Vtilde) and
-    q(W) built from their stored numbers as `io.read_model_file` builds them:
-    the report's `final_breakdown` and, after a sweep, the last trace entry,
-    so `elbo` on the fitted data reproduces both.
+    exact coordinate maximizer tempered by the iteration's kappa. A `qy_step`
+    on the new (q(Vtilde), q(W)) pair forms q(Y), its aggregates and the pair's
+    moments; the bound reads all three, the next q(Vtilde) step the aggregates
+    while they belong to its state and kappa. A stale q(Y) (first sweep, kappa
+    change, an event's new state) comes from a `qy_step` on the state's pair.
+    Events follow the bound, never after the final sweep: a hyperparameter
+    refresh every `hyperopt_every` sweeps, then a minimum-divergence
+    re-standardization every `mindiv_every`, which needs two speakers. The fit
+    stops when the relative bound change drops below tolerance; the baseline is
+    dropped at kappa < 1 and by an event that changes the objective, which a
+    refresh does only when a value moves. Every fit, zero sweeps included, ends
+    in one `stored_bound`, on q(Vtilde) and q(W) built from their stored
+    numbers as `io.read_model_file` builds them: the report's `final_breakdown`
+    and, after a sweep, the last trace entry, so `elbo` on the fitted data
+    reproduces both.
     """
     if n_y < 1:
         raise ValueError("latent rank must be at least 1")
@@ -343,21 +354,17 @@ def fit_stats(stats, prior, config, n_y):
     kappa_log = []
     converged = False
     baseline = None  # last bound value comparable under an unchanged objective
-    swept = None  # the state whose q(Y) step formed the carried `aggregates` and `moments`
+    swept = None  # the state whose q(Y) step formed the carried `aggregates`
     for iteration in range(1, config.max_iterations + 1):
         kappa = config.kappa_for(iteration)
-        if state is not swept:  # the start, or a state an event replaced
-            moments = vtw_moments(state.qv, state.qw)
-        if state is not swept or kappa != state.kappa:
-            aggregates = y_aggregates(update_qy(stats, state.qv, state.qw, moments).anneal(kappa), stats)
+        if state is not swept or kappa != state.kappa:  # the start, an event's state, a new kappa
+            _, aggregates, _ = qy_step(stats, state.qv, state.qw, kappa)
         qv = update_qvtilde(aggregates, state.qv, state.qw, prior, state.qalpha).anneal(kappa)
         qw = update_qw(stats, aggregates, qv, prior).anneal(kappa)
         qalpha = state.qalpha
         if qalpha is not None:
             qalpha = update_qalpha(qv, prior).anneal(kappa)
-        moments = vtw_moments(qv, qw)
-        qy = update_qy(stats, qv, qw, moments).anneal(kappa)
-        aggregates = y_aggregates(qy, stats)
+        qy, aggregates, moments = qy_step(stats, qv, qw, kappa)
         state = swept = VariationalState(
             variant=variant, qy=qy, qv=qv, qw=qw, qalpha=qalpha, iteration=iteration, kappa=kappa
         )
@@ -411,9 +418,8 @@ def stored_bound(stats, qv, qw, qalpha, prior):
     every fit ends with it: q(Vtilde) and q(W) as
     `QVtilde.from_precisions` and the arm's `read_qw` build them from their
     stored numbers, and q(Y) at its closed-form optimum given them."""
-    moments = vtw_moments(qv, qw)
-    qy = update_qy(stats, qv, qw, moments)
-    return elbo_total(stats, qy, qv, qw, qalpha, prior, None, moments)
+    qy, aggregates, moments = qy_step(stats, qv, qw)
+    return elbo_total(stats, qy, qv, qw, qalpha, prior, aggregates, moments)
 
 
 def heldout_bound(qv, qw, stats):
@@ -423,8 +429,7 @@ def heldout_bound(qv, qw, stats):
     is the data term plus the latent prior term minus the latent entropy, a
     lower bound on the expected held-out log-likelihood.
     """
-    moments = vtw_moments(qv, qw)
-    qy = update_qy(stats, qv, qw, moments)
-    data_term = elbo_data_term(stats, y_aggregates(qy, stats), qv, qw, moments)
+    qy, aggregates, moments = qy_step(stats, qv, qw)
+    data_term = elbo_data_term(stats, aggregates, qw, moments)
     y_prior, y_entropy_neg = elbo_y_terms(qy)
     return data_term + y_prior - y_entropy_neg

@@ -24,7 +24,6 @@ __all__ = [
     "QWGamma",
     "YAggregates",
     "y_aggregates",
-    "expected_vtw_quadratic",
     "vtw_moments",
 ]
 
@@ -329,25 +328,17 @@ def y_aggregates(qy, stats):
     return YAggregates(C=c, R=sym(r))
 
 
-def expected_vtw_quadratic(qv, wbar, wvt=None):
-    """E[Vt^T W Vt] = sum_r wbar_rr cov_r + Vtbar^T (Wbar Vtbar); `wvt`, if
-    given, is the product Wbar Vtbar.
-
-    The per-row factorization zeroes every cross-row covariance, so only the
-    diagonal of Wbar meets the row covariances.
-    """
-    if wvt is None:
-        wvt = wbar @ qv.mean
-    wdiag = np.diagonal(wbar)
-    full = np.einsum("r,rab->ab", wdiag, qv.cov) + qv.mean.T @ wvt
-    return sym(full)
-
-
 def vtw_moments(qv, qw):
     """(Wbar Vtbar, E[Vt^T W Vt]): the moments of one (q(Vtilde), q(W)) pair
-    that the q(Y) update and the data term of the bound both read. A Gamma
-    factor's diagonal Wbar goes through the same GEMM: its off-diagonal terms
-    are exact zeros, so the bits are those of scaling the rows of Vtbar.
+    that the q(Y) update and the data term of the bound both read, with
+    E[Vt^T W Vt] = sum_r wbar_rr cov_r + Vtbar^T (Wbar Vtbar).
+
+    The per-row factorization zeroes every cross-row covariance, so only the
+    diagonal of Wbar meets the row covariances. A Gamma factor's diagonal Wbar
+    goes through the same GEMM: its off-diagonal terms are exact zeros, so the
+    bits are those of scaling the rows of Vtbar.
     """
-    wvt = qw.mean @ qv.mean
-    return wvt, expected_vtw_quadratic(qv, qw.mean, wvt)
+    wbar = qw.mean
+    wvt = wbar @ qv.mean
+    quad = np.einsum("r,rab->ab", np.diagonal(wbar), qv.cov) + qv.mean.T @ wvt
+    return wvt, sym(quad)

@@ -23,6 +23,7 @@ from bsplda.posterior import (
     QVtilde,
     QWGamma,
     QWWishart,
+    vtw_moments,
     y_aggregates,
 )
 from bsplda.synth import GenSpec, sample
@@ -130,7 +131,7 @@ def test_criterion_02_conjugacy_oracle():
             mean=np.column_stack([params.V, params.mu]),
             prec=np.tile(1e30 * np.eye(k), (d, 1, 1)),
         )
-        qy = update_qy(stats, qv, _PointW(params.W))
+        qy = update_qy(stats, vtw_moments(qv, _PointW(params.W)))
         for i in range(m):
             prec_exact = np.eye(ny) + counts[i] * params.V.T @ params.W @ params.V
             mean_exact = np.linalg.solve(
@@ -301,9 +302,11 @@ def test_criterion_06_minimum_divergence_invariance():
     )
     state, _, _ = fit(ds, part, prior, FitConfig(max_iterations=15, seed=1), n_y=ny)
     stats = accumulate(ds, part)
-    before = elbo_data_term(stats, y_aggregates(state.qy, stats), state.qv, state.qw)
+    before = elbo_data_term(
+        stats, y_aggregates(state.qy, stats), state.qw, vtw_moments(state.qv, state.qw)
+    )
     qy2, qv2, _ = minimum_divergence(state.qy, state.qv)
-    after = elbo_data_term(stats, y_aggregates(qy2, stats), qv2, state.qw)
+    after = elbo_data_term(stats, y_aggregates(qy2, stats), state.qw, vtw_moments(qv2, state.qw))
     assert abs(after - before) <= 1e-9 * max(1.0, abs(before))
     pooled_mean = qy2.mean.mean(axis=0)
     pooled_second = qy2.second_moment_sum / qy2.n_speakers

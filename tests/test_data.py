@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,8 +79,9 @@ def sequential_sums(vectors, assignment, m):
 @pytest.mark.parametrize(
     "counts",
     [np.arange(200) % 23, np.zeros(9, dtype=int), np.repeat(np.arange(6), 4),
-     np.concatenate([np.zeros(1000, dtype=int), [1, 2], np.full(3, 3)])],
-    ids=["shuffled", "one-speaker", "tied-counts", "counts-1-and-1000"],
+     np.concatenate([np.zeros(1000, dtype=int), [1, 2], np.full(3, 3)]),
+     np.repeat(np.arange(data.BLOCK_ROWS + 700), np.arange(data.BLOCK_ROWS + 700) % 40 + 1)],
+    ids=["shuffled", "one-speaker", "tied-counts", "counts-1-and-1000", "over-speaker-chunks"],
 )
 def test_accumulate_sums_rows_in_row_order(counts):
     # bit for bit the sequential loop, whatever the row order and the counts
@@ -89,6 +92,23 @@ def test_accumulate_sums_rows_in_row_order(counts):
     stats = accumulate(make_dataset(vectors), SpeakerPartition(assignment=assignment, n_speakers=m))
     assert np.array_equal(stats.spk_sums, sequential_sums(vectors, assignment, m))
     assert np.array_equal(stats.counts, np.bincount(assignment, minlength=m))
+
+
+def test_accumulate_peaks_near_the_speaker_sums():
+    # one block holding every speaker: the M x d sums, and chunks of the ranked
+    # speakers of at most BLOCK_ROWS rows, not a second M x d copy
+    rng = np.random.default_rng(31)
+    m, d = 20_000, 100
+    assignment = rng.permutation(np.repeat(np.arange(m), rng.integers(2, 6, size=m)))
+    ds = make_dataset(rng.normal(size=(assignment.size, d)))
+    part = SpeakerPartition(assignment=assignment, n_speakers=m)
+    tracemalloc.start()
+    try:
+        accumulate(ds, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * m * d
 
 
 def test_rotate_matches_rotated_vectors():

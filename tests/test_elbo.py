@@ -20,6 +20,7 @@ from bsplda.posterior import (
     QVtilde,
     QWGamma,
     QWWishart,
+    vtw_moments,
     y_aggregates,
 )
 from tests.test_posterior import qy_from_precisions, random_qv, random_qy, random_spd, stats_for
@@ -241,7 +242,7 @@ def test_data_term_empty_is_zero():
     qv = random_qv(np.random.default_rng(0), 3, 2)
     qw = QWGamma(a=1.0, b=1.0, dim=3)
     aggs = y_aggregates(qy, stats)
-    assert elbo_data_term(stats, aggs, qv, qw) == 0.0
+    assert elbo_data_term(stats, aggs, qw, vtw_moments(qv, qw)) == 0.0
 
 
 def test_data_term_degenerate_equals_augmented_loglik():
@@ -261,7 +262,7 @@ def test_data_term_degenerate_equals_augmented_loglik():
     w = random_spd(rng, d, 0.5)
     qw = PointW(w=w)
     aggs = y_aggregates(qy, stats)
-    got = elbo_data_term(stats, aggs, qv, qw)
+    got = elbo_data_term(stats, aggs, qw, vtw_moments(qv, qw))
     expected = sum(
         conditional_loglik_augmented(
             stats.counts[i], stats.spk_sums[i], vectors[i].T @ vectors[i],
@@ -299,7 +300,7 @@ def test_data_term_matches_quadrature_oracle():
     qv = QVtilde.from_precisions(mean=np.array([[0.8, -0.2]]), prec=random_spd(rng, 2, 2.0)[None])
     qw = QWGamma(a=3.0, b=2.0, dim=1)
     aggs = y_aggregates(qy, stats)
-    got = elbo_data_term(stats, aggs, qv, qw)
+    got = elbo_data_term(stats, aggs, qw, vtw_moments(qv, qw))
 
     row_mean, row_cov = qv.mean[0], qv.cov[0]
     y_mean, y_var = qy.mean[0], qy.cov[0]
@@ -390,7 +391,7 @@ def test_total_increases_after_one_qy_update():
     qy0 = qy_from_precisions(np.zeros((m, ny)), np.tile(np.eye(ny), (m, 1, 1)), np.arange(m))
     stats = stats_for(rng, m, d)
     before = elbo_total(stats, qy0, qv, qw, qalpha, prior).total
-    qy1 = update_qy(stats, qv, qw)
+    qy1 = update_qy(stats, vtw_moments(qv, qw))
     after = elbo_total(stats, qy1, qv, qw, qalpha, prior).total
     assert after > before
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from bsplda.posterior import (
     QWGamma,
     QWWishart,
     YAggregates,
-    expected_vtw_quadratic,
     vtw_moments,
     y_aggregates,
 )
@@ -186,7 +186,8 @@ def test_quadratics_point_estimate_degenerate():
     wbar = random_spd(rng, d)
     r = random_spd(rng, k)
     full = vt.T @ wbar @ vt
-    np.testing.assert_allclose(expected_vtw_quadratic(qv, wbar), full, rtol=1e-6, atol=1e-8)
+    quad = vtw_moments(qv, SimpleNamespace(mean=wbar))[1]
+    np.testing.assert_allclose(quad, full, rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(expected_vrv(qv, r), vt @ r @ vt.T, rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(qv.col_sq_norms, (vt[:, :ny] ** 2).sum(axis=0), rtol=1e-6)
 
@@ -225,9 +226,8 @@ def test_quadratics_monte_carlo_oracle():
             axis=1,
         )  # (n_samp, d, k)
         wrows = np.einsum("rs,nsb->nrb", wbar, rows)
-        _mc_check(
-            expected_vtw_quadratic(qv, wbar), np.einsum("nra,nrb->nab", rows, wrows), n_samp, 4.0
-        )
+        quad = vtw_moments(qv, SimpleNamespace(mean=wbar))[1]
+        _mc_check(quad, np.einsum("nra,nrb->nab", rows, wrows), n_samp, 4.0)
         rrows = rows @ r
         _mc_check(expected_vrv(qv, r), np.einsum("nra,nsa->nrs", rrows, rows), n_samp, 4.0)
         _mc_check(
@@ -244,7 +244,7 @@ def test_gamma_vtw_product_is_the_row_scaling(d, rates):
     qv = random_qv(rng, d, 15)
     wvt, quad = vtw_moments(qv, qw)
     np.testing.assert_array_equal(wvt, qw.mean_diag[:, None] * qv.mean)
-    np.testing.assert_array_equal(quad, expected_vtw_quadratic(qv, qw.mean, wvt))
+    np.testing.assert_array_equal(quad, vtw_moments(qv, SimpleNamespace(mean=qw.mean))[1])
 
 
 def test_rho_nonnegative_for_psd_inputs():
