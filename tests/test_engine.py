@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from dataclasses import replace
 
+import bsplda.elbo as elbo
 import bsplda.engine as engine
 import bsplda.linalg as linalg
 import bsplda.model as mdl
@@ -1453,14 +1454,17 @@ def test_minimum_divergence_factorizes_no_row_stack(monkeypatch):
 
 def test_fit_forms_each_pair_moments_once_and_groups_counts_once(monkeypatch):
     # q(Y) and the bound of a sweep share one vtw_moments of (q(Vtilde), q(W)):
-    # the start's q(Y) refresh, one per sweep and the stored bound's, each on its own pair
+    # the start's q(Y) refresh, one per sweep and the stored bound's, each on its own pair.
+    # Both module globals that can form the moments are counted: engine's and
+    # the fallback of elbo_total when it is not handed them
     ds, part, _ = synthetic_problem(62, d=4, m=30, per=4)
     stats = accumulate(ds, part)
-    unique, moments = np.unique, engine.vtw_moments
+    unique, moments = np.unique, posterior.vtw_moments
     groupings, pairs = [], []
     monkeypatch.setattr(np, "unique", lambda *a, **k: groupings.append(1) or unique(*a, **k))
-    monkeypatch.setattr(engine, "vtw_moments",
-                        lambda qv, qw: pairs.append((qv, qw)) or moments(qv, qw))
+    for module in (engine, elbo):
+        monkeypatch.setattr(module, "vtw_moments",
+                            lambda qv, qw: pairs.append((qv, qw)) or moments(qv, qw))
     stats = SuffStats(counts=stats.counts, spk_sums=stats.spk_sums, scatter_total=stats.scatter_total)
     sweeps = 7
     fit_stats(stats, v1_prior(4), FitConfig(max_iterations=sweeps, elbo_rel_tol=1e-300, seed=1), 2)
