@@ -96,6 +96,13 @@ class SuffStats:
     Nothing of size M*d*d is held: the fit reads the second-order statistics
     only through the dataset-wide scatter. The speakers are grouped by count
     once, here: q(Y) has one precision per distinct count.
+
+    When the G distinct counts have G*d <= M, each count g also holds the mean
+    fbar_g of its speakers' sums and their centered scatter
+    sum_{i in g} (F_i - fbar_g)(F_i - fbar_g)^T, so a q(Y) step can read G
+    d x d scatters in place of the M x d sums (`engine.qy_step`); then the
+    scatters hold G*d*d <= M*d numbers, no more than the sums. Otherwise both
+    are None.
     """
 
     counts: np.ndarray         # (M,) observation counts
@@ -105,6 +112,8 @@ class SuffStats:
     sum_total: np.ndarray = field(init=False)
     count_values: np.ndarray = field(init=False)  # (G,) the distinct counts, ascending
     count_group: np.ndarray = field(init=False)   # (M,) index of each speaker's count
+    count_means: np.ndarray = field(init=False)     # (G, d) fbar_g, or None
+    count_scatters: np.ndarray = field(init=False)  # (G, d, d) centered scatters, or None
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float)
@@ -125,6 +134,11 @@ class SuffStats:
         values, group = np.unique(counts, return_inverse=True)
         object.__setattr__(self, "count_values", values)
         object.__setattr__(self, "count_group", group)
+        # sums that overflowed, which `accumulate` refuses, have no moments
+        grouped = values.size * d <= counts.size and np.isfinite(self.sum_total).all()
+        means, scatters = _count_moments(spk_sums, group, values.size) if grouped else (None, None)
+        object.__setattr__(self, "count_means", means)
+        object.__setattr__(self, "count_scatters", scatters)
 
     @property
     def n_speakers(self):
@@ -133,6 +147,26 @@ class SuffStats:
     @property
     def dim(self):
         return self.spk_sums.shape[1]
+
+
+def _count_moments(spk_sums, group, n_groups):
+    """((G, d) means, (G, d, d) centered scatters) of the speaker sums of each
+    count group. Each group's sums are gathered BLOCK_ROWS speakers at a time,
+    in ascending speaker order, once for the mean and once for the scatter, so
+    no copy of the M x d sums is made."""
+    d = spk_sums.shape[1]
+    order = np.argsort(group, kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(group, minlength=n_groups))]
+    means, scatters = np.empty((n_groups, d)), np.zeros((n_groups, d, d))
+    for g in range(n_groups):
+        speakers = order[bounds[g]:bounds[g + 1]]
+        blocks = [speakers[i:i + BLOCK_ROWS] for i in range(0, speakers.size, BLOCK_ROWS)]
+        means[g] = sum(spk_sums[block].sum(axis=0) for block in blocks) / speakers.size
+        for block in blocks:
+            rows = spk_sums[block]
+            rows -= means[g]
+            scatters[g] += rows.T @ rows
+    return means, scatters
 
 
 def accumulate(dataset, partition):

@@ -64,8 +64,9 @@ def elbo_data_term(stats, aggregates, qw, moments):
 
 
 def elbo_y_terms(qy):
-    """(E[ln P(Y)], E[ln q(Y)]); their difference is -KL(q(Y) || p(Y))."""
-    m, ny = qy.mean.shape
+    """(E[ln P(Y)], E[ln q(Y)]); their difference is -KL(q(Y) || p(Y)). Both
+    read q(Y)'s second moment and covariances, never its per-speaker means."""
+    m, ny = qy.n_speakers, qy.rank
     if m == 0:
         return 0.0, 0.0
     rho_trace = float(np.trace(qy.second_moment_sum))

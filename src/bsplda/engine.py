@@ -3,6 +3,7 @@
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from . import model as mdl
 from .data import accumulate, rotate
 from .elbo import NonFiniteElboError, elbo_data_term, elbo_total, elbo_y_terms
 from .linalg import FactorizationError, pencil_inverses, spd_cholesky, spd_inverse_logdet, sym
-from .posterior import QY, QAlpha, QVtilde, vtw_moments, y_aggregates
+from .posterior import QY, QAlpha, QVtilde, YAggregates, vtw_moments, y_aggregates
 from .synth import CounterRng
 
 __all__ = [
@@ -116,29 +117,84 @@ def update_qy(stats, moments):
     One eigendecomposition A = U diag(lam) U^T (`pencil_inverses` with D = I)
     gives every group's covariance U diag(1 / (1 + N lam)) U^T and
     log-determinant sum ln(1 + N lam). Speaker i's mean is U z_i with
-    z_i = (P^T F_i - N_i U^T E[V^T W mu]) / (1 + N_i lam) and P = (E[W] V) U.
-    The means are formed speaker-minor: one n_y x d by d x M product P^T F^T,
-    scaled in place and mapped back by one n_y x n_y product, so `mean` is
-    the transpose of an (n_y, M) array.
+    z_i = (P^T F_i - N_i U^T E[V^T W mu]) / (1 + N_i lam) and P = (E[W] V) U,
+    formed here by `_speaker_means`.
     """
+    vecs, factors, cov, logdets, proj, shift = _qy_factors(stats, moments)
+    means = _speaker_means(stats, vecs, factors, proj, shift)
+    return QY(means=means, cov=cov, prec_logdets=logdets, group=stats.count_group)
+
+
+def _qy_factors(stats, moments):
+    """(U, the factors 1 + N_g lam, covariances, log-determinants, P, U^T E[V^T W mu])
+    of the q(Y) precisions I + N_g A of one pair's `vtw_moments`."""
     wvt, quad = moments
     ny = quad.shape[0] - 1
-    evtwv = quad[:-1, :-1]
-    values, group = stats.count_values, stats.count_group
-    vecs, factors, cov, logdets = pencil_inverses(np.ones(ny), evtwv, values, "q(Y) precision")
-    z = (wvt[:, :-1] @ vecs).T @ stats.spk_sums.T
-    z -= np.outer(quad[:-1, -1] @ vecs, stats.counts)
-    z /= factors.T[:, group]
-    return QY(mean=(vecs @ z).T, cov=cov, prec_logdets=logdets, group=group)
+    vecs, factors, cov, logdets = pencil_inverses(np.ones(ny), quad[:-1, :-1], stats.count_values,
+                                                  "q(Y) precision")
+    return vecs, factors, cov, logdets, wvt[:, :-1] @ vecs, quad[:-1, -1] @ vecs
+
+
+def _speaker_means(stats, vecs, factors, proj, shift):
+    """The (M, n_y) q(Y) means U z_i. They are formed speaker-minor: one
+    n_y x d by d x M product P^T F^T, scaled in place and mapped back by one
+    n_y x n_y product, so the means are the transpose of an (n_y, M) array."""
+    z = proj.T @ stats.spk_sums.T
+    z -= np.outer(shift, stats.counts)
+    z /= factors.T[:, stats.count_group]
+    return (vecs @ z).T
+
+
+def _count_qy(stats, moments):
+    """q(Y) and (sum_i F_i y_i^T, sum_i N_i y_i y_i^T, sum_i N_i y_i) from the
+    statistics' per-count means fbar_g and centered scatters S_g, y_i the
+    means of `update_qy`, which q(Y) forms only when they are read.
+
+    Within group g, y_i = U diag(1/f_g) (P^T F_i - N_g s), f_g the factors and
+    s = U^T E[V^T W mu], so y_i - ybar_g = U diag(1/f_g) P^T (F_i - fbar_g)
+    with ybar_g the mean of y_i over the group. With T_g = S_g P diag(1/f_g)
+    and Z_g = diag(1/f_g) P^T T_g:
+    sum_{i in g} F_i y_i^T = T_g U^T + n_g fbar_g ybar_g^T and
+    sum_{i in g} y_i y_i^T = U Z_g U^T + n_g ybar_g ybar_g^T.
+    The G products S_g P cost G d^2 n_y, against the 2 M d n_y of forming and
+    reducing the means. Centering keeps the n_g fbar_g fbar_g^T part of the
+    scatters, which a common offset of the data makes large, out of the
+    products.
+    """
+    vecs, factors, cov, logdets, proj, shift = _qy_factors(stats, moments)
+    values = stats.count_values
+    sizes = np.bincount(stats.count_group, minlength=values.size).astype(float)  # n_g
+    weights = sizes * values  # the vectors in each group
+    ybar = ((stats.count_means @ proj - np.outer(values, shift)) / factors) @ vecs.T
+    spread = stats.count_scatters @ proj
+    spread /= factors[:, None, :]  # T_g
+    within = proj.T @ spread
+    within /= factors[:, :, None]  # Z_g
+    mean_scatter = vecs @ within.sum(axis=0) @ vecs.T + ybar.T @ (sizes[:, None] * ybar)
+    qy = QY(means=partial(_speaker_means, stats, vecs, factors, proj, shift), cov=cov,
+            prec_logdets=logdets, group=stats.count_group, mean_scatter=sym(mean_scatter))
+    cross = spread.sum(axis=0) @ vecs.T + stats.count_means.T @ (sizes[:, None] * ybar)
+    weighted_scatter = (vecs @ np.einsum("g,gab->ab", values, within) @ vecs.T
+                        + ybar.T @ (weights[:, None] * ybar))
+    return qy, (cross, weighted_scatter, weights @ ybar)
 
 
 def qy_step(stats, qv, qw, kappa=1.0):
     """The q(Y) side of one (q(Vtilde), q(W)) pair: q(Y) at its closed-form
-    optimum given the pair, tempered by kappa, its `y_aggregates` and the pair's
-    `vtw_moments`, which the q(Y) update and the bound's data term both read."""
+    optimum given the pair, tempered by kappa, its aggregates and the pair's
+    `vtw_moments`, which the q(Y) update and the bound's data term both read.
+
+    When the statistics hold per-count means and scatters (G d <= M), q(Y)'s
+    sums over speakers come from them (`_count_qy`) and its means are formed
+    only if read; otherwise from `update_qy`'s means by `y_aggregates`.
+    """
     moments = vtw_moments(qv, qw)
-    qy = update_qy(stats, moments).anneal(kappa)
-    return qy, y_aggregates(qy, stats), moments
+    if stats.count_scatters is None:
+        qy = update_qy(stats, moments).anneal(kappa)
+        return qy, y_aggregates(qy, stats), moments
+    qy, sums = _count_qy(stats, moments)
+    qy = qy.anneal(kappa)
+    return qy, YAggregates.of(qy, stats, *sums), moments
 
 
 def update_qvtilde(aggregates, qv, qw, prior, qalpha=None):
@@ -218,7 +274,7 @@ def minimum_divergence(qy, qv):
     # y' = L^-1 (y - mu_y): covariances L^-1 Sigma_g L^-T, precision log-dets + 2 ln|L|
     a_mat = np.linalg.inv(chol)
     qy_new = QY(
-        mean=(qy.mean - mu_y[None, :]) @ a_mat.T,
+        means=(qy.mean - mu_y[None, :]) @ a_mat.T,
         cov=sym(a_mat @ qy.cov @ a_mat.T),
         prec_logdets=qy.prec_logdets + 2.0 * logdet_chol,
         group=qy.group,
@@ -277,7 +333,7 @@ def _init_state(stats, prior, n_y, seed):
     rows = np.tile(np.eye(k), (d, 1, 1))
     qv = QVtilde(mean=np.column_stack([v_init, mu_init]), prec=rows, cov=rows, prec_logdets=np.zeros(d))
     m = stats.n_speakers
-    qy = QY(mean=np.zeros((m, n_y)), cov=np.eye(n_y)[None], prec_logdets=np.zeros(1),
+    qy = QY(means=np.zeros((m, n_y)), cov=np.eye(n_y)[None], prec_logdets=np.zeros(1),
             group=np.zeros(m, dtype=int))
     loading, arm = mdl.SCHEMES[prior.variant]
     qw = arm.init_qw(prior, n, d, w_point, logdet_w_point)
@@ -321,7 +377,9 @@ def fit_stats(stats, prior, config, n_y):
     exact coordinate maximizer tempered by the iteration's kappa. A `qy_step`
     on the new (q(Vtilde), q(W)) pair forms q(Y), its aggregates and the pair's
     moments; the bound reads all three, the next q(Vtilde) step the aggregates
-    while they belong to its state and kappa. A stale q(Y) (first sweep, kappa
+    while they belong to its state and kappa. On statistics with per-count
+    moments (G d <= M) no step reads the M x d sums: q(Y) forms its means
+    only when read, as minimum divergence and the returned state's readers do. A stale q(Y) (first sweep, kappa
     change, an event's new state) comes from a `qy_step` on the state's pair.
     Events follow the bound, never after the final sweep: a hyperparameter
     refresh every `hyperopt_every` sweeps, then a minimum-divergence

@@ -69,33 +69,56 @@ class QY:
     """Gaussian factors over the latent speaker vectors, held by the moments the
     sweep and the bound read: speaker i has mean `mean[i]`, covariance
     `cov[group[i]]` and precision log-determinant `prec_logdets[group[i]]`.
-    The q(Y) update puts the speakers that share a count in one group."""
+    The q(Y) update puts the speakers that share a count in one group.
 
-    mean: np.ndarray          # (M, n_y)
+    `means` holds the (M, n_y) means, or a function of no arguments that forms
+    them; `mean` reads them, forming them once, on the first read. A producer
+    that gives such a function gives the means' scatter sum_i E[y_i] E[y_i]^T
+    as `mean_scatter`, which `second_moment_sum` then reads; given means carry
+    no scatter, so a replaced mean cannot leave a stale one."""
+
+    means: object             # (M, n_y), or a function forming them
     cov: np.ndarray           # (G, n_y, n_y)
     prec_logdets: np.ndarray  # (G,)
     group: np.ndarray         # (M,) index into cov
+    mean_scatter: np.ndarray = None  # (n_y, n_y), or None: formed from `mean`
 
     def __post_init__(self):
-        for name in ("mean", "cov", "prec_logdets"):
+        for name in ("cov", "prec_logdets"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "group", np.asarray(self.group, dtype=np.intp))
-        mean, cov, logdets, group = self.mean, self.cov, self.prec_logdets, self.group
-        if mean.ndim != 2 or cov.shape[1:] != (mean.shape[1],) * 2 or logdets.shape != cov.shape[:1]:
-            raise ValueError(f"inconsistent shapes mean {mean.shape}, cov {cov.shape}, "
-                             f"prec_logdets {logdets.shape}")
-        if group.shape != mean.shape[:1]:
-            raise ValueError(f"group has shape {group.shape}, expected ({mean.shape[0]},)")
+        cov, logdets, group = self.cov, self.prec_logdets, self.group
+        if cov.ndim != 3 or cov.shape[1] != cov.shape[2] or logdets.shape != cov.shape[:1]:
+            raise ValueError(f"inconsistent shapes cov {cov.shape}, prec_logdets {logdets.shape}")
+        if group.ndim != 1:
+            raise ValueError(f"group has shape {group.shape}, expected (M,)")
         if group.size and (group.min() < 0 or group.max() >= cov.shape[0]):
             raise ValueError(f"group indices must lie in [0, {cov.shape[0]})")
+        if not callable(self.means):
+            if self.mean_scatter is not None:
+                raise ValueError("mean_scatter goes with means formed on demand, not with given means")
+            means = np.asarray(self.means, dtype=float)
+            if means.shape != group.shape + cov.shape[1:2]:
+                raise ValueError(f"inconsistent shapes means {means.shape}, cov {cov.shape}, "
+                                 f"group {group.shape}")
+            object.__setattr__(self, "means", means)
 
     @property
     def n_speakers(self):
-        return self.mean.shape[0]
+        return self.group.shape[0]
 
     @property
     def rank(self):
-        return self.mean.shape[1]
+        return self.cov.shape[1]
+
+    @property
+    def mean(self):
+        """The (M, n_y) means."""
+        return self._formed_means if callable(self.means) else self.means
+
+    @cached_property
+    def _formed_means(self):
+        return self.means()
 
     def anneal(self, kappa):
         """The factor to the power kappa, renormalized: cov / kappa, ln|P| + n_y ln kappa."""
@@ -112,7 +135,8 @@ class QY:
     @cached_property
     def second_moment_sum(self):
         """sum_i E[y_i y_i^T] = sum_g n_g Sigma_g + Ybar^T Ybar."""
-        return np.einsum("g,gab->ab", self.group_sizes, self.cov) + self.mean.T @ self.mean
+        scatter = self.mean.T @ self.mean if self.mean_scatter is None else self.mean_scatter
+        return np.einsum("g,gab->ab", self.group_sizes, self.cov) + scatter
 
 
 @dataclass(frozen=True)
@@ -301,31 +325,39 @@ class YAggregates:
     C: np.ndarray  # (d, n_y+1): sum_i F_i E[ytilde_i]^T
     R: np.ndarray  # (n_y+1, n_y+1): sum_i N_i E[ytilde ytilde^T]
 
+    @classmethod
+    def of(cls, qy, stats, cross, weighted_scatter, weighted_sum):
+        """The aggregates of q(Y) on `stats` from its sums over the speakers:
+        `cross` = sum_i F_i E[y_i]^T (d, n_y), `weighted_scatter` =
+        sum_i N_i E[y_i] E[y_i]^T and `weighted_sum` = sum_i N_i E[y_i]. The
+        covariances add sum_g w_g Sigma_g, w_g the count summed over group g;
+        F^T 1 and sum_i N_i are the statistics' totals."""
+        ny = qy.rank
+        c = np.empty((stats.dim, ny + 1))
+        c[:, :ny] = cross
+        c[:, -1] = stats.sum_total
+        weights = np.bincount(qy.group, weights=stats.counts, minlength=qy.cov.shape[0])
+        r = np.empty((ny + 1, ny + 1))
+        r[:ny, :ny] = weighted_scatter + np.einsum("g,gab->ab", weights, qy.cov)
+        r[:ny, -1] = r[-1, :ny] = weighted_sum
+        r[-1, -1] = stats.n_total
+        return cls(C=c, R=sym(r))
+
 
 def y_aggregates(qy, stats):
-    """C and R_ytilde from the current q(Y) and the sufficient statistics.
+    """C and R_ytilde from the current q(Y), by its means, and the sufficient statistics.
 
     With Y the (M, n_y) means and N the counts, C = [(Y^T F)^T, F^T 1] and
     R = [[Y^T diag(N) Y + sum_g w_g Sigma_g, Y^T N], [N^T Y, sum_i N_i]], w_g
     the count summed over group g. The products run speaker-minor, n_y x M
-    times M x d, which BLAS packs better than an M x (n_y+1) right operand;
-    F^T 1 and sum_i N_i are the statistics' totals. The unweighted
-    sum_i E[y_i y_i^T] is `QY.second_moment_sum`.
+    times M x d, which BLAS packs better than an M x (n_y+1) right operand.
+    The unweighted sum_i E[y_i y_i^T] is `QY.second_moment_sum`.
     """
-    m, ny = qy.mean.shape
-    if stats.n_speakers != m:
-        raise ValueError(f"q(Y) covers {m} speakers, statistics have {stats.n_speakers}")
+    if stats.n_speakers != qy.n_speakers:
+        raise ValueError(f"q(Y) covers {qy.n_speakers} speakers, statistics have {stats.n_speakers}")
     y_t = qy.mean.T  # contiguous for the q(Y) update's means
-    c = np.empty((stats.dim, ny + 1))
-    c[:, :ny] = (y_t @ stats.spk_sums).T
-    c[:, -1] = stats.sum_total
     weighted = y_t * stats.counts  # row q: N_i y_iq
-    weights = np.bincount(qy.group, weights=stats.counts, minlength=qy.cov.shape[0])
-    r = np.empty((ny + 1, ny + 1))
-    r[:ny, :ny] = weighted @ y_t.T + np.einsum("g,gab->ab", weights, qy.cov)
-    r[:ny, -1] = r[-1, :ny] = weighted.sum(axis=1)
-    r[-1, -1] = stats.n_total
-    return YAggregates(C=c, R=sym(r))
+    return YAggregates.of(qy, stats, (y_t @ stats.spk_sums).T, weighted @ y_t.T, weighted.sum(axis=1))
 
 
 def vtw_moments(qv, qw):

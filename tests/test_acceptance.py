@@ -244,7 +244,7 @@ def test_criterion_05_kl_zero_suite():
             )
         prior = prior.validate(d, ny)
         # q(Y) at its prior
-        qy = QY(mean=np.zeros((2, ny)), cov=np.tile(np.eye(ny), (2, 1, 1)), prec_logdets=np.zeros(2),
+        qy = QY(means=np.zeros((2, ny)), cov=np.tile(np.eye(ny), (2, 1, 1)), prec_logdets=np.zeros(2),
                 group=np.arange(2))
         y_prior, y_entropy_neg = elbo_y_terms(qy)
         assert abs(y_prior - y_entropy_neg) < 1e-9

@@ -136,7 +136,8 @@ def test_fixed_point_is_per_factor_optimal(variant):
         assert perturbed <= base + slack
 
     for _ in range(10):
-        qy = replace(state.qy, mean=state.qy.mean + eps * rng.normal(size=state.qy.mean.shape))
+        qy = replace(state.qy, means=state.qy.mean + eps * rng.normal(size=state.qy.mean.shape),
+                     mean_scatter=None)
         check(replace(state, qy=qy))
         scale = 1.0 + eps * rng.uniform(-1, 1)  # of the precisions
         qy = replace(state.qy, cov=state.qy.cov / scale,

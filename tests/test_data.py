@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bsplda import data
-from bsplda.data import Dataset, SpeakerPartition, accumulate, rotate
+from bsplda.data import Dataset, SpeakerPartition, SuffStats, accumulate, rotate
 
 
 def make_dataset(vectors):
@@ -109,6 +109,39 @@ def test_accumulate_peaks_near_the_speaker_sums():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * m * d
+
+
+@pytest.mark.parametrize("m, grouped", [(12, True), (11, False)])
+def test_statistics_hold_per_count_moments_exactly_when_counts_times_dim_fit_the_speakers(m, grouped):
+    # G = 4 distinct counts at d = 3: G d = 12, the boundary of G d <= M
+    rng = np.random.default_rng(m)
+    counts = np.tile([1.0, 2.0, 3.0, 4.0], 3)[:m]
+    stats = SuffStats(counts=counts, spk_sums=rng.normal(size=(m, 3)) + 1e3, scatter_total=np.eye(3))
+    assert stats.count_values.size * stats.dim == 12
+    if not grouped:
+        assert stats.count_means is None and stats.count_scatters is None
+        return
+    for g, value in enumerate(stats.count_values):
+        sums = stats.spk_sums[stats.counts == value]
+        mean = sums.mean(axis=0)
+        np.testing.assert_allclose(stats.count_means[g], mean, rtol=1e-15)
+        centered = sum(np.outer(f - mean, f - mean) for f in sums)
+        np.testing.assert_allclose(stats.count_scatters[g], centered, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(stats.count_scatters[g], stats.count_scatters[g].T)
+    assert stats.count_scatters.size <= stats.spk_sums.size
+
+
+def test_per_count_moments_gather_speakers_in_blocks(monkeypatch):
+    # a count shared by more speakers than one block gathers them block by block
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(data, "BLOCK_ROWS", 7)
+    counts = np.repeat([2.0, 5.0], [30, 4])
+    sums = rng.normal(size=(34, 2)) + 50.0
+    stats = SuffStats(counts=counts, spk_sums=sums, scatter_total=np.eye(2))
+    for g, rows in enumerate((sums[:30], sums[30:])):
+        mean = rows.mean(axis=0)
+        np.testing.assert_allclose(stats.count_means[g], mean, rtol=1e-14)
+        np.testing.assert_allclose(stats.count_scatters[g], (rows - mean).T @ (rows - mean), rtol=1e-12)
 
 
 def test_rotate_matches_rotated_vectors():

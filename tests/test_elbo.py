@@ -238,7 +238,7 @@ def test_noninformative_w_prior_term():
 
 def test_data_term_empty_is_zero():
     stats = SuffStats(counts=np.zeros(0), spk_sums=np.zeros((0, 3)), scatter_total=np.zeros((3, 3)))
-    qy = QY(mean=np.zeros((0, 2)), cov=np.zeros((0, 2, 2)), prec_logdets=np.zeros(0), group=np.arange(0))
+    qy = QY(means=np.zeros((0, 2)), cov=np.zeros((0, 2, 2)), prec_logdets=np.zeros(0), group=np.arange(0))
     qv = random_qv(np.random.default_rng(0), 3, 2)
     qw = QWGamma(a=1.0, b=1.0, dim=3)
     aggs = y_aggregates(qy, stats)
@@ -404,6 +404,6 @@ def test_total_invariant_under_speaker_relabeling():
     stats_p = SuffStats(
         counts=stats.counts[perm], spk_sums=stats.spk_sums[perm], scatter_total=stats.scatter_total
     )
-    qy_p = QY(mean=qy.mean[perm], cov=qy.cov, prec_logdets=qy.prec_logdets, group=qy.group[perm])
+    qy_p = QY(means=qy.mean[perm], cov=qy.cov, prec_logdets=qy.prec_logdets, group=qy.group[perm])
     bd_p = elbo_total(stats_p, qy_p, qv, qw, qalpha, prior)
     assert bd_p.total == pytest.approx(bd.total, rel=1e-9)

@@ -22,6 +22,7 @@ from bsplda.engine import (
     fit_stats,
     heldout_bound,
     minimum_divergence,
+    qy_step,
     stored_bound,
     update_qalpha,
     update_qvtilde,
@@ -165,9 +166,91 @@ def test_grouped_qy_matches_per_speaker_reference(mix):
     close(aggs.R, r)
     close(qy.second_moment_sum, rho)
     close(y_terms, ref_terms)
-    # layout: one covariance per distinct count, no M x d x d statistics
+    # layout: one covariance per distinct count, no statistic larger than the M x d sums
     assert qy.cov.shape[0] == np.unique(counts).size
-    assert all(np.ndim(value) <= 2 for value in vars(stats).values())
+    assert all(np.size(value) <= stats.spk_sums.size for value in vars(stats).values())
+
+
+def per_count_pair(variant, d=6, m=120, offset=0.0):
+    """Statistics with G d <= M (6 distinct counts over m speakers) and a fitted
+    (q(Vtilde), q(W)) pair of `variant`; V4 adapts a V2-Gamma-diagonal model
+    fitted first. The data and the pair's mu are shifted by `offset`."""
+    rng = np.random.default_rng(91)
+    params = ModelParams(mu=rng.normal(size=d), V=rng.normal(size=(d, 2)), W=4.0 * np.eye(d))
+    ds, part, _ = sample(GenSpec(params=params, counts=tuple(3 + np.arange(m) % 6), seed=91))
+    stats = accumulate(ds, part)
+    config = FitConfig(max_iterations=8, elbo_rel_tol=1e-300, seed=2)
+    if variant == mdl.V4_GAUSSV_GAMMA_DIAGONAL:
+        source, _, _ = fit_stats(stats, v1_prior(d, mdl.V2_GAMMA_DIAGONAL), config, 3)
+        arm = mdl.SCHEMES[mdl.V2_GAMMA_DIAGONAL][1]
+        prior = PriorConfig(variant=variant, v_row_means=source.qv.mean, v_row_precisions=source.qv.prec,
+                            **arm.adaptation_prior(source.qw))
+    else:
+        prior = v1_prior(d, variant)
+    state, _, _ = fit_stats(stats, prior, config, 3)
+    qv = state.qv
+    if offset:
+        shifted = ds.vectors + offset
+        stats = accumulate(Dataset(vectors=shifted, ids=ds.ids), part)
+        qv = replace(qv, mean=qv.mean + np.append(np.zeros(3), offset))
+    assert stats.count_scatters is not None
+    return stats, qv, state.qw
+
+
+def relative_gap(got, want):
+    return float(np.abs(np.asarray(got) - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.5])
+@pytest.mark.parametrize("variant", [mdl.V1_WISHART_NONINFORMATIVE, mdl.V2_GAMMA_DIAGONAL,
+                                     mdl.V4_GAUSSV_GAMMA_DIAGONAL])
+def test_per_count_qy_step_agrees_with_the_per_speaker_reduction(variant, kappa):
+    # the same sums over speakers, per count group instead of per speaker: C, R
+    # and the second moment within 1e-12 of their largest entry, the
+    # covariance factors and the means read on demand bit for bit
+    stats, qv, qw = per_count_pair(variant)
+    qy, aggregates, moments = qy_step(stats, qv, qw, kappa)
+    assert callable(qy.means)  # no mean formed before it is read
+    reference = update_qy(stats, moments).anneal(kappa)
+    expected = y_aggregates(reference, stats)
+    assert relative_gap(aggregates.C, expected.C) <= 1e-12
+    assert relative_gap(aggregates.R, expected.R) <= 1e-12
+    assert relative_gap(qy.second_moment_sum, reference.second_moment_sum) <= 1e-12
+    np.testing.assert_array_equal(qy.prec_logdets, reference.prec_logdets)
+    np.testing.assert_array_equal(qy.cov, reference.cov)
+    np.testing.assert_array_equal(qy.mean, reference.mean)
+    assert elbo_y_terms(qy)[1] == elbo_y_terms(reference)[1]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.5])
+def test_qy_step_one_group_past_the_boundary_is_the_per_speaker_reduction(kappa):
+    # G d = M + 1: the statistics hold no per-count moments and qy_step is
+    # update_qy and y_aggregates bit for bit, the path of G d > M corpora
+    rng = np.random.default_rng(12)
+    d, counts = 3, np.tile([2.0, 3.0, 4.0, 5.0], 3)[:11]
+    stats = stats_for(rng, counts.size, d)
+    stats = SuffStats(counts=counts, spk_sums=stats.spk_sums, scatter_total=stats.scatter_total)
+    assert stats.count_values.size * d == stats.n_speakers + 1 and stats.count_scatters is None
+    qv, qw = random_qv(rng, d, 2), QWWishart.from_psi(psi=random_spd(rng, d, 0.3), nu=d + 3.0)
+    qy, aggregates, moments = qy_step(stats, qv, qw, kappa)
+    reference = update_qy(stats, moments).anneal(kappa)
+    expected = y_aggregates(reference, stats)
+    for got, want in ((aggregates.C, expected.C), (aggregates.R, expected.R), (qy.mean, reference.mean),
+                      (qy.cov, reference.cov), (qy.prec_logdets, reference.prec_logdets),
+                      (qy.second_moment_sum, reference.second_moment_sum)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_per_count_qy_step_keeps_a_common_offset_out_of_its_products():
+    # data and mu shifted by 1e4: the centered per-count scatters carry no
+    # n_g fbar_g fbar_g^T part, so R and the second moment stay within 1e-10 of
+    # the per-speaker reduction (7e-13 here; uncentered scatters missed it by 5e-8)
+    stats, qv, qw = per_count_pair(mdl.V1_WISHART_NONINFORMATIVE, offset=1e4)
+    qy, aggregates, moments = qy_step(stats, qv, qw)
+    reference = update_qy(stats, moments)
+    ny = qy.rank
+    assert relative_gap(aggregates.R[:ny, :ny], y_aggregates(reference, stats).R[:ny, :ny]) <= 1e-10
+    assert relative_gap(qy.second_moment_sum, reference.second_moment_sum) <= 1e-10
 
 
 def counted_cholesky(monkeypatch):
@@ -861,7 +944,7 @@ class TestMinimumDivergence:
         # scale so pooled second moment is I: construct covariances accordingly
         pooled = means.T @ means / m
         cov = np.eye(ny) - pooled
-        qy = QY(mean=means, cov=np.tile(cov, (m, 1, 1)),
+        qy = QY(means=means, cov=np.tile(cov, (m, 1, 1)),
                 prec_logdets=np.full(m, -np.linalg.slogdet(cov)[1]), group=np.arange(m))
         qv = random_qv(rng, 3, ny)
         qy2, qv2, j_mat = minimum_divergence(qy, qv)
@@ -1347,11 +1430,18 @@ def two_refresh_reference(stats, prior, config, n_y):
 
 
 @pytest.mark.parametrize("variant", [mdl.V1_WISHART_INFORMATIVE, mdl.V2_GAMMA_DIAGONAL])
-def test_sweep_matches_two_refresh_reference(variant, monkeypatch):
+@pytest.mark.parametrize("per_count", [False, True])
+def test_sweep_matches_two_refresh_reference(variant, per_count, monkeypatch):
     # coupled (Wishart) and decoupled (diagonal Gamma) rows; kappa changes
-    # before sweeps 4 and 7, re-standardization after sweeps 4, 8 and 12
-    ds, part, _ = synthetic_problem(42, d=4, ny=2, m=30, per=4)
+    # before sweeps 4 and 7, re-standardization after sweeps 4, 8 and 12. Eight
+    # distinct counts over 30 speakers (G d = 32 > 30) take the per-speaker
+    # q(Y) path, bit for bit the reference's; one count takes the per-count path
+    rng = np.random.default_rng(42)
+    params = ModelParams(mu=rng.normal(size=4), V=rng.normal(size=(4, 2)), W=np.eye(4))
+    counts = (4,) * 30 if per_count else tuple(2 + np.arange(30) % 8)
+    ds, part, _ = sample(GenSpec(params=params, counts=counts, seed=42))
     stats = accumulate(ds, part)
+    assert (stats.count_scatters is not None) == per_count
     config = FitConfig(
         max_iterations=14, elbo_rel_tol=1e-300, seed=7,
         anneal_schedule=((0.5, 3), (0.8, 3), (1.0, 1)), hyperopt_every=5, mindiv_every=4,
@@ -1359,20 +1449,24 @@ def test_sweep_matches_two_refresh_reference(variant, monkeypatch):
     ref_state, ref_trace, ref_kappas = two_refresh_reference(stats, v1_prior(4, variant), config, 3)
 
     calls = []
+    factors = engine._qy_factors  # one call per q(Y) step on either path
 
-    def counted_update_qy(*args):
+    def counted_factors(*args):
         calls.append(1)
-        return update_qy(*args)
+        return factors(*args)
 
-    monkeypatch.setattr(engine, "update_qy", counted_update_qy)
+    monkeypatch.setattr(engine, "_qy_factors", counted_factors)
     state, _, report = fit_stats(stats, v1_prior(4, variant), config, 3)
 
     assert not report.converged and report.iterations == config.max_iterations
-    np.testing.assert_array_equal(np.array(report.elbo_trace), np.array(ref_trace))
     assert report.kappa_log == tuple(ref_kappas)
-    np.testing.assert_array_equal(state.qv.mean, ref_state.qv.mean)
-    np.testing.assert_array_equal(state.qw.mean, ref_state.qw.mean)
-    np.testing.assert_array_equal(state.qy.mean, ref_state.qy.mean)
+    pairs = [(np.array(report.elbo_trace), np.array(ref_trace)), (state.qv.mean, ref_state.qv.mean),
+             (state.qw.mean, ref_state.qw.mean), (state.qy.mean, ref_state.qy.mean)]
+    for got, want in pairs:
+        if per_count:  # the same sums over speakers in another order
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11 * np.abs(want).max())
+        else:
+            np.testing.assert_array_equal(got, want)
     sweeps = config.max_iterations
     kappa_changes = sum(a != b for a, b in zip(report.kappa_log, report.kappa_log[1:]))
     mindiv_events = (sweeps - 1) // config.mindiv_every

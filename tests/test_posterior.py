@@ -46,7 +46,7 @@ def expected_vrv(qv, r):
 def qy_from_precisions(mean, prec, group):
     """q(Y) whose group g has the precision prec[g], inverted here."""
     cov, logdets = spd_inverse_logdet(np.asarray(prec, dtype=float))
-    return QY(mean=mean, cov=cov, prec_logdets=logdets, group=group)
+    return QY(means=mean, cov=cov, prec_logdets=logdets, group=group)
 
 
 def random_qy(rng, m, ny):
@@ -66,7 +66,7 @@ def stats_for(rng, m, d):
 
 def test_aggregates_identity_example():
     # M=1, ybar=0, L=I, N1=2: R = 2 I (bottom-right = N), C from outer product
-    qy = QY(mean=np.zeros((1, 2)), cov=np.eye(2)[None], prec_logdets=np.zeros(1), group=np.arange(1))
+    qy = QY(means=np.zeros((1, 2)), cov=np.eye(2)[None], prec_logdets=np.zeros(1), group=np.arange(1))
     stats = SuffStats(counts=np.array([2.0]), spk_sums=np.array([[1.0, 0.0, 0.0]]),
                       scatter_total=np.zeros((3, 3)))
     aggs = y_aggregates(qy, stats)
@@ -298,9 +298,9 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError, match="rates or one"):
         QWGamma(a=1.0, b=np.ones(3), dim=2)
     with pytest.raises(ValueError, match="inconsistent shapes"):
-        QY(mean=np.zeros((2, 2)), cov=np.zeros((2, 3, 3)), prec_logdets=np.zeros(2), group=np.arange(2))
+        QY(means=np.zeros((2, 2)), cov=np.zeros((2, 3, 3)), prec_logdets=np.zeros(2), group=np.arange(2))
     with pytest.raises(ValueError, match="inconsistent shapes"):
-        QY(mean=np.zeros((2, 2)), cov=np.zeros((2, 2, 2)), prec_logdets=np.zeros(3), group=np.arange(2))
+        QY(means=np.zeros((2, 2)), cov=np.zeros((2, 2, 2)), prec_logdets=np.zeros(3), group=np.arange(2))
     with pytest.raises(ValueError, match="inconsistent shapes"):
         QVtilde(mean=np.zeros((2, 2)), prec=np.zeros((2, 2, 2)), cov=np.zeros((2, 3, 3)),
                 prec_logdets=np.zeros(2))

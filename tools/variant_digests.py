@@ -15,6 +15,12 @@ the triangular inverse splits its blocks unequally and pads the leading one.
 Last it trains V1-Wishart-informative and V2-Gamma-diagonal on the first d = 5
 corpus with `--iters 0`, adapts each with `--iters 0` and runs `elbo` on each
 of these models, which no sweep has touched.
+Every corpus has one count per speaker (G = 1), so the q(Y) step takes its
+per-count reduction wherever d <= M (`engine.qy_step`). The `-d40` and `-d37`
+adapt corpora (M = 20, below G d) take the per-speaker reduction
+(`update_qy` and `y_aggregates`); every other corpus, trained or adapted,
+takes the per-count one. The script refuses to run if an edit to CORPORA
+leaves one of the two unexercised.
 It prints each command's exit code, one line per model file, trace CSV and
 `elbo` output, one `elbo == trace` line per model whose fit ran a sweep and
 one `elbo == stored` line per model: `elbo` on the corpus a model was fitted
@@ -85,6 +91,9 @@ MULTI_BLOCK_RUNS = (("v2-diagonal-blocks", "V2-Gamma-diagonal", False),)
 # 4 rows and adapt speakers 3
 CORPORA = (("", 5, 9, 40, 10, TRAIN_RUNS), ("-d40", 40, 45, 60, 20, HIGH_DIM_RUNS),
            ("-d37", 37, 42, 60, 20, ODD_DIM_RUNS), ("-blocks", 5, 9, 1600, 2100, MULTI_BLOCK_RUNS))
+# both q(Y) reductions run: per count where G d = d <= M, per speaker elsewhere
+if {d <= m for _, d, _, train, adapt, _ in CORPORA for m in (train, adapt)} != {True, False}:
+    sys.exit("CORPORA must take both the per-count and the per-speaker q(Y) reduction")
 # trained and adapted with `--iters 0` on the first corpus, after every other run
 ZERO_SWEEP_RUNS = (("v1-informative-0-sweeps", "V1-Wishart-informative", False),
                    ("v2-diagonal-0-sweeps", "V2-Gamma-diagonal", False))
